@@ -24,6 +24,8 @@
 //! CLI: `--quick` (smaller sweeps — the CI target), `--out <path>`
 //! (default `BENCH_approx.json`).
 
+use ruo_bench::doc::BenchDoc;
+use ruo_metrics::Json;
 use ruo_scenario::{
     registry, run_real, AccuracySpec, CheckerKind, EngineKind, Family, ImplEntry, RealSpec,
     ScenarioSpec,
@@ -256,65 +258,80 @@ fn run_throughput_cell(
     row
 }
 
-fn parallelism() -> usize {
-    std::thread::available_parallelism().map_or(0, |p| p.get())
-}
-
 fn write_json(
     cfg: &Config,
     steps: &[StepRow],
     throughput: &[ThroughputRow],
 ) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"ruo-approx-v1\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", cfg.quick));
-    out.push_str(&format!(
-        "  \"available_parallelism\": {},\n",
-        parallelism()
-    ));
-    out.push_str(&format!("  \"contended\": {},\n", parallelism() > 1));
-    out.push_str("  \"steps\": [\n");
-    for (i, r) in steps.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"impl\": \"{}\", \"k\": {}, \"n\": {}, \
-             \"runs\": {}, \"updates\": {}, \"reads\": {}, \
-             \"mean_update_steps\": {:.3}, \"mean_read_steps\": {:.3}, \
-             \"max_op_steps\": {}}}{}\n",
-            r.family.name(),
-            r.impl_name,
-            r.k,
-            r.n,
-            r.runs,
-            r.updates,
-            r.reads,
-            r.mean_update_steps(),
-            r.mean_read_steps(),
-            r.max_op_steps,
-            if i + 1 == steps.len() { "" } else { "," }
-        ));
+    let steps: Vec<Json> = steps
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("family", Json::from(r.family.name())),
+                ("impl", Json::from(r.impl_name)),
+                ("k", Json::from(r.k)),
+                ("n", Json::from(r.n)),
+                ("runs", Json::from(r.runs)),
+                ("updates", Json::from(r.updates)),
+                ("reads", Json::from(r.reads)),
+                ("mean_update_steps", Json::from(r.mean_update_steps())),
+                ("mean_read_steps", Json::from(r.mean_read_steps())),
+                ("max_op_steps", Json::from(r.max_op_steps)),
+            ])
+        })
+        .collect();
+    let throughput: Vec<Json> = throughput
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("family", Json::from(r.family.name())),
+                ("impl", Json::from(r.impl_name)),
+                ("k", Json::from(r.k)),
+                ("workload", Json::from(r.workload)),
+                ("threads", Json::from(r.threads)),
+                ("total_ops", Json::from(r.total_ops)),
+                ("median_ns", Json::from(r.median_ns)),
+                ("ns_per_op", Json::from(r.ns_per_op())),
+                ("mops_per_s", Json::from(r.mops())),
+            ])
+        })
+        .collect();
+    BenchDoc::new("ruo-approx-v1", cfg.quick)
+        .field("steps", steps)
+        .field("throughput", throughput)
+        .write(&cfg.out)
+}
+
+/// The headline trade as a gate: every operation costs at least one
+/// step, and at each process count relaxing the counter from `k = 1`
+/// to the largest swept `k` strictly cheapens the mean update.
+fn trade_failures(steps: &[StepRow]) -> Vec<String> {
+    let mut failures: Vec<String> = steps
+        .iter()
+        .filter(|r| r.max_op_steps == 0)
+        .map(|r| format!("{}: no operation took a step", r.id()))
+        .collect();
+    let k_max = K_AXIS[K_AXIS.len() - 1];
+    let mean_update = |k: u64, n: usize| {
+        steps
+            .iter()
+            .find(|r| {
+                r.family == Family::Counter && r.impl_name == "approx" && r.k == k && r.n == n
+            })
+            .map(StepRow::mean_update_steps)
+    };
+    let ns: std::collections::BTreeSet<usize> = steps.iter().map(|r| r.n).collect();
+    for n in ns {
+        if let (Some(exact), Some(relaxed)) = (mean_update(1, n), mean_update(k_max, n)) {
+            if relaxed >= exact {
+                failures.push(format!(
+                    "counter/approx n={n}: mean update steps {relaxed:.3} at k={k_max} \
+                     is not below {exact:.3} at k=1"
+                ));
+            }
+        }
     }
-    out.push_str("  ],\n");
-    out.push_str("  \"throughput\": [\n");
-    for (i, r) in throughput.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"impl\": \"{}\", \"k\": {}, \
-             \"workload\": \"{}\", \"threads\": {}, \"total_ops\": {}, \
-             \"median_ns\": {:.0}, \"ns_per_op\": {:.2}, \"mops_per_s\": {:.4}}}{}\n",
-            r.family.name(),
-            r.impl_name,
-            r.k,
-            r.workload,
-            r.threads,
-            r.total_ops,
-            r.median_ns,
-            r.ns_per_op(),
-            r.mops(),
-            if i + 1 == throughput.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(&cfg.out, out)
+    failures
 }
 
 fn main() {
@@ -393,4 +410,12 @@ fn main() {
         throughput.len(),
         cfg.out
     );
+    let failures = trade_failures(&steps);
+    if !failures.is_empty() {
+        eprintln!("\nACCURACY TRADE VIOLATIONS:");
+        for f in &failures {
+            eprintln!("  - {f}");
+        }
+        std::process::exit(1);
+    }
 }

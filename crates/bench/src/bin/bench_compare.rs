@@ -5,10 +5,12 @@
 //! bench_compare <baseline.json> <current.json>
 //! ```
 //!
-//! Prints the comparison report and exits `1` if any metric moved past
-//! its tolerance band in the bad direction, `2` on malformed inputs or
-//! mismatched schemas, `0` otherwise. Typical use: diff a fresh CI run
-//! against the checked-in baselines under `docs/results/baselines/`.
+//! Prints the comparison report and exits `1` if any deterministic
+//! result blocks — a correctness counter grew, a flag turned false, or
+//! a simulator count changed — `2` on malformed inputs or mismatched
+//! schemas, `0` otherwise. Wall-clock and throughput deltas are printed
+//! and never fail. Typical use: diff a fresh CI run against the
+//! checked-in baselines under `docs/results/baselines/`.
 
 use std::process::exit;
 
@@ -31,10 +33,10 @@ fn main() {
     match compare(&baseline, &current) {
         Ok(cmp) => {
             print!("{}", cmp.report());
-            if cmp.regressions().is_empty() {
+            if cmp.blocking().is_empty() {
                 println!("PASS: {current_path} vs {baseline_path}");
             } else {
-                println!("FAIL: {current_path} regressed vs {baseline_path}");
+                println!("FAIL: {current_path} vs {baseline_path}: a gated result changed");
                 exit(1);
             }
         }

@@ -13,7 +13,9 @@
 //! `--out <path>` (default `BENCH_complexity.json`).
 
 use ruo_bench::complexity::{check_shapes, profile, ComplexityProfile};
+use ruo_bench::doc::BenchDoc;
 use ruo_bench::{log2_ceil, Table};
+use ruo_metrics::Json;
 
 #[derive(Clone, Debug)]
 struct Config {
@@ -42,36 +44,35 @@ impl Config {
 }
 
 fn write_json(cfg: &Config, p: &ComplexityProfile, failures: &[String]) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"ruo-complexity-v1\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", p.quick));
-    out.push_str(&format!("  \"shapes_ok\": {},\n", failures.is_empty()));
-    out.push_str("  \"curves\": [\n");
-    for (i, c) in p.curves.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"x\": \"{}\", \"bound\": \"{}\",\n",
-            c.name, c.x_label, c.bound
-        ));
-        out.push_str(&format!(
-            "     \"fit\": {{\"a\": {:.4}, \"b_log2\": {:.4}, \"max_resid\": {:.4}}},\n",
-            c.fit.a, c.fit.b_log2, c.fit.max_resid
-        ));
-        let pts: Vec<String> = c
-            .points
-            .iter()
-            .map(|pt| format!("{{\"x\": {}, \"steps\": {}}}", pt.x, pt.steps))
-            .collect();
-        out.push_str(&format!("     \"points\": [{}]}}{}\n", pts.join(", "), {
-            if i + 1 == p.curves.len() {
-                ""
-            } else {
-                ","
-            }
-        }));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(&cfg.out, out)
+    let curves: Vec<Json> = p
+        .curves
+        .iter()
+        .map(|c| {
+            let points: Vec<Json> = c
+                .points
+                .iter()
+                .map(|pt| Json::obj([("x", Json::from(pt.x)), ("steps", Json::from(pt.steps))]))
+                .collect();
+            Json::obj([
+                ("name", Json::from(c.name)),
+                ("x", Json::from(c.x_label)),
+                ("bound", Json::from(c.bound)),
+                (
+                    "fit",
+                    Json::obj([
+                        ("a", Json::from(c.fit.a)),
+                        ("b_log2", Json::from(c.fit.b_log2)),
+                        ("max_resid", Json::from(c.fit.max_resid)),
+                    ]),
+                ),
+                ("points", Json::Arr(points)),
+            ])
+        })
+        .collect();
+    BenchDoc::new("ruo-complexity-v1", p.quick)
+        .field("shapes_ok", failures.is_empty())
+        .field("curves", curves)
+        .write(&cfg.out)
 }
 
 fn main() {

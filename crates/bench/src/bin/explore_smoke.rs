@@ -19,7 +19,8 @@
 //! CLI: `--quick` (1 timing sample instead of 3 — the CI smoke target),
 //! `--out <path>` (default `BENCH_explore.json`).
 
-use ruo_metrics::ExploreGauges;
+use ruo_bench::doc::BenchDoc;
+use ruo_metrics::{ExploreGauges, Json};
 use ruo_scenario::{run_explore, ScenarioReport, ScenarioSpec};
 use ruo_sim::explore::ExploreStats;
 use ruo_sim::ProcessId;
@@ -92,7 +93,7 @@ fn main() {
             a => panic!("unknown argument: {a}"),
         }
     }
-    let samples = if quick { 1 } else { 3 };
+    let samples: usize = if quick { 1 } else { 3 };
     let full_spec = load(FULL_SPEC);
     let pruned_spec = load(PRUNED_SPEC);
     // The same pruned scope searched by a partitioned root frontier:
@@ -138,6 +139,13 @@ fn main() {
     // un-truncated (run() panics otherwise).
     let (n5_report, n5_t) = run(&n5_spec);
     let n5 = stats_of(&n5_report);
+    assert!(
+        pruned.schedules < full.schedules,
+        "sleep-set pruning must cut schedules: {} pruned vs {} full",
+        pruned.schedules,
+        full.schedules
+    );
+    assert!(n5.schedules > 0, "the N=5 / 2-crash scope explored nothing");
     let full_t = median(&mut full_secs);
     let pruned_t = median(&mut pruned_secs);
     let parallel_t = median(&mut parallel_secs);
@@ -176,32 +184,56 @@ fn main() {
     );
     println!("  gauges: {gauges:?}");
 
-    let json = format!(
-        "{{\n  \"schema\": \"ruo-explore-v1\",\n  \"experiment\": \"W5\",\n  \
-         \"quick\": {quick},\n  \"samples\": {samples},\n  \
-         \"full\": {{ \"schedules\": {}, \"seconds\": {full_t:.6} }},\n  \
-         \"pruned\": {{ \"schedules\": {}, \"seconds\": {pruned_t:.6}, \
-         \"pruned_branches\": {}, \"executed_steps\": {}, \"replay_steps_saved\": {} }},\n  \
-         \"parallel\": {{ \"workers\": {PARALLEL_WORKERS}, \"schedules\": {}, \
-         \"seconds\": {parallel_t:.6}, \"speedup\": {speedup:.3}, \
-         \"pruned_branches\": {}, \"executed_steps\": {}, \"replay_steps_saved\": {} }},\n  \
-         \"n5_two_crash\": {{ \"workers\": {}, \"schedules\": {}, \"crash_branches\": {}, \
-         \"seconds\": {n5_t:.6} }},\n  \
-         \"pruning_factor\": {factor:.3},\n  \"replay_savings_factor\": {replay_factor:.3}\n}}\n",
-        full.schedules,
-        pruned.schedules,
-        pruned.pruned_branches,
-        pruned.executed_steps,
-        pruned.replay_steps_saved,
-        parallel.schedules,
-        parallel.pruned_branches,
-        parallel.executed_steps,
-        parallel.replay_steps_saved,
-        n5_spec.explore.as_ref().expect("explore section").workers,
-        n5.schedules,
-        n5.crash_branches,
-        speedup = pruned_t / parallel_t,
-    );
-    std::fs::write(&out, json).expect("write results JSON");
+    BenchDoc::new("ruo-explore-v1", quick)
+        .field("experiment", "W5")
+        .field("samples", samples)
+        .field(
+            "full",
+            Json::obj([
+                ("schedules", Json::from(full.schedules)),
+                ("seconds", Json::from(full_t)),
+            ]),
+        )
+        .field(
+            "pruned",
+            Json::obj([
+                ("schedules", Json::from(pruned.schedules)),
+                ("seconds", Json::from(pruned_t)),
+                ("pruned_branches", Json::from(pruned.pruned_branches)),
+                ("executed_steps", Json::from(pruned.executed_steps)),
+                ("replay_steps_saved", Json::from(pruned.replay_steps_saved)),
+            ]),
+        )
+        .field(
+            "parallel",
+            Json::obj([
+                ("workers", Json::from(PARALLEL_WORKERS)),
+                ("schedules", Json::from(parallel.schedules)),
+                ("seconds", Json::from(parallel_t)),
+                ("speedup", Json::from(pruned_t / parallel_t)),
+                ("pruned_branches", Json::from(parallel.pruned_branches)),
+                ("executed_steps", Json::from(parallel.executed_steps)),
+                (
+                    "replay_steps_saved",
+                    Json::from(parallel.replay_steps_saved),
+                ),
+            ]),
+        )
+        .field(
+            "n5_two_crash",
+            Json::obj([
+                (
+                    "workers",
+                    Json::from(n5_spec.explore.as_ref().expect("explore section").workers),
+                ),
+                ("schedules", Json::from(n5.schedules)),
+                ("crash_branches", Json::from(n5.crash_branches)),
+                ("seconds", Json::from(n5_t)),
+            ]),
+        )
+        .field("pruning_factor", factor)
+        .field("replay_savings_factor", replay_factor)
+        .write(&out)
+        .expect("write results JSON");
     println!("  wrote {out}");
 }

@@ -30,8 +30,8 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ruo_metrics::{Histogram, HistogramSnapshot};
-use ruo_scenario::Json;
+use ruo_bench::doc::BenchDoc;
+use ruo_metrics::{Histogram, HistogramSnapshot, Json};
 use ruo_serve::{
     audit, Client, ClientConfig, NetFaultPlan, ObjectDef, ServeConfig, ServeSummary, Server,
 };
@@ -382,13 +382,12 @@ fn quantile_us(hist: &HistogramSnapshot, q: f64) -> f64 {
 }
 
 fn health_json(summary: &ServeSummary) -> Json {
-    Json::Obj(
+    Json::obj(
         summary
             .health
             .to_pairs()
             .into_iter()
-            .map(|(k, v)| (k.to_string(), Json::Num(v)))
-            .collect(),
+            .map(|(k, v)| (k, Json::from(v))),
     )
 }
 
@@ -396,20 +395,20 @@ fn phase_json(p: &PhaseResult) -> (Json, usize) {
     let report = p.summary.audit();
     let violations = report.violations();
     (
-        Json::Obj(vec![
-            ("requests".into(), Json::Num(p.requests)),
-            ("ok".into(), Json::Num(p.ok)),
-            ("failed".into(), Json::Num(p.failed)),
-            ("retries".into(), Json::Num(p.retries)),
-            ("reconnects".into(), Json::Num(p.reconnects)),
-            ("degraded".into(), Json::Num(p.degraded)),
-            ("acked_incrs".into(), Json::Num(p.acked_incrs)),
-            ("seconds".into(), Json::Float(p.seconds)),
-            ("p50_us".into(), Json::Float(quantile_us(&p.hist, 0.50))),
-            ("p99_us".into(), Json::Float(quantile_us(&p.hist, 0.99))),
-            ("audit_ops".into(), Json::Num(report.total_ops() as u64)),
-            ("audit_violations".into(), Json::Num(violations as u64)),
-            ("health".into(), health_json(&p.summary)),
+        Json::obj([
+            ("requests", Json::from(p.requests)),
+            ("ok", Json::from(p.ok)),
+            ("failed", Json::from(p.failed)),
+            ("retries", Json::from(p.retries)),
+            ("reconnects", Json::from(p.reconnects)),
+            ("degraded", Json::from(p.degraded)),
+            ("acked_incrs", Json::from(p.acked_incrs)),
+            ("seconds", Json::from(p.seconds)),
+            ("p50_us", Json::from(quantile_us(&p.hist, 0.50))),
+            ("p99_us", Json::from(quantile_us(&p.hist, 0.99))),
+            ("audit_ops", Json::from(report.total_ops())),
+            ("audit_violations", Json::from(violations)),
+            ("health", health_json(&p.summary)),
         ]),
         violations,
     )
@@ -472,57 +471,49 @@ fn main() {
         }
     }
 
-    let doc = Json::Obj(vec![
-        ("schema".into(), Json::Str("ruo-serve-v1".into())),
-        ("experiment".into(), Json::Str("W10".into())),
-        ("quick".into(), Json::Bool(quick)),
-        ("seed".into(), Json::Num(seed)),
-        ("workers".into(), Json::Num(sizes.workers as u64)),
-        ("clients".into(), Json::Num(sizes.clients as u64)),
-        (
-            "requests_per_client".into(),
-            Json::Num(sizes.requests_per_client),
-        ),
-        ("clean".into(), clean_json),
-        ("chaos".into(), chaos_json),
-        (
-            "overload".into(),
-            Json::Obj(vec![
-                ("connections".into(), Json::Num(burst.connections as u64)),
-                ("ok_exact".into(), Json::Num(burst.ok_exact)),
-                ("ok_degraded".into(), Json::Num(burst.ok_degraded)),
-                ("err_overload".into(), Json::Num(burst.err_overload)),
-                ("err_deadline".into(), Json::Num(burst.err_deadline)),
-                ("io_failed".into(), Json::Num(burst.io_failed)),
-                (
-                    "audit_violations".into(),
-                    Json::Num(burst_report.violations() as u64),
-                ),
-                ("health".into(), health_json(&burst.summary)),
+    BenchDoc::new("ruo-serve-v1", quick)
+        .field("experiment", "W10")
+        .field("seed", seed)
+        .field("workers", sizes.workers)
+        .field("clients", sizes.clients)
+        .field("requests_per_client", sizes.requests_per_client)
+        .field("clean", clean_json)
+        .field("chaos", chaos_json)
+        .field(
+            "overload",
+            Json::obj([
+                ("connections", Json::from(burst.connections)),
+                ("ok_exact", Json::from(burst.ok_exact)),
+                ("ok_degraded", Json::from(burst.ok_degraded)),
+                ("err_overload", Json::from(burst.err_overload)),
+                ("err_deadline", Json::from(burst.err_deadline)),
+                ("io_failed", Json::from(burst.io_failed)),
+                ("audit_violations", Json::from(burst_report.violations())),
+                ("health", health_json(&burst.summary)),
             ]),
-        ),
-        (
-            "drain".into(),
-            Json::Obj(vec![
-                ("acked".into(), Json::Num(drain.acked)),
-                ("applied".into(), Json::Num(drain.applied)),
-                ("acked_lost".into(), Json::Num(drain.acked_lost)),
-                (
-                    "audit_violations".into(),
-                    Json::Num(drain_report.violations() as u64),
-                ),
+        )
+        .field(
+            "drain",
+            Json::obj([
+                ("acked", Json::from(drain.acked)),
+                ("applied", Json::from(drain.applied)),
+                ("acked_lost", Json::from(drain.acked_lost)),
+                ("audit_violations", Json::from(drain_report.violations())),
             ]),
-        ),
-        (
-            "violations_total".into(),
-            Json::Num(violations_total as u64),
-        ),
-    ]);
-    std::fs::write(&out, doc.pretty()).expect("write results JSON");
+        )
+        .field("violations_total", violations_total)
+        .write(&out)
+        .expect("write results JSON");
     println!("  wrote {out}");
 
     // The swarm is also a gate: chaos must not corrupt semantics.
     assert_eq!(violations_total, 0, "linearizability audit failed");
     assert_eq!(drain.acked_lost, 0, "drain lost acknowledged increments");
+    for (label, phase) in [("clean", &clean), ("chaos", &chaos)] {
+        assert!(
+            quantile_us(&phase.hist, 0.99) > 0.0,
+            "{label} phase recorded no latency"
+        );
+    }
     let _ = audit(&clean.summary.logs); // keep the re-export exercised
 }

@@ -37,13 +37,14 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use ruo_bench::doc::BenchDoc;
 use ruo_core::counter::{FArrayCounter, ShardedCounter};
 use ruo_core::maxreg::TreeMaxRegister;
 use ruo_core::{Counter as _, MaxRegister as _};
 use ruo_metrics::{
-    CheckerGauges, HealthEvent, HealthGauges, Histogram, LatencyTracker, LowWatermark, MetricDesc,
-    MetricKind, MetricsRegistry, ProgressCertifier, ProgressGauge, SeriesSampler, ShardGauges,
-    Watermark,
+    CheckerGauges, HealthEvent, HealthGauges, Histogram, Json, LatencyTracker, LowWatermark,
+    MetricDesc, MetricKind, MetricsRegistry, ProgressCertifier, ProgressGauge, SeriesSampler,
+    ShardGauges, Watermark,
 };
 use ruo_serve::{Client, ClientConfig, ObjectDef, ServeConfig, ServeSummary, Server};
 use ruo_sim::stepcount::CountingMem;
@@ -335,43 +336,53 @@ fn write_json(
     overhead_ratio: f64,
     overhead_ok: bool,
 ) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"ruo-telemetry-v1\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", cfg.quick));
-    out.push_str(&format!(
-        "  \"registry\": {{\"scalars\": {}, \"snapshot_ns\": {:.1}, \
-         \"loads_per_snapshot\": {}, \"loads_at_10x_data\": {}, \
-         \"loads_invariant\": {}, \"exposition_bytes\": {}}},\n",
-        registry.scalars,
-        registry.snapshot_ns,
-        registry.loads_per_snapshot,
-        registry.loads_at_10x,
-        registry.loads_per_snapshot == registry.loads_at_10x,
-        registry.exposition_bytes,
-    ));
-    out.push_str(&format!(
-        "  \"sampler\": {{\"capacity\": {}, \"tick_ns\": {:.1}}},\n",
-        sampler.capacity, sampler.tick_ns
-    ));
-    out.push_str("  \"serve\": [\n");
-    for (i, r) in serve.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"mode\": \"{}\", \"requests\": {}, \"median_ns\": {:.0}, \
-             \"p99_ns\": {:.0}, \"spans\": {}}}{}\n",
-            r.mode,
-            r.requests,
-            r.median_ns,
-            r.p99_ns,
-            r.spans,
-            if i + 1 == serve.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"gates\": {{\"noise_ratio\": {noise_ratio:.3}, \
-         \"overhead_ratio\": {overhead_ratio:.3}, \"overhead_ok\": {overhead_ok}}}\n}}\n"
-    ));
-    std::fs::write(&cfg.out, out)
+    let serve: Vec<Json> = serve
+        .iter()
+        .map(|r| {
+            Json::obj([
+                ("mode", Json::from(r.mode)),
+                ("requests", Json::from(r.requests)),
+                ("median_ns", Json::from(r.median_ns)),
+                ("p99_ns", Json::from(r.p99_ns)),
+                ("spans", Json::from(r.spans)),
+            ])
+        })
+        .collect();
+    BenchDoc::new("ruo-telemetry-v1", cfg.quick)
+        .field(
+            "registry",
+            Json::obj([
+                ("scalars", Json::from(registry.scalars)),
+                ("snapshot_ns", Json::from(registry.snapshot_ns)),
+                (
+                    "loads_per_snapshot",
+                    Json::from(registry.loads_per_snapshot),
+                ),
+                ("loads_at_10x_data", Json::from(registry.loads_at_10x)),
+                (
+                    "loads_invariant",
+                    Json::from(registry.loads_per_snapshot == registry.loads_at_10x),
+                ),
+                ("exposition_bytes", Json::from(registry.exposition_bytes)),
+            ]),
+        )
+        .field(
+            "sampler",
+            Json::obj([
+                ("capacity", Json::from(sampler.capacity)),
+                ("tick_ns", Json::from(sampler.tick_ns)),
+            ]),
+        )
+        .field("serve", serve)
+        .field(
+            "gates",
+            Json::obj([
+                ("noise_ratio", Json::from(noise_ratio)),
+                ("overhead_ratio", Json::from(overhead_ratio)),
+                ("overhead_ok", Json::from(overhead_ok)),
+            ]),
+        )
+        .write(&cfg.out)
 }
 
 fn main() {

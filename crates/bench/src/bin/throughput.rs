@@ -53,9 +53,10 @@
 
 use std::sync::Arc;
 
+use ruo_bench::doc::{available_parallelism, BenchDoc};
 use ruo_core::counter::ShardedCounter;
 use ruo_core::Counter;
-use ruo_metrics::ShardGauges;
+use ruo_metrics::{Json, ShardGauges};
 use ruo_scenario::{registry, run_real, EngineKind, Family, RealSpec, ScenarioSpec};
 use ruo_sim::ProcessId;
 
@@ -148,29 +149,34 @@ impl Row {
     fn mops(&self) -> f64 {
         self.total_ops as f64 / self.median_ns * 1e3
     }
+
+    /// The row as written to the bench document; the latency quantiles
+    /// only in the scaling sweep.
+    fn to_json(&self, quantiles: bool) -> Json {
+        let mut fields = vec![
+            ("family", Json::from(self.family.name())),
+            ("impl", Json::from(self.impl_name.as_str())),
+            ("workload", Json::from(self.workload)),
+            ("threads", Json::from(self.threads)),
+            ("total_ops", Json::from(self.total_ops)),
+            ("median_ns", Json::from(self.median_ns)),
+            ("ns_per_op", Json::from(self.ns_per_op())),
+            ("mops_per_s", Json::from(self.mops())),
+        ];
+        if quantiles {
+            fields.push(("latency_p50_ns", Json::from(self.p50_ns)));
+            fields.push(("latency_p99_ns", Json::from(self.p99_ns)));
+        }
+        Json::obj(fields)
+    }
 }
 
 fn thread_counts() -> Vec<usize> {
     let mut counts = vec![1usize, 2, 4];
-    if let Ok(par) = std::thread::available_parallelism() {
-        if par.get() > 4 {
-            counts.push(par.get());
-        }
+    if available_parallelism() > 4 {
+        counts.push(available_parallelism());
     }
     counts
-}
-
-/// The machine's available parallelism (0 when unknowable).
-fn parallelism() -> usize {
-    std::thread::available_parallelism().map_or(0, |p| p.get())
-}
-
-/// Whether the machine can produce genuine parallel cache-line
-/// contention at all. A run on one hardware thread interleaves by
-/// preemption only; the harness records its rows with
-/// `"contended": false` so they are never read as multicore numbers.
-fn machine_is_parallel() -> bool {
-    parallelism() > 1
 }
 
 /// W8 sweep thread counts: powers of two up to 64 regardless of core
@@ -183,50 +189,6 @@ fn scaling_thread_counts(quick: bool) -> Vec<usize> {
     } else {
         vec![1, 2, 4, 8, 16, 32, 64]
     }
-}
-
-/// JSON string escaping for the hand-rolled writer (ids are ASCII, but
-/// stay correct anyway).
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
-fn write_json(cfg: &Config, results: &[Row]) -> std::io::Result<()> {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"ruo-throughput-v1\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", cfg.quick));
-    out.push_str(&format!(
-        "  \"available_parallelism\": {},\n",
-        parallelism()
-    ));
-    out.push_str(&format!("  \"contended\": {},\n", machine_is_parallel()));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"impl\": \"{}\", \"workload\": \"{}\", \
-             \"threads\": {}, \"total_ops\": {}, \"median_ns\": {:.0}, \
-             \"ns_per_op\": {:.2}, \"mops_per_s\": {:.4}}}{}\n",
-            json_escape(r.family.name()),
-            json_escape(&r.impl_name),
-            json_escape(r.workload),
-            r.threads,
-            r.total_ops,
-            r.median_ns,
-            r.ns_per_op(),
-            r.mops(),
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(&cfg.out, out)
 }
 
 /// Runs one registry cell and fills a [`Row`], XOR-ing the engine's
@@ -304,7 +266,13 @@ fn run_throughput(cfg: &Config) {
         }
     }
 
-    write_json(cfg, &results).expect("write throughput JSON");
+    BenchDoc::new("ruo-throughput-v1", cfg.quick)
+        .field(
+            "results",
+            results.iter().map(|r| r.to_json(false)).collect::<Vec<_>>(),
+        )
+        .write(&cfg.out)
+        .expect("write throughput JSON");
     eprintln!("# sink {sink}");
     println!("\nwrote {} results to {}", results.len(), cfg.out);
 }
@@ -359,81 +327,10 @@ fn stripe_balance(quick: bool) -> StripeBalance {
     }
 }
 
-fn json_u64_array(xs: &[u64]) -> String {
-    let inner: Vec<String> = xs.iter().map(|x| x.to_string()).collect();
-    format!("[{}]", inner.join(", "))
-}
-
-fn write_scaling_json(
-    cfg: &Config,
-    thread_counts: &[usize],
-    results: &[Row],
-    balance: &StripeBalance,
-) -> std::io::Result<()> {
-    let contended = machine_is_parallel();
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"ruo-scaling-v1\",\n");
-    out.push_str(&format!("  \"quick\": {},\n", cfg.quick));
-    out.push_str(&format!(
-        "  \"available_parallelism\": {},\n",
-        parallelism()
-    ));
-    out.push_str(&format!("  \"contended\": {contended},\n"));
-    out.push_str(&format!(
-        "  \"thread_counts\": {},\n",
-        json_u64_array(&thread_counts.iter().map(|&t| t as u64).collect::<Vec<_>>())
-    ));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"family\": \"{}\", \"impl\": \"{}\", \"workload\": \"{}\", \
-             \"threads\": {}, \"contended\": {}, \"total_ops\": {}, \
-             \"median_ns\": {:.0}, \"ns_per_op\": {:.2}, \"mops_per_s\": {:.4}, \
-             \"latency_p50_ns\": {}, \"latency_p99_ns\": {}}}{}\n",
-            json_escape(r.family.name()),
-            json_escape(&r.impl_name),
-            json_escape(r.workload),
-            r.threads,
-            contended && r.threads > 1,
-            r.total_ops,
-            r.median_ns,
-            r.ns_per_op(),
-            r.mops(),
-            r.p50_ns,
-            r.p99_ns,
-            if i + 1 == results.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"stripe_balance\": {\n");
-    out.push_str(&format!("    \"threads\": {},\n", balance.threads));
-    out.push_str(&format!(
-        "    \"increments_per_thread\": {},\n",
-        json_u64_array(&balance.increments)
-    ));
-    out.push_str(&format!(
-        "    \"per_stripe\": {},\n",
-        json_u64_array(&balance.per_stripe)
-    ));
-    out.push_str(&format!("    \"total\": {},\n", balance.total));
-    out.push_str(&format!("    \"imbalance\": {:.4},\n", balance.imbalance));
-    out.push_str(&format!(
-        "    \"hottest_stripe\": {},\n",
-        balance.hottest_stripe
-    ));
-    out.push_str(&format!(
-        "    \"hottest_count\": {}\n",
-        balance.hottest_count
-    ));
-    out.push_str("  }\n}\n");
-    std::fs::write(&cfg.out, out)
-}
-
 /// Experiment W8: scaling curves 1..64 threads for every benched
 /// counter and max-register face.
 fn run_scaling(cfg: &Config) {
-    if !machine_is_parallel() {
+    if available_parallelism() <= 1 {
         eprintln!(
             "# WARNING: available_parallelism is 1 — threads interleave by \
              preemption, not parallel cache-line traffic; results are \
@@ -491,7 +388,26 @@ fn run_scaling(cfg: &Config) {
         "stripe_balance: total {} imbalance {:.2} hottest stripe {} ({})",
         balance.total, balance.imbalance, balance.hottest_stripe, balance.hottest_count
     );
-    write_scaling_json(cfg, &threads_axis, &results, &balance).expect("write scaling JSON");
+    BenchDoc::new("ruo-scaling-v1", cfg.quick)
+        .field("thread_counts", threads_axis)
+        .field(
+            "results",
+            results.iter().map(|r| r.to_json(true)).collect::<Vec<_>>(),
+        )
+        .field(
+            "stripe_balance",
+            Json::obj([
+                ("threads", Json::from(balance.threads)),
+                ("increments_per_thread", Json::from(balance.increments)),
+                ("per_stripe", Json::from(balance.per_stripe)),
+                ("total", Json::from(balance.total)),
+                ("imbalance", Json::from(balance.imbalance)),
+                ("hottest_stripe", Json::from(balance.hottest_stripe)),
+                ("hottest_count", Json::from(balance.hottest_count)),
+            ]),
+        )
+        .write(&cfg.out)
+        .expect("write scaling JSON");
     eprintln!("# sink {sink}");
     println!("\nwrote {} results to {}", results.len(), cfg.out);
 }

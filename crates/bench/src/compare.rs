@@ -1,123 +1,184 @@
 //! Schema-aware diffing of two `BENCH_*.json` documents — the
 //! perf-regression sentry behind the `bench_compare` binary.
 //!
-//! The bench emitters all write one top-level JSON object with a
-//! `"schema"` tag and arrays of row objects keyed by identity fields
-//! (`family`, `impl`, `workload`, `threads`, …). [`compare`] flattens
-//! both documents into `path -> value` maps (rows are matched by their
-//! identity fields, not array position), pairs every shared numeric
-//! leaf, and judges each delta against a per-metric [`Rule`]:
+//! [`compare`] flattens both documents into `path -> value` maps (rows
+//! are matched by their identity label — see [`crate::doc`] — not by
+//! array position), pairs every shared numeric or boolean leaf, and
+//! classes it by its leaf name with [`class_of`]. Only deterministic
+//! results block:
 //!
-//! * **correctness counters** (`violations`, `acked_lost`, …) — lower
-//!   is better with zero tolerance: any increase is a regression;
-//! * **time metrics** (`*_ns`, `*_us`, `*_ms`, `seconds`) — lower is
-//!   better within a wide band (shared CI runners are noisy);
-//! * **throughput metrics** (`mops_per_s`, `*_per_s`) — higher is
-//!   better within a band;
-//! * **step/load counts** (`*_steps`, `loads_*`) — lower is better
-//!   within a narrow band (the simulator is nearly deterministic);
-//! * everything else is informational: reported, never gating.
+//! * [`Class::Counter`] — audited correctness counters (`violations`,
+//!   `acked_lost`, …) block when they grow;
+//! * [`Class::Flag`] — every boolean leaf is a pass/fail flag
+//!   (`shapes_ok`, `loads_invariant`, …) and blocks when it turns false;
+//! * [`Class::Exact`] — deterministic simulator counts (steps, loads,
+//!   schedules, branches) block on any change in either direction, so a
+//!   change that moves one updates the baseline in the same diff;
+//! * [`Class::Reported`] — wall-clock and throughput deltas are printed
+//!   and never block;
+//! * [`Class::Informational`] — workload sizes and the counts of real
+//!   threaded or networked runs, which depend on timing; every such
+//!   name is on the one explicit [`INFORMATIONAL`] list.
 //!
-//! Environment fields (`quick`, `available_parallelism`, `contended`)
-//! are skipped — a laptop baseline and a CI run legitimately differ
-//! there. Metrics present on only one side are reported but never gate:
-//! schema growth is how the bench suite evolves.
+//! A leaf no rule matches is *unclassified*: it is listed in the report
+//! and never blocks, and the sentry test over the checked-in baselines
+//! keeps that list empty. The schema tag and the environment block
+//! ([`crate::doc::ENV_KEYS`]) are never paired — a laptop baseline and a
+//! CI run legitimately differ there. Paths present on only one side are
+//! listed and never block.
 
 use std::collections::BTreeMap;
 
-use ruo_scenario::Json;
+use ruo_metrics::Json;
 
-/// Which way a metric is allowed to move.
+use crate::doc::{row_label, ENV_KEYS, IDENTITY_KEYS};
+
+/// How the sentry judges one metric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Growth beyond tolerance is a regression (time, steps, errors).
-    LowerIsBetter,
-    /// Shrinkage beyond tolerance is a regression (throughput).
-    HigherIsBetter,
-    /// Reported only; never a regression.
+pub enum Class {
+    /// An audited correctness counter: blocks when it grows.
+    Counter,
+    /// A pass/fail flag: blocks when it turns false.
+    Flag,
+    /// A deterministic simulator count: blocks on any change.
+    Exact,
+    /// Wall clock or throughput: printed, never blocks.
+    Reported,
+    /// A workload size or a timing-dependent count: never judged.
     Informational,
 }
 
-/// The judgement band for one metric.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Rule {
-    /// Which way the metric may move freely.
-    pub direction: Direction,
-    /// Allowed relative drift in the bad direction (`0.5` = 50%).
-    pub tolerance: f64,
-}
+/// Leaf names that are neither gated nor reported: workload sizes,
+/// fitted display coefficients, and the counts of real threaded or
+/// networked runs (retries, sheds, peaks), which depend on timing.
+pub const INFORMATIONAL: &[&str] = &[
+    // Workload and document sizes.
+    "samples",
+    "seed",
+    "clients",
+    "requests_per_client",
+    "requests",
+    "connections",
+    "runs",
+    "updates",
+    "reads",
+    "total_ops",
+    "scalars",
+    "capacity",
+    "exposition_bytes",
+    "spans",
+    "total",
+    "increments_per_thread",
+    "thread_counts",
+    // Fit coefficients of the complexity curves; their points are gated.
+    "a",
+    "b_log2",
+    "max_resid",
+    // Serve-layer outcomes of a real TCP run.
+    "ok",
+    "failed",
+    "retries",
+    "reconnects",
+    "degraded",
+    "acked_incrs",
+    "audit_ops",
+    "ok_exact",
+    "ok_degraded",
+    "err_overload",
+    "err_deadline",
+    "io_failed",
+    "acked",
+    "applied",
+    "admitted",
+    "shed",
+    "served",
+    "degraded_reads",
+    "deadline_misses",
+    "dedup_hits",
+    "parse_errors",
+    "io_errors",
+    "chaos_injected",
+    "queue_depth_peak",
+    "inflight_peak",
+    "degraded_error_permille_peak",
+    // Stripe balance of a real threaded run.
+    "per_stripe",
+    "imbalance",
+    "hottest_stripe",
+    "hottest_count",
+];
 
-/// The per-metric direction and tolerance, decided from the leaf key
-/// name (the last path segment).
-pub fn rule_for(metric: &str) -> Rule {
-    let lower = |tolerance| Rule {
-        direction: Direction::LowerIsBetter,
-        tolerance,
-    };
-    let higher = |tolerance| Rule {
-        direction: Direction::HigherIsBetter,
-        tolerance,
-    };
-    // Correctness counters: any increase at all is a regression.
-    if metric == "violations"
-        || metric.ends_with("_violations")
-        || metric == "violations_total"
-        || metric.ends_with("_lost")
-        || metric == "truncated"
-        || metric.ends_with("_failures")
-    {
-        return lower(0.0);
+/// The class of a leaf named `metric`; `flag` says the leaf is a JSON
+/// boolean. `None` when no rule matches.
+pub fn class_of(metric: &str, flag: bool) -> Option<Class> {
+    if flag {
+        return Some(Class::Flag);
     }
-    // Wall-clock time: wide band, shared runners are noisy.
+    if metric.starts_with("violations")
+        || metric.ends_with("_violations")
+        || metric.ends_with("_lost")
+        || metric.ends_with("_failures")
+        || metric == "truncated"
+    {
+        return Some(Class::Counter);
+    }
+    if metric == "steps"
+        || metric.contains("_steps")
+        || metric.starts_with("loads")
+        || metric == "schedules"
+        || metric.ends_with("_branches")
+        || metric.ends_with("_factor")
+    {
+        return Some(Class::Exact);
+    }
     if metric.ends_with("_ns")
         || metric.ends_with("_us")
         || metric.ends_with("_ms")
         || metric == "seconds"
         || metric == "ns_per_op"
+        || metric.contains("mops")
+        || metric.ends_with("_per_s")
+        || metric.ends_with("_ratio")
+        || metric == "speedup"
     {
-        return lower(0.5);
+        return Some(Class::Reported);
     }
-    // Throughput: a sustained drop past the band is the regression
-    // bench_compare exists to catch.
-    if metric.contains("mops") || metric.ends_with("_per_s") {
-        return higher(0.35);
-    }
-    // Simulator step/load counts are nearly deterministic: narrow band.
-    if metric.ends_with("_steps") || metric.contains("loads") {
-        return lower(0.25);
-    }
-    Rule {
-        direction: Direction::Informational,
-        tolerance: 0.0,
-    }
+    INFORMATIONAL
+        .contains(&metric)
+        .then_some(Class::Informational)
 }
 
-/// One paired metric with its verdict inputs.
+/// One numeric or boolean leaf of a flattened document.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Leaf {
+    value: f64,
+    flag: bool,
+}
+
+/// One paired metric.
 #[derive(Clone, Debug)]
 pub struct Delta {
-    /// Flattened path, rows keyed by identity fields.
+    /// Flattened path, rows keyed by identity label.
     pub path: String,
-    /// The leaf metric name (decides the rule).
+    /// The leaf metric name (decides the class).
     pub metric: String,
-    /// Value in the baseline document.
+    /// Value in the baseline document (flags read 1 for true).
     pub baseline: f64,
     /// Value in the current document.
     pub current: f64,
-    /// The judgement band applied.
-    pub rule: Rule,
+    /// How the metric is judged; `None` when unclassified.
+    pub class: Option<Class>,
 }
 
 impl Delta {
-    /// Whether the move violates the rule's band.
-    pub fn regressed(&self) -> bool {
-        match self.rule.direction {
-            Direction::Informational => false,
-            Direction::LowerIsBetter => {
-                self.current > self.baseline * (1.0 + self.rule.tolerance) + 1e-9
-            }
-            Direction::HigherIsBetter => {
-                self.current < self.baseline * (1.0 - self.rule.tolerance) - 1e-9
-            }
+    /// Whether the move blocks: a counter grew, a flag turned false, or
+    /// an exact count changed.
+    pub fn blocks(&self) -> bool {
+        match self.class {
+            Some(Class::Counter) => self.current > self.baseline,
+            Some(Class::Flag) => self.current < self.baseline,
+            Some(Class::Exact) => self.current != self.baseline,
+            _ => false,
         }
     }
 
@@ -140,118 +201,107 @@ impl Delta {
 pub struct Comparison {
     /// The shared schema tag.
     pub schema: String,
-    /// Every paired numeric leaf.
+    /// Every paired leaf.
     pub deltas: Vec<Delta>,
-    /// Paths only the baseline has (informational).
+    /// Paths only the baseline has.
     pub only_baseline: Vec<String>,
-    /// Paths only the current document has (informational).
+    /// Paths only the current document has.
     pub only_current: Vec<String>,
 }
 
 impl Comparison {
-    /// The deltas that violate their band.
-    pub fn regressions(&self) -> Vec<&Delta> {
-        self.deltas.iter().filter(|d| d.regressed()).collect()
+    /// The deltas that block.
+    pub fn blocking(&self) -> Vec<&Delta> {
+        self.deltas.iter().filter(|d| d.blocks()).collect()
     }
 
-    /// Human-readable report: every regression in detail, then a
-    /// summary of what was compared.
+    /// The paired leaves no rule classifies.
+    pub fn unclassified(&self) -> Vec<&Delta> {
+        self.deltas.iter().filter(|d| d.class.is_none()).collect()
+    }
+
+    /// Human-readable report: every blocking delta, every reported
+    /// metric that moved, then what was only on one side or
+    /// unclassified.
     pub fn report(&self) -> String {
-        let mut out = String::new();
-        let regressions = self.regressions();
-        out.push_str(&format!(
-            "# bench_compare — schema {} — {} metrics paired, {} regression(s)\n",
+        let blocking = self.blocking();
+        let count = |class| {
+            self.deltas
+                .iter()
+                .filter(|d| d.class == Some(class))
+                .count()
+        };
+        let gated = count(Class::Counter) + count(Class::Flag) + count(Class::Exact);
+        let mut out = format!(
+            "# bench_compare — schema {} — {} metrics paired: {gated} gated, {} reported, \
+             {} informational, {} unclassified — {} blocking\n",
             self.schema,
             self.deltas.len(),
-            regressions.len()
-        ));
-        for d in &regressions {
-            out.push_str(&format!(
-                "REGRESSION {}: {} -> {} ({:+.1}%, allowed {:.0}% {})\n",
-                d.path,
-                d.baseline,
-                d.current,
-                d.ratio() * 100.0,
-                d.rule.tolerance * 100.0,
-                match d.rule.direction {
-                    Direction::LowerIsBetter => "growth",
-                    Direction::HigherIsBetter => "drop",
-                    Direction::Informational => unreachable!("informational never regresses"),
-                },
-            ));
+            count(Class::Reported),
+            count(Class::Informational),
+            self.unclassified().len(),
+            blocking.len(),
+        );
+        for d in &blocking {
+            let why = match d.class {
+                Some(Class::Counter) => "correctness counter grew",
+                Some(Class::Flag) => "flag turned false",
+                _ => "deterministic count changed",
+            };
+            out += &format!(
+                "BLOCK {}: {} -> {} ({why})\n",
+                d.path, d.baseline, d.current
+            );
         }
-        let moved: Vec<&Delta> = self
-            .deltas
-            .iter()
-            .filter(|d| !d.regressed() && d.baseline != d.current)
-            .collect();
-        out.push_str(&format!(
-            "{} metric(s) moved within tolerance, {} unchanged\n",
-            moved.len(),
-            self.deltas.len() - moved.len() - regressions.len()
-        ));
+        for d in self.deltas.iter() {
+            if d.class == Some(Class::Reported) && d.current != d.baseline {
+                out += &format!(
+                    "reported {}: {} -> {} ({:+.1}%)\n",
+                    d.path,
+                    d.baseline,
+                    d.current,
+                    d.ratio() * 100.0
+                );
+            }
+        }
         for p in &self.only_baseline {
-            out.push_str(&format!("only in baseline: {p}\n"));
+            out += &format!("only in baseline: {p}\n");
         }
         for p in &self.only_current {
-            out.push_str(&format!("only in current: {p}\n"));
+            out += &format!("only in current: {p}\n");
+        }
+        for d in self.unclassified() {
+            out += &format!("unclassified: {}\n", d.path);
         }
         out
     }
 }
 
-/// Environment fields a baseline and a fresh run legitimately disagree
-/// on.
-const SKIP_KEYS: &[&str] = &["schema", "quick", "available_parallelism", "contended"];
+/// A flattened document: `path -> (metric name, leaf)`.
+type Flat = BTreeMap<String, (String, Leaf)>;
 
-/// Row fields that identify a row rather than measure it; they become
-/// the row's path label so reordered arrays still pair up.
-const IDENTITY_KEYS: &[&str] = &[
-    "family", "impl", "workload", "kind", "name", "mode", "phase", "label", "threads", "n", "k",
-    "workers", "stripes",
-];
-
-fn leaf_value(v: &Json) -> Option<f64> {
-    match v {
-        Json::Num(n) => Some(*n as f64),
-        Json::Int(n) => Some(*n as f64),
-        Json::Float(f) => Some(*f),
-        Json::Bool(b) => Some(u64::from(*b) as f64),
-        _ => None,
-    }
-}
-
-/// The identity label of a row object, from whichever identity fields
-/// it carries, in `IDENTITY_KEYS` order.
-fn row_label(pairs: &[(String, Json)]) -> Option<String> {
-    let mut parts = Vec::new();
-    for key in IDENTITY_KEYS {
-        if let Some((_, v)) = pairs.iter().find(|(k, _)| k == key) {
-            match v {
-                Json::Str(s) => parts.push(format!("{key}={s}")),
-                Json::Num(n) => parts.push(format!("{key}={n}")),
-                Json::Int(n) => parts.push(format!("{key}={n}")),
-                _ => {}
-            }
-        }
-    }
-    (!parts.is_empty()).then(|| parts.join(","))
-}
-
-fn flatten_into(prefix: &str, v: &Json, out: &mut BTreeMap<String, f64>) {
-    match v {
+/// Flattens `v` into `out`; `metric` is the name of the key the value
+/// sits under (array items inherit their array's).
+fn flatten_into(path: &str, metric: &str, v: &Json, out: &mut Flat) {
+    let leaf = |value| Leaf { value, flag: false };
+    let leaf = match v {
         Json::Obj(pairs) => {
             for (k, child) in pairs {
-                if prefix.is_empty() && SKIP_KEYS.contains(&k.as_str()) {
+                if path.is_empty() && (k == "schema" || ENV_KEYS.contains(&k.as_str())) {
                     continue;
                 }
-                let path = if prefix.is_empty() {
+                // Identity fields already label the row's path.
+                if IDENTITY_KEYS.contains(&k.as_str()) {
+                    continue;
+                }
+                let child_path = if path.is_empty() {
                     k.clone()
                 } else {
-                    format!("{prefix}.{k}")
+                    format!("{path}.{k}")
                 };
-                flatten_into(&path, child, out);
+                flatten_into(&child_path, k, child, out);
             }
+            return;
         }
         Json::Arr(items) => {
             for (i, item) in items.iter().enumerate() {
@@ -259,23 +309,23 @@ fn flatten_into(prefix: &str, v: &Json, out: &mut BTreeMap<String, f64>) {
                     Json::Obj(pairs) => row_label(pairs).unwrap_or_else(|| i.to_string()),
                     _ => i.to_string(),
                 };
-                flatten_into(&format!("{prefix}[{label}]"), item, out);
+                flatten_into(&format!("{path}[{label}]"), metric, item, out);
             }
+            return;
         }
-        _ => {
-            if let Some(x) = leaf_value(v) {
-                // Identity fields already label the path; don't also
-                // pair them as metrics.
-                let metric = prefix.rsplit('.').next().unwrap_or(prefix);
-                if !IDENTITY_KEYS.contains(&metric) {
-                    out.insert(prefix.to_string(), x);
-                }
-            }
-        }
-    }
+        Json::Num(n) => leaf(*n as f64),
+        Json::Int(n) => leaf(*n as f64),
+        Json::Float(x) => leaf(*x),
+        Json::Bool(b) => Leaf {
+            value: f64::from(u8::from(*b)),
+            flag: true,
+        },
+        Json::Null | Json::Str(_) => return,
+    };
+    out.insert(path.to_string(), (metric.to_string(), leaf));
 }
 
-fn parse_doc(what: &str, text: &str) -> Result<(String, BTreeMap<String, f64>), String> {
+fn parse_doc(what: &str, text: &str) -> Result<(String, Flat), String> {
     let doc = Json::parse(text).map_err(|e| format!("{what}: {e}"))?;
     let schema = doc
         .get("schema")
@@ -283,7 +333,7 @@ fn parse_doc(what: &str, text: &str) -> Result<(String, BTreeMap<String, f64>), 
         .ok_or_else(|| format!("{what}: no top-level \"schema\" tag"))?
         .to_string();
     let mut flat = BTreeMap::new();
-    flatten_into("", &doc, &mut flat);
+    flatten_into("", "", &doc, &mut flat);
     Ok((schema, flat))
 }
 
@@ -300,22 +350,15 @@ pub fn compare(baseline: &str, current: &str) -> Result<Comparison, String> {
     }
     let mut deltas = Vec::new();
     let mut only_baseline = Vec::new();
-    for (path, b) in &flat_b {
+    for (path, (metric, b)) in &flat_b {
         match flat_c.get(path) {
-            Some(c) => {
-                let metric = path
-                    .rsplit(['.', ']'])
-                    .find(|s| !s.is_empty())
-                    .unwrap_or(path)
-                    .to_string();
-                deltas.push(Delta {
-                    path: path.clone(),
-                    rule: rule_for(&metric),
-                    metric,
-                    baseline: *b,
-                    current: *c,
-                });
-            }
+            Some((_, c)) => deltas.push(Delta {
+                path: path.clone(),
+                metric: metric.clone(),
+                baseline: b.value,
+                current: c.value,
+                class: class_of(metric, b.flag && c.flag),
+            }),
             None => only_baseline.push(path.clone()),
         }
     }
@@ -339,13 +382,15 @@ mod tests {
     const BASE: &str = r#"{
         "schema": "ruo-test-v1",
         "quick": true,
+        "shapes_ok": true,
         "results": [
             {"family": "counter", "impl": "farray", "threads": 2,
-             "median_ns": 1000, "mops_per_s": 50.0, "violations": 0},
+             "median_ns": 1000, "mops_per_s": 50.0, "violations": 0, "max_op_steps": 9},
             {"family": "maxreg", "impl": "tree", "threads": 2,
-             "median_ns": 2000, "mops_per_s": 25.0, "violations": 0}
+             "median_ns": 2000, "mops_per_s": 25.0, "violations": 0, "max_op_steps": 7}
         ],
-        "note_rows": 2
+        "schedules": 696,
+        "requests": 2
     }"#;
 
     fn tweak(field: &str, from: &str, to: &str) -> String {
@@ -356,71 +401,86 @@ mod tests {
     }
 
     #[test]
-    fn identical_documents_have_no_regressions() {
+    fn identical_documents_do_not_block() {
         let c = compare(BASE, BASE).unwrap();
         assert_eq!(c.schema, "ruo-test-v1");
-        assert!(c.regressions().is_empty(), "{}", c.report());
+        assert!(c.blocking().is_empty(), "{}", c.report());
         assert!(c.only_baseline.is_empty() && c.only_current.is_empty());
+        assert!(c.unclassified().is_empty(), "{}", c.report());
         // quick is environment metadata, never paired.
         assert!(c.deltas.iter().all(|d| d.path != "quick"));
     }
 
     #[test]
-    fn seeded_synthetic_regressions_are_caught() {
-        // Latency past the 50% band.
-        let c = compare(BASE, &tweak("median_ns", "1000", "1600")).unwrap();
-        let r = c.regressions();
-        assert_eq!(r.len(), 1, "{}", c.report());
-        assert!(r[0].path.contains("impl=farray"), "{}", r[0].path);
-        // Throughput past the 35% band.
-        let c = compare(BASE, &tweak("mops_per_s", "25.0", "10.0")).unwrap();
-        assert_eq!(c.regressions().len(), 1, "{}", c.report());
-        // A single new violation: zero tolerance.
-        let c = compare(BASE, &tweak("violations", "0", "1")).unwrap();
-        let r = c.regressions();
-        assert_eq!(r.len(), 1, "{}", c.report());
-        assert_eq!(r[0].rule.tolerance, 0.0);
-        assert!(c.report().contains("REGRESSION"));
+    fn deterministic_counts_block_on_any_change() {
+        for (field, from, to) in [
+            ("schedules", "696", "697"),
+            ("schedules", "696", "695"),
+            ("max_op_steps", "9", "10"),
+            ("max_op_steps", "9", "8"),
+        ] {
+            let c = compare(BASE, &tweak(field, from, to)).unwrap();
+            let b = c.blocking();
+            assert_eq!(b.len(), 1, "{field} {from}->{to}: {}", c.report());
+            assert_eq!(b[0].class, Some(Class::Exact));
+            assert!(c.report().contains("BLOCK"));
+        }
     }
 
     #[test]
-    fn drift_within_tolerance_passes() {
-        // +40% latency: inside the 50% band.
-        let c = compare(BASE, &tweak("median_ns", "1000", "1400")).unwrap();
-        assert!(c.regressions().is_empty(), "{}", c.report());
-        // -20% throughput: inside the 35% band.
-        let c = compare(BASE, &tweak("mops_per_s", "50.0", "40.0")).unwrap();
-        assert!(c.regressions().is_empty(), "{}", c.report());
-        // Improvements never regress.
-        let c = compare(BASE, &tweak("median_ns", "2000", "100")).unwrap();
-        assert!(c.regressions().is_empty(), "{}", c.report());
+    fn correctness_blocks_only_when_it_gets_worse() {
+        let c = compare(BASE, &tweak("violations", "0", "1")).unwrap();
+        let b = c.blocking();
+        assert_eq!(b.len(), 1, "{}", c.report());
+        assert!(b[0].path.contains("impl=farray"), "{}", b[0].path);
+        let c = compare(BASE, &tweak("shapes_ok", "true", "false")).unwrap();
+        assert_eq!(c.blocking()[0].class, Some(Class::Flag), "{}", c.report());
+        // Getting better never blocks.
+        let c = compare(&tweak("violations", "0", "1"), BASE).unwrap();
+        assert!(c.blocking().is_empty(), "{}", c.report());
+        let c = compare(&tweak("shapes_ok", "true", "false"), BASE).unwrap();
+        assert!(c.blocking().is_empty(), "{}", c.report());
+    }
+
+    #[test]
+    fn wall_clock_and_throughput_are_reported_never_blocking() {
+        for (field, from, to) in [
+            ("median_ns", "1000", "3000"),
+            ("mops_per_s", "25.0", "1.0"),
+            ("median_ns", "2000", "100"),
+        ] {
+            let c = compare(BASE, &tweak(field, from, to)).unwrap();
+            assert!(c.blocking().is_empty(), "{}", c.report());
+            assert!(c.report().contains("reported "), "{}", c.report());
+        }
     }
 
     #[test]
     fn rows_pair_by_identity_not_position() {
-        // Reverse the rows; the farray regression must still pin to the
+        // Reverse the rows; the farray change must still pin to the
         // farray row.
         let reordered = BASE.replace(
             r#"{"family": "counter", "impl": "farray", "threads": 2,
-             "median_ns": 1000, "mops_per_s": 50.0, "violations": 0},
+             "median_ns": 1000, "mops_per_s": 50.0, "violations": 0, "max_op_steps": 9},
             {"family": "maxreg", "impl": "tree", "threads": 2,
-             "median_ns": 2000, "mops_per_s": 25.0, "violations": 0}"#,
+             "median_ns": 2000, "mops_per_s": 25.0, "violations": 0, "max_op_steps": 7}"#,
             r#"{"family": "maxreg", "impl": "tree", "threads": 2,
-             "median_ns": 2000, "mops_per_s": 25.0, "violations": 0},
+             "median_ns": 2000, "mops_per_s": 25.0, "violations": 0, "max_op_steps": 7},
             {"family": "counter", "impl": "farray", "threads": 2,
-             "median_ns": 9000, "mops_per_s": 50.0, "violations": 0}"#,
+             "median_ns": 1000, "mops_per_s": 50.0, "violations": 0, "max_op_steps": 10}"#,
         );
         assert_ne!(reordered, BASE);
         let c = compare(BASE, &reordered).unwrap();
-        let r = c.regressions();
-        assert_eq!(r.len(), 1, "{}", c.report());
-        assert!(r[0].path.contains("family=counter,impl=farray,threads=2"));
+        let b = c.blocking();
+        assert_eq!(b.len(), 1, "{}", c.report());
+        assert!(b[0].path.contains("family=counter,impl=farray,threads=2"));
     }
 
     #[test]
     fn informational_metrics_never_gate() {
-        let c = compare(BASE, &tweak("note_rows", "2", "9000")).unwrap();
-        assert!(c.regressions().is_empty(), "{}", c.report());
+        let c = compare(BASE, &tweak("requests", "2", "9000")).unwrap();
+        assert!(c.blocking().is_empty(), "{}", c.report());
+        assert!(!c.report().contains("requests"), "{}", c.report());
     }
 
     #[test]
@@ -432,32 +492,40 @@ mod tests {
     }
 
     #[test]
-    fn missing_and_added_metrics_are_reported_not_gated() {
-        let grown = BASE.replacen("\"note_rows\": 2", "\"new_rows\": 2", 1);
+    fn missing_added_and_unclassified_metrics_are_listed_not_gated() {
+        let grown = BASE.replacen("\"requests\": 2", "\"new_rows\": 2", 1);
         let c = compare(BASE, &grown).unwrap();
-        assert!(c.regressions().is_empty());
-        assert_eq!(c.only_baseline, vec!["note_rows".to_string()]);
+        assert!(c.blocking().is_empty());
+        assert_eq!(c.only_baseline, vec!["requests".to_string()]);
         assert_eq!(c.only_current, vec!["new_rows".to_string()]);
         let rep = c.report();
-        assert!(rep.contains("only in baseline: note_rows"));
+        assert!(rep.contains("only in baseline: requests"));
         assert!(rep.contains("only in current: new_rows"));
+        let c = compare(&grown, &grown.replace("\"new_rows\": 2", "\"new_rows\": 3")).unwrap();
+        assert!(c.blocking().is_empty());
+        assert_eq!(c.unclassified().len(), 1);
+        assert!(c.report().contains("unclassified: new_rows"));
     }
 
     #[test]
     fn rules_cover_the_bench_schemas() {
-        assert_eq!(rule_for("p99_us").direction, Direction::LowerIsBetter);
-        assert_eq!(rule_for("duration_ms").direction, Direction::LowerIsBetter);
-        assert_eq!(rule_for("mops_per_s").direction, Direction::HigherIsBetter);
-        assert_eq!(rule_for("violations_total").tolerance, 0.0);
-        assert_eq!(rule_for("acked_lost").tolerance, 0.0);
-        assert_eq!(
-            rule_for("mean_update_steps").direction,
-            Direction::LowerIsBetter
-        );
-        assert_eq!(
-            rule_for("loads_per_scalar").direction,
-            Direction::LowerIsBetter
-        );
-        assert_eq!(rule_for("schedules").direction, Direction::Informational);
+        let class = |m| class_of(m, false);
+        assert_eq!(class("p99_us"), Some(Class::Reported));
+        assert_eq!(class("duration_ms"), Some(Class::Reported));
+        assert_eq!(class("mops_per_s"), Some(Class::Reported));
+        assert_eq!(class("speedup"), Some(Class::Reported));
+        assert_eq!(class("violations_total"), Some(Class::Counter));
+        assert_eq!(class("audit_violations"), Some(Class::Counter));
+        assert_eq!(class("acked_lost"), Some(Class::Counter));
+        assert_eq!(class("mean_update_steps"), Some(Class::Exact));
+        assert_eq!(class("replay_steps_saved"), Some(Class::Exact));
+        assert_eq!(class("loads_per_snapshot"), Some(Class::Exact));
+        assert_eq!(class("schedules"), Some(Class::Exact));
+        assert_eq!(class("crash_branches"), Some(Class::Exact));
+        assert_eq!(class("retries"), Some(Class::Informational));
+        assert_eq!(class("no_such_metric"), None);
+        // A boolean is a flag whatever its name.
+        assert_eq!(class_of("loads_invariant", true), Some(Class::Flag));
+        assert_eq!(class_of("overhead_ok", true), Some(Class::Flag));
     }
 }

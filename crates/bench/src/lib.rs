@@ -1,13 +1,13 @@
 //! Shared helpers for the benchmark harness.
 //!
 //! The binaries in `src/bin/` regenerate the paper's tables and figures
-//! (see `EXPERIMENTS.md` at the repository root for the index); the
-//! plain-timing benches in `benches/` (`harness = false`) measure
-//! wall-clock throughput of the real-atomics implementations.
+//! (see `EXPERIMENTS.md` at the repository root for the index). Every
+//! machine-readable result is a [`doc::BenchDoc`], and
+//! [`compare`] is the sentry that diffs two of them.
 
 pub mod compare;
 pub mod complexity;
-pub mod timing;
+pub mod doc;
 
 /// The shared solo driver, re-exported from [`ruo_sim`] (its canonical
 /// home since the scenario-engine refactor) so existing

@@ -28,6 +28,9 @@
 //! * [`trace`] (`ruo_trace`) — per-operation step tracing: exact
 //!   attribution of shared-memory events to operations, aggregate
 //!   [`StepStats`], and JSONL / Chrome `trace_event` export.
+//! * [`Json`] — the workspace's one JSON model: a strict parser plus
+//!   pretty and compact writers, shared by specs, reports, bench
+//!   documents and trace exports.
 //!
 //! Every type is shared by a fixed set of `N` recorder identities
 //! ([`ruo_sim::ProcessId`], one per thread), which is what makes the
@@ -57,6 +60,7 @@ mod explore;
 mod gauge;
 mod health;
 mod histogram;
+pub mod json;
 mod latency;
 mod progress;
 mod registry;
@@ -71,6 +75,7 @@ pub use explore::ExploreGauges;
 pub use gauge::ProgressGauge;
 pub use health::{HealthEvent, HealthGauges, HealthSnapshot};
 pub use histogram::{Histogram, HistogramSnapshot};
+pub use json::{Json, JsonError};
 pub use latency::{LatencyReport, LatencyTracker};
 pub use progress::{ProgressCertifier, ProgressReport, ProgressViolation};
 pub use registry::{
@@ -80,7 +85,7 @@ pub use registry::{
 pub use series::SeriesSampler;
 pub use shard::ShardGauges;
 pub use trace::{
-    json_escape, op_kind, trace_execution, KindStats, PrimCounts, StepStats, StepTrace, TraceEvent,
-    TracedOp,
+    chrome_trace, op_kind, trace_execution, KindStats, PrimCounts, StepStats, StepTrace,
+    TraceEvent, TracedOp,
 };
 pub use watermark::{LowWatermark, Watermark};

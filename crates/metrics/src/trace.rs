@@ -22,11 +22,12 @@
 //! `chrome://tracing` / Perfetto with one track per process).
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 use ruo_sim::history::{History, OpDesc};
 use ruo_sim::stepcount::OpCounts;
 use ruo_sim::{Event, EventLog};
+
+use crate::json::Json;
 
 /// Stable machine-readable name for an operation kind, used as the
 /// per-kind key in [`StepStats`] and in exported traces.
@@ -361,30 +362,16 @@ pub fn trace_execution(log: &EventLog, history: &History) -> StepTrace {
     StepTrace { ops }
 }
 
-/// Escapes a string for embedding in a JSON string literal: quotes,
-/// backslashes, and control characters become their `\`-escapes.
-/// Shared by the JSONL / Chrome `trace_event` exporters here and the
-/// serve span exporter.
-pub fn json_escape(s: &str) -> String {
-    esc(s)
-}
-
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// Wraps Chrome `trace_event` records in the "JSON object format"
+/// document that `chrome://tracing` and Perfetto open directly (one
+/// line plus a trailing newline). Shared by [`StepTrace`] and the serve
+/// span exporter.
+pub fn chrome_trace(events: Vec<Json>) -> String {
+    let doc = Json::obj([
+        ("displayTimeUnit", Json::from("ms")),
+        ("traceEvents", Json::Arr(events)),
+    ]);
+    doc.compact() + "\n"
 }
 
 impl StepTrace {
@@ -402,42 +389,48 @@ impl StepTrace {
     /// line, then one line per op, then one line per attributed event.
     pub fn to_jsonl(&self) -> String {
         let events: usize = self.ops.iter().map(|o| o.events.len()).sum();
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "{{\"schema\":\"ruo-trace-v1\",\"ops\":{},\"events\":{}}}",
-            self.ops.len(),
-            events
-        );
+        let mut lines = vec![Json::obj([
+            ("schema", Json::from("ruo-trace-v1")),
+            ("ops", Json::from(self.ops.len())),
+            ("events", Json::from(events)),
+        ])];
         for (id, op) in self.ops.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{{\"type\":\"op\",\"id\":{},\"pid\":{},\"op\":\"{}\",\"label\":\"{}\",\"invoke\":{}",
-                id,
-                op.pid,
-                op.kind,
-                esc(&op.label),
-                op.invoke
-            );
+            let mut fields = vec![
+                ("type", Json::from("op")),
+                ("id", Json::from(id)),
+                ("pid", Json::from(op.pid)),
+                ("op", Json::from(op.kind)),
+                ("label", Json::from(op.label.as_str())),
+                ("invoke", Json::from(op.invoke)),
+            ];
             if let Some(r) = op.response {
-                let _ = write!(out, ",\"response\":{r}");
+                fields.push(("response", Json::from(r)));
             }
-            let _ = writeln!(
-                out,
-                ",\"steps\":{},\"reads\":{},\"writes\":{},\"cas_ok\":{},\"cas_fail\":{},\"objects\":{}}}",
-                op.steps, op.prims.reads, op.prims.writes, op.prims.cas_ok, op.prims.cas_fail, op.depth
-            );
+            fields.extend([
+                ("steps", Json::from(op.steps)),
+                ("reads", Json::from(op.prims.reads)),
+                ("writes", Json::from(op.prims.writes)),
+                ("cas_ok", Json::from(op.prims.cas_ok)),
+                ("cas_fail", Json::from(op.prims.cas_fail)),
+                ("objects", Json::from(op.depth)),
+            ]);
+            lines.push(Json::obj(fields));
         }
         for (id, op) in self.ops.iter().enumerate() {
             for ev in &op.events {
-                let _ = writeln!(
-                    out,
-                    "{{\"type\":\"event\",\"op\":{},\"seq\":{},\"pid\":{},\"kind\":\"{}\",\"obj\":{},\"prev\":{},\"resp\":{}}}",
-                    id, ev.seq, op.pid, ev.kind, ev.obj, ev.prev, ev.resp
-                );
+                lines.push(Json::obj([
+                    ("type", Json::from("event")),
+                    ("op", Json::from(id)),
+                    ("seq", Json::from(ev.seq)),
+                    ("pid", Json::from(op.pid)),
+                    ("kind", Json::from(ev.kind)),
+                    ("obj", Json::from(ev.obj)),
+                    ("prev", Json::from(ev.prev)),
+                    ("resp", Json::from(ev.resp)),
+                ]));
             }
         }
-        out
+        lines.iter().map(|l| l.compact() + "\n").collect()
     }
 
     /// Serializes the trace as Chrome `trace_event` JSON (the
@@ -445,15 +438,7 @@ impl StepTrace {
     /// track (`tid`) per process, timestamps in execution ticks. Opens
     /// directly in `chrome://tracing` or Perfetto.
     pub fn to_chrome_trace(&self) -> String {
-        let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        let push = |s: String, out: &mut String, first: &mut bool| {
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            out.push_str(&s);
-        };
+        let mut events = Vec::new();
         for op in &self.ops {
             // Pending ops stretch to their last attributed event (or one
             // tick) and are flagged in args.
@@ -464,39 +449,48 @@ impl StepTrace {
                     true,
                 ),
             };
-            let dur = end.saturating_sub(op.invoke).max(1);
-            push(
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":0,\"tid\":{},\"args\":{{\"steps\":{},\"reads\":{},\"writes\":{},\"cas_ok\":{},\"cas_fail\":{},\"objects\":{},\"pending\":{}}}}}",
-                    esc(&op.label),
-                    op.kind,
-                    op.invoke,
-                    dur,
-                    op.pid,
-                    op.steps,
-                    op.prims.reads,
-                    op.prims.writes,
-                    op.prims.cas_ok,
-                    op.prims.cas_fail,
-                    op.depth,
-                    pending
+            events.push(Json::obj([
+                ("name", Json::from(op.label.as_str())),
+                ("cat", Json::from(op.kind)),
+                ("ph", Json::from("X")),
+                ("ts", Json::from(op.invoke)),
+                ("dur", Json::from(end.saturating_sub(op.invoke).max(1))),
+                ("pid", Json::from(0u64)),
+                ("tid", Json::from(op.pid)),
+                (
+                    "args",
+                    Json::obj([
+                        ("steps", Json::from(op.steps)),
+                        ("reads", Json::from(op.prims.reads)),
+                        ("writes", Json::from(op.prims.writes)),
+                        ("cas_ok", Json::from(op.prims.cas_ok)),
+                        ("cas_fail", Json::from(op.prims.cas_fail)),
+                        ("objects", Json::from(op.depth)),
+                        ("pending", Json::from(pending)),
+                    ]),
                 ),
-                &mut out,
-                &mut first,
-            );
+            ]));
             for ev in &op.events {
-                push(
-                    format!(
-                        "{{\"name\":\"{} obj{}\",\"cat\":\"prim\",\"ph\":\"X\",\"ts\":{},\"dur\":1,\"pid\":0,\"tid\":{},\"args\":{{\"obj\":{},\"prev\":{},\"resp\":{}}}}}",
-                        ev.kind, ev.obj, ev.seq, op.pid, ev.obj, ev.prev, ev.resp
+                events.push(Json::obj([
+                    ("name", Json::from(format!("{} obj{}", ev.kind, ev.obj))),
+                    ("cat", Json::from("prim")),
+                    ("ph", Json::from("X")),
+                    ("ts", Json::from(ev.seq)),
+                    ("dur", Json::from(1u64)),
+                    ("pid", Json::from(0u64)),
+                    ("tid", Json::from(op.pid)),
+                    (
+                        "args",
+                        Json::obj([
+                            ("obj", Json::from(ev.obj)),
+                            ("prev", Json::from(ev.prev)),
+                            ("resp", Json::from(ev.resp)),
+                        ]),
                     ),
-                    &mut out,
-                    &mut first,
-                );
+                ]));
             }
         }
-        out.push_str("]}\n");
-        out
+        chrome_trace(events)
     }
 }
 

@@ -1433,7 +1433,7 @@ mod tests {
 
     #[test]
     fn sim_engine_reports_steps_and_exports_traces() {
-        use crate::json::Json;
+        use ruo_metrics::Json;
         let jsonl = tmp_path("sim.jsonl");
         let chrome = tmp_path("sim.chrome.json");
         let mut spec = ScenarioSpec::new("t", Family::MaxReg, "tree", EngineKind::Sim, 3);
@@ -1501,7 +1501,7 @@ mod tests {
 
     #[test]
     fn explore_engine_aggregates_steps_and_exports_canonical_trace() {
-        use crate::json::Json;
+        use ruo_metrics::Json;
         let chrome = tmp_path("explore.chrome.json");
         let mut spec = ScenarioSpec::new("t", Family::MaxReg, "tree", EngineKind::Explore, 2);
         spec.explore = Some(ExploreSpec {

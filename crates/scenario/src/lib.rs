@@ -13,8 +13,8 @@
 //! * a **declarative spec** ([`ScenarioSpec`]) naming a family,
 //!   implementation, engine, process count, seeded operation mix,
 //!   schedule policy, fault plan, checker and budgets, with a
-//!   dependency-free JSON codec ([`json`]) whose round trip is
-//!   identity;
+//!   round trip through the workspace's JSON model ([`Json`], defined
+//!   in `ruo-metrics`) that is identity;
 //! * three **engines** ([`engine`]) consuming the same spec — scoped
 //!   threads with latency histograms and progress certification
 //!   ([`run_real`]), the adversarial step-machine executor with
@@ -30,7 +30,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod engine;
-pub mod json;
 pub mod registry;
 pub mod report;
 pub mod spec;
@@ -40,12 +39,12 @@ pub use engine::{
     resolve_checker, run, run_explore, run_real, run_sim, run_sim_seed, run_with_watchdog,
     EngineError, ExploreParts, SimSeedRun,
 };
-pub use json::{Json, JsonError};
 pub use registry::{
     family_impls, find, registry, AccuracyClass, BuildError, BuildParams, Capabilities,
     CounterMode, Family, ImplEntry, ProgressClass, RealObject, SimObject,
 };
 pub use report::{ScenarioReport, TelemetryBlock, REPORT_SCHEMA};
+pub use ruo_metrics::{Json, JsonError};
 pub use spec::{
     AccuracySpec, CheckerKind, CrashAt, EngineKind, ExploreSpec, FaultSpec, OpKind, OpMix,
     RealSpec, ScenarioOp, ScenarioSpec, SchedulePolicy, SpecError, TelemetrySpec, TraceSpec,

@@ -8,9 +8,8 @@
 //! layer their own presentation (tables, experiment JSON) on top of the
 //! counters instead of re-deriving them.
 
-use ruo_metrics::{KindStats, PrimCounts, SeriesSampler, StepStats};
+use ruo_metrics::{Json, KindStats, PrimCounts, SeriesSampler, StepStats};
 
-use crate::json::Json;
 use crate::registry::Family;
 use crate::spec::{EngineKind, ScenarioSpec, SpecError};
 

@@ -12,7 +12,8 @@
 
 use std::fmt;
 
-use crate::json::Json;
+use ruo_metrics::Json;
+
 use crate::registry::Family;
 
 /// Schema identifier emitted and required in scenario files.

@@ -16,9 +16,7 @@
 //! document loadable in `chrome://tracing` / Perfetto, with one lane
 //! per worker.
 
-use std::fmt::Write as _;
-
-use ruo_metrics::json_escape;
+use ruo_metrics::{chrome_trace, Json};
 
 /// Schema tag on the span JSONL header line.
 pub const SPAN_SCHEMA: &str = "ruo-serve-span-v1";
@@ -81,73 +79,74 @@ pub struct RequestSpan {
 }
 
 impl RequestSpan {
-    fn jsonl_line(&self) -> String {
-        format!(
-            "{{\"type\":\"span\",\"conn\":{},\"seq\":{},\"worker\":{},\"verb\":\"{}\",\
-             \"accept\":{},\"enqueue\":{},\"dequeue\":{},\"execute\":{},\"ack\":{},\
-             \"rung\":\"{}\",\"degraded\":{},\"chaos_injected\":{},\"outcome\":\"{}\"}}",
-            self.conn_id,
-            self.seq,
-            self.worker,
-            json_escape(&self.verb),
-            self.accept_tick,
-            self.enqueue_tick,
-            self.dequeue_tick,
-            self.execute_tick,
-            self.ack_tick,
-            self.rung.name(),
-            self.degraded,
-            self.chaos_injected,
-            json_escape(&self.outcome),
-        )
+    fn jsonl_record(&self) -> Json {
+        Json::obj([
+            ("type", Json::from("span")),
+            ("conn", Json::from(self.conn_id)),
+            ("seq", Json::from(self.seq)),
+            ("worker", Json::from(self.worker)),
+            ("verb", Json::from(self.verb.as_str())),
+            ("accept", Json::from(self.accept_tick)),
+            ("enqueue", Json::from(self.enqueue_tick)),
+            ("dequeue", Json::from(self.dequeue_tick)),
+            ("execute", Json::from(self.execute_tick)),
+            ("ack", Json::from(self.ack_tick)),
+            ("rung", Json::from(self.rung.name())),
+            ("degraded", Json::from(self.degraded)),
+            ("chaos_injected", Json::from(self.chaos_injected)),
+            ("outcome", Json::from(self.outcome.as_str())),
+        ])
+    }
+
+    fn chrome_event(&self) -> Json {
+        Json::obj([
+            ("name", Json::from(self.verb.as_str())),
+            ("cat", Json::from("request")),
+            ("ph", Json::from("X")),
+            ("ts", Json::from(self.execute_tick)),
+            (
+                "dur",
+                Json::from(self.ack_tick.saturating_sub(self.execute_tick).max(1)),
+            ),
+            ("pid", Json::from(0u64)),
+            ("tid", Json::from(self.worker)),
+            (
+                "args",
+                Json::obj([
+                    ("conn", Json::from(self.conn_id)),
+                    ("seq", Json::from(self.seq)),
+                    ("rung", Json::from(self.rung.name())),
+                    ("degraded", Json::from(self.degraded)),
+                    ("chaos_injected", Json::from(self.chaos_injected)),
+                    (
+                        "queue_wait",
+                        Json::from(self.dequeue_tick.saturating_sub(self.enqueue_tick)),
+                    ),
+                    ("outcome", Json::from(self.outcome.as_str())),
+                ]),
+            ),
+        ])
     }
 }
 
 /// Serializes spans as JSONL: a schema header, then one object per
 /// span.
 pub fn spans_to_jsonl(spans: &[RequestSpan]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"schema\":\"{SPAN_SCHEMA}\",\"spans\":{}}}",
-        spans.len()
-    );
-    for s in spans {
-        let _ = writeln!(out, "{}", s.jsonl_line());
-    }
-    out
+    let header = Json::obj([
+        ("schema", Json::from(SPAN_SCHEMA)),
+        ("spans", Json::from(spans.len())),
+    ]);
+    std::iter::once(header)
+        .chain(spans.iter().map(RequestSpan::jsonl_record))
+        .map(|line| line.compact() + "\n")
+        .collect()
 }
 
 /// Serializes spans as Chrome `trace_event` JSON: one complete (`"X"`)
 /// event per span on the serving worker's lane, `ts`/`dur` in global
 /// server ticks (rendered as µs by the viewer).
 pub fn spans_to_chrome_trace(spans: &[RequestSpan]) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let dur = s.ack_tick.saturating_sub(s.execute_tick).max(1);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"request\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":0,\"tid\":{},\"args\":{{\"conn\":{},\"seq\":{},\"rung\":\"{}\",\
-             \"degraded\":{},\"chaos_injected\":{},\"queue_wait\":{},\"outcome\":\"{}\"}}}}",
-            json_escape(&s.verb),
-            s.execute_tick,
-            dur,
-            s.worker,
-            s.conn_id,
-            s.seq,
-            s.rung.name(),
-            s.degraded,
-            s.chaos_injected,
-            s.dequeue_tick.saturating_sub(s.enqueue_tick),
-            json_escape(&s.outcome),
-        );
-    }
-    out.push_str("]}");
-    out
+    chrome_trace(spans.iter().map(RequestSpan::chrome_event).collect())
 }
 
 #[cfg(test)]
@@ -183,14 +182,14 @@ mod tests {
         assert!(lines[2].contains("\"seq\":1"));
         // Every line is parseable JSON (via the scenario codec).
         for line in lines {
-            ruo_scenario::json::Json::parse(line).expect("valid JSON line");
+            Json::parse(line).expect("valid JSON line");
         }
     }
 
     #[test]
     fn chrome_trace_is_valid_json_with_one_event_per_span() {
         let doc = spans_to_chrome_trace(&[span(0), span(1)]);
-        let parsed = ruo_scenario::json::Json::parse(&doc).expect("valid JSON");
+        let parsed = Json::parse(&doc).expect("valid JSON");
         let events = parsed
             .get("traceEvents")
             .and_then(|e| e.as_arr())
@@ -202,7 +201,7 @@ mod tests {
         let mut z = span(0);
         z.ack_tick = z.execute_tick;
         let doc = spans_to_chrome_trace(&[z]);
-        let parsed = ruo_scenario::json::Json::parse(&doc).unwrap();
+        let parsed = Json::parse(&doc).unwrap();
         let ev = &parsed.get("traceEvents").unwrap().as_arr().unwrap()[0];
         assert_eq!(ev.get("dur").and_then(|d| d.as_u64()), Some(1));
     }
@@ -213,8 +212,8 @@ mod tests {
         s.verb = "we\"ird\\verb".into();
         s.outcome = "err parse \"quoted\"".into();
         for line in spans_to_jsonl(&[s.clone()]).lines() {
-            ruo_scenario::json::Json::parse(line).expect("valid JSON line");
+            Json::parse(line).expect("valid JSON line");
         }
-        ruo_scenario::json::Json::parse(&spans_to_chrome_trace(&[s])).expect("valid JSON");
+        Json::parse(&spans_to_chrome_trace(&[s])).expect("valid JSON");
     }
 }
