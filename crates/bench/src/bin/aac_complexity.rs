@@ -83,7 +83,7 @@ fn main() {
     t.print();
 
     // ---- f-array counter: read O(1), increment O(log N). ----
-    println!("\n## f-array counter vs N (expected: read = 1, increment ~ 8·log2 N)\n");
+    println!("\n## f-array counter vs N (expected: read = 1, increment = 2 + 4·log2 N)\n");
     let mut t = Table::new(&[
         "N",
         "log2(N)",

@@ -76,7 +76,7 @@ fn main() {
     t.print();
 
     println!("\nReading the table:");
-    println!("- f-array: rounds ≈ 8·log2(N), comfortably above the log3(N) prediction —");
+    println!("- f-array: rounds ≈ 4·log2(N) + 8, comfortably above the log3(N) prediction —");
     println!("  a read-optimal counter cannot dodge logarithmic updates (Theorem 2).");
     println!("- CAS-loop: the adversary serializes the CASes — ~N-1 rounds, the price of");
     println!("  funneling every increment through one cell.");

@@ -31,7 +31,9 @@ fn profile_reproduces_the_pinned_solo_constants() {
         let depth = 64 - (pt.x - 1).leading_zeros() as u64 + 1; // log2_ceil + 1
         assert_eq!(pt.steps, 2 + 8 * depth, "write_max_n at N={}", pt.x);
     }
-    // f-array increment is 2 + 8·ceil(log2 N); read is 1.
+    // f-array increment is 2 + 4·ceil(log2 N): the leaf read and store,
+    // then node, two children and one successful CAS per level; read is
+    // 1.
     let cu = p.curve("counter_update").unwrap();
     for pt in &cu.points {
         let l = if pt.x <= 1 {
@@ -39,7 +41,7 @@ fn profile_reproduces_the_pinned_solo_constants() {
         } else {
             64 - (pt.x - 1).leading_zeros() as u64
         };
-        assert_eq!(pt.steps, 2 + 8 * l, "counter_update at N={}", pt.x);
+        assert_eq!(pt.steps, 2 + 4 * l, "counter_update at N={}", pt.x);
     }
     let cr = p.curve("counter_read").unwrap();
     assert!(cr.points.iter().all(|pt| pt.steps == 1));

@@ -28,24 +28,43 @@
 //! At `k = 1` the publication condition is always true, every increment
 //! publishes, and the object *is* the exact
 //! [`ShardedCounter`](crate::counter::ShardedCounter) bit for bit.
+//!
+//! Both faces run the same bodies over [`Cells`]: [`ApproxCounter`] on
+//! real cells, [`SimApproxCounter`] on simulator cells.
 
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ruo_sim::stepcount::CountingU64;
-use ruo_sim::{done, read, write, Machine, Memory, ObjId, ProcessId, Step, Word};
+use ruo_sim::stepcount::CountingI64;
+use ruo_sim::{body, Machine, Memory, ObjId, ProcessId};
 
+use super::sharded::{bump, collect_sum};
 use super::sim::SimCounter;
+use crate::cells::{real_cells, run, Cells};
 use crate::pad::CachePadded;
 use crate::traits::Counter;
 
 /// Whether a published stripe `p` has drifted too far behind the exact
-/// local count `c` under accuracy factor `k` — the single publication
-/// rule both faces share (`u128` so `p · k` cannot overflow).
+/// local count `c` under accuracy factor `k` (`u128` so `p · k` cannot
+/// overflow).
 #[inline]
 fn must_publish(p: u64, c: u64, k: u64) -> bool {
     (p as u128) * (k as u128) < c as u128
+}
+
+/// `CounterIncrement` by process `i` of `n`: cell `i` is its exact
+/// count, cell `n + i` its published stripe. Local bump first,
+/// publication second: a crash between the two leaves a pending
+/// increment whose effect surfaces at the process's next publication —
+/// the interval checkers treat the pending op as free to linearize
+/// either way.
+async fn increment<C: Cells + ?Sized>(cells: &C, n: usize, i: usize, k: u64) {
+    let c = bump(cells, i).await;
+    let p = cells.load(n + i).await;
+    if must_publish(p as u64, c as u64, k) {
+        cells.store(n + i, c).await;
+    }
 }
 
 /// k-multiplicative-accurate counter: `O(1)` wait-free increments that
@@ -66,10 +85,9 @@ fn must_publish(p: u64, c: u64, k: u64) -> bool {
 /// assert_eq!(counter.exact(), 10);
 /// ```
 pub struct ApproxCounter {
-    /// Exact per-process counts; stripe `i` is written only by `i`.
-    local: Box<[CachePadded<CountingU64>]>,
-    /// Published stripes — the only cells reads touch.
-    published: Box<[CachePadded<CountingU64>]>,
+    /// `N` exact per-process counts, then `N` published stripes (the
+    /// only cells reads touch); each is written only by its process.
+    cells: Box<[CachePadded<CountingI64>]>,
     k: u64,
 }
 
@@ -94,17 +112,15 @@ impl ApproxCounter {
     pub fn new(n: usize, k: u64) -> Self {
         assert!(n >= 1, "at least one process required");
         assert!(k >= 1, "accuracy factor k must be >= 1");
-        let stripe = |_| CachePadded::new(CountingU64::new(0));
         ApproxCounter {
-            local: (0..n).map(stripe).collect(),
-            published: (0..n).map(stripe).collect(),
+            cells: real_cells(2 * n, 0),
             k,
         }
     }
 
     /// Number of processes.
     pub fn n(&self) -> usize {
-        self.local.len()
+        self.cells.len() / 2
     }
 
     /// The accuracy factor.
@@ -116,7 +132,7 @@ impl ApproxCounter {
     /// used by audits and tests, *not* part of the approximate read
     /// path.
     pub fn exact(&self) -> u64 {
-        self.local.iter().map(|s| s.load(Ordering::SeqCst)).sum()
+        run(collect_sum(&*self.cells, 0..self.n())) as u64
     }
 
     /// Published stripe `i` (for tests and gauges).
@@ -125,41 +141,31 @@ impl ApproxCounter {
     ///
     /// Panics if `i >= n`.
     pub fn published(&self, i: usize) -> u64 {
-        self.published[i].load(Ordering::Acquire)
+        self.cells[self.n() + i].load(Ordering::Acquire) as u64
     }
 }
 
 impl Counter for ApproxCounter {
     fn increment(&self, pid: ProcessId) {
-        let i = pid.index();
-        // Single-writer stripes: Relaxed reads of our own last stores,
-        // SeqCst publication (same discipline as the sharded counter).
-        let c = self.local[i].load(Ordering::Relaxed) + 1;
-        self.local[i].store(c, Ordering::SeqCst);
-        let p = self.published[i].load(Ordering::Relaxed);
-        if must_publish(p, c, self.k) {
-            self.published[i].store(c, Ordering::SeqCst);
-        }
+        run(increment(&*self.cells, self.n(), pid.index(), self.k));
     }
 
     /// One collect of the published stripes; the result `v` satisfies
     /// `v ≤ C ≤ k·v` for the true count `C` (module docs).
     fn read(&self) -> u64 {
-        self.published
-            .iter()
-            .map(|s| s.load(Ordering::SeqCst))
-            .sum()
+        let n = self.n();
+        run(collect_sum(&*self.cells, n..2 * n)) as u64
     }
 }
 
-/// The k-accurate counter as step machines: `CounterIncrement` is 3
-/// steps unpublished, 4 published (vs. the sharded counter's 2 — the
-/// price of keeping the exact count private); `CounterRead` collect-sums
-/// the `N` published stripes in a single pass.
+/// The k-accurate counter as step machines, on the same bodies:
+/// `CounterIncrement` is 3 steps unpublished, 4 published (vs. the
+/// sharded counter's 2 — the price of keeping the exact count private);
+/// `CounterRead` collect-sums the `N` published stripes in a single
+/// pass.
 #[derive(Debug)]
 pub struct SimApproxCounter {
-    local: Arc<Vec<ObjId>>,
-    published: Arc<Vec<ObjId>>,
+    cells: Arc<[ObjId]>,
     k: u64,
 }
 
@@ -173,8 +179,7 @@ impl SimApproxCounter {
         assert!(n >= 1, "at least one process required");
         assert!(k >= 1, "accuracy factor k must be >= 1");
         SimApproxCounter {
-            local: Arc::new(mem.alloc_n(n, 0)),
-            published: Arc::new(mem.alloc_n(n, 0)),
+            cells: mem.alloc_n(2 * n, 0).into(),
             k,
         }
     }
@@ -185,49 +190,29 @@ impl SimApproxCounter {
     }
 }
 
-/// Reads `cells[i..]` one step at a time, accumulating the sum.
-fn collect(cells: Arc<Vec<ObjId>>, i: usize, acc: Word) -> Step {
-    if i == cells.len() {
-        return done(acc);
-    }
-    let cell = cells[i];
-    read(cell, move |w| collect(cells, i + 1, acc + w))
-}
-
 impl SimCounter for SimApproxCounter {
     fn n(&self) -> usize {
-        self.local.len()
+        self.cells.len() / 2
     }
 
     fn increment(&self, pid: ProcessId) -> Machine {
-        let local = self.local[pid.index()];
-        let published = self.published[pid.index()];
-        let k = self.k;
-        // Local bump first, publication second: a crash between the two
-        // leaves a pending increment whose effect surfaces at the
-        // process's next publication — the interval checkers treat the
-        // pending op as free to linearize either way.
-        Machine::new(read(local, move |c| {
-            write(local, c + 1, move || {
-                read(published, move |p| {
-                    if must_publish(p as u64, (c + 1) as u64, k) {
-                        write(published, c + 1, || done(0))
-                    } else {
-                        done(0)
-                    }
-                })
-            })
+        let (cells, n, k) = (Arc::clone(&self.cells), self.n(), self.k);
+        Machine::new(body(async move {
+            increment(&*cells, n, pid.index(), k).await;
+            0
         }))
     }
 
     fn read(&self, _pid: ProcessId) -> Machine {
-        Machine::new(collect(Arc::clone(&self.published), 0, 0))
+        let (cells, n) = (Arc::clone(&self.cells), self.n());
+        Machine::new(body(async move { collect_sum(&*cells, n..2 * n).await }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruo_sim::Word;
     use std::sync::Arc as StdArc;
 
     #[test]

@@ -3,9 +3,11 @@
 //! A complete binary tree with one leaf per process. Leaf `i` holds the
 //! number of increments by process `i` (single-writer); every internal
 //! node holds the sum of its children. `CounterIncrement` bumps the
-//! caller's leaf and propagates sums to the root with the same
-//! double-CAS discipline as Algorithm A's `Propagate`; `CounterRead`
-//! reads the root — one step.
+//! caller's leaf and propagates sums to the root with the f-array's
+//! double-CAS climb, the body Algorithm A's `Propagate` runs too;
+//! `CounterRead` reads the root — one step. Both faces wrap the
+//! f-array's ([`FArray<Sum>`], [`SimFArray<Sum>`]), so they take the
+//! same steps.
 //!
 //! Jayanti's original construction uses LL/SC; the paper notes it "can
 //! be made to work also using CAS", which is what this module does. The
@@ -17,17 +19,16 @@
 //! and it achieves `O(log N)`.
 
 use std::fmt;
-use std::sync::atomic::Ordering;
 
-use ruo_sim::stepcount::CountingU64;
-use ruo_sim::ProcessId;
+use ruo_sim::{Machine, Memory, ProcessId, Word};
 
-use crate::pad::CachePadded;
-use crate::shape::{PathNode, TreeShape, NO_CHILD};
+use super::sim::SimCounter;
+use crate::farray::{FArray, SimFArray, Sum};
 use crate::traits::Counter;
 
 /// Wait-free counter with `O(1)` reads and `O(log N)` increments from
-/// read/write/CAS.
+/// read/write/CAS: an [`FArray<Sum>`] whose slot `i` counts process
+/// `i`'s increments.
 ///
 /// ```
 /// use ruo_core::counter::FArrayCounter;
@@ -40,18 +41,13 @@ use crate::traits::Counter;
 /// assert_eq!(counter.read(), 2);
 /// ```
 pub struct FArrayCounter {
-    root: usize,
-    leaves: Vec<usize>,
-    /// Padded cells: one cache-line pair per node (see [`crate::pad`]).
-    cells: Box<[CachePadded<CountingU64>]>,
-    /// Precomputed leaf-to-root propagation paths, indexed by process.
-    paths: Vec<Box<[PathNode]>>,
+    fa: FArray<Sum>,
 }
 
 impl fmt::Debug for FArrayCounter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FArrayCounter")
-            .field("n", &self.leaves.len())
+            .field("n", &self.n())
             .field("count", &self.read())
             .finish()
     }
@@ -65,27 +61,12 @@ impl FArrayCounter {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "at least one process required");
-        let mut shape = TreeShape::new();
-        let (root, leaves) = shape.build_complete(n);
-        shape.fix_depths(root);
-        let cells = (0..shape.len())
-            .map(|_| CachePadded::new(CountingU64::new(0)))
-            .collect();
-        let paths = leaves
-            .iter()
-            .map(|&leaf| shape.propagation_path(leaf))
-            .collect();
-        FArrayCounter {
-            root,
-            leaves,
-            cells,
-            paths,
-        }
+        FArrayCounter { fa: FArray::new(n) }
     }
 
     /// Number of processes sharing the counter.
     pub fn n(&self) -> usize {
-        self.leaves.len()
+        self.fa.n()
     }
 
     /// Adds `k` to the counter in **one** leaf-to-root propagation:
@@ -96,52 +77,11 @@ impl FArrayCounter {
     /// This is the aggregation primitive behind
     /// [`CombiningCounter`](crate::counter::CombiningCounter): the
     /// combiner drains its publication array and applies the whole batch
-    /// through this method. `add(pid, 0)` is a no-op (no leaf store, no
+    /// through this method. `add(pid, 0)` is a no-op (no leaf access, no
     /// propagation) so callers need not special-case empty batches.
     pub fn add(&self, pid: ProcessId, k: u64) {
-        if k == 0 {
-            return;
-        }
-        let leaf = self.leaves[pid.index()];
-        // Single-writer leaf: read + write suffices, and the read is
-        // Relaxed because it returns our own last store.
-        let c = self.cells[leaf].load(Ordering::Relaxed);
-        // SeqCst: the store must be ordered before the sibling reads
-        // below (store-buffering — DESIGN.md § Memory orderings).
-        self.cells[leaf].store(c + k, Ordering::SeqCst);
-        for step in &self.paths[pid.index()] {
-            let node = step.node as usize;
-            for _ in 0..2 {
-                let old = self.cells[node].load(Ordering::SeqCst);
-                let new = self.child_load(step.left) + self.child_load(step.right);
-                // Sums are monotone, so `new >= old` always; equality
-                // means the node already covers what we just read.
-                if new == old {
-                    break;
-                }
-                // A failed CAS means someone else already installed a
-                // value covering ours (or will, on their second attempt);
-                // Acquire failure orders that covering write before our
-                // completion.
-                if self.cells[node]
-                    .compare_exchange(old, new, Ordering::SeqCst, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[inline]
-    fn child_load(&self, idx: u32) -> u64 {
-        // SeqCst: sibling reads pair with leaf stores in the
-        // store-buffering pattern of the propagation (DESIGN.md
-        // § Memory orderings).
-        if idx == NO_CHILD {
-            0
-        } else {
-            self.cells[idx as usize].load(Ordering::SeqCst)
+        if k > 0 {
+            self.fa.merge(pid, k as Word);
         }
     }
 }
@@ -152,15 +92,49 @@ impl Counter for FArrayCounter {
     }
 
     fn read(&self) -> u64 {
-        // Acquire: the read linearizes at this load; node values are
-        // monotone and covering writes are at-least-Release.
-        self.cells[self.root].load(Ordering::Acquire)
+        self.fa.read() as u64
+    }
+}
+
+/// The f-array counter as step machines, on the same merge and climb
+/// bodies: `CounterRead` is exactly one step, `CounterIncrement` is
+/// `2 + 4·⌈log₂ N⌉` solo.
+#[derive(Debug)]
+pub struct SimFArrayCounter {
+    fa: SimFArray<Sum>,
+}
+
+impl SimFArrayCounter {
+    /// Allocates the tree's cells (all `0`) in `mem` for `n` processes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(mem: &mut Memory, n: usize) -> Self {
+        SimFArrayCounter {
+            fa: SimFArray::new(mem, n),
+        }
+    }
+}
+
+impl SimCounter for SimFArrayCounter {
+    fn n(&self) -> usize {
+        self.fa.n()
+    }
+
+    fn increment(&self, pid: ProcessId) -> Machine {
+        self.fa.merge(pid, 1)
+    }
+
+    fn read(&self, _pid: ProcessId) -> Machine {
+        self.fa.read()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     #[test]

@@ -24,15 +24,39 @@
 //! later reads never report less (stripes never decrease). Stores and
 //! collect loads are `SeqCst`, the same single-total-order discipline
 //! the f-array's leaf stores rely on (DESIGN.md § Memory orderings).
+//!
+//! Both faces run the same two bodies over [`Cells`]: [`ShardedCounter`]
+//! on real cells, [`SimShardedCounter`] on simulator cells.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-use ruo_sim::stepcount::CountingU64;
-use ruo_sim::ProcessId;
+use ruo_sim::stepcount::CountingI64;
+use ruo_sim::{body, Machine, Memory, ObjId, ProcessId, Word};
 
+use super::sim::SimCounter;
+use crate::cells::{real_cells, run, Cells};
 use crate::pad::CachePadded;
 use crate::traits::Counter;
+
+/// Adds one to the single-writer stripe `i` — a read of our own last
+/// store and a write, no CAS. Returns the new stripe value.
+pub(super) async fn bump<C: Cells + ?Sized>(cells: &C, i: usize) -> Word {
+    let c = cells.load(i).await + 1;
+    cells.store(i, c).await;
+    c
+}
+
+/// One collect of the cells in `range`, summed.
+pub(super) async fn collect_sum<C: Cells + ?Sized>(cells: &C, range: Range<usize>) -> Word {
+    let mut sum = 0;
+    for i in range {
+        sum += cells.load(i).await;
+    }
+    sum
+}
 
 /// Per-process striped counter: `O(1)` wait-free increments, `O(N)`
 /// collect-sum reads.
@@ -51,7 +75,7 @@ use crate::traits::Counter;
 pub struct ShardedCounter {
     /// One padded cell per process; stripe `i` is written only by
     /// process `i` (see [`crate::pad`] for why each owns a line pair).
-    stripes: Box<[CachePadded<CountingU64>]>,
+    stripes: Box<[CachePadded<CountingI64>]>,
 }
 
 impl fmt::Debug for ShardedCounter {
@@ -72,9 +96,7 @@ impl ShardedCounter {
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "at least one process required");
         ShardedCounter {
-            stripes: (0..n)
-                .map(|_| CachePadded::new(CountingU64::new(0)))
-                .collect(),
+            stripes: real_cells(n, 0),
         }
     }
 
@@ -90,33 +112,70 @@ impl ShardedCounter {
     ///
     /// Panics if `i >= n`.
     pub fn stripe(&self, i: usize) -> u64 {
-        self.stripes[i].load(Ordering::Acquire)
+        self.stripes[i].load(Ordering::Acquire) as u64
     }
 
     /// One collect of all stripes, in index order — the raw material of
-    /// both [`read`](Counter::read) and the metrics-side imbalance
-    /// gauges.
+    /// the metrics-side imbalance gauges.
     pub fn stripe_counts(&self) -> Vec<u64> {
         self.stripes
             .iter()
-            .map(|s| s.load(Ordering::SeqCst))
+            .map(|s| s.load(Ordering::SeqCst) as u64)
             .collect()
     }
 }
 
 impl Counter for ShardedCounter {
     fn increment(&self, pid: ProcessId) {
-        let stripe = &self.stripes[pid.index()];
-        // Single-writer stripe: Relaxed read of our own last store,
-        // SeqCst publication store (same discipline as f-array leaves).
-        let c = stripe.load(Ordering::Relaxed);
-        stripe.store(c + 1, Ordering::SeqCst);
+        run(bump(&*self.stripes, pid.index()));
     }
 
     fn read(&self) -> u64 {
         // One collect; no double-collect needed — monotone single-writer
         // stripes make a single pass linearizable (module docs).
-        self.stripes.iter().map(|s| s.load(Ordering::SeqCst)).sum()
+        run(collect_sum(&*self.stripes, 0..self.n())) as u64
+    }
+}
+
+/// The sharded counter as step machines, on the same bodies:
+/// `CounterIncrement` is 2 steps, `CounterRead` is `N`.
+#[derive(Debug)]
+pub struct SimShardedCounter {
+    stripes: Arc<[ObjId]>,
+}
+
+impl SimShardedCounter {
+    /// Allocates `n` zeroed stripes in `mem`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(mem: &mut Memory, n: usize) -> Self {
+        assert!(n >= 1, "at least one process required");
+        SimShardedCounter {
+            stripes: mem.alloc_n(n, 0).into(),
+        }
+    }
+}
+
+impl SimCounter for SimShardedCounter {
+    fn n(&self) -> usize {
+        self.stripes.len()
+    }
+
+    fn increment(&self, pid: ProcessId) -> Machine {
+        let stripes = Arc::clone(&self.stripes);
+        Machine::new(body(async move {
+            bump(&*stripes, pid.index()).await;
+            0
+        }))
+    }
+
+    fn read(&self, _pid: ProcessId) -> Machine {
+        let stripes = Arc::clone(&self.stripes);
+        Machine::new(body(async move {
+            collect_sum(&*stripes, 0..stripes.len()).await
+        }))
     }
 }
 

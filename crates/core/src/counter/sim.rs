@@ -3,14 +3,25 @@
 //! The exact step counts measured here feed the Theorem 1 experiment:
 //! the Lemma 1 adversary in `ruo-lowerbound` drives these machines one
 //! enabled event at a time.
+//!
+//! The f-array, sharded and approximate counters derive their machines
+//! from the bodies they ship with ([`crate::cells`]) and live beside
+//! them. Below are the AAC counter's machines, still written apart from
+//! its real face, and three counters that exist only in the simulator:
+//! the combining model, the CAS loop and Corollary 1's snapshot counter.
 
 use std::sync::Arc;
 
-use ruo_sim::{cas, done, read, write, Machine, Memory, ObjId, ProcessId, Step, Word};
+use ruo_sim::{body, cas, done, read, write, Machine, Memory, ObjId, ProcessId, Step, Word};
 
+pub use super::farray::SimFArrayCounter;
+pub use super::sharded::SimShardedCounter;
+use super::sharded::{bump, collect_sum};
+use crate::cells::Cells;
 use crate::maxreg::aac::AacShape;
 use crate::maxreg::sim::{aac_read_k, aac_write};
 use crate::shape::TreeShape;
+use crate::snapshot::double_collect;
 
 /// A counter whose operations are simulator step machines.
 pub trait SimCounter: Send + Sync {
@@ -23,118 +34,6 @@ pub trait SimCounter: Send + Sync {
     /// A `CounterRead` as a step machine; the machine's result is the
     /// count.
     fn read(&self, pid: ProcessId) -> Machine;
-}
-
-/// One sum-propagation level: parent cell plus child cells.
-#[derive(Clone, Copy, Debug)]
-struct SumLevel {
-    node: ObjId,
-    left: Option<ObjId>,
-    right: Option<ObjId>,
-}
-
-fn read_opt_zero(obj: Option<ObjId>, k: impl FnOnce(Word) -> Step + Send + 'static) -> Step {
-    match obj {
-        Some(o) => read(o, k),
-        None => k(0),
-    }
-}
-
-/// Double-CAS sum propagation (the f-array analogue of Algorithm A's
-/// `Propagate`).
-fn propagate_sum(levels: Arc<Vec<SumLevel>>, i: usize, attempt: u8) -> Step {
-    if i == levels.len() {
-        return done(0);
-    }
-    let lv = levels[i];
-    read(lv.node, move |old| {
-        read_opt_zero(lv.left, move |l| {
-            read_opt_zero(lv.right, move |r| {
-                cas(lv.node, old, l + r, move |_| {
-                    if attempt == 0 {
-                        propagate_sum(levels, i, 1)
-                    } else {
-                        propagate_sum(levels, i + 1, 0)
-                    }
-                })
-            })
-        })
-    })
-}
-
-/// The f-array counter as step machines: `CounterRead` is exactly one
-/// step, `CounterIncrement` is `O(log N)`.
-#[derive(Debug)]
-pub struct SimFArrayCounter {
-    shape: Arc<TreeShape>,
-    root: usize,
-    leaves: Vec<usize>,
-    cells: Arc<Vec<ObjId>>,
-}
-
-impl SimFArrayCounter {
-    /// Allocates the tree's cells (all `0`) in `mem` for `n` processes.
-    pub fn new(mem: &mut Memory, n: usize) -> Self {
-        assert!(n >= 1);
-        let mut shape = TreeShape::new();
-        let (root, leaves) = shape.build_complete(n);
-        shape.fix_depths(root);
-        let cells = mem.alloc_n(shape.len(), 0);
-        SimFArrayCounter {
-            shape: Arc::new(shape),
-            root,
-            leaves,
-            cells: Arc::new(cells),
-        }
-    }
-}
-
-impl SimCounter for SimFArrayCounter {
-    fn n(&self) -> usize {
-        self.leaves.len()
-    }
-
-    fn increment(&self, pid: ProcessId) -> Machine {
-        let leaf = self.leaves[pid.index()];
-        let leaf_cell = self.cells[leaf];
-        let levels: Vec<SumLevel> = self
-            .shape
-            .ancestors(leaf)
-            .into_iter()
-            .map(|a| {
-                let info = self.shape.node(a);
-                SumLevel {
-                    node: self.cells[a],
-                    left: info.left.map(|i| self.cells[i]),
-                    right: info.right.map(|i| self.cells[i]),
-                }
-            })
-            .collect();
-        let levels = Arc::new(levels);
-        Machine::new(read(leaf_cell, move |c| {
-            write(leaf_cell, c + 1, move || propagate_sum(levels, 0, 0))
-        }))
-    }
-
-    fn read(&self, _pid: ProcessId) -> Machine {
-        let root = self.cells[self.root];
-        Machine::new(read(root, done))
-    }
-}
-
-/// Reads `cells[i..]` one step at a time, accumulating the sum into
-/// `acc`, then continues with the total.
-fn collect_sum(
-    cells: Arc<Vec<ObjId>>,
-    i: usize,
-    acc: Word,
-    k: Box<dyn FnOnce(Word) -> Step + Send>,
-) -> Step {
-    if i == cells.len() {
-        return k(acc);
-    }
-    let cell = cells[i];
-    read(cell, move |w| collect_sum(cells, i + 1, acc + w, k))
 }
 
 /// The combining counter's batch semantics as a *wait-free* step
@@ -156,10 +55,9 @@ fn collect_sum(
 /// (the argument is arity-independent).
 #[derive(Debug)]
 pub struct SimCombiningCounter {
-    /// `announce[i]`: total increments announced by process `i`.
-    announce: Arc<Vec<ObjId>>,
-    /// The combined total — the only cell reads touch.
-    root: ObjId,
+    /// `cells[i]` for `i < N`: total increments announced by process
+    /// `i`; `cells[N]`: the combined total, the only cell reads touch.
+    cells: Arc<[ObjId]>,
 }
 
 impl SimCombiningCounter {
@@ -171,88 +69,38 @@ impl SimCombiningCounter {
     pub fn new(mem: &mut Memory, n: usize) -> Self {
         assert!(n >= 1);
         SimCombiningCounter {
-            announce: Arc::new(mem.alloc_n(n, 0)),
-            root: mem.alloc(0),
+            cells: mem.alloc_n(n + 1, 0).into(),
         }
     }
 }
 
-/// One combine attempt: read the root, collect the announce array, CAS
-/// the batch sum in; `attempt` selects first or second try.
-fn combine_install(announce: Arc<Vec<ObjId>>, root: ObjId, attempt: u8) -> Step {
-    let cells = Arc::clone(&announce);
-    read(root, move |old| {
-        collect_sum(
-            cells,
-            0,
-            0,
-            Box::new(move |sum| {
-                cas(root, old, sum, move |_| {
-                    if attempt == 0 {
-                        combine_install(announce, root, 1)
-                    } else {
-                        done(0)
-                    }
-                })
-            }),
-        )
-    })
+/// Announce one increment of process `i`, then install the whole
+/// announced batch at the root: read it, collect the `n` announce
+/// cells, CAS the sum in — twice.
+async fn announce_and_combine<C: Cells + ?Sized>(cells: &C, n: usize, i: usize) {
+    bump(cells, i).await;
+    for _ in 0..2 {
+        let old = cells.load(n).await;
+        let sum = collect_sum(cells, 0..n).await;
+        cells.cas(n, old, sum).await;
+    }
 }
 
 impl SimCounter for SimCombiningCounter {
     fn n(&self) -> usize {
-        self.announce.len()
+        self.cells.len() - 1
     }
 
     fn increment(&self, pid: ProcessId) -> Machine {
-        let cell = self.announce[pid.index()];
-        let announce = Arc::clone(&self.announce);
-        let root = self.root;
-        Machine::new(read(cell, move |c| {
-            write(cell, c + 1, move || combine_install(announce, root, 0))
+        let (cells, n) = (Arc::clone(&self.cells), self.n());
+        Machine::new(body(async move {
+            announce_and_combine(&*cells, n, pid.index()).await;
+            0
         }))
     }
 
     fn read(&self, _pid: ProcessId) -> Machine {
-        Machine::new(read(self.root, done))
-    }
-}
-
-/// The sharded counter as step machines: `CounterIncrement` writes the
-/// caller's stripe (2 steps, wait-free), `CounterRead` collect-sums all
-/// `N` stripes (a single pass — monotone single-writer stripes need no
-/// double collect). The far write-optimal end of Theorem 1's curve.
-#[derive(Debug)]
-pub struct SimShardedCounter {
-    stripes: Arc<Vec<ObjId>>,
-}
-
-impl SimShardedCounter {
-    /// Allocates `n` zeroed stripes in `mem`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(mem: &mut Memory, n: usize) -> Self {
-        assert!(n >= 1);
-        SimShardedCounter {
-            stripes: Arc::new(mem.alloc_n(n, 0)),
-        }
-    }
-}
-
-impl SimCounter for SimShardedCounter {
-    fn n(&self) -> usize {
-        self.stripes.len()
-    }
-
-    fn increment(&self, pid: ProcessId) -> Machine {
-        let cell = self.stripes[pid.index()];
-        Machine::new(read(cell, move |c| write(cell, c + 1, || done(0))))
-    }
-
-    fn read(&self, _pid: ProcessId) -> Machine {
-        Machine::new(collect_sum(Arc::clone(&self.stripes), 0, 0, Box::new(done)))
+        Machine::new(read(self.cells[self.n()], done))
     }
 }
 
@@ -478,7 +326,8 @@ impl SimCounter for SimCasLoopCounter {
 /// Corollary 1's reduction as step machines: a counter whose
 /// `CounterIncrement` is a single snapshot `Update` (2 steps — the
 /// process knows its own count) and whose `CounterRead` is a
-/// double-collect `Scan` summed (`Ω(N)` steps, obstruction-free).
+/// double-collect `Scan` summed (`Ω(N)` steps, obstruction-free), on
+/// the double-collect snapshot's own bodies.
 ///
 /// This is the *opposite* end of Theorem 1's tradeoff from the f-array:
 /// `O(1)` updates bought with linear reads — and the vehicle by which
@@ -486,7 +335,7 @@ impl SimCounter for SimCasLoopCounter {
 #[derive(Debug)]
 pub struct SimSnapshotCounter {
     /// Per-process segments packing `(seq << 32) | count`.
-    segments: Arc<Vec<ObjId>>,
+    segments: Arc<[ObjId]>,
 }
 
 impl SimSnapshotCounter {
@@ -498,42 +347,9 @@ impl SimSnapshotCounter {
     pub fn new(mem: &mut Memory, n: usize) -> Self {
         assert!(n >= 1);
         SimSnapshotCounter {
-            segments: Arc::new(mem.alloc_n(n, 0)),
+            segments: mem.alloc_n(n, 0).into(),
         }
     }
-}
-
-fn snapcount_collect(
-    segments: Arc<Vec<ObjId>>,
-    i: usize,
-    mut acc: Vec<Word>,
-    k: Box<dyn FnOnce(Vec<Word>) -> Step + Send>,
-) -> Step {
-    if i == segments.len() {
-        return k(acc);
-    }
-    let seg = segments[i];
-    read(seg, move |w| {
-        acc.push(w);
-        snapcount_collect(segments, i + 1, acc, k)
-    })
-}
-
-fn snapcount_scan_sum(segments: Arc<Vec<ObjId>>, prev: Option<Vec<Word>>) -> Step {
-    let segs = Arc::clone(&segments);
-    snapcount_collect(
-        segments,
-        0,
-        Vec::new(),
-        Box::new(move |cur| {
-            if prev.as_deref() == Some(cur.as_slice()) {
-                let sum: Word = cur.iter().map(|&w| w & 0xFFFF_FFFF).sum();
-                done(sum)
-            } else {
-                snapcount_scan_sum(segs, Some(cur))
-            }
-        }),
-    )
 }
 
 impl SimCounter for SimSnapshotCounter {
@@ -542,19 +358,22 @@ impl SimCounter for SimSnapshotCounter {
     }
 
     fn increment(&self, pid: ProcessId) -> Machine {
-        let seg = self.segments[pid.index()];
-        // Single-writer segment: read own (seq, count), write both
-        // incremented — exactly one snapshot Update (Corollary 1).
-        Machine::new(read(seg, move |w| {
-            let seq = ((w as u64) >> 32) as u32;
-            let count = (w as u64) as u32;
-            let packed = (((seq.wrapping_add(1) as u64) << 32) | (count + 1) as u64) as Word;
-            write(seg, packed, || done(0))
+        // Single-writer segment: one snapshot Update of our own count.
+        let segments = Arc::clone(&self.segments);
+        Machine::new(body(async move {
+            double_collect::update(&*segments, pid.index(), |count| count + 1).await;
+            0
         }))
     }
 
     fn read(&self, _pid: ProcessId) -> Machine {
-        Machine::new(snapcount_scan_sum(Arc::clone(&self.segments), None))
+        let segments = Arc::clone(&self.segments);
+        Machine::new(body(async move {
+            let view = double_collect::double_collect(&*segments, segments.len(), usize::MAX)
+                .await
+                .expect("an unbounded scan returns");
+            view.iter().sum::<u64>() as Word
+        }))
     }
 }
 
@@ -591,9 +410,9 @@ mod tests {
             let (_, steps) = run_solo(&mut mem, ProcessId(0), c.increment(ProcessId(0)));
             let depth = (n as f64).log2().ceil() as usize;
             assert!(
-                steps <= 2 + 8 * depth,
+                steps <= 2 + 4 * depth,
                 "n={n}: {steps} steps > bound {}",
-                2 + 8 * depth
+                2 + 4 * depth
             );
             assert!(steps >= depth, "n={n}: suspiciously few steps {steps}");
         }
@@ -722,7 +541,7 @@ mod tests {
                 m.feed(r);
             }
         }
-        assert_eq!(mem.peek(c.root), 0, "nothing installed yet");
+        assert_eq!(mem.peek(c.cells[n]), 0, "nothing installed yet");
         run_solo(&mut mem, ProcessId(3), c.increment(ProcessId(3)));
         let (v, _) = run_solo(&mut mem, ProcessId(0), c.read(ProcessId(0)));
         assert_eq!(v, 4, "one combine must sweep the whole pending batch");

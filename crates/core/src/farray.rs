@@ -1,5 +1,6 @@
 //! A generic **f-array** (Jayanti, PODC 2002) — the substrate behind
-//! both the f-array counter and Algorithm A's propagation.
+//! the f-array counter, the f-array max register and Algorithm A's
+//! propagation.
 //!
 //! An f-array maintains `f(a_1, …, a_N)` for an associative,
 //! monotone aggregation `f` over `N` single-writer slots: reading the
@@ -15,13 +16,22 @@
 //! per-slot contributions; [`FArray<Max>`] is an `O(1)`-read max
 //! register over slot values (the complete-tree half of Algorithm A);
 //! [`FArray<Min>`] tracks a minimum over decreasing slots.
+//!
+//! The slot merge and the double-CAS climb are written once, as `async`
+//! bodies over [`Cells`]: [`FArray`] runs them on real cells and
+//! [`SimFArray`] on simulator cells, so both faces take the same steps.
+//! [`TreeMaxRegister`](crate::maxreg::TreeMaxRegister) climbs with the
+//! same body.
 
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
 use ruo_sim::stepcount::CountingI64;
-use ruo_sim::{ProcessId, Word};
+use ruo_sim::{body, done, read, Machine, Memory, ObjId, ProcessId, Word};
 
+use crate::cells::{real_cells, run, Cells};
 use crate::pad::CachePadded;
 use crate::shape::{PathNode, TreeShape, NO_CHILD};
 
@@ -92,6 +102,95 @@ impl Aggregation for Min {
     }
 }
 
+/// The double-CAS climb (the paper's `Propagate`): at each node of the
+/// bottom-up `path`, read the node and both children and CAS the
+/// aggregate of the children in — at most twice. The node is done once
+/// it already holds that aggregate or a CAS succeeds; if both CASes
+/// fail, a concurrent CAS installed a value that covers ours (Lemma 9).
+/// Node values are monotone, so the CAS is ABA-free.
+pub(crate) async fn climb<A: Aggregation, C: Cells + ?Sized>(cells: &C, path: &[PathNode]) {
+    for step in path {
+        let node = step.node as usize;
+        for _ in 0..2 {
+            let old = cells.load(node).await;
+            let left = child::<A, C>(cells, step.left).await;
+            let new = A::combine(left, child::<A, C>(cells, step.right).await);
+            // Monotone children make `new` cover `old`; equality means
+            // the node already holds what we just read.
+            if new == old || cells.cas(node, old, new).await == 1 {
+                break;
+            }
+        }
+    }
+}
+
+/// A child's value; a missing child is the identity and costs no step.
+async fn child<A: Aggregation, C: Cells + ?Sized>(cells: &C, idx: u32) -> Word {
+    if idx == NO_CHILD {
+        A::identity()
+    } else {
+        cells.load(idx as usize).await
+    }
+}
+
+/// A slot merge: one read of the single-writer `leaf`, then `f` gives
+/// the new slot value. When the slot already holds it, our own earlier
+/// (completed, hence climbed) update covers it and the merge ends there;
+/// otherwise it stores the value and climbs `path`. Returns the new
+/// slot value.
+async fn merge<A: Aggregation, C: Cells + ?Sized>(
+    cells: &C,
+    leaf: usize,
+    path: &[PathNode],
+    f: impl FnOnce(Word) -> Word,
+) -> Word {
+    let old = cells.load(leaf).await;
+    let new = f(old);
+    if new != old {
+        cells.store(leaf, new).await;
+        climb::<A, C>(cells, path).await;
+    }
+    new
+}
+
+/// The shape both faces share: the root cell, each slot's leaf cell and
+/// its leaf-to-root path.
+#[derive(Debug)]
+struct Layout {
+    root: usize,
+    leaves: Vec<usize>,
+    paths: Vec<Box<[PathNode]>>,
+    cells: usize,
+}
+
+impl Layout {
+    fn complete(n: usize) -> Layout {
+        assert!(n >= 1, "at least one slot required");
+        let mut shape = TreeShape::new();
+        let (root, leaves) = shape.build_complete(n);
+        shape.fix_depths(root);
+        let paths = leaves
+            .iter()
+            .map(|&leaf| shape.propagation_path(leaf))
+            .collect();
+        Layout {
+            root,
+            leaves,
+            paths,
+            cells: shape.len(),
+        }
+    }
+}
+
+/// `new`, once checked to be a monotone update of the slot value `old`.
+fn advance<A: Aggregation>(old: Word, new: Word) -> Word {
+    assert!(
+        A::advances(old, new),
+        "non-monotone slot update {old} -> {new}"
+    );
+    new
+}
+
 /// Wait-free single-writer f-array: `O(1)` aggregate reads, `O(log N)`
 /// slot updates, from read/write/CAS.
 ///
@@ -112,19 +211,16 @@ impl Aggregation for Min {
 /// assert_eq!(total.read(), 26);
 /// ```
 pub struct FArray<A: Aggregation> {
-    root: usize,
-    leaves: Vec<usize>,
+    layout: Layout,
     /// Padded cells: one cache-line pair per node (see [`crate::pad`]).
     cells: Box<[CachePadded<CountingI64>]>,
-    /// Precomputed leaf-to-root propagation paths, indexed by slot.
-    paths: Vec<Box<[PathNode]>>,
-    _agg: std::marker::PhantomData<A>,
+    _agg: PhantomData<A>,
 }
 
 impl<A: Aggregation> fmt::Debug for FArray<A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("FArray")
-            .field("n", &self.leaves.len())
+            .field("n", &self.n())
             .field("aggregate", &self.read())
             .finish()
     }
@@ -137,53 +233,43 @@ impl<A: Aggregation> FArray<A> {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
-        assert!(n >= 1, "at least one slot required");
-        let mut shape = TreeShape::new();
-        let (root, leaves) = shape.build_complete(n);
-        shape.fix_depths(root);
-        let cells = (0..shape.len())
-            .map(|_| CachePadded::new(CountingI64::new(A::identity())))
-            .collect();
-        let paths = leaves
-            .iter()
-            .map(|&leaf| shape.propagation_path(leaf))
-            .collect();
+        let layout = Layout::complete(n);
         FArray {
-            root,
-            leaves,
-            cells,
-            paths,
-            _agg: std::marker::PhantomData,
+            cells: real_cells(layout.cells, A::identity()),
+            layout,
+            _agg: PhantomData,
         }
     }
 
     /// Number of slots.
     pub fn n(&self) -> usize {
-        self.leaves.len()
-    }
-
-    #[inline]
-    fn child_load(&self, idx: u32) -> Word {
-        // SeqCst: sibling reads pair with slot stores in the
-        // store-buffering pattern of the propagation (DESIGN.md
-        // § Memory orderings).
-        if idx == NO_CHILD {
-            A::identity()
-        } else {
-            self.cells[idx as usize].load(Ordering::SeqCst)
-        }
+        self.layout.leaves.len()
     }
 
     /// Reads the aggregate `f(slot_0, …, slot_{N−1})` — one load.
     pub fn read(&self) -> Word {
         // Acquire: the read linearizes at this load; covering writes are
         // at-least-Release CASes and node values are monotone.
-        self.cells[self.root].load(Ordering::Acquire)
+        self.cells[self.layout.root].load(Ordering::Acquire)
     }
 
     /// Reads `pid`'s own slot.
     pub fn slot(&self, pid: ProcessId) -> Word {
-        self.cells[self.leaves[pid.index()]].load(Ordering::Acquire)
+        self.cells[self.layout.leaves[pid.index()]].load(Ordering::Acquire)
+    }
+
+    /// Merges `value` into `pid`'s slot (`slot ← f(slot, value)`) and
+    /// propagates — `O(log N)` steps, or one when the slot already
+    /// covers `value`. Returns the new slot value.
+    ///
+    /// For `Max` this is a max-register `WriteMax`; for `Sum` it adds
+    /// `value` to the slot; for `Min` it lowers the slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` is out of range.
+    pub fn merge(&self, pid: ProcessId, value: Word) -> Word {
+        self.run_merge(pid, move |old| A::combine(old, value))
     }
 
     /// Sets `pid`'s slot to `value` and propagates — `O(log N)` steps.
@@ -194,36 +280,7 @@ impl<A: Aggregation> FArray<A> {
     /// (`A::advances(current, value)` is false) — non-monotone updates
     /// would reintroduce the ABA problem the CAS propagation excludes.
     pub fn update(&self, pid: ProcessId, value: Word) {
-        let leaf = self.leaves[pid.index()];
-        // Relaxed: the slot is single-writer, so this reads our own
-        // last store; the value only feeds the monotonicity assert.
-        let old = self.cells[leaf].load(Ordering::Relaxed);
-        assert!(
-            A::advances(old, value),
-            "non-monotone slot update {old} -> {value}"
-        );
-        // Single-writer slot: plain store. SeqCst because the store must
-        // be ordered before the sibling reads below (store-buffering —
-        // DESIGN.md § Memory orderings).
-        self.cells[leaf].store(value, Ordering::SeqCst);
-        for step in &self.paths[pid.index()] {
-            let node = step.node as usize;
-            for _ in 0..2 {
-                let cur = self.cells[node].load(Ordering::SeqCst);
-                let new = A::combine(self.child_load(step.left), self.child_load(step.right));
-                // Monotone children make `new >= cur`; equality means the
-                // node already covers what we just read.
-                if new == cur {
-                    break;
-                }
-                if self.cells[node]
-                    .compare_exchange(cur, new, Ordering::SeqCst, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break;
-                }
-            }
-        }
+        self.run_merge(pid, |old| advance::<A>(old, value));
     }
 
     /// Monotone read-modify-write of `pid`'s slot: applies `f` to the
@@ -233,16 +290,91 @@ impl<A: Aggregation> FArray<A> {
     ///
     /// Panics under the same conditions as [`update`](FArray::update).
     pub fn update_with(&self, pid: ProcessId, f: impl FnOnce(Word) -> Word) -> Word {
-        let new = f(self.slot(pid));
-        self.update(pid, new);
-        new
+        self.run_merge(pid, |old| advance::<A>(old, f(old)))
+    }
+
+    fn run_merge(&self, pid: ProcessId, f: impl FnOnce(Word) -> Word) -> Word {
+        let i = pid.index();
+        let (leaf, path) = (self.layout.leaves[i], &self.layout.paths[i]);
+        run(merge::<A, _>(&*self.cells, leaf, path, f))
+    }
+}
+
+/// The f-array on simulator cells: the same merge and climb bodies as
+/// [`FArray`], one step per access. The aggregate read is one step.
+#[derive(Debug)]
+pub struct SimFArray<A: Aggregation> {
+    layout: Arc<Layout>,
+    cells: Arc<[ObjId]>,
+    _agg: PhantomData<A>,
+}
+
+impl<A: Aggregation> SimFArray<A> {
+    /// Allocates the tree's cells (all at the identity) in `mem` for `n`
+    /// slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(mem: &mut Memory, n: usize) -> Self {
+        let layout = Layout::complete(n);
+        SimFArray {
+            cells: mem.alloc_n(layout.cells, A::identity()).into(),
+            layout: Arc::new(layout),
+            _agg: PhantomData,
+        }
+    }
+
+    /// Number of slots.
+    pub fn n(&self) -> usize {
+        self.layout.leaves.len()
+    }
+
+    /// A one-step read of the aggregate.
+    pub fn read(&self) -> Machine {
+        Machine::new(read(self.root_cell(), done))
+    }
+
+    /// The root cell, for wrappers that post-process the raw aggregate
+    /// word (e.g. decoding `-∞` sentinels).
+    pub fn root_cell(&self) -> ObjId {
+        self.cells[self.layout.root]
+    }
+
+    /// [`FArray::merge`] as a step machine: a merge the slot already
+    /// covers costs exactly 1 step (the slot read).
+    pub fn merge(&self, pid: ProcessId, value: Word) -> Machine {
+        self.merge_machine(pid, move |old| A::combine(old, value))
+    }
+
+    /// [`FArray::update`] as a step machine.
+    ///
+    /// # Panics
+    ///
+    /// The machine panics mid-run, after its slot read, on a
+    /// non-monotone update.
+    pub fn update(&self, pid: ProcessId, value: Word) -> Machine {
+        self.merge_machine(pid, move |old| advance::<A>(old, value))
+    }
+
+    fn merge_machine(
+        &self,
+        pid: ProcessId,
+        f: impl FnOnce(Word) -> Word + Send + 'static,
+    ) -> Machine {
+        let (layout, cells) = (Arc::clone(&self.layout), Arc::clone(&self.cells));
+        Machine::new(body(async move {
+            let i = pid.index();
+            merge::<A, _>(&*cells, layout.leaves[i], &layout.paths[i], f).await;
+            0
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use ruo_sim::run_solo;
 
     #[test]
     fn sum_farray_is_a_counter() {
@@ -376,5 +508,94 @@ mod tests {
             }
         });
         assert_eq!(fa.read(), 500 * n as i64);
+    }
+
+    #[test]
+    fn sim_read_is_one_step_for_every_aggregation() {
+        let mut mem = Memory::new();
+        let sum = SimFArray::<Sum>::new(&mut mem, 8);
+        let max = SimFArray::<Max>::new(&mut mem, 8);
+        let min = SimFArray::<Min>::new(&mut mem, 8);
+        for m in [sum.read(), max.read(), min.read()] {
+            let (_, steps) = run_solo(&mut mem, ProcessId(0), m);
+            assert_eq!(steps, 1);
+        }
+    }
+
+    #[test]
+    fn sim_sum_aggregates_updates() {
+        let mut mem = Memory::new();
+        let fa = SimFArray::<Sum>::new(&mut mem, 4);
+        run_solo(&mut mem, ProcessId(0), fa.update(ProcessId(0), 3));
+        run_solo(&mut mem, ProcessId(2), fa.update(ProcessId(2), 5));
+        let (v, _) = run_solo(&mut mem, ProcessId(1), fa.read());
+        assert_eq!(v, 8);
+    }
+
+    #[test]
+    fn sim_max_and_min_aggregate_correctly() {
+        let mut mem = Memory::new();
+        let max = SimFArray::<Max>::new(&mut mem, 3);
+        run_solo(&mut mem, ProcessId(0), max.update(ProcessId(0), 7));
+        run_solo(&mut mem, ProcessId(1), max.update(ProcessId(1), 4));
+        let (v, _) = run_solo(&mut mem, ProcessId(2), max.read());
+        assert_eq!(v, 7);
+
+        let min = SimFArray::<Min>::new(&mut mem, 3);
+        run_solo(&mut mem, ProcessId(0), min.update(ProcessId(0), 7));
+        run_solo(&mut mem, ProcessId(1), min.update(ProcessId(1), 4));
+        let (v, _) = run_solo(&mut mem, ProcessId(2), min.read());
+        assert_eq!(v, 4);
+    }
+
+    #[test]
+    fn sim_update_cost_is_logarithmic() {
+        // Leaf read + leaf store, then one CAS round per level: node,
+        // two children, CAS.
+        for n in [2usize, 16, 128] {
+            let mut mem = Memory::new();
+            let fa = SimFArray::<Sum>::new(&mut mem, n);
+            let (_, steps) = run_solo(&mut mem, ProcessId(0), fa.update(ProcessId(0), 1));
+            let depth = (n as f64).log2().ceil() as usize;
+            assert_eq!(steps, 2 + 4 * depth, "n={n}");
+        }
+    }
+
+    #[test]
+    fn sim_interleaved_updates_converge() {
+        let mut mem = Memory::new();
+        let n = 4;
+        let fa = SimFArray::<Sum>::new(&mut mem, n);
+        let mut machines: Vec<(ProcessId, Machine)> = (0..n)
+            .map(|i| (ProcessId(i), fa.update(ProcessId(i), i as Word + 1)))
+            .collect();
+        // Lock-step interleaving.
+        loop {
+            let mut progressed = false;
+            for (pid, m) in machines.iter_mut() {
+                if let Some(prim) = m.enabled() {
+                    let resp = mem.apply(*pid, prim);
+                    m.feed(resp);
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        let (v, _) = run_solo(&mut mem, ProcessId(0), fa.read());
+        assert_eq!(v, (1..=n as Word).sum::<Word>());
+    }
+
+    #[test]
+    fn sim_non_monotone_update_panics_mid_run() {
+        let mut mem = Memory::new();
+        let fa = SimFArray::<Sum>::new(&mut mem, 2);
+        run_solo(&mut mem, ProcessId(0), fa.update(ProcessId(0), 5));
+        let mut m = fa.update(ProcessId(0), 3);
+        let prim = m.enabled().unwrap();
+        let resp = mem.apply(ProcessId(0), prim);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.feed(resp)));
+        assert!(result.is_err());
     }
 }

@@ -19,11 +19,24 @@
 //!   [`snapshot::PathCopySnapshot`] (restricted-use, `O(1)` consistent
 //!   view acquisition).
 //!
-//! Every algorithm exists in two forms: a real concurrent implementation
-//! on `std::sync::atomic` (this crate's public structs), and a
-//! step-machine implementation against the [`ruo_sim`] simulator (the
-//! `sim` submodules), used for exact step counting and for the mechanized
-//! lower-bound constructions in `ruo-lowerbound`.
+//! Every object has two faces: a real concurrent implementation on
+//! `std::sync::atomic` (this crate's public structs), and a step machine
+//! against the [`ruo_sim`] simulator (the `Sim*` structs), used for
+//! exact step counting, the explorer and the mechanized lower-bound
+//! constructions in `ruo-lowerbound`. Where the faces take the same
+//! steps the algorithm is **one body, two backends**: an `async` body
+//! over [`cells::Cells`], polled once on real cells and stepped one
+//! access at a time on simulator cells. The f-array
+//! ([`farray::FArray`]) and its counter and max register, Algorithm A's
+//! real climb, and the sharded, approximate and double-collect objects
+//! are written that way.
+//!
+//! The simulator faces still written apart from the real code are
+//! Algorithm A's (its always-double-CAS climb pins the benchmark's W5
+//! scope), the combining counter's (a wait-free model of a blocking
+//! combiner), the CAS cell and approximate max register's (their real
+//! faces use the CAS witness value, which the model's CAS does not
+//! return), and the AAC register and counter's.
 //!
 //! ## Quick start
 //!
@@ -42,9 +55,9 @@
 
 pub mod accuracy;
 pub mod b1tree;
+pub mod cells;
 pub mod counter;
 pub mod farray;
-pub mod farray_sim;
 pub mod maxreg;
 pub mod pad;
 pub mod reduction;

@@ -10,14 +10,18 @@
 //! A's B1 subtree adds: compare `FArrayMaxRegister` (write cost flat in
 //! `v`) against [`super::TreeMaxRegister`] (write cost `O(min(log N,
 //! log v))`) in the benches.
+//!
+//! Both faces are thin wrappers of the f-array's two faces
+//! ([`FArray<Max>`], [`SimFArray<Max>`]), so they take the same steps.
 
 use std::fmt;
 
-use ruo_sim::ProcessId;
+use ruo_sim::{done, read, Machine, Memory, ProcessId, Word};
 
-use crate::farray::{FArray, Max};
+use super::sim::SimMaxRegister;
+use crate::farray::{FArray, Max, SimFArray};
 use crate::traits::MaxRegister;
-use crate::value::{to_word, MAX_VALUE};
+use crate::value::{from_word, to_word};
 
 /// Jayanti-style max register: `O(1)` `ReadMax`, `O(log N)` `WriteMax`
 /// (regardless of the value), wait-free, from read/write/CAS.
@@ -65,24 +69,50 @@ impl FArrayMaxRegister {
 
 impl MaxRegister for FArrayMaxRegister {
     fn write_max(&self, pid: ProcessId, v: u64) {
-        assert!(v <= MAX_VALUE, "value {v} exceeds MAX_VALUE");
-        let w = to_word(v);
-        // Per-slot maximum keeps the slot monotone, as FArray<Max>
-        // requires; a dominated write still skips cheaply (the slot
-        // already covers it and, being single-writer, our own earlier
-        // completed write has propagated).
-        if w > self.fa.slot(pid) {
-            self.fa.update(pid, w);
-        }
+        // A `Max` merge keeps the slot monotone; a write the slot
+        // already covers ends after the slot read (single-writer slot:
+        // our own earlier completed write has propagated).
+        self.fa.merge(pid, to_word(v));
     }
 
     fn read_max(&self) -> u64 {
-        let v = self.fa.read();
-        if v < 0 {
-            0
-        } else {
-            v as u64
+        from_word(self.fa.read())
+    }
+}
+
+/// The f-array max register as step machines, on the same merge and
+/// climb bodies: `O(1)` read, `O(log N)` write *regardless of the
+/// value* (no B1 shortcut; compare
+/// [`SimTreeMaxRegister`](super::sim::SimTreeMaxRegister)).
+#[derive(Debug)]
+pub struct SimFArrayMaxRegister {
+    fa: SimFArray<Max>,
+}
+
+impl SimFArrayMaxRegister {
+    /// Allocates the tree's cells (all `-∞`) in `mem` for `n` processes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(mem: &mut Memory, n: usize) -> Self {
+        SimFArrayMaxRegister {
+            fa: SimFArray::new(mem, n),
         }
+    }
+}
+
+impl SimMaxRegister for SimFArrayMaxRegister {
+    fn n(&self) -> usize {
+        self.fa.n()
+    }
+
+    fn write_max(&self, pid: ProcessId, v: u64) -> Machine {
+        self.fa.merge(pid, to_word(v))
+    }
+
+    fn read_max(&self, _pid: ProcessId) -> Machine {
+        Machine::new(read(self.fa.root_cell(), |w| done(from_word(w) as Word)))
     }
 }
 

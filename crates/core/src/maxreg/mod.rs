@@ -9,7 +9,7 @@
 //! | [`ApproxMaxRegister`] (k-accurate, HKM) | read/CAS | `O(1)`, within factor `k` | `O(1)` dominated | lock-free |
 //! | [`LockMaxRegister`] | mutex | — | — | blocking baseline |
 //!
-//! The first three also exist as simulator step machines in [`sim`],
+//! All but the mutex also exist as simulator step machines ([`sim`]),
 //! where their step counts can be measured exactly and the lower-bound
 //! adversaries of `ruo-lowerbound` can be run against them.
 

@@ -1,15 +1,20 @@
 //! Simulator step machines for the max registers.
 //!
-//! These are the *same algorithms* as the real-atomics implementations,
-//! expressed against [`ruo_sim`] base objects so that every
-//! shared-memory event is visible: step counts are exact, schedules are
-//! adversary-controlled, and the lower-bound constructions of
-//! `ruo-lowerbound` can be run against them.
+//! Every shared-memory event of a machine is visible: step counts are
+//! exact, schedules are adversary-controlled, and the lower-bound
+//! constructions of `ruo-lowerbound` can be run against them.
+//!
+//! The f-array register's machines derive from the body it ships with
+//! ([`SimFArrayMaxRegister`], beside its real face). The machines below
+//! are written apart from their real faces: Algorithm A's always CASes
+//! twice per level, and the CAS cell's reads the cell again after a
+//! failed CAS, where the real face uses the CAS witness value.
 
 use std::sync::Arc;
 
 use ruo_sim::{cas, done, read, write, Machine, Memory, ObjId, ProcessId, Step, Word, NEG_INF};
 
+pub use super::farray::SimFArrayMaxRegister;
 use crate::maxreg::aac::AacShape;
 use crate::shape::AlgorithmATree;
 use crate::value::{from_word, to_word};
@@ -415,42 +420,6 @@ impl SimMaxRegister for SimCasRetryMaxRegister {
     }
 }
 
-/// The Jayanti f-array max register as step machines: one per-process
-/// slot, tree of maxima — `O(1)` read, `O(log N)` write *regardless of
-/// the value* (no B1 shortcut; compare [`SimTreeMaxRegister`]).
-#[derive(Debug)]
-pub struct SimFArrayMaxRegister {
-    fa: crate::farray_sim::SimFArray<crate::farray::Max>,
-}
-
-impl SimFArrayMaxRegister {
-    /// Allocates the tree's cells (all `-∞`) in `mem` for `n` processes.
-    pub fn new(mem: &mut Memory, n: usize) -> Self {
-        SimFArrayMaxRegister {
-            fa: crate::farray_sim::SimFArray::new(mem, n),
-        }
-    }
-}
-
-impl SimMaxRegister for SimFArrayMaxRegister {
-    fn n(&self) -> usize {
-        self.fa.n()
-    }
-
-    fn write_max(&self, pid: ProcessId, v: u64) -> Machine {
-        // `merge` with Max combine: a dominated write ends after the slot
-        // read (our own earlier completed write already propagated —
-        // single-writer slot); otherwise the slot is raised and the
-        // maximum propagated.
-        self.fa.merge(pid, to_word(v))
-    }
-
-    fn read_max(&self, _pid: ProcessId) -> Machine {
-        let root = self.fa.root_cell();
-        Machine::new(read(root, |w| done(from_word(w) as Word)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,8 +639,8 @@ mod tests {
         // Write cost is O(log N) regardless of the value.
         let (_, w_small) = run_solo(&mut mem, ProcessId(0), reg.write_max(ProcessId(0), 1));
         let (_, w_large) = run_solo(&mut mem, ProcessId(1), reg.write_max(ProcessId(1), 1 << 40));
-        assert_eq!(w_small, 2 + 8 * 3);
-        assert_eq!(w_large, 2 + 8 * 3);
+        assert_eq!(w_small, 2 + 4 * 3);
+        assert_eq!(w_large, 2 + 4 * 3);
         let (v, _) = run_solo(&mut mem, ProcessId(2), reg.read_max(ProcessId(2)));
         assert_eq!(v, 1 << 40);
         // Dominated write: one step (the slot read).

@@ -27,8 +27,10 @@ use std::sync::atomic::Ordering;
 use ruo_sim::stepcount::CountingI64;
 use ruo_sim::ProcessId;
 
+use crate::cells::{real_cells, run};
+use crate::farray::{climb, Max};
 use crate::pad::CachePadded;
-use crate::shape::{AlgorithmATree, PathNode, NO_CHILD};
+use crate::shape::{AlgorithmATree, PathNode};
 use crate::traits::MaxRegister;
 use crate::value::{from_word, to_word};
 
@@ -126,9 +128,7 @@ impl TreeMaxRegister {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         let tree = AlgorithmATree::new(n);
-        let cells = (0..tree.shape().len())
-            .map(|_| CachePadded::new(CountingI64::new(ruo_sim::NEG_INF)))
-            .collect();
+        let cells = real_cells(tree.shape().len(), ruo_sim::NEG_INF);
         TreeMaxRegister {
             tree,
             cells,
@@ -185,57 +185,18 @@ impl TreeMaxRegister {
         &self.tree
     }
 
-    #[inline]
-    fn child_value(&self, idx: u32) -> i64 {
-        // SeqCst: these sibling reads pair with leaf stores in the
-        // store-buffering pattern of `Propagate`; see DESIGN.md
-        // § Memory orderings.
-        if idx == NO_CHILD {
-            ruo_sim::NEG_INF
-        } else {
-            self.cells[idx as usize].load(Ordering::SeqCst)
-        }
-    }
-
-    /// The paper's `Propagate(n)`: climb the precomputed leaf-to-root
-    /// path, CASing `max(left, right)` into each ancestor (at most)
-    /// twice. The path carries inlined child links, so the loop touches
-    /// no shape metadata and performs no allocation.
+    /// The paper's `Propagate(n)` over the precomputed leaf-to-root
+    /// path.
     fn propagate(&self, leaf: usize) {
         self.propagate_path(self.tree.path_for(leaf));
     }
 
     /// `Propagate` over an explicit (suffix of a) bottom-up path — the
     /// whole path for a normal write, or only the levels above a
-    /// dominating node for the elimination filter.
+    /// dominating node for the elimination filter. This is the f-array's
+    /// double-CAS climb under `max`, whose identity is `-∞`.
     fn propagate_path(&self, path: &[PathNode]) {
-        for step in path {
-            let node = step.node as usize;
-            for _ in 0..2 {
-                let old = self.cells[node].load(Ordering::SeqCst);
-                let new = self
-                    .child_value(step.left)
-                    .max(self.child_value(step.right));
-                // Node values are monotone (each CAS installs a max of
-                // monotone children), so `new >= old` always holds; when
-                // they are equal the node already covers everything we
-                // just read and the CAS would be a no-op — skip it.
-                if new == old {
-                    break;
-                }
-                // A failed CAS means a concurrent propagator updated the
-                // node after we read `old`; the second iteration (or that
-                // propagator itself) covers our value. Failure ordering
-                // is Acquire so the covering write is ordered before our
-                // completion (DESIGN.md § Memory orderings).
-                if self.cells[node]
-                    .compare_exchange(old, new, Ordering::SeqCst, Ordering::Acquire)
-                    .is_ok()
-                {
-                    break;
-                }
-            }
-        }
+        run(climb::<Max, _>(&*self.cells, path));
     }
 }
 

@@ -10,13 +10,20 @@
 //! `Scan` is only **obstruction-free**: a steady stream of updates can
 //! starve it forever. This is the `O(1)`-update end of Corollary 1's
 //! tradeoff, paid for on the scan side.
+//!
+//! Both faces run the same bodies over [`Cells`]:
+//! [`DoubleCollectSnapshot`] on real cells, [`SimDoubleCollectSnapshot`]
+//! on simulator cells.
 
 use std::fmt;
-use std::sync::atomic::Ordering;
+use std::sync::{Arc, Mutex};
 
-use ruo_sim::stepcount::CountingU64;
-use ruo_sim::ProcessId;
+use ruo_sim::stepcount::CountingI64;
+use ruo_sim::{body, Machine, Memory, ObjId, ProcessId, Word};
 
+use super::sim::SimSnapshot;
+use crate::cells::{real_cells, run, Cells};
+use crate::pad::CachePadded;
 use crate::traits::Snapshot;
 
 /// Largest storable segment value: the packed word spends 32 bits on the
@@ -24,13 +31,57 @@ use crate::traits::Snapshot;
 pub const MAX_SEGMENT_VALUE: u64 = u32::MAX as u64;
 
 #[inline]
-fn pack(seq: u32, val: u32) -> u64 {
-    ((seq as u64) << 32) | val as u64
+fn pack(seq: u32, val: u32) -> Word {
+    (((seq as u64) << 32) | val as u64) as Word
 }
 
 #[inline]
-fn unpack(word: u64) -> (u32, u32) {
-    ((word >> 32) as u32, word as u32)
+fn unpack(word: Word) -> (u32, u32) {
+    (((word as u64) >> 32) as u32, word as u32)
+}
+
+/// `Update` of the single-writer segment `i`: read our own last word,
+/// write `f(value)` with the next sequence number — read + write, no
+/// CAS.
+pub(crate) async fn update<C: Cells + ?Sized>(cells: &C, i: usize, f: impl FnOnce(u32) -> u32) {
+    let (seq, val) = unpack(cells.load(i).await);
+    cells.store(i, pack(seq.wrapping_add(1), f(val))).await;
+}
+
+fn check_value(v: u64) -> u32 {
+    assert!(
+        v <= MAX_SEGMENT_VALUE,
+        "value {v} exceeds MAX_SEGMENT_VALUE"
+    );
+    v as u32
+}
+
+/// One collect: segments `0..n`, in order.
+async fn collect<C: Cells + ?Sized>(cells: &C, n: usize) -> Vec<Word> {
+    let mut words = Vec::with_capacity(n);
+    for i in 0..n {
+        words.push(cells.load(i).await);
+    }
+    words
+}
+
+/// Collects until two consecutive collects agree — a consistent cut —
+/// and returns its values; gives up after `max_attempts` collects past
+/// the first.
+pub(crate) async fn double_collect<C: Cells + ?Sized>(
+    cells: &C,
+    n: usize,
+    max_attempts: usize,
+) -> Option<Vec<u64>> {
+    let mut prev = collect(cells, n).await;
+    for _ in 0..max_attempts {
+        let cur = collect(cells, n).await;
+        if prev == cur {
+            return Some(cur.into_iter().map(|w| unpack(w).1 as u64).collect());
+        }
+        prev = cur;
+    }
+    None
 }
 
 /// Obstruction-free snapshot: `O(1)` updates, double-collect scans.
@@ -45,7 +96,7 @@ fn unpack(word: u64) -> (u32, u32) {
 /// assert_eq!(snap.scan(), vec![0, 42, 0]);
 /// ```
 pub struct DoubleCollectSnapshot {
-    segments: Box<[CountingU64]>,
+    segments: Box<[CachePadded<CountingI64>]>,
 }
 
 impl fmt::Debug for DoubleCollectSnapshot {
@@ -65,15 +116,8 @@ impl DoubleCollectSnapshot {
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "at least one segment required");
         DoubleCollectSnapshot {
-            segments: (0..n).map(|_| CountingU64::new(0)).collect(),
+            segments: real_cells(n, 0),
         }
-    }
-
-    fn collect(&self) -> Vec<u64> {
-        self.segments
-            .iter()
-            .map(|s| s.load(Ordering::SeqCst))
-            .collect()
     }
 
     /// A bounded-retry scan: attempts at most `max_attempts` double
@@ -89,15 +133,7 @@ impl DoubleCollectSnapshot {
     /// Panics if `max_attempts == 0`.
     pub fn try_scan(&self, max_attempts: usize) -> Option<Vec<u64>> {
         assert!(max_attempts >= 1, "at least one attempt required");
-        let mut prev = self.collect();
-        for _ in 0..max_attempts {
-            let cur = self.collect();
-            if prev == cur {
-                return Some(cur.into_iter().map(|w| unpack(w).1 as u64).collect());
-            }
-            prev = cur;
-        }
-        None
+        run(double_collect(&*self.segments, self.n(), max_attempts))
     }
 }
 
@@ -111,32 +147,81 @@ impl Snapshot for DoubleCollectSnapshot {
     /// Panics if `v` exceeds [`MAX_SEGMENT_VALUE`] or `pid` is out of
     /// range.
     fn update(&self, pid: ProcessId, v: u64) {
-        assert!(
-            v <= MAX_SEGMENT_VALUE,
-            "value {v} exceeds MAX_SEGMENT_VALUE"
-        );
-        let cell = &self.segments[pid.index()];
-        // Single-writer: only `pid` writes this segment, so read + write
-        // (not CAS) suffices.
-        let (seq, _) = unpack(cell.load(Ordering::SeqCst));
-        cell.store(pack(seq.wrapping_add(1), v as u32), Ordering::SeqCst);
+        let v = check_value(v);
+        run(update(&*self.segments, pid.index(), |_| v));
     }
 
     fn scan(&self) -> Vec<u64> {
-        let mut prev = self.collect();
-        loop {
-            let cur = self.collect();
-            if prev == cur {
-                return cur.into_iter().map(|w| unpack(w).1 as u64).collect();
-            }
-            prev = cur;
+        self.try_scan(usize::MAX)
+            .expect("an unbounded scan returns")
+    }
+}
+
+/// The double-collect snapshot as step machines, on the same bodies:
+/// updates are exactly 2 steps; scans take `N` steps per collect and
+/// collect until two consecutive collects agree.
+#[derive(Debug)]
+pub struct SimDoubleCollectSnapshot {
+    pub(super) segments: Arc<[ObjId]>,
+    results: Arc<Mutex<Vec<Vec<u64>>>>,
+}
+
+impl SimDoubleCollectSnapshot {
+    /// Allocates `n` zeroed segments in `mem`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(mem: &mut Memory, n: usize) -> Self {
+        assert!(n >= 1, "at least one segment required");
+        SimDoubleCollectSnapshot {
+            segments: mem.alloc_n(n, 0).into(),
+            results: Arc::new(Mutex::new(Vec::new())),
         }
+    }
+}
+
+impl SimSnapshot for SimDoubleCollectSnapshot {
+    fn n(&self) -> usize {
+        self.segments.len()
+    }
+
+    /// # Panics
+    ///
+    /// Panics if `v` exceeds [`MAX_SEGMENT_VALUE`].
+    fn update(&self, pid: ProcessId, v: u64) -> Machine {
+        let (segments, v) = (Arc::clone(&self.segments), check_value(v));
+        Machine::new(body(async move {
+            update(&*segments, pid.index(), |_| v).await;
+            0
+        }))
+    }
+
+    fn scan(&self, _pid: ProcessId) -> Machine {
+        let segments = Arc::clone(&self.segments);
+        let results = Arc::clone(&self.results);
+        Machine::new(body(async move {
+            let cut = double_collect(&*segments, segments.len(), usize::MAX).await;
+            let mut table = results
+                .lock()
+                .expect("no scan panics holding the results table");
+            table.push(cut.expect("an unbounded scan returns"));
+            table.len() as Word - 1
+        }))
+    }
+
+    fn take_scan_result(&self, token: Word) -> Vec<u64> {
+        self.results
+            .lock()
+            .expect("no scan panics holding the results table")[token as usize]
+            .clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     #[test]

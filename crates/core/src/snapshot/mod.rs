@@ -19,7 +19,7 @@
 //! the implementations above.
 
 mod afek;
-mod double_collect;
+pub(crate) mod double_collect;
 mod path_copy;
 pub mod sim;
 

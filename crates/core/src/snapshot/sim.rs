@@ -7,9 +7,9 @@
 //! path-copying snapshots rely on wide registers / pointers and exist as
 //! real-atomics implementations only (see `DESIGN.md`).
 
-use std::sync::{Arc, Mutex};
+use ruo_sim::{Machine, ProcessId, Word};
 
-use ruo_sim::{done, read, write, Machine, Memory, ObjId, ProcessId, Step, Word};
+pub use super::double_collect::SimDoubleCollectSnapshot;
 
 /// A snapshot whose operations are simulator step machines.
 ///
@@ -30,117 +30,14 @@ pub trait SimSnapshot: Send + Sync {
     fn take_scan_result(&self, token: Word) -> Vec<u64>;
 }
 
-#[inline]
-fn pack(seq: u32, val: u32) -> Word {
-    (((seq as u64) << 32) | val as u64) as Word
-}
-
-#[inline]
-fn unpack_val(word: Word) -> u64 {
-    (word as u64) & 0xFFFF_FFFF
-}
-
-/// The double-collect snapshot as step machines: updates are exactly 2
-/// steps; scans take `2N` steps per attempt and retry until a clean
-/// double collect.
-#[derive(Debug)]
-pub struct SimDoubleCollectSnapshot {
-    segments: Arc<Vec<ObjId>>,
-    results: Arc<Mutex<Vec<Vec<u64>>>>,
-}
-
-impl SimDoubleCollectSnapshot {
-    /// Allocates `n` zeroed segments in `mem`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(mem: &mut Memory, n: usize) -> Self {
-        assert!(n >= 1, "at least one segment required");
-        SimDoubleCollectSnapshot {
-            segments: Arc::new(mem.alloc_n(n, 0)),
-            results: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-}
-
-/// Reads segments `i..n` into `acc`, then continues with `k`.
-fn collect(
-    segments: Arc<Vec<ObjId>>,
-    i: usize,
-    mut acc: Vec<Word>,
-    k: Box<dyn FnOnce(Vec<Word>) -> Step + Send>,
-) -> Step {
-    if i == segments.len() {
-        return k(acc);
-    }
-    let seg = segments[i];
-    read(seg, move |w| {
-        acc.push(w);
-        collect(segments, i + 1, acc, k)
-    })
-}
-
-fn scan_attempt(
-    segments: Arc<Vec<ObjId>>,
-    prev: Option<Vec<Word>>,
-    results: Arc<Mutex<Vec<Vec<u64>>>>,
-) -> Step {
-    let segs = Arc::clone(&segments);
-    collect(
-        segments,
-        0,
-        Vec::new(),
-        Box::new(move |cur| {
-            if prev.as_deref() == Some(cur.as_slice()) {
-                let vals: Vec<u64> = cur.iter().map(|&w| unpack_val(w)).collect();
-                let mut table = results.lock().unwrap();
-                table.push(vals);
-                done(table.len() as Word - 1)
-            } else {
-                scan_attempt(segs, Some(cur), results)
-            }
-        }),
-    )
-}
-
-impl SimSnapshot for SimDoubleCollectSnapshot {
-    fn n(&self) -> usize {
-        self.segments.len()
-    }
-
-    /// # Panics
-    ///
-    /// Panics if `v` exceeds [`super::MAX_SEGMENT_VALUE`].
-    fn update(&self, pid: ProcessId, v: u64) -> Machine {
-        assert!(
-            v <= super::MAX_SEGMENT_VALUE,
-            "value {v} exceeds MAX_SEGMENT_VALUE"
-        );
-        let seg = self.segments[pid.index()];
-        Machine::new(read(seg, move |w| {
-            let seq = ((w as u64) >> 32) as u32;
-            write(seg, pack(seq.wrapping_add(1), v as u32), || done(0))
-        }))
-    }
-
-    fn scan(&self, _pid: ProcessId) -> Machine {
-        Machine::new(scan_attempt(
-            Arc::clone(&self.segments),
-            None,
-            Arc::clone(&self.results),
-        ))
-    }
-
-    fn take_scan_result(&self, token: Word) -> Vec<u64> {
-        self.results.lock().unwrap()[token as usize].clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruo_sim::run_solo;
+    use ruo_sim::{run_solo, Memory};
+
+    fn unpack_val(word: Word) -> u64 {
+        (word as u64) & 0xFFFF_FFFF
+    }
 
     #[test]
     fn update_is_exactly_two_steps() {

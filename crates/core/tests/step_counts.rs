@@ -6,8 +6,7 @@
 use ruo_core::counter::sim::{
     SimAacCounter, SimCasLoopCounter, SimCounter, SimFArrayCounter, SimSnapshotCounter,
 };
-use ruo_core::farray::{Max, Sum};
-use ruo_core::farray_sim::SimFArray;
+use ruo_core::farray::{Max, SimFArray, Sum};
 use ruo_core::maxreg::sim::{
     SimAacMaxRegister, SimCasRetryMaxRegister, SimMaxRegister, SimTreeMaxRegister,
 };
@@ -94,8 +93,15 @@ fn cas_retry_maxreg_solo_costs() {
 
 #[test]
 fn farray_counter_steps_are_pinned() {
-    // increment = 2 leaf events + 8 per level; read = 1.
-    let cases = [(1usize, 2usize), (2, 2 + 8), (4, 2 + 16), (64, 2 + 48)];
+    // increment = 2 leaf events + 4 per level (node, two children, one
+    // successful CAS); read = 1.
+    let cases = [
+        (1usize, 2usize),
+        (2, 2 + 4),
+        (4, 2 + 8),
+        (16, 2 + 16),
+        (64, 2 + 24),
+    ];
     for (n, expected) in cases {
         let mut mem = Memory::new();
         let c = SimFArrayCounter::new(&mut mem, n);
@@ -164,12 +170,12 @@ fn generic_farray_costs_match_counter() {
         let levels = (n as f64).log2().ceil() as usize;
         assert_eq!(
             steps(&mut mem, ProcessId(0), sum.update(ProcessId(0), 1)),
-            2 + 8 * levels,
+            2 + 4 * levels,
             "sum n={n}"
         );
         assert_eq!(
             steps(&mut mem, ProcessId(0), max.update(ProcessId(0), 1)),
-            2 + 8 * levels,
+            2 + 4 * levels,
             "max n={n}"
         );
         assert_eq!(steps(&mut mem, ProcessId(0), sum.read()), 1);

@@ -150,9 +150,9 @@ type Reader = Box<dyn Fn() -> u64 + Send + Sync>;
 
 /// A registry of self-describing scalars, each read by a wait-free
 /// closure. Registration happens at setup time (`&mut self`); after
-/// that the registry is shared immutably and [`snapshot`]
-/// (`MetricsRegistry::snapshot`) may run concurrently with every
-/// recorder.
+/// that the registry is shared immutably and
+/// [`snapshot`](MetricsRegistry::snapshot) may run concurrently with
+/// every recorder.
 pub struct MetricsRegistry {
     /// Kept sorted by name so snapshots and expositions are stable.
     entries: Vec<(MetricDesc, Reader)>,

@@ -15,8 +15,9 @@
 //!   [`EventLog`].
 //! * [`Machine`] — an operation expressed as a step machine built from
 //!   continuation combinators ([`read`], [`write()`], [`cas`], [`done`]),
-//!   so algorithms read like straight-line pseudo-code while still
-//!   exposing one shared-memory event at a time to the scheduler.
+//!   or from an `async` body whose accesses are [`Access`] futures
+//!   ([`body`]), so algorithms read like straight-line pseudo-code while
+//!   still exposing one shared-memory event at a time to the scheduler.
 //! * [`Scheduler`] implementations — round-robin, seeded-random, and solo
 //!   (obstruction-free) schedules — plus an [`Executor`] that runs whole
 //!   workloads and records invocation/response [`History`]s.
@@ -68,7 +69,9 @@ pub use exec::{ExecOutcome, Executor, OpSpec, WorkloadBuilder};
 pub use fault::{Fault, FaultClock, FaultPlan};
 pub use history::{History, OpDesc, OpOutput, OpRecord, StripPendingError};
 pub use ids::{ObjId, ProcessId};
-pub use machine::{cas, done, read, run_solo, write, BoxedStep, Machine, Step};
+pub use machine::{
+    access, body, cas, done, read, run_solo, write, Access, BoxedStep, Machine, Step,
+};
 pub use mem::Memory;
 pub use rng::SplitMix64;
 pub use sched::{RandomScheduler, RoundRobin, Scheduler, ScriptedScheduler, Solo};

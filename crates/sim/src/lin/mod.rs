@@ -149,7 +149,7 @@ pub fn check_exact(history: &History, spec: &SeqSpec) -> Result<(), Violation> {
 /// output `v` satisfies `V / k ≤ v ≤ V` against the spec value `V` at
 /// its linearization point ("linearizable up to factor `k`"). The search
 /// is identical to the exact one — only the output acceptance test
-/// ([`output_within_k`]) is relaxed — so `k = 1` reduces bit-for-bit to
+/// (`output_within_k`) is relaxed — so `k = 1` reduces bit-for-bit to
 /// [`check_exact`]'s verdicts.
 ///
 /// # Panics

@@ -32,8 +32,16 @@
 //! }
 //! assert_eq!(mem.peek(o), 7);
 //! ```
+//!
+//! An operation can also be written once as an `async` body whose
+//! shared-memory accesses are [`Access`] futures: [`body`] turns it into
+//! the same step chain, one enabled event per access.
 
+use std::cell::Cell;
 use std::fmt;
+use std::future::Future;
+use std::pin::Pin;
+use std::task::{Context, Poll, Waker};
 
 use crate::{ObjId, Prim, Word};
 
@@ -97,6 +105,96 @@ pub fn cas(
 /// Completes the operation with `result`.
 pub fn done(result: Word) -> Step {
     Step::Done(result)
+}
+
+/// Where an [`Access`] and [`body`] hand over the event and its response.
+/// A body only runs inside `body`'s poll, on the polling thread.
+#[derive(Clone, Copy)]
+enum Port {
+    Idle,
+    Issued(Prim),
+    Answered(Word),
+}
+
+thread_local! {
+    static PORT: Cell<Port> = const { Cell::new(Port::Idle) };
+}
+
+/// One shared-memory access of an `async` body: the body suspends once
+/// on it, and resumes with the event's response (read: the value;
+/// write: `0`; CAS: `1` on success, `0` on failure).
+#[derive(Debug)]
+#[must_use = "an access takes its step only when awaited"]
+pub struct Access {
+    prim: Prim,
+    issued: bool,
+}
+
+/// An access of `prim`, for a body driven by [`body`].
+pub fn access(prim: Prim) -> Access {
+    Access {
+        prim,
+        issued: false,
+    }
+}
+
+impl Future for Access {
+    type Output = Word;
+
+    fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Word> {
+        if self.issued {
+            match PORT.replace(Port::Idle) {
+                Port::Answered(resp) => Poll::Ready(resp),
+                _ => panic!("an access resumed without a response"),
+            }
+        } else {
+            self.issued = true;
+            PORT.set(Port::Issued(self.prim));
+            Poll::Pending
+        }
+    }
+}
+
+type Body = Pin<Box<dyn Future<Output = Word> + Send>>;
+
+/// An operation written as an `async` body: each awaited [`Access`] is
+/// one enabled event, and the body's output is the result.
+///
+/// The body runs up to its first access at once, so the returned step
+/// is `Done` only for a body that takes no step.
+///
+/// ```
+/// use ruo_sim::{access, body, run_solo, Machine, Memory, Prim, ProcessId};
+///
+/// let mut mem = Memory::new();
+/// let o = mem.alloc(41);
+/// let incr = body(async move {
+///     let v = access(Prim::Read(o)).await;
+///     access(Prim::Write(o, v + 1)).await;
+///     v + 1
+/// });
+/// assert_eq!(run_solo(&mut mem, ProcessId(0), Machine::new(incr)), (42, 2));
+/// ```
+pub fn body(fut: impl Future<Output = Word> + Send + 'static) -> Step {
+    resume(Box::pin(fut))
+}
+
+fn resume(mut fut: Body) -> Step {
+    match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+        Poll::Ready(result) => Step::Done(result),
+        Poll::Pending => {
+            let Port::Issued(prim) = PORT.replace(Port::Idle) else {
+                panic!("a body suspended on something other than an access");
+            };
+            Step::Pending {
+                prim,
+                k: Box::new(move |resp| {
+                    PORT.set(Port::Answered(resp));
+                    resume(fut)
+                }),
+            }
+        }
+    }
 }
 
 /// Drives a [`Step`] chain event by event.
@@ -264,5 +362,69 @@ mod tests {
         let (result, steps) = run_solo(&mut mem, ProcessId(0), m);
         assert_eq!(result, 5);
         assert_eq!(steps, 2);
+    }
+
+    #[test]
+    fn body_takes_the_steps_of_its_cps_twin() {
+        async fn fetch_max(o: ObjId, v: Word) -> Word {
+            loop {
+                let cur = access(Prim::Read(o)).await;
+                if cur >= v {
+                    return cur;
+                }
+                let cas = Prim::Cas {
+                    obj: o,
+                    expected: cur,
+                    new: v,
+                };
+                if access(cas).await == 1 {
+                    return v;
+                }
+            }
+        }
+        fn fetch_max_cps(o: ObjId, v: Word) -> Step {
+            read(o, move |cur| {
+                if cur >= v {
+                    done(cur)
+                } else {
+                    cas(o, cur, v, move |ok| {
+                        if ok == 1 {
+                            done(v)
+                        } else {
+                            fetch_max_cps(o, v)
+                        }
+                    })
+                }
+            })
+        }
+        let run = |mk: &dyn Fn(ObjId) -> Step| {
+            let mut mem = Memory::new();
+            let o = mem.alloc(3);
+            // Interleave two raisers event by event.
+            let mut ms = [Machine::new(mk(o)), Machine::new(mk(o))];
+            while ms.iter().any(|m| !m.is_done()) {
+                for (i, m) in ms.iter_mut().enumerate() {
+                    if let Some(prim) = m.enabled() {
+                        let resp = mem.apply(ProcessId(i), prim);
+                        m.feed(resp);
+                    }
+                }
+            }
+            let results: Vec<_> = ms.iter().map(|m| (m.result(), m.steps())).collect();
+            (results, mem.log().events().to_vec())
+        };
+        let from_body = run(&|o| body(fetch_max(o, 7)));
+        let from_cps = run(&|o| fetch_max_cps(o, 7));
+        assert_eq!(from_body, from_cps);
+        // Both read 3, one CAS wins, the loser's CAS fails and it
+        // re-reads 7.
+        assert_eq!(from_body.1.len(), 5);
+    }
+
+    #[test]
+    fn body_without_access_is_done_at_once() {
+        let m = Machine::new(body(async { 5 }));
+        assert_eq!(m.result(), Some(5));
+        assert_eq!(m.steps(), 0);
     }
 }

@@ -8,10 +8,15 @@
 //! is swept automatically, and `registry_completeness.rs` (in the
 //! scenario crate) fails if a core implementation is missing from the
 //! registry — so nothing can silently escape this test.
+//!
+//! Faces derived from one algorithm body must agree further: on the
+//! same operation stream they return the same outputs and take the same
+//! steps, operation by operation.
 
 use std::sync::Arc;
 
 use ruo::scenario::{registry, BuildParams, Family, ImplEntry, RealObject, SimObject};
+use ruo::sim::stepcount::CountingMem;
 use ruo::sim::{run_solo, Memory, ProcessId, SplitMix64};
 
 use ruo::core::maxreg::sim::{SimMaxRegister, SimTreeMaxRegister};
@@ -244,4 +249,147 @@ fn sim_and_real_tree_registers_converge_identically() {
         assert_eq!(sim_result, real.read_max());
         assert_eq!(sim_result, *values.iter().max().unwrap());
     }
+}
+
+/// Registry entries whose simulator face is still written apart from
+/// the real one, so their steps may differ.
+const TWINS: [(Family, &str, &str); 8] = [
+    (
+        Family::MaxReg,
+        "tree",
+        "Algorithm A's sim face pins the benchmark's 24,360-schedule W5 scope",
+    ),
+    (
+        Family::MaxReg,
+        "tree_elim",
+        "shares Algorithm A's pinned sim face",
+    ),
+    (
+        Family::MaxReg,
+        "aac",
+        "the AAC register's sim face is still written apart",
+    ),
+    (
+        Family::MaxReg,
+        "aac_unbalanced",
+        "shares the AAC register's sim face",
+    ),
+    (
+        Family::MaxReg,
+        "cas_cell",
+        "the real face uses the CAS witness value; the model's CAS answers only success or failure",
+    ),
+    (
+        Family::MaxReg,
+        "approx",
+        "the real face uses the CAS witness value; the model's CAS answers only success or failure",
+    ),
+    (
+        Family::Counter,
+        "combining",
+        "the sim face is a wait-free model of the blocking combiner",
+    ),
+    (
+        Family::Counter,
+        "aac",
+        "the AAC counter's sim face is still written apart",
+    ),
+];
+
+/// One operation on a real face: its output (empty for updates) and its
+/// counted shared-memory steps.
+fn real_op(obj: &RealObject, pid: ProcessId, update: bool, v: u64) -> (Vec<u64>, u64) {
+    CountingMem::begin_op();
+    let out = match (obj, update) {
+        (RealObject::MaxReg(r), true) => {
+            r.write_max(pid, v);
+            vec![]
+        }
+        (RealObject::MaxReg(r), false) => vec![r.read_max()],
+        (RealObject::Counter(c), true) => {
+            c.increment(pid);
+            vec![]
+        }
+        (RealObject::Counter(c), false) => vec![c.read()],
+        (RealObject::Snapshot(s), true) => {
+            s.update(pid, v);
+            vec![]
+        }
+        (RealObject::Snapshot(s), false) => s.scan(),
+    };
+    (out, CountingMem::take_op_counts().steps())
+}
+
+/// The same operation on a sim face, run solo: its output and steps.
+fn sim_op(
+    mem: &mut Memory,
+    obj: &SimObject,
+    pid: ProcessId,
+    update: bool,
+    v: u64,
+) -> (Vec<u64>, u64) {
+    let machine = match (obj, update) {
+        (SimObject::MaxReg(r), true) => r.write_max(pid, v),
+        (SimObject::MaxReg(r), false) => r.read_max(pid),
+        (SimObject::Counter(c), true) => c.increment(pid),
+        (SimObject::Counter(c), false) => c.read(pid),
+        (SimObject::Snapshot(s), true) => s.update(pid, v),
+        (SimObject::Snapshot(s), false) => s.scan(pid),
+    };
+    let (result, steps) = run_solo(mem, pid, machine);
+    let out = match (obj, update) {
+        (_, true) => vec![],
+        (SimObject::Snapshot(s), false) => s.take_scan_result(result),
+        (_, false) => vec![result as u64],
+    };
+    (out, steps as u64)
+}
+
+#[test]
+fn derived_faces_agree_step_for_step() {
+    for (family, id, _why) in TWINS {
+        let entry = registry()
+            .iter()
+            .find(|e| e.family == family && e.id == id)
+            .unwrap_or_else(|| panic!("{family}/{id} is not registered"));
+        assert!(
+            entry.has_real() && entry.has_sim(),
+            "{family}/{id} no longer has two faces; drop it from TWINS"
+        );
+    }
+    CountingMem::enable();
+    let mut rng = SplitMix64::new(1407);
+    let mut swept = Vec::new();
+    for entry in registry() {
+        let twin = TWINS
+            .iter()
+            .any(|&(family, id, _)| family == entry.family && id == entry.id);
+        if twin || !entry.has_real() || !entry.has_sim() {
+            continue;
+        }
+        let name = format!("{}/{}", entry.family, entry.id);
+        for _case in 0..20 {
+            let p = BuildParams {
+                n: 1 + rng.gen_index(6),
+                capacity: 1 << 12,
+                root_fast_path: false,
+                accuracy_k: 1 + rng.gen_below(4),
+            };
+            let real = entry.build_real(&p).unwrap();
+            let mut mem = Memory::new();
+            let sim = entry.build_sim(&mut mem, &p).unwrap();
+            for op in 0..40 {
+                let pid = ProcessId(rng.gen_index(p.n));
+                let update = rng.gen_bool(0.6);
+                let v = rng.gen_below(p.capacity);
+                let (real_out, real_steps) = real_op(&real, pid, update, v);
+                let (sim_out, sim_steps) = sim_op(&mut mem, &sim, pid, update, v);
+                assert_eq!(real_out, sim_out, "{name} op {op} ({p:?})");
+                assert_eq!(real_steps, sim_steps, "{name} op {op} steps ({p:?})");
+            }
+        }
+        swept.push(name);
+    }
+    CountingMem::disable();
+    assert!(swept.len() >= 5, "the sweep lost derived faces: {swept:?}");
 }
