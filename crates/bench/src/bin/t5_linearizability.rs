@@ -7,7 +7,9 @@
 //! 3. real-thread histories, tick-stamped and checked.
 //!
 //! Prints a verdict table; any violation would name the implementation
-//! and seed/schedule.
+//! and seed/schedule. Exits 1 unless every row is all-ok: every random
+//! schedule checked, no exploration violation (a budget-truncated
+//! exploration is allowed) and real threads linearizable.
 //!
 //! Run with `cargo run --release -p ruo-bench --bin t5_linearizability`.
 
@@ -179,6 +181,7 @@ fn main() {
             Box::new(|mem, n| Arc::new(SimFArrayMaxRegister::new(mem, n))),
         ),
     ];
+    let mut failures = Vec::new();
     for (name, make) in &configs {
         let (ok, total) = random_pass(make.as_ref(), 60);
         let (schedules, exhaustive_verdict) = exhaustive_pass(make.as_ref());
@@ -189,6 +192,15 @@ fn main() {
             "CAS cell" => thread_pass(&CasRetryMaxRegister::new()),
             _ => thread_pass(&FArrayMaxRegister::new(4)),
         };
+        if ok < total {
+            failures.push(format!("{name}: {ok}/{total} random schedules ok"));
+        }
+        if exhaustive_verdict == "VIOLATION" {
+            failures.push(format!("{name}: exploration found a violation"));
+        }
+        if !threads_ok {
+            failures.push(format!("{name}: real-thread history not linearizable"));
+        }
         t.row(vec![
             name.to_string(),
             format!("{ok}/{total}"),
@@ -201,4 +213,11 @@ fn main() {
     println!("\nEvery row must read all-ok; a NO would print the violating seed/schedule");
     println!("through the checker's panic payload in the test-suite versions of these");
     println!("passes (tests/linearizability_*.rs, tests/exhaustive.rs).");
+    if !failures.is_empty() {
+        eprintln!("\nT5 VERDICT FAILURES:");
+        for f in &failures {
+            eprintln!("  - {f}");
+        }
+        std::process::exit(1);
+    }
 }

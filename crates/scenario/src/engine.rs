@@ -967,11 +967,13 @@ pub fn run_real(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, Engi
 // ---------------------------------------------------------------------
 
 /// A scenario's exploration scope, ready for [`ruo_sim::explore`]: the
-/// setup closure (fresh memory + machines per schedule), the op
+/// setup closure (a fresh memory + machines per call), the op
 /// descriptors, and the checker's initial value.
 pub struct ExploreParts {
-    /// Builds a fresh memory and machine vector for one schedule
-    /// (`Sync` so [`explore_parallel`] workers can each call it).
+    /// Returns a fresh memory and machine vector: a clone of the memory
+    /// the object was built (and seeded) in once, and new machines on
+    /// that one object, so a call is cheap enough for the explorer's
+    /// rebuilds. `Sync` so [`explore_parallel`] workers can each call it.
     pub setup: Box<dyn Fn() -> (Memory, Vec<Machine>) + Sync>,
     /// One descriptor per machine.
     pub ops: Vec<ExploreOp>,
@@ -1028,20 +1030,22 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
                 .into(),
         ));
     }
-    // Validate construction once, eagerly, so bad capacities error here
-    // rather than panicking inside the search.
-    build_sim_object(spec)?;
-    let scope_spec = spec.clone();
-    let scope = espec.clone();
+    // Build the object and run the seed write once, eagerly, so bad
+    // capacities error here rather than panicking inside the search.
+    // Each setup clones that memory and makes its machines from the
+    // shared object: every counter and max-register sim face keeps its
+    // state in `Memory` only (its fields are cell ids and shapes).
+    let (mut seeded, obj) = build_sim_object(spec)?;
+    if let (Some(seed_v), SimObject::MaxReg(reg)) = (espec.seed_update, &obj) {
+        run_solo(
+            &mut seeded,
+            ProcessId(0),
+            reg.write_max(ProcessId(0), seed_v),
+        );
+    }
+    let scope = espec.ops.clone();
     let setup: Box<dyn Fn() -> (Memory, Vec<Machine>) + Sync> = Box::new(move || {
-        let (mut mem, obj) = build_sim_object(&scope_spec).expect("validated above");
-        if let Some(seed_v) = scope.seed_update {
-            if let SimObject::MaxReg(reg) = &obj {
-                run_solo(&mut mem, ProcessId(0), reg.write_max(ProcessId(0), seed_v));
-            }
-        }
         let machines = scope
-            .ops
             .iter()
             .map(|op| {
                 let pid = ProcessId(op.pid);
@@ -1054,7 +1058,7 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
                 }
             })
             .collect();
-        (mem, machines)
+        (seeded.clone(), machines)
     });
     let ops = espec
         .ops

@@ -12,13 +12,20 @@
 //! * **Incremental execution.** The DFS never replays a prefix. Taking a
 //!   step applies one primitive; backtracking undoes it with
 //!   [`Memory::undo_last`] (`O(1)` — each [`Event`](crate::Event) logs
-//!   the overwritten value) and rebuilds only the stepped machine by
-//!   re-feeding its recorded responses into a fresh machine from a pool
-//!   (continuations are `FnOnce`, so a consumed machine cannot be
-//!   rewound directly). Legacy full-prefix replay cost
-//!   `O(tree-size × depth)` memory events; the incremental scheme costs
-//!   `O(tree-size)` plus the (per-process, usually much shorter) machine
-//!   re-feeds.
+//!   the overwritten value) and pops the operation's response log, but
+//!   leaves its machine where it is. The machine is then *behind* its
+//!   log (continuations are `FnOnce`, so a consumed machine cannot be
+//!   rewound), and it is rebuilt only when the operation steps again:
+//!   one fresh machine from `setup` (the rest of that call is dropped —
+//!   no pool of spare machines is kept) re-fed the logged responses.
+//!   Until then the explorer reads the operation's enabled event from
+//!   the undone step. That is exact because a machine is a deterministic
+//!   function of the responses fed to it: after the same log, the
+//!   rebuilt machine enables the same event the undone step applied.
+//!   Full-prefix replay costs `O(tree-size × depth)` memory events; this
+//!   costs `O(tree-size)` plus the re-feeds of machines that step again
+//!   after a backtrack. On the pruned W5 scope it saves 19 replayed
+//!   events per executed one (EXPERIMENTS.md § W5).
 //!
 //! * **Independence-based pruning** (sleep sets, Godefroid-style),
 //!   enabled via [`ExploreConfig::prune`]. Two steps by different
@@ -75,7 +82,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crate::history::{History, OpOutput, OpRecord};
-use crate::{Machine, Memory, ObjId, OpDesc, ProcessId, Word};
+use crate::{Machine, Memory, OpDesc, Prim, ProcessId, Word};
 
 /// Hard per-operation step cap: a machine exceeding this many steps in
 /// one schedule would make enumeration meaningless.
@@ -147,8 +154,9 @@ pub struct ExploreStats {
     pub executed_steps: u64,
     /// Memory events a full-prefix-replay explorer would have executed,
     /// minus this search's actual cost (forward steps are counted by
-    /// `executed_steps`; machine re-feeds on backtrack are subtracted
-    /// here). A direct measure of what snapshot/restore saves.
+    /// `executed_steps`; the responses re-fed to a machine rebuilt after
+    /// a backtrack, when it steps again, are subtracted here). A direct
+    /// measure of what undo and lazy rebuilding save.
     pub replay_steps_saved: u64,
     /// Deepest DFS prefix reached (= longest schedule length).
     pub peak_depth: usize,
@@ -194,10 +202,9 @@ pub struct ExploreSummary {
 struct StepInfo {
     /// Index (into `ops`) of the process that stepped.
     idx: usize,
-    /// The cell the primitive accessed.
-    obj: ObjId,
-    /// Whether the primitive was a read.
-    is_read: bool,
+    /// The primitive applied: once the step is undone, the operation's
+    /// enabled event again.
+    prim: Prim,
     /// Whether this was the operation's first step.
     was_first: bool,
     /// Whether this step completed the operation.
@@ -206,8 +213,8 @@ struct StepInfo {
 
 /// Memory-level commutativity: steps on different cells always commute;
 /// steps on the same cell commute only if both are reads.
-fn commutes(a_obj: ObjId, a_is_read: bool, b: &StepInfo) -> bool {
-    a_obj != b.obj || (a_is_read && b.is_read)
+fn commutes(a: Prim, b: Prim) -> bool {
+    a.obj() != b.obj() || (a.is_read() && b.is_read())
 }
 
 /// Full independence between two *executed* steps (both boundary flags
@@ -215,7 +222,7 @@ fn commutes(a_obj: ObjId, a_is_read: bool, b: &StepInfo) -> bool {
 /// immediately precedes the other's first (which is the one swap that
 /// can change the precedence relation — see the module docs).
 fn independent(a: &StepInfo, b: &StepInfo) -> bool {
-    commutes(a.obj, a.is_read, b) && !(a.was_last && b.was_first) && !(b.was_last && a.was_first)
+    commutes(a.prim, b.prim) && !(a.was_last && b.was_first) && !(b.was_last && a.was_first)
 }
 
 /// Cross-worker coordination for [`explore_parallel`]: the global
@@ -242,13 +249,17 @@ struct Explorer<'a> {
     /// Event-log length when exploration started (setups may pre-run
     /// seed operations; those events are never undone).
     base: usize,
-    /// Current machine state per operation.
+    /// Each operation's machine. After a backtrack it is *behind* (fed
+    /// more responses than `resp_log` holds) until it is rebuilt, which
+    /// happens only when the operation steps again.
     machines: Vec<Machine>,
-    /// Responses fed to each machine so far, for rebuild on backtrack.
+    /// Responses each operation received on the current DFS path; its
+    /// length is the operation's step count.
     resp_log: Vec<Vec<Word>>,
-    /// Pool of fresh (never-stepped) machines per operation, refilled by
-    /// extra `setup` calls.
-    spare: Vec<Vec<Machine>>,
+    /// Each operation's enabled event at the current node (`None` once
+    /// it completed): read off the machine after a step, restored from
+    /// the undone step on backtrack.
+    enabled: Vec<Option<Prim>>,
     /// Tick of each operation's first event, if it has stepped.
     first_step: Vec<Option<usize>>,
     /// Tick just after each operation's last event, if it completed by
@@ -267,11 +278,57 @@ struct Explorer<'a> {
     stats: ExploreStats,
 }
 
-impl Explorer<'_> {
+impl<'a> Explorer<'a> {
+    /// An explorer at the root of the search, on the memory and machines
+    /// of one `setup` call.
+    fn new(
+        setup: &'a dyn Fn() -> (Memory, Vec<Machine>),
+        ops: &'a [ExploreOp],
+        check: &'a mut dyn FnMut(&History) -> bool,
+        cfg: ExploreConfig,
+        shared: Option<&'a SharedSearch>,
+    ) -> Self {
+        let (mem, machines) = setup();
+        assert_eq!(machines.len(), ops.len(), "setup/ops arity mismatch");
+        let n = machines.len();
+        let base = mem.steps();
+        Explorer {
+            setup,
+            ops,
+            check,
+            cfg,
+            shared,
+            mem,
+            base,
+            enabled: machines.iter().map(Machine::enabled).collect(),
+            machines,
+            resp_log: vec![Vec::new(); n],
+            first_step: vec![None; n],
+            completed_at: vec![None; n],
+            prefix: Vec::new(),
+            crashed: 0,
+            crashes_left: cfg.max_crashes,
+            schedules: 0,
+            truncated: false,
+            violation: None,
+            violation_crashed: Vec::new(),
+            stats: ExploreStats::default(),
+        }
+    }
+
     /// Executes one step of operation `idx` against `mem`, recording
-    /// everything needed to undo it.
+    /// everything needed to undo it. A machine left behind by a
+    /// backtrack is rebuilt first.
     fn step_forward(&mut self, idx: usize) -> StepInfo {
-        let prim = self.machines[idx].enabled().expect("runnable step exists");
+        let prim = self.enabled[idx].expect("runnable step exists");
+        if self.machines[idx].steps() > self.resp_log[idx].len() {
+            self.rebuild(idx);
+        }
+        debug_assert_eq!(
+            self.machines[idx].enabled(),
+            Some(prim),
+            "setup must be deterministic"
+        );
         let was_first = self.first_step[idx].is_none();
         let t = self.mem.steps();
         let resp = self.mem.apply(self.ops[idx].pid, prim);
@@ -286,6 +343,7 @@ impl Explorer<'_> {
             self.stats.cas_fail += 1;
         }
         let finished = self.machines[idx].feed(resp);
+        self.enabled[idx] = self.machines[idx].enabled();
         self.resp_log[idx].push(resp);
         if was_first {
             self.first_step[idx] = Some(t);
@@ -300,52 +358,43 @@ impl Explorer<'_> {
         self.prefix.push(idx);
         StepInfo {
             idx,
-            obj: prim.obj(),
-            is_read: prim.is_read(),
+            prim,
             was_first,
             was_last: finished,
         }
     }
 
     /// Undoes the step described by `info`: the memory event is reversed
-    /// in `O(1)` and the stepped machine is rebuilt from a fresh machine
-    /// by re-feeding its remaining recorded responses.
+    /// in `O(1)`, the response is popped, and the undone primitive is the
+    /// operation's enabled event again. The machine is left behind.
     fn step_back(&mut self, info: &StepInfo) {
         self.prefix.pop();
         let idx = info.idx;
         self.mem.undo_last();
         self.resp_log[idx].pop();
+        self.enabled[idx] = Some(info.prim);
         if info.was_last {
             self.completed_at[idx] = None;
         }
         if info.was_first {
             self.first_step[idx] = None;
         }
-        let mut m = self.fresh_machine(idx);
-        let refeeds = self.resp_log[idx].len();
-        for i in 0..refeeds {
-            m.feed(self.resp_log[idx][i]);
-        }
-        self.stats.replay_steps_saved =
-            self.stats.replay_steps_saved.saturating_sub(refeeds as u64);
-        self.machines[idx] = m;
     }
 
-    /// A never-stepped machine for operation `idx`, from the pool —
-    /// refilled by calling `setup` again (deterministic by contract; the
-    /// extra memory it builds is discarded).
-    fn fresh_machine(&mut self, idx: usize) -> Machine {
-        if let Some(m) = self.spare[idx].pop() {
-            return m;
+    /// Brings operation `idx`'s machine back to its response log: one
+    /// fresh machine from `setup` (deterministic by contract; the memory
+    /// and other machines it builds are dropped), re-fed every logged
+    /// response.
+    fn rebuild(&mut self, idx: usize) {
+        let (_, mut fresh) = (self.setup)();
+        assert_eq!(fresh.len(), self.ops.len(), "setup/ops arity mismatch");
+        let mut m = fresh.swap_remove(idx);
+        for &resp in &self.resp_log[idx] {
+            m.feed(resp);
         }
-        let (_, machines) = (self.setup)();
-        assert_eq!(machines.len(), self.ops.len(), "setup/ops arity mismatch");
-        for (j, m) in machines.into_iter().enumerate() {
-            self.spare[j].push(m);
-        }
-        self.spare[idx]
-            .pop()
-            .expect("setup provides one machine per op")
+        let refeeds = self.resp_log[idx].len() as u64;
+        self.stats.replay_steps_saved = self.stats.replay_steps_saved.saturating_sub(refeeds);
+        self.machines[idx] = m;
     }
 
     /// The child's sleep set after executing `info`: every process asleep
@@ -364,16 +413,13 @@ impl Explorer<'_> {
         while inherited != 0 {
             let q = inherited.trailing_zeros() as usize;
             inherited &= inherited - 1;
-            let prim = self.machines[q].enabled().expect("sleeping op is enabled");
+            let prim = self.enabled[q].expect("sleeping op is enabled");
             // Whether q's deferred step would be its operation's *last*
             // is unknown without executing it — assume it could be
             // (conservative: waking a process early never loses a trace
             // class, it only explores more).
             let q_first = self.first_step[q].is_none();
-            if commutes(prim.obj(), prim.is_read(), info)
-                && !info.was_first
-                && !(info.was_last && q_first)
-            {
+            if commutes(prim, info.prim) && !info.was_first && !(info.was_last && q_first) {
                 out |= 1 << q;
             }
         }
@@ -391,7 +437,10 @@ impl Explorer<'_> {
             .iter()
             .enumerate()
             .map(|(i, op)| {
-                let machine = &self.machines[i];
+                // The response log, not the machine: a crashed op's
+                // machine may be behind (it stepped past the crash point
+                // in a sibling subtree before the crash branch ran).
+                let steps = self.resp_log[i].len();
                 if self.crashed & (1 << i) != 0 {
                     let invoke = self.first_step[i].expect("crashed op took an event");
                     debug_assert!(self.completed_at[i].is_none());
@@ -401,11 +450,17 @@ impl Explorer<'_> {
                         invoke,
                         response: None,
                         output: None,
-                        steps: machine.steps(),
+                        steps,
                     };
                 }
+                // A completed op has not been backtracked since it
+                // finished, so its machine is current.
                 let output = if op.returns_value {
-                    OpOutput::Value(machine.result().expect("complete schedule has results"))
+                    OpOutput::Value(
+                        self.machines[i]
+                            .result()
+                            .expect("complete schedule has results"),
+                    )
                 } else {
                     OpOutput::Unit
                 };
@@ -422,12 +477,19 @@ impl Explorer<'_> {
                     invoke,
                     response: Some(response),
                     output: Some(output),
-                    steps: machine.steps(),
+                    steps,
                 }
             })
             .collect();
         recs.sort_by_key(|r| r.invoke);
         recs.into_iter().collect()
+    }
+
+    /// Operations that can step at this node: enabled and not crashed.
+    fn runnable(&self) -> Vec<usize> {
+        (0..self.ops.len())
+            .filter(|&i| self.enabled[i].is_some() && self.crashed & (1 << i) == 0)
+            .collect()
     }
 
     /// Whether another worker already stopped the search (violation or
@@ -469,9 +531,7 @@ impl Explorer<'_> {
             // to reach this node; the incremental scheme paid one step.
             self.stats.replay_steps_saved += (depth - 1) as u64;
         }
-        let runnable: Vec<usize> = (0..self.machines.len())
-            .filter(|&i| !self.machines[i].is_done() && self.crashed & (1 << i) == 0)
-            .collect();
+        let runnable = self.runnable();
         if runnable.is_empty() {
             // Complete schedule (every op done or crashed): build the
             // history and check it.
@@ -560,9 +620,7 @@ impl Explorer<'_> {
             self.mark_truncated();
             return;
         }
-        let runnable: Vec<usize> = (0..self.machines.len())
-            .filter(|&i| !self.machines[i].is_done() && self.crashed & (1 << i) == 0)
-            .collect();
+        let runnable = self.runnable();
         if runnable.is_empty() {
             // Degenerate scope (every op zero-step): exactly one worker
             // checks the single empty schedule.
@@ -586,7 +644,7 @@ impl Explorer<'_> {
                 continue;
             }
             let info = self.step_forward(idx);
-            debug_assert_eq!(info.obj, infos[rank].obj, "setup must be deterministic");
+            debug_assert_eq!(info.prim, infos[rank].prim, "setup must be deterministic");
             let child_sleep = if self.cfg.prune {
                 infos[..rank]
                     .iter()
@@ -621,10 +679,12 @@ impl Explorer<'_> {
 /// Explores interleavings of one-shot operations under `cfg`.
 ///
 /// * `setup` — builds a fresh memory and machines; must be
-///   deterministic (it is re-invoked to refill the machine pool). It may
-///   pre-run seed operations solo before returning: exploration starts
-///   from whatever state `setup` leaves, and recorded ticks are absolute
-///   positions in that memory's event log.
+///   deterministic (it is re-invoked whenever a machine left behind by a
+///   backtrack steps again, and only that one machine is kept, so keep
+///   the call cheap). It may pre-run seed operations solo before
+///   returning: exploration starts from whatever state `setup` leaves,
+///   and recorded ticks are absolute positions in that memory's event
+///   log.
 /// * `ops` — descriptions matching `setup`'s machines (same order).
 /// * `check` — called with each complete execution's history; returning
 ///   `false` marks the schedule as a violation and stops the search.
@@ -649,32 +709,7 @@ pub fn explore(
         "explorer supports at most 64 operations, got {}",
         ops.len()
     );
-    let (mem, machines) = setup();
-    assert_eq!(machines.len(), ops.len(), "setup/ops arity mismatch");
-    let n = machines.len();
-    let base = mem.steps();
-    let mut explorer = Explorer {
-        setup,
-        ops,
-        check,
-        cfg,
-        shared: None,
-        mem,
-        base,
-        machines,
-        resp_log: vec![Vec::new(); n],
-        spare: (0..n).map(|_| Vec::new()).collect(),
-        first_step: vec![None; n],
-        completed_at: vec![None; n],
-        prefix: Vec::new(),
-        crashed: 0,
-        crashes_left: cfg.max_crashes,
-        schedules: 0,
-        truncated: false,
-        violation: None,
-        violation_crashed: Vec::new(),
-        stats: ExploreStats::default(),
-    };
+    let mut explorer = Explorer::new(setup, ops, check, cfg, None);
     explorer.dfs(0);
     let mut stats = explorer.stats;
     stats.schedules = explorer.schedules;
@@ -743,33 +778,9 @@ pub fn explore_parallel(
             .map(|w| {
                 let shared = &shared;
                 scope.spawn(move || {
-                    let (mem, machines) = setup();
-                    assert_eq!(machines.len(), ops.len(), "setup/ops arity mismatch");
-                    let n = machines.len();
-                    let base = mem.steps();
                     let mut local_check = |h: &History| check(h);
-                    let mut explorer = Explorer {
-                        setup,
-                        ops,
-                        check: &mut local_check,
-                        cfg,
-                        shared: Some(shared),
-                        mem,
-                        base,
-                        machines,
-                        resp_log: vec![Vec::new(); n],
-                        spare: (0..n).map(|_| Vec::new()).collect(),
-                        first_step: vec![None; n],
-                        completed_at: vec![None; n],
-                        prefix: Vec::new(),
-                        crashed: 0,
-                        crashes_left: cfg.max_crashes,
-                        schedules: 0,
-                        truncated: false,
-                        violation: None,
-                        violation_crashed: Vec::new(),
-                        stats: ExploreStats::default(),
-                    };
+                    let mut explorer =
+                        Explorer::new(setup, ops, &mut local_check, cfg, Some(shared));
                     explorer.run_root_partition(w, workers);
                     WorkerResult {
                         schedules: explorer.schedules,
@@ -882,6 +893,8 @@ pub fn history_is_wellformed(history: &History) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::lin::check_counter;
     use crate::{cas, done, read, write, ObjId, Step};
@@ -1540,6 +1553,109 @@ mod tests {
         let (pruned, pruned_n) = collect(true);
         assert!(pruned_n <= full_n);
         assert_eq!(full, pruned, "crash pruning changed the history set");
+    }
+
+    /// `n` writes to `o` in a row. The continuation chain holds `token`
+    /// until the last write completes.
+    fn writes(o: ObjId, n: Word, token: Arc<()>) -> Step {
+        if n == 0 {
+            drop(token);
+            done(0)
+        } else {
+            write(o, n, move || writes(o, n - 1, token))
+        }
+    }
+
+    #[test]
+    fn backtracking_keeps_no_unfinished_machine_alive() {
+        // Every machine holds a clone of `token` until it completes, so
+        // at a complete schedule (every machine done) any count above
+        // the test's own reference is an unfinished machine kept alive.
+        let token = Arc::new(());
+        let setup = || {
+            let mut mem = Memory::new();
+            let a = mem.alloc(0);
+            let reader = || {
+                let t = Arc::clone(&token);
+                Machine::new(read(a, move |v| {
+                    drop(t);
+                    done(v)
+                }))
+            };
+            let writer = Machine::new(writes(a, 6, Arc::clone(&token)));
+            (mem, vec![writer, reader(), reader()])
+        };
+        let ops: Vec<ExploreOp> = [OpDesc::WriteMax(6), OpDesc::ReadMax, OpDesc::ReadMax]
+            .into_iter()
+            .enumerate()
+            .map(|(i, desc)| ExploreOp {
+                pid: ProcessId(i),
+                returns_value: i > 0,
+                desc,
+            })
+            .collect();
+        let mut alive = Vec::new();
+        let summary = enumerate(
+            &setup,
+            &ops,
+            &mut |_| {
+                alive.push(Arc::strong_count(&token) - 1);
+                true
+            },
+            1_000,
+        );
+        // C(8, 6) * 2 interleavings of a 6-step op and two 1-step ops.
+        assert_eq!(summary.schedules, 56);
+        assert_eq!(alive, vec![0; 56], "unfinished machines alive per schedule");
+        assert_eq!(Arc::strong_count(&token), 1);
+    }
+
+    #[test]
+    fn crashed_ops_report_the_steps_they_took() {
+        // Each crash branch runs after the sibling subtree in which the
+        // crashed op stepped past its crash point and was backtracked:
+        // its pending record must count the events on the current path,
+        // not what its machine was last fed.
+        let setup = || {
+            let mut mem = Memory::new();
+            let a = mem.alloc(0);
+            let machines = vec![
+                Machine::new(writes(a, 3, Arc::default())),
+                Machine::new(read(a, done)),
+            ];
+            (mem, machines)
+        };
+        let ops = vec![
+            ExploreOp {
+                pid: ProcessId(0),
+                desc: OpDesc::WriteMax(3),
+                returns_value: false,
+            },
+            ExploreOp {
+                pid: ProcessId(1),
+                desc: OpDesc::ReadMax,
+                returns_value: true,
+            },
+        ];
+        let mut pending_steps = Vec::new();
+        let summary = explore(
+            &setup,
+            &ops,
+            &mut |h| {
+                pending_steps.extend(h.pending().map(|p| p.steps));
+                true
+            },
+            ExploreConfig {
+                max_schedules: 1_000,
+                prune: false,
+                max_crashes: 1,
+            },
+        );
+        // 4 crash-free schedules, and the writer crashed after its first
+        // write (the reader before or after it) or its second (3 places).
+        assert_eq!(summary.schedules, 9);
+        pending_steps.sort_unstable();
+        assert_eq!(pending_steps, [1, 1, 2, 2, 2]);
     }
 
     #[test]
