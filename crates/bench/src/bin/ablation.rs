@@ -9,6 +9,12 @@
 //!    (repeat-write steps) and what the literal early return loses
 //!    (violations under exploration).
 //!
+//! Every explored schedule is decided by the complete interval checker
+//! (`check_interval`), so the bin is also a canary for it: it exits 1
+//! unless one CAS per level and the literal early return are caught
+//! violating linearizability, and two or three CASes per level are not
+//! within the budget.
+//!
 //! Run with `cargo run --release -p ruo-bench --bin ablation`.
 
 use std::sync::Arc;
@@ -17,12 +23,16 @@ use ruo_bench::{run_solo, Table};
 use ruo_core::maxreg::sim::{SimMaxRegister, SimTreeMaxRegister};
 use ruo_core::shape::AlgorithmATree;
 use ruo_sim::explore::{enumerate, ExploreOp};
-use ruo_sim::lin::check_max_register;
+use ruo_sim::lin::check_interval;
+use ruo_sim::spec::SeqSpec;
 use ruo_sim::{
     cas, done, read, write, Machine, Memory, ObjId, OpDesc, ProcessId, Step, Word, NEG_INF,
 };
 
 type Levels = Arc<Vec<(ObjId, Option<ObjId>, Option<ObjId>)>>;
+
+/// The spec every explored history is checked against.
+const SPEC: SeqSpec = SeqSpec::MaxRegister { initial: 0 };
 
 /// A configurable Algorithm A write machine: `cas_attempts` per level,
 /// and optional helping on the dominated path.
@@ -149,7 +159,7 @@ fn explore_variant(cas_attempts: u8, budget: usize) -> (usize, bool) {
     let summary = enumerate(
         &setup,
         &ops,
-        &mut |h| check_max_register(h, 0).is_ok(),
+        &mut |h| check_interval(h, &SPEC).is_ok(),
         budget,
     );
     (summary.schedules, summary.violation.is_some())
@@ -166,8 +176,11 @@ fn main() {
         "schedules explored",
         "violation found",
     ]);
+    let mut canary_ok = true;
     for attempts in [1u8, 2, 3] {
         let (schedules, violated) = explore_variant(attempts, 400_000);
+        // One attempt must lose a write; two or three must not.
+        canary_ok &= violated == (attempts == 1);
         t.row(vec![
             attempts.to_string(),
             schedules.to_string(),
@@ -240,7 +253,7 @@ fn main() {
     let summary = enumerate(
         &setup,
         &ops,
-        &mut |h| check_max_register(h, 0).is_ok(),
+        &mut |h| check_interval(h, &SPEC).is_ok(),
         400_000,
     );
     println!(
@@ -250,4 +263,9 @@ fn main() {
     );
     println!("Helping costs a leaf-depth propagation on repeats of small values and");
     println!("restores linearizability; TR repeats stay at one step either way.");
+    canary_ok &= summary.violation.is_some();
+    if !canary_ok {
+        eprintln!("ablation: a verdict changed (expected: 1 CAS/level and the literal early return violate; 2 and 3 CASes do not)");
+        std::process::exit(1);
+    }
 }

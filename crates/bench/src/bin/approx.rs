@@ -17,7 +17,7 @@
 //!   faces across thread counts and read-heavy / write-heavy mixes,
 //!   via [`ruo_scenario::run_real`] like the W4 harness.
 //!
-//! Every simulated history is checked (fast family checkers at the
+//! Every simulated history is checked (the interval checker at the
 //! cell's accuracy factor); a violation exits nonzero — the bench
 //! doubles as an envelope gate.
 //!
@@ -27,8 +27,7 @@
 use ruo_bench::doc::BenchDoc;
 use ruo_metrics::Json;
 use ruo_scenario::{
-    registry, run_real, AccuracySpec, CheckerKind, EngineKind, Family, ImplEntry, RealSpec,
-    ScenarioSpec,
+    registry, run_real, AccuracySpec, EngineKind, Family, ImplEntry, RealSpec, ScenarioSpec,
 };
 use ruo_scenario::{run_sim_seed, SimSeedRun};
 use ruo_sim::{FaultPlan, OpDesc};
@@ -132,7 +131,6 @@ fn cell_spec(entry: &'static ImplEntry, k: u64, n: usize, engine: EngineKind) ->
     );
     spec.read_pct = 50;
     spec.value_bound = VALUE_BOUND;
-    spec.checker = CheckerKind::Fast;
     if k > 1 {
         spec.accuracy = Some(AccuracySpec { k });
     }

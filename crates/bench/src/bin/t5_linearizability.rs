@@ -1,8 +1,8 @@
 //! Experiment T5 — Theorem 5: linearizability of Algorithm A (and every
-//! other implementation), verified three ways:
+//! other implementation), verified three ways, each history decided by
+//! the complete interval checker (`check_interval`):
 //!
-//! 1. randomized adversarial schedules through the sound per-object
-//!    checkers,
+//! 1. randomized adversarial schedules,
 //! 2. exhaustive small-scope exploration (bounded model checking),
 //! 3. real-thread histories, tick-stamped and checked.
 //!
@@ -23,11 +23,15 @@ use ruo_core::maxreg::sim::{
 use ruo_core::maxreg::{AacMaxRegister, CasRetryMaxRegister, FArrayMaxRegister, TreeMaxRegister};
 use ruo_core::MaxRegister;
 use ruo_sim::explore::{enumerate, ExploreOp};
-use ruo_sim::lin::check_max_register;
+use ruo_sim::lin::check_interval;
 use ruo_sim::recorder::ThreadRecorder;
+use ruo_sim::spec::SeqSpec;
 use ruo_sim::{
     Executor, Memory, OpDesc, OpOutput, OpSpec, ProcessId, RandomScheduler, WorkloadBuilder,
 };
+
+/// The spec every history here is checked against.
+const SPEC: SeqSpec = SeqSpec::MaxRegister { initial: 0 };
 
 /// Randomized-schedule pass: `seeds` executions of a mixed workload.
 fn random_pass(
@@ -60,7 +64,7 @@ fn random_pass(
             }
         }
         let outcome = Executor::new().run(&mut mem, w, &mut RandomScheduler::new(seed));
-        if outcome.all_done && check_max_register(&outcome.history, 0).is_ok() {
+        if outcome.all_done && check_interval(&outcome.history, &SPEC).is_ok() {
             ok += 1;
         }
     }
@@ -101,7 +105,7 @@ fn exhaustive_pass(
     let summary = enumerate(
         &setup,
         &ops,
-        &mut |h| check_max_register(h, 0).is_ok(),
+        &mut |h| check_interval(h, &SPEC).is_ok(),
         500_000,
     );
     let verdict = if summary.violation.is_some() {
@@ -119,7 +123,7 @@ fn thread_pass<R: MaxRegister>(reg: &R) -> bool {
     let rec = ThreadRecorder::new();
     let threads = 4;
     crossbeam_utils_shim(reg, &rec, threads);
-    check_max_register(&rec.history(), 0).is_ok()
+    check_interval(&rec.history(), &SPEC).is_ok()
 }
 
 /// Thread driver (std threads keep bench deps lean).

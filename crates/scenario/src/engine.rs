@@ -23,10 +23,7 @@ use ruo_metrics::{
     PrimCounts, ProgressCertifier, SeriesSampler, StepStats, StepTrace, Watermark,
 };
 use ruo_sim::explore::{explore, explore_parallel, ExploreConfig, ExploreOp};
-use ruo_sim::lin::{
-    check_counter_k, check_exact_k, check_interval_k, check_max_register_k, check_snapshot,
-    Violation,
-};
+use ruo_sim::lin::{check_exact_k, check_interval_k, Violation};
 use ruo_sim::spec::SeqSpec;
 use ruo_sim::stepcount::CountingMem;
 use ruo_sim::{
@@ -126,46 +123,49 @@ pub fn run_with_watchdog(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioRep
 }
 
 /// The checker that actually decides this spec's histories: `auto`
-/// resolves to the WGL interval checker for sim and real histories
-/// (exact verdicts at any size) and to the family's fast checker for
-/// the explore engine (millions of tiny histories, where the fast
-/// checkers' linear scans win). Explicit choices pass through, so a
-/// spec can still pin `fast`, `interval` or `exact`. Reports record
-/// the resolved name in their `checker` field.
+/// resolves to the WGL interval checker on every engine (exact verdicts
+/// at any size; on the explorer's tiny histories a call costs a few
+/// percent of a schedule). An explicit `exact` passes through. Reports
+/// record the resolved name in their `checker` field.
 pub fn resolve_checker(spec: &ScenarioSpec) -> CheckerKind {
-    match (spec.checker, spec.engine) {
-        (CheckerKind::Auto, EngineKind::Explore) => CheckerKind::Fast,
-        (CheckerKind::Auto, _) => CheckerKind::Interval,
-        (explicit, _) => explicit,
+    match spec.checker {
+        CheckerKind::Auto => CheckerKind::Interval,
+        explicit => explicit,
     }
 }
 
 /// Checks a history against the spec's checker choice.
 pub fn check_history(spec: &ScenarioSpec, history: &History) -> Result<(), Violation> {
-    check_history_from(spec, history, 0)
+    check_with(
+        resolve_checker(spec),
+        history,
+        &seq_spec(spec, 0),
+        spec.accuracy_k(),
+    )
 }
 
-fn check_history_from(
-    spec: &ScenarioSpec,
-    history: &History,
-    initial: i64,
-) -> Result<(), Violation> {
-    let seq = || match spec.family {
+/// The sequential spec of the scenario's family; `initial` is a max
+/// register's starting value.
+fn seq_spec(spec: &ScenarioSpec, initial: i64) -> SeqSpec {
+    match spec.family {
         Family::MaxReg => SeqSpec::MaxRegister { initial },
         Family::Counter => SeqSpec::Counter,
         Family::Snapshot => SeqSpec::Snapshot {
             n: spec.n,
             initial: 0,
         },
-    };
-    let k = spec.accuracy_k();
-    match (resolve_checker(spec), spec.family) {
-        (CheckerKind::Auto, _) => unreachable!("resolve_checker never returns Auto"),
-        (CheckerKind::Fast, Family::MaxReg) => check_max_register_k(history, initial, k),
-        (CheckerKind::Fast, Family::Counter) => check_counter_k(history, k),
-        (CheckerKind::Fast, Family::Snapshot) => check_snapshot(history, spec.n, 0),
-        (CheckerKind::Interval, _) => check_interval_k(history, &seq(), k),
-        (CheckerKind::Exact, _) => check_exact_k(history, &seq(), k),
+    }
+}
+
+fn check_with(
+    checker: CheckerKind,
+    history: &History,
+    seq: &SeqSpec,
+    k: u64,
+) -> Result<(), Violation> {
+    match checker {
+        CheckerKind::Exact => check_exact_k(history, seq, k),
+        CheckerKind::Auto | CheckerKind::Interval => check_interval_k(history, seq, k),
     }
 }
 
@@ -994,7 +994,7 @@ impl std::fmt::Debug for ExploreParts {
 ///
 /// Snapshot scopes are unsupported (scan results are vectors, which the
 /// explorer's single-word op results cannot carry), as are seed updates
-/// on counters (the counter checker has no initial-value parameter).
+/// on counters (the counter spec always starts at zero).
 pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
     let entry = find(spec.family, &spec.impl_id)?;
     if !entry.has_sim() {
@@ -1026,7 +1026,7 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
     if espec.seed_update.is_some() && spec.family != Family::MaxReg {
         return Err(EngineError::Unsupported(
             "seed_update is only meaningful for max registers \
-             (the counter checker has no initial-value parameter)"
+             (the counter spec always starts at zero)"
                 .into(),
         ));
     }
@@ -1151,28 +1151,10 @@ pub fn run_explore(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, E
         prune: espec.prune,
         max_crashes: espec.max_crashes,
     };
-    let initial = parts.initial;
     let ckind = resolve_checker(spec);
-    let family = spec.family;
+    let seq = seq_spec(spec, parts.initial);
     let k = spec.accuracy_k();
-    let verdict = move |h: &History| -> bool {
-        match (ckind, family) {
-            (CheckerKind::Auto, _) => unreachable!("resolve_checker never returns Auto"),
-            (CheckerKind::Fast, Family::MaxReg) => check_max_register_k(h, initial, k).is_ok(),
-            (CheckerKind::Fast, Family::Counter) => check_counter_k(h, k).is_ok(),
-            (CheckerKind::Interval, Family::MaxReg) => {
-                check_interval_k(h, &SeqSpec::MaxRegister { initial }, k).is_ok()
-            }
-            (CheckerKind::Interval, Family::Counter) => {
-                check_interval_k(h, &SeqSpec::Counter, k).is_ok()
-            }
-            (CheckerKind::Exact, Family::MaxReg) => {
-                check_exact_k(h, &SeqSpec::MaxRegister { initial }, k).is_ok()
-            }
-            (CheckerKind::Exact, Family::Counter) => check_exact_k(h, &SeqSpec::Counter, k).is_ok(),
-            (_, Family::Snapshot) => unreachable!("rejected by explore_parts"),
-        }
-    };
+    let verdict = |h: &History| check_with(ckind, h, &seq, k).is_ok();
     let mut steps = wants_steps(spec).then(StepStats::new);
     let start = Instant::now();
     let summary = if espec.workers > 1 {
@@ -1293,7 +1275,7 @@ mod tests {
     fn accuracy_k_runs_approx_faces_under_every_checker() {
         use crate::spec::AccuracySpec;
         for family in [Family::Counter, Family::MaxReg] {
-            for checker in [CheckerKind::Fast, CheckerKind::Interval, CheckerKind::Exact] {
+            for checker in [CheckerKind::Interval, CheckerKind::Exact] {
                 let mut spec = ScenarioSpec::new("t", family, "approx", EngineKind::Sim, 3);
                 spec.seeds = 5;
                 spec.ops_per_process = 4;
@@ -1365,7 +1347,7 @@ mod tests {
         });
         let r = run_explore(&spec, false).unwrap();
         assert!(r.ok, "notes: {:?}", r.notes);
-        assert_eq!(r.checker.as_deref(), Some("fast"));
+        assert_eq!(r.checker.as_deref(), Some("interval"));
         assert!(r.counter("schedules").unwrap() > 1);
         assert!(r.counter("crash_branches").unwrap() > 0);
         // The same scope searched by 4 workers visits the same node

@@ -54,9 +54,9 @@ pub struct ScenarioReport {
     /// no truncated searches.
     pub ok: bool,
     /// The checker that actually decided this run's histories (the
-    /// spec's `auto` resolved to a concrete checker) — `"fast"`,
-    /// `"interval"` or `"exact"`. `None` for engines that verify
-    /// nothing (the real engine certifies progress, not histories).
+    /// spec's `auto` resolved to a concrete checker) — `"interval"` or
+    /// `"exact"`. `None` for engines that verify nothing (the real
+    /// engine certifies progress, not histories).
     pub checker: Option<String>,
     /// Ordered integer counters.
     pub counters: Vec<(String, u64)>,

@@ -118,19 +118,16 @@ impl OpMix {
     }
 }
 
-/// Which checker validates histories.
+/// Which checker validates histories. Both are complete: they decide
+/// linearizability exactly, so the choice never changes a verdict.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CheckerKind {
-    /// Let the engine pick: the WGL interval checker for sim and real
-    /// histories (decides any size), the fast per-object checker for
-    /// the explore engine's millions of tiny histories. The report's
-    /// `checker` field records what actually ran.
+    /// Let the engine pick: the WGL interval checker, on every engine.
+    /// The report's `checker` field records what actually ran.
     Auto,
-    /// The family's fast linear-time checker
-    /// (`check_max_register` / `check_counter` / `check_snapshot`).
-    Fast,
     /// The WGL interval linearizability checker (`check_interval`) —
-    /// exact verdicts with no history-size cap.
+    /// exact verdicts with no history-size cap, and a named culprit on
+    /// rejection.
     Interval,
     /// The bitmask exact linearizability checker (`check_exact`) —
     /// histories of at most 63 operations.
@@ -142,7 +139,6 @@ impl CheckerKind {
     pub fn name(self) -> &'static str {
         match self {
             CheckerKind::Auto => "auto",
-            CheckerKind::Fast => "fast",
             CheckerKind::Interval => "interval",
             CheckerKind::Exact => "exact",
         }
@@ -151,7 +147,6 @@ impl CheckerKind {
     fn parse(s: &str) -> Option<Self> {
         match s {
             "auto" => Some(CheckerKind::Auto),
-            "fast" => Some(CheckerKind::Fast),
             "interval" => Some(CheckerKind::Interval),
             "exact" => Some(CheckerKind::Exact),
             _ => None,
@@ -606,7 +601,7 @@ impl ScenarioSpec {
         if let Some(s) = opt_str(&doc, "checker")? {
             spec.checker = match CheckerKind::parse(s) {
                 Some(c) => c,
-                None => return err("\"checker\" must be auto | fast | interval | exact"),
+                None => return err("\"checker\" must be auto | interval | exact"),
             };
         }
         if let Some(b) = opt_bool(&doc, "certify")? {

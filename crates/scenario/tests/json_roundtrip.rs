@@ -75,10 +75,9 @@ fn random_spec(rng: &mut SplitMix64) -> ScenarioSpec {
                 .collect(),
         }),
     };
-    spec.checker = match rng.gen_index(5) {
-        0 => CheckerKind::Fast,
-        1 => CheckerKind::Interval,
-        2 => CheckerKind::Exact,
+    spec.checker = match rng.gen_index(3) {
+        0 => CheckerKind::Interval,
+        1 => CheckerKind::Exact,
         _ => CheckerKind::Auto,
     };
     spec.certify = rng.gen_bool(0.3);

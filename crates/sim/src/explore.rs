@@ -896,7 +896,8 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
-    use crate::lin::check_counter;
+    use crate::lin::check_interval;
+    use crate::spec::SeqSpec;
     use crate::{cas, done, read, write, ObjId, Step};
 
     fn incr(o: ObjId) -> Step {
@@ -963,7 +964,7 @@ mod tests {
                 // Completing history: counter checker accepts iff every
                 // feasible read... no reads here, but the final count is
                 // implicit: verify via history validity + count.
-                check_counter(h).is_ok()
+                check_interval(h, &SeqSpec::Counter).is_ok()
             },
             200_000,
         );
@@ -1362,7 +1363,7 @@ mod tests {
                 } else {
                     complete_histories += 1;
                 }
-                check_counter(h).is_ok()
+                check_interval(h, &SeqSpec::Counter).is_ok()
             },
             ExploreConfig {
                 max_schedules: 100_000,

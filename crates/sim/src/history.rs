@@ -95,6 +95,16 @@ impl OpOutput {
     }
 }
 
+impl fmt::Display for OpOutput {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            OpOutput::Unit => write!(f, "()"),
+            OpOutput::Value(v) => write!(f, "{v}"),
+            OpOutput::Vector(v) => write!(f, "{v:?}"),
+        }
+    }
+}
+
 /// One completed (or still-pending) operation instance in a history.
 ///
 /// # Invariant

@@ -21,9 +21,11 @@
 //! * [`Scheduler`] implementations — round-robin, seeded-random, and solo
 //!   (obstruction-free) schedules — plus an [`Executor`] that runs whole
 //!   workloads and records invocation/response [`History`]s.
-//! * Linearizability checking ([`lin`]) — an exact search for small
-//!   histories and specialized sound checkers for the paper's three
-//!   object families (max registers, counters, single-writer snapshots).
+//! * Linearizability checking ([`lin`]) — one complete search over a
+//!   chain decomposition of the interval order that decides histories of
+//!   any length, for the paper's three object families (max registers,
+//!   counters, single-writer snapshots), and a bitmask search for small
+//!   histories as its differential oracle.
 //!
 //! Step counts measured here are *exactly* the complexity measure used by
 //! the paper, which is the point of simulating instead of timing.

@@ -1,136 +1,277 @@
 //! Interval linearizability checking at scale (Wing–Gong–Lowe style).
 //!
-//! [`check_exact`](super::check_exact) is a complete decision procedure
-//! but refuses histories over 63 operations: its linearized set is a
-//! `u64` bitmask. This module removes the cap. [`check_interval`] runs
-//! the same search — happens-before over invocation/response intervals,
-//! an in-degree-zero frontier of linearizable candidates, depth-first
-//! search with a memo of failed `(linearized set, sequential-spec
-//! state)` pairs — over a representation that scales to histories of
-//! tens of thousands of operations.
+//! [`check_interval`] decides every linearizability verdict in the
+//! workspace: sim and real histories of any length, and each of the
+//! explorer's schedules. [`check_exact`](super::check_exact) runs the
+//! same search over a `u64` bitmask of linearized operations, so it
+//! refuses histories over 63 operations; it is this checker's
+//! differential oracle. Both search happens-before over
+//! invocation/response intervals: an in-degree-zero frontier of
+//! linearizable candidates, depth-first, with a memo of failed
+//! `(linearized set, sequential-spec state)` pairs.
 //!
 //! # How the representation scales
 //!
 //! The precedence relation of a history is an **interval order**
 //! (`a` precedes `b` iff `a.response <= b.invoke`). Interval orders
-//! admit a minimum *chain decomposition* computed greedily in
-//! `O(n log n)`: walking operations by invocation tick and appending
-//! each to any chain whose last response is `<= invoke` partitions the
-//! history into `w` chains, where `w` is the maximum number of mutually
-//! overlapping operations (for executor histories, at most the process
-//! count plus crash-pending operations). Two facts make chains the
-//! right search state:
+//! admit a minimum *chain decomposition* computed greedily: walking the
+//! operations in invocation order and appending each to the chain whose
+//! last response is the latest one `<= invoke` (the *best fit*)
+//! partitions the history into `w` chains, where `w` is the maximum
+//! number of mutually overlapping operations (for executor histories, at
+//! most the process count plus crash-pending operations). A history
+//! stores its operations in invocation order ([`History::push`] asserts
+//! it), so the walk needs no sort, and the best fit is a scan of the `w`
+//! chain tails: `O(n·w)` with no tree. (Out of order, the walk still
+//! yields valid chains, only possibly more of them.) Each chain is a
+//! linked list through a `next` array. Two facts make chains the right
+//! search state:
 //!
 //! * Every set linearized by a partial search is a *down-set* of the
-//!   precedence order, and a down-set is exactly a position per chain —
-//!   the search state is a `Vec<u32>` of length `w`, not a bitmask of
-//!   length `n`.
+//!   precedence order, and a down-set is exactly a head per chain — the
+//!   search state is `w` op indices, not a bitmask of length `n`.
 //! * Responses strictly increase along a chain, so "all predecessors of
 //!   op `i` are linearized" reduces to "no other chain's head precedes
 //!   `i`" — the in-degree-zero frontier is computable from the `w`
 //!   chain heads alone, in `O(w)` per node.
 //!
-//! The memo keys failed states by `(chain positions, spec state)`, the
-//! direct analogue of `check_exact`'s `(bitmask, spec state)`; the DFS
-//! is iterative (explicit stack), so history length never threatens the
-//! call stack. Verdict semantics are identical to `check_exact` — the
-//! completion rule for pending operations (each may linearize anywhere
-//! after its invocation or be omitted), `Unit` expected outputs acting
-//! as wildcards, acceptance once every *complete* operation is
-//! linearized — and `crates/sim/tests/interval_vs_exact.rs` fuzzes the
-//! two checkers differentially on every [`SeqSpec`].
+//! # No allocation per node
+//!
+//! The DFS is iterative (explicit stack), so history length never
+//! threatens the call stack, and a search node allocates nothing:
+//!
+//! * All frames' frontiers share one arena, behind the chains' `next`
+//!   links in the same allocation. A frame holds where its frontier
+//!   starts and a cursor into it; a child's frontier is appended behind
+//!   it, and the arena is truncated when the child is popped. The
+//!   frontier is built in place and insertion-sorted (reads first, then
+//!   earliest response first), since `w` is small. The arena and the
+//!   frame stack are sized up front, so an accepting check of a small
+//!   history allocates three times in all: the arena, the chain heads
+//!   and the stack.
+//! * The memo keys failed states by `(chain heads, spec state)`, the
+//!   direct analogue of `check_exact`'s `(bitmask, spec state)`. It is
+//!   made at the first dead end, and probed only at a depth (number of
+//!   ops linearized) where it holds an entry: the heads of a state fix
+//!   its depth, so no other probe can hit. An accepting check of a
+//!   crash-injected history meets a handful of dead ends at most, so it
+//!   almost never hashes.
+//!
+//! Verdict semantics are identical to `check_exact` — the completion
+//! rule for pending operations (each may linearize anywhere after its
+//! invocation or be omitted), `Unit` expected outputs acting as
+//! wildcards, acceptance once every *complete* operation is linearized —
+//! and `crates/sim/tests/interval_vs_exact.rs` fuzzes the two checkers
+//! differentially on every [`SeqSpec`].
+//!
+//! # The culprit
+//!
+//! A rejection names where the search got stuck. When a frame is popped
+//! deeper than any before it, the chain heads and the spec state there
+//! are copied aside (into a buffer allocated once, so the accepting path
+//! pays nothing). The [`Violation`]'s detail then says how many of the
+//! `n` operations that longest partial linearization covered and lists
+//! each frontier op at that point: a read with the value it returned
+//! and the value the spec needed there, an update as `update; every
+//! continuation failed`.
 //!
 //! Worst-case cost is still exponential in the overlap width `w` (the
 //! problem is NP-hard in general), but `w` is small for histories
 //! produced by `N`-process executions, and the memo makes the common
 //! linearizable case near-linear.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use super::{output_within_k, Violation, ViolationKind};
 use crate::history::{History, OpRecord};
 use crate::spec::{SeqSpec, SpecState};
 
-/// One DFS node: the spec state on arrival, the frontier of enabled
-/// chains, a cursor into it, and which chain was advanced to get here
-/// (`u32::MAX` for the root).
-struct Frame {
-    state: SpecState,
-    cands: Vec<u32>,
-    next: usize,
-    came_via: u32,
-}
+/// No op: past a chain's end, or the root frame's missing last step.
+const NONE: u32 = u32::MAX;
 
-/// Greedy minimum chain decomposition of the interval order, processing
-/// operations by invocation tick. Returns chains of indices into `ops`;
-/// consecutive chain elements satisfy `prev.response <= next.invoke`,
-/// so responses strictly increase along each chain and a pending
-/// operation is always the last element of its chain.
-fn chain_decomposition(ops: &[OpRecord]) -> Vec<Vec<usize>> {
-    let mut order: Vec<usize> = (0..ops.len()).collect();
-    order.sort_by_key(|&i| ops[i].invoke);
+/// A pending op's response: it precedes nothing and is tried last.
+const NEVER: usize = usize::MAX;
 
-    let mut chains: Vec<Vec<usize>> = Vec::new();
-    // Chains available for extension, keyed by their last response.
-    let mut avail: BTreeSet<(usize, usize)> = BTreeSet::new();
-    for i in order {
-        let op = &ops[i];
-        let c = match avail.range(..=(op.invoke, usize::MAX)).next_back().copied() {
-            Some(key) => {
-                avail.remove(&key);
-                key.1
+/// Builds the greedy minimum chain decomposition of the interval
+/// order and returns each chain's first op. The chains are linked
+/// lists: on return `links[..n]` is the only content of `links`, and
+/// `links[i]` is the op after `i` on its chain, or [`NONE`].
+/// Consecutive ops on a chain satisfy `prev.response <= next.invoke`,
+/// so responses strictly increase along it.
+///
+/// The walk is in stored (invocation) order, and each op joins the
+/// best-fit chain: the one whose last op responded latest but no later
+/// than the op's invocation, ties to the newer chain. A pending last op
+/// closes its chain. While the walk runs, `links[n..]` holds each
+/// chain's last op.
+fn chain_decomposition(ops: &[OpRecord], links: &mut Vec<u32>) -> Vec<u32> {
+    let n = ops.len();
+    links.clear();
+    links.resize(n, NONE);
+    let mut heads = Vec::new();
+    for (i, op) in (0..).zip(ops) {
+        // (response, chain) of the best fit so far.
+        let mut fit: Option<(usize, usize)> = None;
+        for (c, &t) in links[n..].iter().enumerate() {
+            if let Some(r) = ops[t as usize].response {
+                if r <= op.invoke && fit.is_none_or(|(best, _)| r >= best) {
+                    fit = Some((r, c));
+                }
+            }
+        }
+        match fit {
+            Some((_, c)) => {
+                let tail = links[n + c];
+                links[tail as usize] = i;
+                links[n + c] = i;
             }
             None => {
-                chains.push(Vec::new());
-                chains.len() - 1
+                heads.push(i);
+                links.push(i);
             }
-        };
-        chains[c].push(i);
-        if let Some(r) = op.response {
-            avail.insert((r, c));
         }
     }
-    chains
+    links.truncate(n);
+    heads
 }
 
-/// The in-degree-zero frontier: chains whose head operation has no
+/// Appends to `arena` the in-degree-zero frontier at `heads` (one head
+/// op per chain, [`NONE`] past its end): the chains whose head has no
 /// un-linearized predecessor. Head `i` of chain `c` is enabled iff no
 /// *other* chain's head precedes it, i.e. the minimum response among
 /// the other heads is `> i.invoke` (pending heads never precede
 /// anything). Computed with a min/second-min pass, `O(w)`.
 ///
-/// The frontier is ordered earliest response first (pending heads
-/// last): the op that must linearize soonest is tried first, so the
-/// search reaches a legal order with fewer dead ends. The order never
-/// changes a verdict, only how fast it is reached.
-fn enabled_heads(chains: &[Vec<usize>], pos: &[u32], ops: &[OpRecord]) -> Vec<u32> {
-    const INF: usize = usize::MAX;
-    let mut min1 = INF;
-    let mut min1_chain = usize::MAX;
-    let mut min2 = INF;
-    let mut heads: Vec<(u32, usize)> = Vec::new();
-    for (c, chain) in chains.iter().enumerate() {
-        if let Some(&i) = chain.get(pos[c] as usize) {
-            let r = ops[i].response.unwrap_or(INF);
-            if r < min1 {
-                min2 = min1;
-                min1 = r;
-                min1_chain = c;
-            } else if r < min2 {
-                min2 = r;
-            }
-            heads.push((c as u32, i));
+/// The frontier is ordered reads first, then earliest response first
+/// (pending heads last, ties by chain). A read whose output fits the
+/// current state can be linearized at once without loss of generality:
+/// it changes no state, and every op it must follow is already
+/// linearized. Among updates, the op that must linearize soonest is
+/// tried first. Both rules cut dead ends; the order never changes a
+/// verdict, only how fast it is reached.
+fn push_frontier(arena: &mut Vec<u32>, heads: &[u32], ops: &[OpRecord]) {
+    let response = |i: u32| ops[i as usize].response.unwrap_or(NEVER);
+    let (mut min1, mut min1_chain, mut min2) = (NEVER, NONE, NEVER);
+    for (c, &i) in (0..).zip(heads) {
+        if i == NONE {
+            continue;
+        }
+        let r = response(i);
+        if r < min1 {
+            (min1, min1_chain, min2) = (r, c, min1);
+        } else if r < min2 {
+            min2 = r;
         }
     }
-    let mut out: Vec<(usize, u32)> = Vec::with_capacity(heads.len());
-    for &(c, i) in &heads {
-        let other_min = if c as usize == min1_chain { min2 } else { min1 };
-        if other_min > ops[i].invoke {
-            out.push((ops[i].response.unwrap_or(INF), c));
+    let start = arena.len();
+    for (c, &i) in (0..).zip(heads) {
+        if i == NONE {
+            continue;
+        }
+        let others = if c == min1_chain { min2 } else { min1 };
+        if others <= ops[i as usize].invoke {
+            continue;
+        }
+        let key = |i: u32| (ops[i as usize].desc.is_update(), response(i));
+        let k = key(i);
+        let mut j = arena.len();
+        arena.push(c);
+        while j > start && key(heads[arena[j - 1] as usize]) > k {
+            arena[j] = arena[j - 1];
+            j -= 1;
+        }
+        arena[j] = c;
+    }
+}
+
+/// What the search learned at its dead ends; made at the first one.
+struct DeadEnds {
+    /// `dead_at[d]`: some failed state has `d` ops linearized. The heads
+    /// fix the depth, so a probe at any other depth cannot hit and is
+    /// skipped without hashing.
+    dead_at: Vec<bool>,
+    /// Failed states: chain heads -> spec states already proven dead.
+    failed: HashMap<Vec<u32>, HashSet<SpecState>>,
+    /// The deepest dead end: ops linearized, chain heads, spec state.
+    deepest: (usize, Vec<u32>, SpecState),
+}
+
+impl DeadEnds {
+    #[cold]
+    fn new(ops: usize, depth: usize, heads: &[u32], state: &SpecState) -> DeadEnds {
+        DeadEnds {
+            dead_at: vec![false; ops + 1],
+            failed: HashMap::new(),
+            deepest: (depth, heads.to_vec(), state.clone()),
         }
     }
-    out.sort_unstable();
-    out.into_iter().map(|(_, c)| c).collect()
+
+    fn holds(&self, depth: usize, heads: &[u32], state: &SpecState) -> bool {
+        self.dead_at[depth]
+            && self
+                .failed
+                .get(heads)
+                .is_some_and(|dead| dead.contains(state))
+    }
+
+    #[cold]
+    fn record(&mut self, depth: usize, heads: &[u32], state: SpecState) {
+        if depth > self.deepest.0 {
+            let (d, h, s) = &mut self.deepest;
+            *d = depth;
+            h.clear();
+            h.extend_from_slice(heads);
+            *s = state.clone();
+        }
+        self.dead_at[depth] = true;
+        self.failed.entry(heads.to_vec()).or_default().insert(state);
+    }
+
+    /// The rejection's detail: how far the longest partial
+    /// linearization got, and why each frontier op there failed.
+    #[cold]
+    fn culprit(&self, ops: &[OpRecord], spec: &SeqSpec, k: u64, width: usize) -> String {
+        let (depth, heads, state) = &self.deepest;
+        let mut frontier = Vec::new();
+        push_frontier(&mut frontier, heads, ops);
+        let culprits: Vec<String> = frontier
+            .iter()
+            .map(|&c| {
+                let i = heads[c as usize] as usize;
+                let op = &ops[i];
+                let (_, needed) = spec.apply(state, op.pid, &op.desc);
+                match &op.output {
+                    Some(got) if op.desc.is_read() => {
+                        format!("{} returned {got}, the spec needed {needed}", fmt_op(i, op))
+                    }
+                    _ => format!("{}: update; every continuation failed", fmt_op(i, op)),
+                }
+            })
+            .collect();
+        let envelope = if k > 1 {
+            format!(" within accuracy factor k={k}")
+        } else {
+            String::new()
+        };
+        format!(
+            "no legal linearization of {} operations exists{envelope} \
+             (interval search over {width} chains); the longest partial \
+             linearization covers {depth} of them, then {}",
+            ops.len(),
+            culprits.join("; ")
+        )
+    }
+}
+
+/// One DFS node: the spec state on arrival, where its frontier starts
+/// in the arena and a cursor into it, and the step that led here (the
+/// chain advanced and its op; [`NONE`] for the root).
+struct Frame {
+    state: SpecState,
+    start: usize,
+    cursor: usize,
+    chain: u32,
+    op: u32,
 }
 
 /// Decides whether `history` is linearizable with respect to `spec`,
@@ -146,19 +287,20 @@ fn enabled_heads(chains: &[Vec<usize>], pos: &[u32], ops: &[OpRecord]) -> Vec<u3
 ///
 /// # Errors
 ///
-/// Returns [`ViolationKind::NoLinearization`] if no legal order exists.
-/// Never returns [`ViolationKind::Uncheckable`].
+/// Returns [`ViolationKind::NoLinearization`] if no legal order exists,
+/// naming the culprit (see the module docs). Never returns
+/// [`ViolationKind::Uncheckable`].
 pub fn check_interval(history: &History, spec: &SeqSpec) -> Result<(), Violation> {
     check_interval_k(history, spec, 1)
 }
 
-/// [`check_interval`] generalized to k-multiplicative accuracy
-/// (ISSUE 9): decides whether some linearization exists in which every
-/// scalar read output `v` satisfies `V / k ≤ v ≤ V` against the spec
-/// value `V` at its linearization point, with no cap on history length.
-/// The search is identical to the exact one — only the output
-/// acceptance test (`output_within_k`) is
-/// relaxed — so `k = 1` reduces bit-for-bit to [`check_interval`]'s
+/// [`check_interval`] generalized to k-multiplicative accuracy:
+/// decides whether some linearization exists in which every scalar read
+/// output `v` satisfies `V / k ≤ v ≤ V` against the spec value `V` at
+/// its linearization point, with no cap on history length. This is the
+/// checker of the HKM approximate objects. The search is identical to
+/// the exact one — only the output acceptance test (`output_within_k`)
+/// is relaxed — so `k = 1` reduces bit-for-bit to [`check_interval`]'s
 /// verdicts, and [`check_exact_k`](super::check_exact_k) remains the
 /// ≤63-op differential oracle at every `k`.
 ///
@@ -173,96 +315,110 @@ pub fn check_interval(history: &History, spec: &SeqSpec) -> Result<(), Violation
 pub fn check_interval_k(history: &History, spec: &SeqSpec, k: u64) -> Result<(), Violation> {
     assert!(k >= 1, "accuracy factor k must be >= 1");
     let ops = history.ops();
+    assert!(ops.len() < NONE as usize, "too many operations to index");
     let mut remaining = ops.iter().filter(|o| o.is_complete()).count();
     if remaining == 0 {
         // Only pending operations (or none): omit them all.
         return Ok(());
     }
 
-    let chains = chain_decomposition(ops);
-    let width = chains.len();
-    let mut pos: Vec<u32> = vec![0; width];
-    // Failed states: chain positions -> spec states already proven dead.
-    let mut failed: HashMap<Vec<u32>, HashSet<SpecState>> = HashMap::new();
-
-    let mut stack: Vec<Frame> = Vec::new();
+    // One allocation holds the chains' links (`arena[..n]`) and, behind
+    // them, every frame's frontier; sized for two candidates per frame,
+    // which a small history seldom outgrows.
+    let n = ops.len();
+    let mut arena: Vec<u32> = Vec::with_capacity(3 * n + 2);
+    let mut pos = chain_decomposition(ops, &mut arena);
+    let width = pos.len();
+    push_frontier(&mut arena, &pos, ops);
+    let mut stack = Vec::with_capacity(n + 1);
     stack.push(Frame {
         state: spec.init(),
-        cands: enabled_heads(&chains, &pos, ops),
-        next: 0,
-        came_via: u32::MAX,
+        start: n,
+        cursor: n,
+        chain: NONE,
+        op: NONE,
     });
+    let mut dead_ends: Option<DeadEnds> = None;
 
     while let Some(top) = stack.last_mut() {
-        if let Some(&c) = top.cands.get(top.next) {
-            top.next += 1;
-            let c = c as usize;
-            let i = chains[c][pos[c] as usize];
-            let op = &ops[i];
-            let (next_state, expected) = spec.apply(&top.state, op.pid, &op.desc);
+        if let Some(&c) = arena.get(top.cursor) {
+            top.cursor += 1;
+            let i = pos[c as usize];
+            let op = &ops[i as usize];
+            let (state, expected) = spec.apply(&top.state, op.pid, &op.desc);
             if let Some(observed) = &op.output {
                 if !output_within_k(observed, &expected, k) {
                     continue;
                 }
             }
-            pos[c] += 1;
+            pos[c as usize] = arena[i as usize];
             if op.is_complete() {
                 remaining -= 1;
                 if remaining == 0 {
                     return Ok(());
                 }
             }
-            if failed
-                .get(&pos)
-                .is_some_and(|states| states.contains(&next_state))
+            if dead_ends
+                .as_ref()
+                .is_some_and(|dead| dead.holds(stack.len(), &pos, &state))
             {
-                pos[c] -= 1;
+                pos[c as usize] = i;
                 if op.is_complete() {
                     remaining += 1;
                 }
                 continue;
             }
-            let cands = enabled_heads(&chains, &pos, ops);
+            let start = arena.len();
+            push_frontier(&mut arena, &pos, ops);
             stack.push(Frame {
-                state: next_state,
-                cands,
-                next: 0,
-                came_via: c as u32,
+                state,
+                start,
+                cursor: start,
+                chain: c,
+                op: i,
             });
         } else {
             let frame = stack.pop().expect("loop condition guarantees a frame");
-            failed.entry(pos.clone()).or_default().insert(frame.state);
-            if frame.came_via != u32::MAX {
-                let c = frame.came_via as usize;
-                pos[c] -= 1;
-                let i = chains[c][pos[c] as usize];
-                if ops[i].is_complete() {
+            arena.truncate(frame.start);
+            let depth = stack.len();
+            dead_ends
+                .get_or_insert_with(|| DeadEnds::new(n, depth, &pos, &frame.state))
+                .record(depth, &pos, frame.state);
+            if frame.op != NONE {
+                pos[frame.chain as usize] = frame.op;
+                if ops[frame.op as usize].is_complete() {
                     remaining += 1;
                 }
             }
         }
     }
 
-    let envelope = if k > 1 {
-        format!(" within accuracy factor k={k}")
-    } else {
-        String::new()
-    };
+    let dead = dead_ends.expect("the root frame is a dead end too");
     Err(Violation::new(
         ViolationKind::NoLinearization,
-        format!(
-            "no legal linearization of {} operations exists{envelope} \
-             (interval search over {width} chains)",
-            ops.len()
-        ),
+        dead.culprit(ops, spec, k, width),
     ))
+}
+
+/// `op#i WriteMax(3) by p1 [4, 9]`; a pending op's response reads
+/// `pending`.
+fn fmt_op(i: usize, op: &OpRecord) -> String {
+    format!(
+        "op#{i} {} by {} [{}, {}]",
+        op.desc,
+        op.pid,
+        op.invoke,
+        op.response
+            .map(|r| r.to_string())
+            .unwrap_or_else(|| "pending".into())
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::history::{OpDesc, OpOutput};
-    use crate::ProcessId;
+    use crate::{ProcessId, Word};
 
     fn op(pid: usize, desc: OpDesc, invoke: usize, response: usize, output: OpOutput) -> OpRecord {
         OpRecord {
@@ -436,6 +592,37 @@ mod tests {
     }
 
     #[test]
+    fn rejection_names_the_culprit() {
+        // A crash left p1's WriteMax(0) pending at tick 0. p0 then writes
+        // 1..=200 in sequence, and p2 reads between the 150th and the
+        // 151st write: it must see 150, but returns 1001.
+        let mut h = History::new();
+        h.push(pending(1, OpDesc::WriteMax(0), 0));
+        for j in 1..=201usize {
+            let (t, v) = (2 * j, j as Word);
+            h.push(match j {
+                151 => op(2, OpDesc::ReadMax, t, t + 1, OpOutput::Value(1001)),
+                _ if j < 151 => op(0, OpDesc::WriteMax(v), t, t + 1, OpOutput::Unit),
+                _ => op(0, OpDesc::WriteMax(v - 1), t, t + 1, OpOutput::Unit),
+            });
+        }
+        assert_eq!(h.len(), 202);
+        let v = check_interval(&h, &MAX_SPEC).unwrap_err();
+        assert_eq!(v.kind, ViolationKind::NoLinearization);
+        for part in [
+            "of 202 operations",
+            "covers 151 of them",
+            "op#151 ReadMax by p2 [302, 303] returned 1001, the spec needed 150",
+        ] {
+            assert!(
+                v.detail.contains(part),
+                "{part:?} missing from: {}",
+                v.detail
+            );
+        }
+    }
+
+    #[test]
     fn decides_thousands_of_overlapping_ops() {
         // 4 processes, 1000 alternating update/read rounds each, laid out
         // with genuine overlap: process p's k-th op spans
@@ -524,12 +711,12 @@ mod tests {
             op(0, OpDesc::CounterIncrement, 0, 1, OpOutput::Unit),
             op(1, OpDesc::CounterIncrement, 2, 3, OpOutput::Unit),
         ]);
-        assert_eq!(chain_decomposition(seq.ops()).len(), 1);
+        assert_eq!(chain_decomposition(seq.ops(), &mut Vec::new()).len(), 1);
         let conc = hist(vec![
             op(0, OpDesc::CounterIncrement, 0, 3, OpOutput::Unit),
             op(1, OpDesc::CounterIncrement, 1, 4, OpOutput::Unit),
         ]);
-        assert_eq!(chain_decomposition(conc.ops()).len(), 2);
+        assert_eq!(chain_decomposition(conc.ops(), &mut Vec::new()).len(), 2);
     }
 
     #[test]
@@ -541,11 +728,10 @@ mod tests {
             pending(1, OpDesc::CounterIncrement, 1),
             op(2, OpDesc::CounterRead, 2, 5, OpOutput::Value(1)),
         ]);
-        let chains = chain_decomposition(h.ops());
-        let heads: Vec<usize> = enabled_heads(&chains, &[0, 0, 0], h.ops())
-            .into_iter()
-            .map(|c| chains[c as usize][0])
-            .collect();
+        let heads = chain_decomposition(h.ops(), &mut Vec::new());
+        let mut frontier = Vec::new();
+        push_frontier(&mut frontier, &heads, h.ops());
+        let heads: Vec<u32> = frontier.into_iter().map(|c| heads[c as usize]).collect();
         assert_eq!(heads, vec![2, 0, 1]);
     }
 }

@@ -12,7 +12,8 @@
 //! ```
 //! use ruo_sim::recorder::ThreadRecorder;
 //! use ruo_sim::{OpDesc, OpOutput, ProcessId};
-//! use ruo_sim::lin::check_counter;
+//! use ruo_sim::lin::check_interval;
+//! use ruo_sim::spec::SeqSpec;
 //! use std::sync::atomic::{AtomicU64, Ordering};
 //!
 //! let rec = ThreadRecorder::new();
@@ -24,7 +25,7 @@
 //! rec.record(ProcessId(1), OpDesc::CounterRead, || {
 //!     OpOutput::Value(counter.load(Ordering::SeqCst) as i64)
 //! });
-//! assert!(check_counter(&rec.history()).is_ok());
+//! assert!(check_interval(&rec.history(), &SeqSpec::Counter).is_ok());
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};

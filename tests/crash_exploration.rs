@@ -10,8 +10,8 @@
 //!   completion rule — but no completed write is ever lost and reads
 //!   stay monotone);
 //! * the deliberately weakened single-CAS variant is caught
-//!   automatically under the same crash exploration, with the fast
-//!   checkers handling the pending operations crashes produce;
+//!   automatically under the same crash exploration, with the interval
+//!   checker handling the pending operations crashes produce;
 //! * sleep-set pruning remains sound in the presence of crash branches:
 //!   the pruned and unpruned searches agree on the set of history
 //!   classes.
@@ -25,7 +25,7 @@ use ruo::scenario::{
     explore_parts, EngineKind, ExploreSpec, Family, OpKind, ScenarioOp, ScenarioSpec,
 };
 use ruo::sim::explore::{explore, ExploreConfig, ExploreOp};
-use ruo::sim::lin::{check_exact, check_max_register};
+use ruo::sim::lin::{check_exact, check_interval};
 use ruo::sim::spec::SeqSpec;
 use ruo::sim::{
     cas, done, read, write, History, Machine, Memory, ObjId, OpDesc, ProcessId, Step, Word, NEG_INF,
@@ -36,7 +36,7 @@ use ruo::sim::{
 /// writes, one read, seeded root of 3), now with a 1-crash budget. The
 /// 27-step `WriteMax(4)` can crash after any of its events — mid leaf
 /// write, between the two CASes of a level, after the root CAS — and in
-/// every resulting schedule the fast checker must accept: the pending
+/// every resulting schedule the interval checker must accept: the pending
 /// write may be visible or not, but completed writes are never lost and
 /// reads never go backwards.
 #[test]
@@ -97,7 +97,13 @@ fn double_cas_survives_every_one_crash_schedule_at_n4() {
                 assert!(p.output.is_none());
                 crashed_histories += 1;
             }
-            check_max_register(h, parts.initial).is_ok()
+            check_interval(
+                h,
+                &SeqSpec::MaxRegister {
+                    initial: parts.initial,
+                },
+            )
+            .is_ok()
         },
         ExploreConfig {
             max_schedules: 2_000_000,
@@ -196,8 +202,8 @@ mod single_cas {
 
 /// Crash exploration re-finds the single-CAS lost-write bug with no
 /// hand-crafted schedule: the same scope as the crash-free rediscovery
-/// test, but searched *through* the 1-crash schedule space — so the fast
-/// checker digests hundreds of pending-op histories on the way to the
+/// test, but searched *through* the 1-crash schedule space — so the
+/// interval checker digests hundreds of pending-op histories on the way to the
 /// violation, with pruning on and off.
 #[test]
 fn one_crash_exploration_rediscovers_the_single_cas_bug() {
@@ -237,7 +243,7 @@ fn one_crash_exploration_rediscovers_the_single_cas_bug() {
             &ops,
             &mut |h: &History| {
                 pending_seen += h.pending().count();
-                check_max_register(h, 0).is_ok()
+                check_interval(h, &SeqSpec::MaxRegister { initial: 0 }).is_ok()
             },
             ExploreConfig {
                 max_schedules: 4_000_000,
@@ -265,7 +271,7 @@ fn one_crash_exploration_rediscovers_the_single_cas_bug() {
 /// Pruning soundness under crashes, on the real object: the `N = 2`
 /// Algorithm A scope (one 10-step write, two 1-step reads) explored with
 /// a 1-crash budget, pruned and unpruned. Both searches must accept
-/// every history (exact + fast checker agreement) and produce the same
+/// every history (exact + interval checker agreement) and produce the same
 /// set of history classes (outputs, completion flags, precedence).
 #[test]
 fn crash_pruning_preserves_algorithm_a_history_classes() {
@@ -326,7 +332,7 @@ fn crash_pruning_preserves_algorithm_a_history_classes() {
             &ops,
             &mut |h: &History| {
                 classes.insert(signature(h));
-                check_exact(h, &spec).is_ok() && check_max_register(h, 0).is_ok()
+                check_exact(h, &spec).is_ok() && check_interval(h, &spec).is_ok()
             },
             ExploreConfig {
                 max_schedules: 1_000_000,

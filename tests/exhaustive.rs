@@ -17,7 +17,7 @@ use ruo::core::maxreg::sim::{SimMaxRegister, SimTreeMaxRegister};
 use ruo::core::shape::AlgorithmATree;
 use ruo::metrics::ExploreGauges;
 use ruo::sim::explore::{assert_all_schedules_pass, enumerate, explore, ExploreConfig, ExploreOp};
-use ruo::sim::lin::{check_exact, check_max_register};
+use ruo::sim::lin::{check_exact, check_interval};
 use ruo::sim::spec::SeqSpec;
 use ruo::sim::{
     cas, done, read, write, Machine, Memory, ObjId, OpDesc, ProcessId, Step, Word, NEG_INF,
@@ -60,7 +60,7 @@ fn algorithm_a_exhaustive_one_writer_two_readers() {
     let schedules = assert_all_schedules_pass(
         &setup,
         &ops,
-        &mut |h| check_max_register(h, 0).is_ok(),
+        &mut |h| check_interval(h, &SeqSpec::MaxRegister { initial: 0 }).is_ok(),
         100_000,
     );
     // (10 + 1 + 1)! / 10! = 132 interleavings.
@@ -104,7 +104,7 @@ fn algorithm_a_bounded_two_writers_one_reader() {
     let summary = enumerate(
         &setup,
         &ops,
-        &mut |h| check_max_register(h, 0).is_ok(),
+        &mut |h| check_interval(h, &SeqSpec::MaxRegister { initial: 0 }).is_ok(),
         300_000,
     );
     assert!(
@@ -220,7 +220,7 @@ fn exploration_rediscovers_the_single_cas_bug() {
     let summary = enumerate(
         &setup,
         &ops,
-        &mut |h| check_max_register(h, 0).is_ok(),
+        &mut |h| check_interval(h, &SeqSpec::MaxRegister { initial: 0 }).is_ok(),
         2_000_000,
     );
     let schedule = summary
@@ -241,7 +241,7 @@ fn exploration_rediscovers_the_single_cas_bug() {
     let pruned = explore(
         &setup,
         &ops,
-        &mut |h| check_max_register(h, 0).is_ok(),
+        &mut |h| check_interval(h, &SeqSpec::MaxRegister { initial: 0 }).is_ok(),
         ExploreConfig {
             max_schedules: 2_000_000,
             prune: true,
@@ -271,7 +271,7 @@ fn exploration_rediscovers_the_single_cas_bug() {
 /// dominated by a seeded `WriteMax(3)`, so they resolve in one root
 /// read; the search stays fully exhaustive (un-truncated) both with and
 /// without pruning, and the histories pass both the exact checker and
-/// the fast max-register checker.
+/// the interval checker.
 #[test]
 fn scaled_scope_three_writers_one_reader_fast_path() {
     let setup = || {
@@ -328,7 +328,7 @@ fn scaled_scope_three_writers_one_reader_fast_path() {
                 _ => {}
             }
         }
-        check_exact(h, &spec).is_ok() && check_max_register(h, 3).is_ok()
+        check_exact(h, &spec).is_ok() && check_interval(h, &spec).is_ok()
     };
 
     let full = enumerate(&setup, &ops, &mut check, 100_000);

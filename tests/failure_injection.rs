@@ -29,7 +29,8 @@ use ruo::scenario::{
     SimObject,
 };
 use ruo::sim::history::{History, OpDesc, OpOutput, OpRecord};
-use ruo::sim::lin::{check_max_register, check_snapshot, ViolationKind};
+use ruo::sim::lin::{check_interval, ViolationKind};
+use ruo::sim::spec::SeqSpec;
 use ruo::sim::{
     cas, done, read, write, Executor, FaultPlan, Machine, Memory, ObjId, OpSpec, ProcessId,
     RandomScheduler, Step, Word, WorkloadBuilder, NEG_INF,
@@ -192,8 +193,11 @@ fn single_cas_variant_loses_a_completed_write() {
         output: Some(OpOutput::Value(seen)),
         steps: 1,
     });
-    let violation = check_max_register(&h, 0).unwrap_err();
-    assert_eq!(violation.kind, ViolationKind::StaleRead);
+    let violation = check_interval(&h, &SeqSpec::MaxRegister { initial: 0 }).unwrap_err();
+    assert_eq!(violation.kind, ViolationKind::NoLinearization);
+    // The culprit is the stale read: after both writes it needed 3.
+    let culprit = "op#2 ReadMax by p0 [11, 12] returned 2, the spec needed 3";
+    assert!(violation.detail.contains(culprit), "{violation}");
 }
 
 /// The same adversarial schedule against the REAL register: the second
@@ -306,8 +310,11 @@ fn literal_early_return_is_not_linearizable() {
         output: Some(OpOutput::Value(seen)),
         steps: 1,
     });
-    let violation = check_max_register(&h, 0).unwrap_err();
-    assert_eq!(violation.kind, ViolationKind::StaleRead);
+    let violation = check_interval(&h, &SeqSpec::MaxRegister { initial: 0 }).unwrap_err();
+    assert_eq!(violation.kind, ViolationKind::NoLinearization);
+    // The culprit is the read that missed B's completed WriteMax(2).
+    let culprit = "op#1 ReadMax by p1 [2, 3] returned 0, the spec needed 2";
+    assert!(violation.detail.contains(culprit), "{violation}");
 }
 
 /// With the helping fix, a stalled writer of a *small* value in the B1
@@ -446,9 +453,10 @@ fn double_collect_snapshot_survives_a_crash_at_every_update_point() {
                     &mut RandomScheduler::new(seed),
                     &plan,
                 );
-                check_snapshot(&outcome.history, n, 0).unwrap_or_else(|v| {
-                    panic!("crash p{crash_pid} after {k} events, seed {seed}: {v}")
-                });
+                check_interval(&outcome.history, &SeqSpec::Snapshot { n, initial: 0 })
+                    .unwrap_or_else(|v| {
+                        panic!("crash p{crash_pid} after {k} events, seed {seed}: {v}")
+                    });
                 for p in outcome.history.pending() {
                     assert_eq!(p.pid, ProcessId(crash_pid));
                     if p.desc.is_update() {

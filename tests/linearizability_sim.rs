@@ -2,9 +2,8 @@
 //! adversarial schedules (experiment T5, simulator half).
 //!
 //! Every implementation is run under many seeded random schedules; the
-//! resulting histories are checked with the per-object sound checkers,
-//! and — for small workloads — with the exact Wing–Gong search, which
-//! also cross-validates the fast checkers.
+//! resulting histories are checked with the complete interval checker,
+//! and — for small workloads — with the exact Wing–Gong search too.
 
 use std::sync::Arc;
 
@@ -14,7 +13,7 @@ use ruo::core::maxreg::sim::{
 };
 use ruo::core::snapshot::sim::{SimDoubleCollectSnapshot, SimSnapshot};
 use ruo::sim::history::OpDesc;
-use ruo::sim::lin::{check_counter, check_exact, check_max_register, check_snapshot};
+use ruo::sim::lin::{check_exact, check_interval};
 use ruo::sim::spec::SeqSpec;
 use ruo::sim::{Executor, Memory, OpSpec, ProcessId, RandomScheduler, WorkloadBuilder};
 
@@ -46,7 +45,7 @@ fn maxreg_workload(reg: &Arc<dyn SimMaxRegister>, n: usize, ops: usize) -> Workl
 }
 
 fn check_maxreg_impl(make: impl Fn(&mut Memory, usize) -> Arc<dyn SimMaxRegister>, name: &str) {
-    // Large randomized runs through the fast checker.
+    // Large randomized runs through the interval checker.
     for seed in 0..30 {
         let mut mem = Memory::new();
         let n = 4;
@@ -57,7 +56,7 @@ fn check_maxreg_impl(make: impl Fn(&mut Memory, usize) -> Arc<dyn SimMaxRegister
             &mut RandomScheduler::new(seed),
         );
         assert!(outcome.all_done, "{name} seed {seed}: workload incomplete");
-        check_max_register(&outcome.history, 0)
+        check_interval(&outcome.history, &SeqSpec::MaxRegister { initial: 0 })
             .unwrap_or_else(|v| panic!("{name} seed {seed}: {v}"));
     }
     // Small runs through the exact checker too.
@@ -73,8 +72,8 @@ fn check_maxreg_impl(make: impl Fn(&mut Memory, usize) -> Arc<dyn SimMaxRegister
         let spec = SeqSpec::MaxRegister { initial: 0 };
         check_exact(&outcome.history, &spec)
             .unwrap_or_else(|v| panic!("{name} seed {seed} (exact): {v}"));
-        check_max_register(&outcome.history, 0)
-            .unwrap_or_else(|v| panic!("{name} seed {seed} (fast): {v}"));
+        check_interval(&outcome.history, &spec)
+            .unwrap_or_else(|v| panic!("{name} seed {seed} (interval): {v}"));
     }
 }
 
@@ -135,7 +134,8 @@ fn check_counter_impl(make: impl Fn(&mut Memory, usize) -> Arc<dyn SimCounter>, 
             &mut RandomScheduler::new(seed),
         );
         assert!(outcome.all_done);
-        check_counter(&outcome.history).unwrap_or_else(|v| panic!("{name} seed {seed}: {v}"));
+        check_interval(&outcome.history, &SeqSpec::Counter)
+            .unwrap_or_else(|v| panic!("{name} seed {seed}: {v}"));
     }
     for seed in 0..20 {
         let mut mem = Memory::new();
@@ -217,8 +217,8 @@ fn double_collect_snapshot_is_linearizable_under_random_schedules() {
         let outcome =
             Executor::with_step_budget(100_000).run(&mut mem, w, &mut RandomScheduler::new(seed));
         assert!(outcome.all_done, "seed {seed}: scan starved within budget");
-        check_snapshot(&outcome.history, n, 0).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
-        check_exact(&outcome.history, &SeqSpec::Snapshot { n, initial: 0 })
-            .unwrap_or_else(|v| panic!("seed {seed} (exact): {v}"));
+        let spec = SeqSpec::Snapshot { n, initial: 0 };
+        check_interval(&outcome.history, &spec).unwrap_or_else(|v| panic!("seed {seed}: {v}"));
+        check_exact(&outcome.history, &spec).unwrap_or_else(|v| panic!("seed {seed} (exact): {v}"));
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! Threads time-stamp each operation's invocation and response with
 //! [`ThreadRecorder`]'s shared tick counter; the recorded histories are checked
-//! with the same sound checkers the simulator histories go through. Any
-//! violation these checkers report is a real linearizability bug.
+//! with the same complete interval checker the simulator histories go
+//! through. Any violation it reports is a real linearizability bug.
 
 use ruo::core::counter::{
     AacCounter, CombiningCounter, CounterMode, FArrayCounter, FetchAddCounter, ShardedCounter,
@@ -15,8 +15,9 @@ use ruo::core::maxreg::{
 use ruo::core::snapshot::{AfekSnapshot, DoubleCollectSnapshot, PathCopySnapshot};
 use ruo::core::{Counter, MaxRegister, Snapshot};
 use ruo::sim::history::{OpDesc, OpOutput};
-use ruo::sim::lin::{check_counter, check_max_register, check_snapshot};
+use ruo::sim::lin::check_interval;
 use ruo::sim::recorder::ThreadRecorder;
+use ruo::sim::spec::SeqSpec;
 use ruo::sim::ProcessId;
 
 fn exercise_maxreg<R: MaxRegister>(reg: &R, name: &str) {
@@ -46,7 +47,8 @@ fn exercise_maxreg<R: MaxRegister>(reg: &R, name: &str) {
         }
     });
     let history = rec.history();
-    check_max_register(&history, 0).unwrap_or_else(|v| panic!("{name}: {v}"));
+    check_interval(&history, &SeqSpec::MaxRegister { initial: 0 })
+        .unwrap_or_else(|v| panic!("{name}: {v}"));
 }
 
 #[test]
@@ -121,7 +123,8 @@ fn exercise_maxreg_contended<R: MaxRegister>(reg: &R, name: &str) {
         }
     });
     let history = rec.history();
-    check_max_register(&history, 0).unwrap_or_else(|v| panic!("{name}: {v}"));
+    check_interval(&history, &SeqSpec::MaxRegister { initial: 0 })
+        .unwrap_or_else(|v| panic!("{name}: {v}"));
 }
 
 #[test]
@@ -186,7 +189,7 @@ fn exercise_counter<C: Counter>(counter: &C, name: &str) {
         }
     });
     let history = rec.history();
-    check_counter(&history).unwrap_or_else(|v| panic!("{name}: {v}"));
+    check_interval(&history, &SeqSpec::Counter).unwrap_or_else(|v| panic!("{name}: {v}"));
 }
 
 /// Contended counter stress: 8 threads, write-heavy (3 increments per
@@ -221,7 +224,7 @@ fn exercise_counter_contended<C: Counter + ?Sized>(counter: &C, name: &str) {
         }
     });
     let history = rec.history();
-    check_counter(&history).unwrap_or_else(|v| panic!("{name}: {v}"));
+    check_interval(&history, &SeqSpec::Counter).unwrap_or_else(|v| panic!("{name}: {v}"));
 }
 
 #[test]
@@ -302,7 +305,14 @@ fn exercise_snapshot<S: Snapshot>(snap: &S, name: &str) {
         }
     });
     let history = rec.history();
-    check_snapshot(&history, threads, 0).unwrap_or_else(|v| panic!("{name}: {v}"));
+    check_interval(
+        &history,
+        &SeqSpec::Snapshot {
+            n: threads,
+            initial: 0,
+        },
+    )
+    .unwrap_or_else(|v| panic!("{name}: {v}"));
 }
 
 #[test]
