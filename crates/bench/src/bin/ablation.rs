@@ -20,25 +20,21 @@
 use std::sync::Arc;
 
 use ruo_bench::{run_solo, Table};
-use ruo_core::maxreg::sim::{SimMaxRegister, SimTreeMaxRegister};
+use ruo_core::maxreg::sim::{write_leaf, SimMaxRegister, SimTreeMaxRegister};
 use ruo_core::shape::AlgorithmATree;
 use ruo_sim::explore::{enumerate, ExploreOp};
 use ruo_sim::lin::check_interval;
 use ruo_sim::spec::SeqSpec;
-use ruo_sim::{
-    cas, done, read, write, Machine, Memory, ObjId, OpDesc, ProcessId, Step, Word, NEG_INF,
-};
-
-type Levels = Arc<Vec<(ObjId, Option<ObjId>, Option<ObjId>)>>;
+use ruo_sim::{Machine, Memory, ObjId, OpDesc, Prim, ProcessId, Word, NEG_INF};
 
 /// The spec every explored history is checked against.
 const SPEC: SeqSpec = SeqSpec::MaxRegister { initial: 0 };
 
-/// A configurable Algorithm A write machine: `cas_attempts` per level,
-/// and optional helping on the dominated path.
+/// Algorithm A's write body with `cas_attempts` per level, and optional
+/// helping on the dominated path.
 struct VariantRegister {
     tree: Arc<AlgorithmATree>,
-    cells: Arc<Vec<ObjId>>,
+    cells: Arc<[ObjId]>,
     cas_attempts: u8,
     help_dominated: bool,
 }
@@ -46,7 +42,7 @@ struct VariantRegister {
 impl VariantRegister {
     fn new(mem: &mut Memory, n: usize, cas_attempts: u8, help_dominated: bool) -> Self {
         let tree = AlgorithmATree::new(n);
-        let cells = Arc::new(mem.alloc_n(tree.shape().len(), NEG_INF));
+        let cells = mem.alloc_n(tree.shape().len(), NEG_INF).into();
         VariantRegister {
             tree: Arc::new(tree),
             cells,
@@ -55,79 +51,21 @@ impl VariantRegister {
         }
     }
 
-    fn levels(&self, leaf: usize) -> Levels {
-        let shape = self.tree.shape();
-        Arc::new(
-            shape
-                .ancestors(leaf)
-                .into_iter()
-                .map(|a| {
-                    let info = shape.node(a);
-                    (
-                        self.cells[a],
-                        info.left.map(|i| self.cells[i]),
-                        info.right.map(|i| self.cells[i]),
-                    )
-                })
-                .collect(),
-        )
-    }
-
     fn write_max(&self, pid: usize, v: u64) -> Machine {
-        let leaf = self.tree.leaf_for(pid, v);
-        let levels = self.levels(leaf);
-        let leaf_cell = self.cells[leaf];
-        let w = v as Word;
+        let (tree, cells) = (Arc::clone(&self.tree), Arc::clone(&self.cells));
         let attempts = self.cas_attempts;
-        let help = self.help_dominated && (v as u128) < self.tree.n() as u128;
-        let levels2 = Arc::clone(&levels);
-        Machine::new(read(leaf_cell, move |old| {
-            if w <= old {
-                if help {
-                    level(levels2, 0, 0, attempts)
-                } else {
-                    done(0)
-                }
-            } else {
-                write(leaf_cell, w, move || level(levels, 0, 0, attempts))
-            }
-        }))
+        let help = self.help_dominated && (v as u128) < tree.n() as u128;
+        Machine::new(async move {
+            let leaf = tree.leaf_for(pid, v);
+            write_leaf(&cells, &tree, leaf, v as Word, help, attempts).await;
+            0
+        })
     }
 
     fn read_max(&self) -> Machine {
         let root = self.cells[self.tree.root()];
-        Machine::new(read(root, |v| done(v.max(0))))
+        Machine::single(Prim::Read(root), |v| v.max(0))
     }
-}
-
-fn level(levels: Levels, i: usize, attempt: u8, attempts: u8) -> Step {
-    if i == levels.len() {
-        return done(0);
-    }
-    let (node, l, r) = levels[i];
-    let rd = move |o: Option<ObjId>, k: Box<dyn FnOnce(Word) -> Step + Send>| match o {
-        Some(o) => read(o, k),
-        None => k(NEG_INF),
-    };
-    read(node, move |old| {
-        rd(
-            l,
-            Box::new(move |lv| {
-                rd(
-                    r,
-                    Box::new(move |rv| {
-                        cas(node, old, lv.max(rv), move |_| {
-                            if attempt + 1 < attempts {
-                                level(levels, i, attempt + 1, attempts)
-                            } else {
-                                level(levels, i + 1, 0, attempts)
-                            }
-                        })
-                    }),
-                )
-            }),
-        )
-    })
 }
 
 /// Explores all schedules of two racing writers plus a reader against a

@@ -114,10 +114,11 @@ mod tests {
 
     #[test]
     fn run_solo_counts_steps() {
-        use ruo_sim::{done, read, Machine, Memory, ProcessId};
+        use ruo_sim::{Machine, Memory, Prim, ProcessId};
         let mut mem = Memory::new();
         let o = mem.alloc(7);
-        let (v, steps) = run_solo(&mut mem, ProcessId(0), Machine::new(read(o, done)));
+        let read = Machine::single(Prim::Read(o), |v| v);
+        let (v, steps) = run_solo(&mut mem, ProcessId(0), read);
         assert_eq!(v, 7);
         assert_eq!(steps, 1);
     }

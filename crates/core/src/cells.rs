@@ -4,9 +4,10 @@
 //! of word cells whose every `load`, `store` and `cas` is one awaited
 //! access. On real cells each access is ready at once and [`run`]
 //! finishes the body in one poll; on simulator cells each access is one
-//! [`ruo_sim::Access`], and [`ruo_sim::body`] steps the body one event
-//! at a time. One-load reads stay on the one-step [`ruo_sim::read`]
-//! primitive, where a boxed body would cost more than the step.
+//! [`ruo_sim::Access`], and a [`ruo_sim::Machine`] owns the body and
+//! steps it one event at a time. A one-load read needs no body: it is
+//! a [`Machine::single`](ruo_sim::Machine::single) of the load, which
+//! allocates nothing.
 
 use std::future::{ready, Future, Ready};
 use std::pin::pin;

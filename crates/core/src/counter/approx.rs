@@ -37,7 +37,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ruo_sim::stepcount::CountingI64;
-use ruo_sim::{body, Machine, Memory, ObjId, ProcessId};
+use ruo_sim::{Machine, Memory, ObjId, ProcessId};
 
 use super::sharded::{bump, collect_sum};
 use super::sim::SimCounter;
@@ -197,15 +197,15 @@ impl SimCounter for SimApproxCounter {
 
     fn increment(&self, pid: ProcessId) -> Machine {
         let (cells, n, k) = (Arc::clone(&self.cells), self.n(), self.k);
-        Machine::new(body(async move {
+        Machine::new(async move {
             increment(&*cells, n, pid.index(), k).await;
             0
-        }))
+        })
     }
 
     fn read(&self, _pid: ProcessId) -> Machine {
         let (cells, n) = (Arc::clone(&self.cells), self.n());
-        Machine::new(body(async move { collect_sum(&*cells, n..2 * n).await }))
+        Machine::new(async move { collect_sum(&*cells, n..2 * n).await })
     }
 }
 

@@ -34,7 +34,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ruo_sim::stepcount::CountingI64;
-use ruo_sim::{body, Machine, Memory, ObjId, ProcessId, Word};
+use ruo_sim::{Machine, Memory, ObjId, ProcessId, Word};
 
 use super::sim::SimCounter;
 use crate::cells::{real_cells, run, Cells};
@@ -165,17 +165,15 @@ impl SimCounter for SimShardedCounter {
 
     fn increment(&self, pid: ProcessId) -> Machine {
         let stripes = Arc::clone(&self.stripes);
-        Machine::new(body(async move {
+        Machine::new(async move {
             bump(&*stripes, pid.index()).await;
             0
-        }))
+        })
     }
 
     fn read(&self, _pid: ProcessId) -> Machine {
         let stripes = Arc::clone(&self.stripes);
-        Machine::new(body(async move {
-            collect_sum(&*stripes, 0..stripes.len()).await
-        }))
+        Machine::new(async move { collect_sum(&*stripes, 0..stripes.len()).await })
     }
 }
 

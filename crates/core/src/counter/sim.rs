@@ -12,14 +12,14 @@
 
 use std::sync::Arc;
 
-use ruo_sim::{body, cas, done, read, write, Machine, Memory, ObjId, ProcessId, Step, Word};
+use ruo_sim::{Machine, Memory, ObjId, Prim, ProcessId, Word};
 
 pub use super::farray::SimFArrayCounter;
 pub use super::sharded::SimShardedCounter;
 use super::sharded::{bump, collect_sum};
 use crate::cells::Cells;
 use crate::maxreg::aac::AacShape;
-use crate::maxreg::sim::{aac_read_k, aac_write};
+use crate::maxreg::sim::{aac_read, aac_write};
 use crate::shape::TreeShape;
 use crate::snapshot::double_collect;
 
@@ -93,91 +93,64 @@ impl SimCounter for SimCombiningCounter {
 
     fn increment(&self, pid: ProcessId) -> Machine {
         let (cells, n) = (Arc::clone(&self.cells), self.n());
-        Machine::new(body(async move {
+        Machine::new(async move {
             announce_and_combine(&*cells, n, pid.index()).await;
             0
-        }))
+        })
     }
 
     fn read(&self, _pid: ProcessId) -> Machine {
-        Machine::new(read(self.cells[self.n()], done))
+        Machine::single(Prim::Read(self.cells[self.n()]), |w| w)
     }
-}
-
-/// What an internal node of the AAC counter tree reads below itself.
-#[derive(Clone, Debug)]
-enum Child {
-    /// No child (padding in uneven trees).
-    None,
-    /// A single-writer leaf cell.
-    Leaf(ObjId),
-    /// An internal AAC max register (its switch cells).
-    Reg(Arc<Vec<ObjId>>),
-}
-
-/// One level of the AAC counter's increment path.
-#[derive(Clone, Debug)]
-struct AacLevel {
-    switches: Arc<Vec<ObjId>>,
-    left: Child,
-    right: Child,
-}
-
-fn read_child(shape: Arc<AacShape>, child: Child, k: Box<dyn FnOnce(u64) -> Step + Send>) -> Step {
-    match child {
-        Child::None => k(0),
-        Child::Leaf(cell) => read(cell, move |v| k(v as u64)),
-        Child::Reg(switches) => {
-            let root = shape.root();
-            aac_read_k(shape, switches, root, 0, k)
-        }
-    }
-}
-
-fn aac_counter_up(shape: Arc<AacShape>, levels: Arc<Vec<AacLevel>>, i: usize) -> Step {
-    if i == levels.len() {
-        return done(0);
-    }
-    let lv = levels[i].clone();
-    let shape_l = Arc::clone(&shape);
-    read_child(
-        Arc::clone(&shape),
-        lv.left,
-        Box::new(move |l| {
-            let shape_r = Arc::clone(&shape_l);
-            let switches = lv.switches;
-            read_child(
-                Arc::clone(&shape_l),
-                lv.right,
-                Box::new(move |r| {
-                    let root = shape_r.root();
-                    let shape_next = Arc::clone(&shape_r);
-                    aac_write(
-                        Arc::clone(&shape_r),
-                        switches,
-                        root,
-                        l + r,
-                        Box::new(move || aac_counter_up(shape_next, levels, i + 1)),
-                    )
-                }),
-            )
-        }),
-    )
 }
 
 /// The AAC read/write-only counter as step machines: `CounterRead` is
 /// `O(log M)`, `CounterIncrement` is `O(log N · log M)`.
 #[derive(Debug)]
 pub struct SimAacCounter {
-    tree: Arc<TreeShape>,
-    root: usize,
+    tree: Arc<AacCounterTree>,
     leaves: Vec<usize>,
-    /// Leaf node id -> its single-writer cell.
-    leaf_cells: Vec<Option<ObjId>>,
-    /// Internal node id -> its max register's switch cells.
-    node_switches: Vec<Option<Arc<Vec<ObjId>>>>,
-    reg_shape: Arc<AacShape>,
     max_increments: u64,
+}
+
+/// The AAC counter's tree and its cells: each process owns a leaf
+/// count, and each internal node is an AAC max register holding the sum
+/// of its children.
+#[derive(Debug)]
+struct AacCounterTree {
+    shape: TreeShape,
+    root: usize,
+    /// Per node: a leaf's one single-writer cell, or an internal node's
+    /// max register switch cells.
+    cells: Vec<Box<[ObjId]>>,
+    reg: AacShape,
+}
+
+impl AacCounterTree {
+    /// The count below `child`: `0` for a missing child, a leaf's cell,
+    /// or an internal node's max register.
+    async fn count(&self, child: Option<usize>) -> u64 {
+        match child {
+            None => 0,
+            Some(i) if self.shape.node(i).is_leaf() => self.cells[i].load(0).await as u64,
+            Some(i) => aac_read(&*self.cells[i], &self.reg).await,
+        }
+    }
+
+    /// Bumps `leaf`'s count, then walks to the root, writing at each
+    /// ancestor the sum of its children's counts into its max register.
+    async fn increment(&self, leaf: usize) {
+        let own = &*self.cells[leaf];
+        let c = own.load(0).await;
+        own.store(0, c + 1).await;
+        let mut node = leaf;
+        while let Some(parent) = self.shape.parent(node) {
+            let info = self.shape.node(parent);
+            let sum = self.count(info.left).await + self.count(info.right).await;
+            aac_write(&*self.cells[parent], &self.reg, sum).await;
+            node = parent;
+        }
+    }
 }
 
 impl SimAacCounter {
@@ -186,26 +159,28 @@ impl SimAacCounter {
     pub fn new(mem: &mut Memory, n: usize, max_increments: u64) -> Self {
         assert!(n >= 1);
         assert!(max_increments >= 1);
-        let mut tree = TreeShape::new();
-        let (root, leaves) = tree.build_complete(n);
-        tree.fix_depths(root);
-        let reg_shape = Arc::new(AacShape::new(max_increments + 1));
-        let mut leaf_cells = vec![None; tree.len()];
-        let mut node_switches = vec![None; tree.len()];
-        for idx in 0..tree.len() {
-            if tree.node(idx).is_leaf() {
-                leaf_cells[idx] = Some(mem.alloc(0));
-            } else {
-                node_switches[idx] = Some(Arc::new(mem.alloc_n(reg_shape.switch_count(), 0)));
-            }
-        }
+        let mut shape = TreeShape::new();
+        let (root, leaves) = shape.build_complete(n);
+        shape.fix_depths(root);
+        let reg = AacShape::new(max_increments + 1);
+        let cells = (0..shape.len())
+            .map(|idx| {
+                let len = if shape.node(idx).is_leaf() {
+                    1
+                } else {
+                    reg.switch_count()
+                };
+                mem.alloc_n(len, 0).into()
+            })
+            .collect();
         SimAacCounter {
-            tree: Arc::new(tree),
-            root,
+            tree: Arc::new(AacCounterTree {
+                shape,
+                root,
+                cells,
+                reg,
+            }),
             leaves,
-            leaf_cells,
-            node_switches,
-            reg_shape,
             max_increments,
         }
     }
@@ -213,17 +188,6 @@ impl SimAacCounter {
     /// The restricted-use bound on total increments.
     pub fn max_increments(&self) -> u64 {
         self.max_increments
-    }
-
-    fn child_of(&self, idx: Option<usize>) -> Child {
-        match idx {
-            None => Child::None,
-            Some(i) => match (&self.leaf_cells[i], &self.node_switches[i]) {
-                (Some(cell), _) => Child::Leaf(*cell),
-                (None, Some(sw)) => Child::Reg(Arc::clone(sw)),
-                _ => unreachable!("node is either leaf or internal"),
-            },
-        }
     }
 }
 
@@ -233,48 +197,16 @@ impl SimCounter for SimAacCounter {
     }
 
     fn increment(&self, pid: ProcessId) -> Machine {
-        let leaf = self.leaves[pid.index()];
-        let leaf_cell = self.leaf_cells[leaf].expect("leaf has a cell");
-        let levels: Vec<AacLevel> = self
-            .tree
-            .ancestors(leaf)
-            .into_iter()
-            .map(|a| {
-                let info = self.tree.node(a);
-                AacLevel {
-                    switches: Arc::clone(self.node_switches[a].as_ref().expect("internal node")),
-                    left: self.child_of(info.left),
-                    right: self.child_of(info.right),
-                }
-            })
-            .collect();
-        let levels = Arc::new(levels);
-        let shape = Arc::clone(&self.reg_shape);
-        Machine::new(read(leaf_cell, move |c| {
-            write(leaf_cell, c + 1, move || aac_counter_up(shape, levels, 0))
-        }))
+        let (tree, leaf) = (Arc::clone(&self.tree), self.leaves[pid.index()]);
+        Machine::new(async move {
+            tree.increment(leaf).await;
+            0
+        })
     }
 
     fn read(&self, _pid: ProcessId) -> Machine {
-        match (&self.leaf_cells[self.root], &self.node_switches[self.root]) {
-            (Some(cell), _) => {
-                let cell = *cell;
-                Machine::new(read(cell, done))
-            }
-            (None, Some(sw)) => {
-                let shape = Arc::clone(&self.reg_shape);
-                let switches = Arc::clone(sw);
-                let root = shape.root();
-                Machine::new(aac_read_k(
-                    shape,
-                    switches,
-                    root,
-                    0,
-                    Box::new(|v| done(v as Word)),
-                ))
-            }
-            _ => unreachable!(),
-        }
+        let tree = Arc::clone(&self.tree);
+        Machine::new(async move { tree.count(Some(tree.root)).await as Word })
     }
 }
 
@@ -296,16 +228,15 @@ impl SimCasLoopCounter {
     }
 }
 
-fn cas_loop_incr(cell: ObjId) -> Step {
-    read(cell, move |v| {
-        cas(cell, v, v + 1, move |ok| {
-            if ok == 1 {
-                done(0)
-            } else {
-                cas_loop_incr(cell)
-            }
-        })
-    })
+/// Adds one to `cells[cell]`: read it and CAS the successor in,
+/// retrying from the read when the CAS fails.
+async fn cas_loop_increment<C: Cells + ?Sized>(cells: &C, cell: usize) {
+    loop {
+        let v = cells.load(cell).await;
+        if cells.cas(cell, v, v + 1).await == 1 {
+            return;
+        }
+    }
 }
 
 impl SimCounter for SimCasLoopCounter {
@@ -314,12 +245,15 @@ impl SimCounter for SimCasLoopCounter {
     }
 
     fn increment(&self, _pid: ProcessId) -> Machine {
-        Machine::new(cas_loop_incr(self.cell))
+        let cell = [self.cell];
+        Machine::new(async move {
+            cas_loop_increment(&cell[..], 0).await;
+            0
+        })
     }
 
     fn read(&self, _pid: ProcessId) -> Machine {
-        let cell = self.cell;
-        Machine::new(read(cell, done))
+        Machine::single(Prim::Read(self.cell), |w| w)
     }
 }
 
@@ -360,20 +294,20 @@ impl SimCounter for SimSnapshotCounter {
     fn increment(&self, pid: ProcessId) -> Machine {
         // Single-writer segment: one snapshot Update of our own count.
         let segments = Arc::clone(&self.segments);
-        Machine::new(body(async move {
+        Machine::new(async move {
             double_collect::update(&*segments, pid.index(), |count| count + 1).await;
             0
-        }))
+        })
     }
 
     fn read(&self, _pid: ProcessId) -> Machine {
         let segments = Arc::clone(&self.segments);
-        Machine::new(body(async move {
+        Machine::new(async move {
             let view = double_collect::double_collect(&*segments, segments.len(), usize::MAX)
                 .await
                 .expect("an unbounded scan returns");
             view.iter().sum::<u64>() as Word
-        }))
+        })
     }
 }
 

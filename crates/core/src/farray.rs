@@ -29,7 +29,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ruo_sim::stepcount::CountingI64;
-use ruo_sim::{body, done, read, Machine, Memory, ObjId, ProcessId, Word};
+use ruo_sim::{Machine, Memory, ObjId, Prim, ProcessId, Word};
 
 use crate::cells::{real_cells, run, Cells};
 use crate::pad::CachePadded;
@@ -125,7 +125,7 @@ pub(crate) async fn climb<A: Aggregation, C: Cells + ?Sized>(cells: &C, path: &[
 }
 
 /// A child's value; a missing child is the identity and costs no step.
-async fn child<A: Aggregation, C: Cells + ?Sized>(cells: &C, idx: u32) -> Word {
+pub(crate) async fn child<A: Aggregation, C: Cells + ?Sized>(cells: &C, idx: u32) -> Word {
     if idx == NO_CHILD {
         A::identity()
     } else {
@@ -330,9 +330,9 @@ impl<A: Aggregation> SimFArray<A> {
         self.layout.leaves.len()
     }
 
-    /// A one-step read of the aggregate.
+    /// A one-step read of the aggregate; it allocates nothing.
     pub fn read(&self) -> Machine {
-        Machine::new(read(self.root_cell(), done))
+        Machine::single(Prim::Read(self.root_cell()), |w| w)
     }
 
     /// The root cell, for wrappers that post-process the raw aggregate
@@ -363,11 +363,11 @@ impl<A: Aggregation> SimFArray<A> {
         f: impl FnOnce(Word) -> Word + Send + 'static,
     ) -> Machine {
         let (layout, cells) = (Arc::clone(&self.layout), Arc::clone(&self.cells));
-        Machine::new(body(async move {
+        Machine::new(async move {
             let i = pid.index();
             merge::<A, _>(&*cells, layout.leaves[i], &layout.paths[i], f).await;
             0
-        }))
+        })
     }
 }
 

@@ -29,9 +29,9 @@ use std::fmt;
 use std::sync::atomic::Ordering;
 
 use ruo_sim::stepcount::CountingU64;
-use ruo_sim::{cas, done, read, Machine, Memory, ObjId, ProcessId, Step, Word};
+use ruo_sim::{access, Machine, Memory, ObjId, Prim, ProcessId, Word};
 
-use super::sim::SimMaxRegister;
+use super::sim::{raise, SimMaxRegister};
 use crate::pad::CachePadded;
 use crate::traits::MaxRegister;
 use crate::value::MAX_VALUE;
@@ -182,24 +182,6 @@ impl SimApproxMaxRegister {
     }
 }
 
-/// One write attempt: read the cell, return if dominated, CAS the code
-/// in otherwise, retrying from the read on interference.
-fn write_attempt(cell: ObjId, code: Word) -> Step {
-    read(cell, move |cur| {
-        if cur >= code {
-            done(0)
-        } else {
-            cas(cell, cur, code, move |ok| {
-                if ok == 1 {
-                    done(0)
-                } else {
-                    write_attempt(cell, code)
-                }
-            })
-        }
-    })
-}
-
 impl SimMaxRegister for SimApproxMaxRegister {
     fn n(&self) -> usize {
         self.n
@@ -209,15 +191,19 @@ impl SimMaxRegister for SimApproxMaxRegister {
         if v == 0 {
             return Machine::completed(0);
         }
-        let code = encode(v, self.k) as Word;
-        Machine::new(write_attempt(self.cell, code))
+        let (cell, code) = ([self.cell], encode(v, self.k) as Word);
+        Machine::new(async move {
+            raise(&cell[..], 0, code).await;
+            0
+        })
     }
 
     fn read_max(&self, _pid: ProcessId) -> Machine {
-        let k = self.k;
-        Machine::new(read(self.cell, move |code| {
-            done(decode(code as u64, k) as Word)
-        }))
+        let (cell, k) = (self.cell, self.k);
+        Machine::new(async move {
+            let code = access(Prim::Read(cell)).await;
+            decode(code as u64, k) as Word
+        })
     }
 }
 

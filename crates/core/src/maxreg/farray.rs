@@ -16,7 +16,7 @@
 
 use std::fmt;
 
-use ruo_sim::{done, read, Machine, Memory, ProcessId, Word};
+use ruo_sim::{Machine, Memory, Prim, ProcessId, Word};
 
 use super::sim::SimMaxRegister;
 use crate::farray::{FArray, Max, SimFArray};
@@ -112,7 +112,7 @@ impl SimMaxRegister for SimFArrayMaxRegister {
     }
 
     fn read_max(&self, _pid: ProcessId) -> Machine {
-        Machine::new(read(self.fa.root_cell(), |w| done(from_word(w) as Word)))
+        Machine::single(Prim::Read(self.fa.root_cell()), |w| from_word(w) as Word)
     }
 }
 

@@ -5,18 +5,21 @@
 //! constructions of `ruo-lowerbound` can be run against them.
 //!
 //! The f-array register's machines derive from the body it ships with
-//! ([`SimFArrayMaxRegister`], beside its real face). The machines below
+//! ([`SimFArrayMaxRegister`], beside its real face). The bodies below
 //! are written apart from their real faces: Algorithm A's always CASes
-//! twice per level, and the CAS cell's reads the cell again after a
-//! failed CAS, where the real face uses the CAS witness value.
+//! twice per level, the AAC register's descends over simulator switch
+//! cells, and the CAS cell's reads the cell again after a failed CAS,
+//! where the real face uses the CAS witness value.
 
 use std::sync::Arc;
 
-use ruo_sim::{cas, done, read, write, Machine, Memory, ObjId, ProcessId, Step, Word, NEG_INF};
+use ruo_sim::{Machine, Memory, ObjId, Prim, ProcessId, Word, NEG_INF};
 
 pub use super::farray::SimFArrayMaxRegister;
-use crate::maxreg::aac::AacShape;
-use crate::shape::AlgorithmATree;
+use crate::cells::Cells;
+use crate::farray::{child, Max};
+use crate::maxreg::aac::{AacNode, AacShape};
+use crate::shape::{AlgorithmATree, NodeIdx, PathNode};
 use crate::value::{from_word, to_word};
 
 /// A max register whose operations are simulator step machines.
@@ -32,30 +35,12 @@ pub trait SimMaxRegister: Send + Sync {
     fn read_max(&self, pid: ProcessId) -> Machine;
 }
 
-/// Reads `obj` if present, otherwise continues immediately with `-∞`
-/// (missing children cost no step — they are local knowledge).
-fn read_opt(obj: Option<ObjId>, k: impl FnOnce(Word) -> Step + Send + 'static) -> Step {
-    match obj {
-        Some(o) => read(o, k),
-        None => k(NEG_INF),
-    }
-}
-
-/// One propagation level of Algorithm A: the parent cell and its two
-/// children's cells.
-#[derive(Clone, Copy, Debug)]
-struct Level {
-    node: ObjId,
-    left: Option<ObjId>,
-    right: Option<ObjId>,
-}
-
 /// Algorithm A as simulator step machines: `ReadMax` is exactly 1 step,
 /// `WriteMax(v)` is `O(min(log N, log v))` steps.
 #[derive(Debug)]
 pub struct SimTreeMaxRegister {
     tree: Arc<AlgorithmATree>,
-    cells: Arc<Vec<ObjId>>,
+    cells: Arc<[ObjId]>,
     root_fast_path: bool,
     elimination: bool,
 }
@@ -67,7 +52,7 @@ impl SimTreeMaxRegister {
         let cells = mem.alloc_n(tree.shape().len(), NEG_INF);
         SimTreeMaxRegister {
             tree: Arc::new(tree),
-            cells: Arc::new(cells),
+            cells: cells.into(),
             root_fast_path: false,
             elimination: false,
         }
@@ -116,68 +101,51 @@ impl SimTreeMaxRegister {
     pub fn tree(&self) -> &AlgorithmATree {
         &self.tree
     }
-
-    fn levels_from(&self, leaf: usize) -> Vec<Level> {
-        let shape = self.tree.shape();
-        shape
-            .ancestors(leaf)
-            .into_iter()
-            .map(|a| {
-                let info = shape.node(a);
-                Level {
-                    node: self.cells[a],
-                    left: info.left.map(|i| self.cells[i]),
-                    right: info.right.map(|i| self.cells[i]),
-                }
-            })
-            .collect()
-    }
 }
 
-/// `Propagate`: at each level read the parent, read both children, CAS
-/// the max in — twice per level (lines 3–9 of Algorithm A).
-fn propagate(levels: Arc<Vec<Level>>, i: usize, attempt: u8) -> Step {
-    if i == levels.len() {
-        return done(0);
-    }
-    let lv = levels[i];
-    read(lv.node, move |old| {
-        read_opt(lv.left, move |l| {
-            read_opt(lv.right, move |r| {
-                cas(lv.node, old, l.max(r), move |_| {
-                    if attempt == 0 {
-                        propagate(levels, i, 1)
-                    } else {
-                        propagate(levels, i + 1, 0)
-                    }
-                })
-            })
-        })
-    })
-}
-
-/// Top-down per-level elimination scan: `j` indexes the next path level
-/// to probe (descending from just below the root). The first node found
-/// `≥ w` witnesses a covering write that propagated at least this far;
-/// the scan finishes its climb with `Propagate` over the levels above it
-/// (`j + 1..`). If the scan reaches the bottom without a hit, the
-/// ordinary leaf body runs.
-fn elim_scan(
-    levels: Arc<Vec<Level>>,
-    j: usize,
-    w: Word,
-    body: Box<dyn FnOnce() -> Step + Send>,
-) -> Step {
-    let node = levels[j].node;
-    read(node, move |x| {
-        if x >= w {
-            propagate(levels, j + 1, 0)
-        } else if j == 0 {
-            body()
-        } else {
-            elim_scan(levels, j - 1, w, body)
+/// `Propagate` (lines 3–9 of Algorithm A) over the bottom-up `path`: at
+/// each level read the node and both children and CAS their maximum in,
+/// `cas_attempts` times whatever each CAS returns. Algorithm A takes two
+/// attempts (Lemma 9); the ablation study also runs one, which loses
+/// completed writes, and three.
+async fn propagate(cells: &[ObjId], path: &[PathNode], cas_attempts: u8) {
+    for level in path {
+        let node = level.node as usize;
+        for _ in 0..cas_attempts {
+            let old = cells.load(node).await;
+            let left = child::<Max, _>(cells, level.left).await;
+            let right = child::<Max, _>(cells, level.right).await;
+            cells.cas(node, old, left.max(right)).await;
         }
-    })
+    }
+}
+
+/// Algorithm A's write of `w` from `leaf`: read the leaf and, when `w`
+/// is larger, store it and propagate, CASing `cas_attempts` times per
+/// level (two in Algorithm A; the ablation study also runs one, which
+/// loses completed writes, and three). When `w` is not larger,
+/// propagate anyway if `help`, and return at once otherwise — the
+/// paper's literal early return.
+///
+/// The literal return is unsound on a shared TL value-leaf: the process
+/// that stored `v` there may be stalled before propagating. The twin
+/// helps there (see the real implementation). TR leaves are
+/// single-writer: our own earlier completed write covers us, so
+/// returning is safe.
+pub async fn write_leaf(
+    cells: &[ObjId],
+    tree: &AlgorithmATree,
+    leaf: NodeIdx,
+    w: Word,
+    help: bool,
+    cas_attempts: u8,
+) {
+    if w > cells.load(leaf).await {
+        cells.store(leaf, w).await;
+    } else if !help {
+        return;
+    }
+    propagate(cells, tree.path_for(leaf), cas_attempts).await;
 }
 
 impl SimMaxRegister for SimTreeMaxRegister {
@@ -189,59 +157,42 @@ impl SimMaxRegister for SimTreeMaxRegister {
         if v == 0 {
             return Machine::completed(0);
         }
-        let w = to_word(v);
-        let leaf = self.tree.leaf_for(pid.index(), v);
-        let leaf_cell = self.cells[leaf];
-        let levels = Arc::new(self.levels_from(leaf));
-        // `w <= old` on a shared TL value-leaf means another process
-        // stored `v` but may not have propagated yet — help it (see the
-        // real implementation for why the paper's unconditional early
-        // return is unsound there). TR leaves are single-writer: our own
-        // earlier completed write covers us, so returning is safe.
-        let help = (v as u128) < self.tree.n() as u128;
-        let body: Box<dyn FnOnce() -> Step + Send> = {
-            let levels = Arc::clone(&levels);
-            Box::new(move || {
-                read(leaf_cell, move |old| {
-                    if w <= old {
-                        if help {
-                            propagate(levels, 0, 0)
-                        } else {
-                            done(0)
-                        }
-                    } else {
-                        write(leaf_cell, w, move || propagate(levels, 0, 0))
-                    }
-                })
-            })
-        };
-        let elimination = self.elimination;
-        if self.root_fast_path {
+        let (tree, cells) = (Arc::clone(&self.tree), Arc::clone(&self.cells));
+        let (root_fast_path, elimination) = (self.root_fast_path, self.elimination);
+        Machine::new(async move {
+            let w = to_word(v);
+            let leaf = tree.leaf_for(pid.index(), v);
+            let path = tree.path_for(leaf);
             // Dominated-write fast path (DESIGN.md § 4.5): the root is
             // monotone and only reaches `v` after a covering write fully
             // propagated, so root ≥ v makes an immediate return
             // linearizable — one step total. With elimination enabled the
-            // miss falls through to the per-level scan instead of
-            // straight to the leaf.
-            let root_cell = self.cells[self.tree.root()];
-            Machine::new(read(root_cell, move |r| {
-                if from_word(r) >= v {
-                    done(0)
-                } else if elimination && levels.len() > 1 {
-                    let top = levels.len() - 2;
-                    elim_scan(levels, top, w, body)
-                } else {
-                    body()
+            // miss falls through to a top-down scan of the path below the
+            // root: the first node found `≥ w` witnesses a covering write
+            // that propagated at least this far, and the write finishes
+            // its climb with `Propagate` over the levels above it.
+            if root_fast_path {
+                if from_word(cells.load(tree.root()).await) >= v {
+                    return 0;
                 }
-            }))
-        } else {
-            Machine::new(body())
-        }
+                if elimination && path.len() > 1 {
+                    for j in (0..path.len() - 1).rev() {
+                        if cells.load(path[j].node as usize).await >= w {
+                            propagate(&cells, &path[j + 1..], 2).await;
+                            return 0;
+                        }
+                    }
+                }
+            }
+            let help = (v as u128) < tree.n() as u128;
+            write_leaf(&cells, &tree, leaf, w, help, 2).await;
+            0
+        })
     }
 
     fn read_max(&self, _pid: ProcessId) -> Machine {
         let root = self.cells[self.tree.root()];
-        Machine::new(read(root, |w| done(from_word(w) as Word)))
+        Machine::single(Prim::Read(root), |w| from_word(w) as Word)
     }
 }
 
@@ -250,7 +201,7 @@ impl SimMaxRegister for SimTreeMaxRegister {
 #[derive(Debug)]
 pub struct SimAacMaxRegister {
     shape: Arc<AacShape>,
-    switches: Arc<Vec<ObjId>>,
+    switches: Arc<[ObjId]>,
     n: usize,
 }
 
@@ -278,7 +229,7 @@ impl SimAacMaxRegister {
         let switches = mem.alloc_n(shape.switch_count(), 0);
         SimAacMaxRegister {
             shape: Arc::new(shape),
-            switches: Arc::new(switches),
+            switches: switches.into(),
             n,
         }
     }
@@ -289,59 +240,58 @@ impl SimAacMaxRegister {
     }
 }
 
-type K = Box<dyn FnOnce() -> Step + Send>;
-type ValueK = Box<dyn FnOnce(u64) -> Step + Send>;
-
-pub(crate) fn aac_write(
-    shape: Arc<AacShape>,
-    cells: Arc<Vec<ObjId>>,
-    idx: usize,
-    v: u64,
-    k: K,
-) -> Step {
-    let node = *shape.node(idx);
-    let (Some(left), Some(right), Some(sw)) = (node.left, node.right, node.switch) else {
-        return k();
-    };
-    let sw_cell = cells[sw];
-    if v >= node.half {
-        // Write the right subregister, then set the switch.
-        let after: K = Box::new(move || write(sw_cell, 1, k));
-        aac_write(shape, cells, right, v - node.half, after)
-    } else {
-        read(sw_cell, move |s| {
-            if s != 0 {
-                k() // dominated by a larger value already
-            } else {
-                aac_write(shape, cells, left, v, k)
-            }
-        })
+/// The AAC write of `v` over the switch `cells` of `shape`: descend
+/// from the root, right (shifted down by the split) while `v` is in the
+/// upper half and left while the left turn's switch is unset; a set one
+/// means a larger value is already written, and the descent stops
+/// there. Then set the switches of the right turns, deepest first, so
+/// a reader that follows a set switch finds the value below it.
+pub(crate) async fn aac_write<C: Cells + ?Sized>(cells: &C, shape: &AacShape, mut v: u64) {
+    let mut right_turns = Vec::new();
+    let mut idx = shape.root();
+    while let AacNode {
+        left: Some(left),
+        right: Some(right),
+        switch: Some(switch),
+        half,
+        ..
+    } = *shape.node(idx)
+    {
+        if v >= half {
+            right_turns.push(switch);
+            v -= half;
+            idx = right;
+        } else if cells.load(switch).await != 0 {
+            break;
+        } else {
+            idx = left;
+        }
+    }
+    for &switch in right_turns.iter().rev() {
+        cells.store(switch, 1).await;
     }
 }
 
-pub(crate) fn aac_read_k(
-    shape: Arc<AacShape>,
-    cells: Arc<Vec<ObjId>>,
-    idx: usize,
-    base: u64,
-    k: ValueK,
-) -> Step {
-    let node = *shape.node(idx);
-    let (Some(left), Some(right), Some(sw)) = (node.left, node.right, node.switch) else {
-        return k(base);
-    };
-    let sw_cell = cells[sw];
-    read(sw_cell, move |s| {
-        if s != 0 {
-            aac_read_k(shape, cells, right, base + node.half, k)
+/// The AAC read over the switch `cells` of `shape`: follow the switches
+/// down from the root, adding the split at each set one.
+pub(crate) async fn aac_read<C: Cells + ?Sized>(cells: &C, shape: &AacShape) -> u64 {
+    let (mut idx, mut base) = (shape.root(), 0);
+    while let AacNode {
+        left: Some(left),
+        right: Some(right),
+        switch: Some(switch),
+        half,
+        ..
+    } = *shape.node(idx)
+    {
+        if cells.load(switch).await != 0 {
+            base += half;
+            idx = right;
         } else {
-            aac_read_k(shape, cells, left, base, k)
+            idx = left;
         }
-    })
-}
-
-fn aac_read(shape: Arc<AacShape>, cells: Arc<Vec<ObjId>>, idx: usize, base: u64) -> Step {
-    aac_read_k(shape, cells, idx, base, Box::new(|v| done(v as Word)))
+    }
+    base
 }
 
 impl SimMaxRegister for SimAacMaxRegister {
@@ -358,17 +308,16 @@ impl SimMaxRegister for SimAacMaxRegister {
             "value {v} exceeds the AAC register bound {}",
             self.shape.capacity()
         );
-        let shape = Arc::clone(&self.shape);
-        let cells = Arc::clone(&self.switches);
-        let root = shape.root();
-        Machine::new(aac_write(shape, cells, root, v, Box::new(|| done(0))))
+        let (shape, switches) = (Arc::clone(&self.shape), Arc::clone(&self.switches));
+        Machine::new(async move {
+            aac_write(&*switches, &shape, v).await;
+            0
+        })
     }
 
     fn read_max(&self, _pid: ProcessId) -> Machine {
-        let shape = Arc::clone(&self.shape);
-        let cells = Arc::clone(&self.switches);
-        let root = shape.root();
-        Machine::new(aac_read(shape, cells, root, 0))
+        let (shape, switches) = (Arc::clone(&self.shape), Arc::clone(&self.switches));
+        Machine::new(async move { aac_read(&*switches, &shape).await as Word })
     }
 }
 
@@ -389,20 +338,17 @@ impl SimCasRetryMaxRegister {
     }
 }
 
-fn cas_retry_write(cell: ObjId, v: Word) -> Step {
-    read(cell, move |cur| {
-        if cur >= v {
-            done(0)
-        } else {
-            cas(cell, cur, v, move |ok| {
-                if ok == 1 {
-                    done(0)
-                } else {
-                    cas_retry_write(cell, v)
-                }
-            })
+/// Raises `cells[cell]` to at least `v`: read it, return when it holds
+/// `v` or more, CAS `v` in otherwise, and retry from the read when the
+/// CAS fails (lock-free). The CAS-retry register's writes take it, and
+/// so do the k-accurate register's, on their code cell.
+pub(crate) async fn raise<C: Cells + ?Sized>(cells: &C, cell: usize, v: Word) {
+    loop {
+        let cur = cells.load(cell).await;
+        if cur >= v || cells.cas(cell, cur, v).await == 1 {
+            return;
         }
-    })
+    }
 }
 
 impl SimMaxRegister for SimCasRetryMaxRegister {
@@ -411,12 +357,15 @@ impl SimMaxRegister for SimCasRetryMaxRegister {
     }
 
     fn write_max(&self, _pid: ProcessId, v: u64) -> Machine {
-        Machine::new(cas_retry_write(self.cell, to_word(v)))
+        let (cell, w) = ([self.cell], to_word(v));
+        Machine::new(async move {
+            raise(&cell[..], 0, w).await;
+            0
+        })
     }
 
     fn read_max(&self, _pid: ProcessId) -> Machine {
-        let cell = self.cell;
-        Machine::new(read(cell, done))
+        Machine::single(Prim::Read(self.cell), |w| w)
     }
 }
 

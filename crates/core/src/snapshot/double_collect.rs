@@ -19,7 +19,7 @@ use std::fmt;
 use std::sync::{Arc, Mutex};
 
 use ruo_sim::stepcount::CountingI64;
-use ruo_sim::{body, Machine, Memory, ObjId, ProcessId, Word};
+use ruo_sim::{Machine, Memory, ObjId, ProcessId, Word};
 
 use super::sim::SimSnapshot;
 use crate::cells::{real_cells, run, Cells};
@@ -191,23 +191,23 @@ impl SimSnapshot for SimDoubleCollectSnapshot {
     /// Panics if `v` exceeds [`MAX_SEGMENT_VALUE`].
     fn update(&self, pid: ProcessId, v: u64) -> Machine {
         let (segments, v) = (Arc::clone(&self.segments), check_value(v));
-        Machine::new(body(async move {
+        Machine::new(async move {
             update(&*segments, pid.index(), |_| v).await;
             0
-        }))
+        })
     }
 
     fn scan(&self, _pid: ProcessId) -> Machine {
         let segments = Arc::clone(&self.segments);
         let results = Arc::clone(&self.results);
-        Machine::new(body(async move {
+        Machine::new(async move {
             let cut = double_collect(&*segments, segments.len(), usize::MAX).await;
             let mut table = results
                 .lock()
                 .expect("no scan panics holding the results table");
             table.push(cut.expect("an unbounded scan returns"));
             table.len() as Word - 1
-        }))
+        })
     }
 
     fn take_scan_result(&self, token: Word) -> Vec<u64> {

@@ -87,18 +87,25 @@ pub fn lemma1_round(mem: &mut Memory, procs: &mut [(ProcessId, &mut Machine)]) -
 mod tests {
     use super::*;
     use crate::FlowTracker;
-    use ruo_sim::{cas, done, read, write, Machine, ObjId, Word};
+    use ruo_sim::{Machine, ObjId, Prim, Word};
 
     fn writer(o: ObjId, v: Word) -> Machine {
-        Machine::new(write(o, v, move || done(0)))
+        Machine::single(Prim::Write(o, v), |_| 0)
     }
 
     fn reader(o: ObjId) -> Machine {
-        Machine::new(read(o, done))
+        Machine::single(Prim::Read(o), |v| v)
     }
 
     fn casser(o: ObjId, expected: Word, new: Word) -> Machine {
-        Machine::new(cas(o, expected, new, done))
+        Machine::single(
+            Prim::Cas {
+                obj: o,
+                expected,
+                new,
+            },
+            |ok| ok,
+        )
     }
 
     #[test]

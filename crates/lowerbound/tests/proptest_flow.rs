@@ -12,7 +12,7 @@ use ruo_lowerbound::flow::visible_mutations;
 use ruo_lowerbound::lemma1::lemma1_round;
 use ruo_lowerbound::turan::greedy_independent_set;
 use ruo_lowerbound::FlowTracker;
-use ruo_sim::{cas, done, read, write, Machine, Memory, Prim, ProcessId, SplitMix64, Word};
+use ruo_sim::{Machine, Memory, Prim, ProcessId, SplitMix64, Word};
 
 /// One random primitive applied by a random process to a random object;
 /// operands in -2..3.
@@ -108,11 +108,16 @@ fn lemma1_bound_holds_for_random_machines() {
                 let kind = rng.gen_below(3) as u8;
                 let obj = objs[rng.gen_index(3)];
                 let v = rng.gen_below(5) as Word - 1;
-                match kind {
-                    0 => Machine::new(read(obj, done)),
-                    1 => Machine::new(write(obj, v, move || done(0))),
-                    _ => Machine::new(cas(obj, 0, v, done)),
-                }
+                let prim = match kind {
+                    0 => Prim::Read(obj),
+                    1 => Prim::Write(obj, v),
+                    _ => Prim::Cas {
+                        obj,
+                        expected: 0,
+                        new: v,
+                    },
+                };
+                Machine::single(prim, |resp| resp)
             })
             .collect();
         let mut tracker = FlowTracker::new(n);

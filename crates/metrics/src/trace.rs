@@ -497,7 +497,7 @@ impl StepTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruo_sim::{cas, done, read, write, Machine, Memory, OpOutput, OpRecord, ProcessId, Word};
+    use ruo_sim::{access, Machine, Memory, OpOutput, OpRecord, Prim, ProcessId};
 
     fn run_to_completion(
         mem: &mut Memory,
@@ -531,7 +531,15 @@ mod tests {
         run_to_completion(
             &mut mem,
             ProcessId(0),
-            Machine::new(read(cell, move |v: Word| cas(cell, v, 7, done))),
+            Machine::new(async move {
+                let v = access(Prim::Read(cell)).await;
+                access(Prim::Cas {
+                    obj: cell,
+                    expected: v,
+                    new: 7,
+                })
+                .await
+            }),
             &mut history,
             OpDesc::WriteMax(7),
         );
@@ -539,7 +547,16 @@ mod tests {
         run_to_completion(
             &mut mem,
             ProcessId(1),
-            Machine::new(cas(cell, 0, 9, move |_| write(cell, 9, move || done(9)))),
+            Machine::new(async move {
+                let cas = Prim::Cas {
+                    obj: cell,
+                    expected: 0,
+                    new: 9,
+                };
+                access(cas).await;
+                access(Prim::Write(cell, 9)).await;
+                9
+            }),
             &mut history,
             OpDesc::WriteMax(9),
         );
@@ -547,7 +564,7 @@ mod tests {
         run_to_completion(
             &mut mem,
             ProcessId(0),
-            Machine::new(read(cell, done)),
+            Machine::single(Prim::Read(cell), |v| v),
             &mut history,
             OpDesc::ReadMax,
         );
@@ -691,9 +708,11 @@ mod tests {
         let cell = mem.alloc(0);
         let pid = ProcessId(3);
         // Two steps issued, never completed.
-        let mut m = Machine::new(read(cell, move |v: Word| {
-            write(cell, v + 1, move || done(0))
-        }));
+        let mut m = Machine::new(async move {
+            let v = access(Prim::Read(cell)).await;
+            access(Prim::Write(cell, v + 1)).await;
+            0
+        });
         for _ in 0..2 {
             let prim = m.enabled().unwrap();
             let resp = mem.apply(pid, prim);

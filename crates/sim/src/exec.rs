@@ -283,18 +283,21 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::history::OpDesc;
-    use crate::{cas, done, read, RandomScheduler, RoundRobin, Solo};
+    use crate::{access, Prim, RandomScheduler, RoundRobin, Solo};
 
     /// A CAS-loop counter increment on a single cell.
-    fn incr(o: crate::ObjId) -> crate::Step {
-        read(o, move |v| {
-            cas(
-                o,
-                v,
-                v + 1,
-                move |ok| if ok == 1 { done(v + 1) } else { incr(o) },
-            )
-        })
+    async fn incr(o: crate::ObjId) -> Word {
+        loop {
+            let v = access(Prim::Read(o)).await;
+            let cas = Prim::Cas {
+                obj: o,
+                expected: v,
+                new: v + 1,
+            };
+            if access(cas).await == 1 {
+                return v + 1;
+            }
+        }
     }
 
     fn workload(n: usize, o: crate::ObjId) -> WorkloadBuilder {

@@ -14,8 +14,8 @@
 //!   [`Memory::undo_last`] (`O(1)` — each [`Event`](crate::Event) logs
 //!   the overwritten value) and pops the operation's response log, but
 //!   leaves its machine where it is. The machine is then *behind* its
-//!   log (continuations are `FnOnce`, so a consumed machine cannot be
-//!   rewound), and it is rebuilt only when the operation steps again:
+//!   log (a body cannot be rewound past the accesses it has resumed
+//!   from), and it is rebuilt only when the operation steps again:
 //!   one fresh machine from `setup` (the rest of that call is dropped —
 //!   no pool of spare machines is kept) re-fed the logged responses.
 //!   Until then the explorer reads the operation's enabled event from
@@ -898,17 +898,40 @@ mod tests {
     use super::*;
     use crate::lin::check_interval;
     use crate::spec::SeqSpec;
-    use crate::{cas, done, read, write, ObjId, Step};
+    use crate::{access, ObjId};
 
-    fn incr(o: ObjId) -> Step {
-        read(o, move |v| {
-            cas(
-                o,
-                v,
-                v + 1,
-                move |ok| if ok == 1 { done(v + 1) } else { incr(o) },
-            )
-        })
+    /// A CAS-loop counter increment on `o`.
+    async fn incr(o: ObjId) -> Word {
+        loop {
+            let v = access(Prim::Read(o)).await;
+            let cas = Prim::Cas {
+                obj: o,
+                expected: v,
+                new: v + 1,
+            };
+            if access(cas).await == 1 {
+                return v + 1;
+            }
+        }
+    }
+
+    /// A one-step read of `o`.
+    fn reader(o: ObjId) -> Machine {
+        Machine::single(Prim::Read(o), |v| v)
+    }
+
+    /// A one-step write of `v` to `o`.
+    fn writer(o: ObjId, v: Word) -> Machine {
+        Machine::single(Prim::Write(o, v), |_| 0)
+    }
+
+    /// An increment that reads `o`, then writes `v + 2` before `v + 1`:
+    /// a concurrent reader can see the overshoot.
+    async fn sloppy_double_incr(o: ObjId) -> Word {
+        let v = access(Prim::Read(o)).await;
+        access(Prim::Write(o, v + 2)).await;
+        access(Prim::Write(o, v + 1)).await;
+        0
     }
 
     fn counter_setup(n: usize) -> (impl Fn() -> (Memory, Vec<Machine>), Vec<ExploreOp>) {
@@ -1091,11 +1114,7 @@ mod tests {
                     let mut mem = Memory::new();
                     let a = mem.alloc(0);
                     let b = mem.alloc(7);
-                    let machines = vec![
-                        Machine::new(incr(a)),
-                        Machine::new(incr(a)),
-                        Machine::new(read(b, done)),
-                    ];
+                    let machines = vec![Machine::new(incr(a)), Machine::new(incr(a)), reader(b)];
                     (mem, machines)
                 }),
                 vec![
@@ -1122,11 +1141,7 @@ mod tests {
                     let mut mem = Memory::new();
                     let a = mem.alloc(0);
                     let b = mem.alloc(0);
-                    let machines = vec![
-                        Machine::new(write(a, 5, || done(0))),
-                        Machine::new(read(a, done)),
-                        Machine::new(write(b, 9, || done(0))),
-                    ];
+                    let machines = vec![writer(a, 5), reader(a), writer(b, 9)];
                     (mem, machines)
                 }),
                 vec![
@@ -1152,11 +1167,7 @@ mod tests {
                 Box::new(|| {
                     let mut mem = Memory::new();
                     let a = mem.alloc(0);
-                    let machines = vec![
-                        Machine::completed(0),
-                        Machine::new(incr(a)),
-                        Machine::new(read(a, done)),
-                    ];
+                    let machines = vec![Machine::completed(0), Machine::new(incr(a)), reader(a)];
                     (mem, machines)
                 }),
                 vec![
@@ -1292,18 +1303,10 @@ mod tests {
         // A dirty-read bug: the "increment" writes the new value before
         // validating, so a concurrent reader can observe an overcount.
         // Pruning must still reach a violating schedule.
-        fn sloppy_double_incr(o: ObjId) -> Step {
-            read(o, move |v| {
-                write(o, v + 2, move || write(o, v + 1, move || done(0)))
-            })
-        }
         let setup = || {
             let mut mem = Memory::new();
             let o = mem.alloc(0);
-            let machines = vec![
-                Machine::new(sloppy_double_incr(o)),
-                Machine::new(read(o, done)),
-            ];
+            let machines = vec![Machine::new(sloppy_double_incr(o)), reader(o)];
             (mem, machines)
         };
         let ops = vec![
@@ -1411,8 +1414,10 @@ mod tests {
         // never reaches — a violation that NO crash-free schedule
         // exhibits (the checker below only fails when the crashed state
         // is observed). Crash exploration must find it automatically.
-        fn two_phase(a: ObjId, b: ObjId) -> Step {
-            write(a, 1, move || write(b, 1, move || done(0)))
+        async fn two_phase(a: ObjId, b: ObjId) -> Word {
+            access(Prim::Write(a, 1)).await;
+            access(Prim::Write(b, 1)).await;
+            0
         }
         let setup = move || {
             let mut mem = Memory::new();
@@ -1420,7 +1425,10 @@ mod tests {
             let b = mem.alloc(0);
             let machines = vec![
                 Machine::new(two_phase(a, b)),
-                Machine::new(read(a, move |va| read(b, move |vb| done(va - vb)))),
+                Machine::new(async move {
+                    let va = access(Prim::Read(a)).await;
+                    va - access(Prim::Read(b)).await
+                }),
             ];
             (mem, machines)
         };
@@ -1491,11 +1499,7 @@ mod tests {
         let setup = || {
             let mut mem = Memory::new();
             let a = mem.alloc(0);
-            let machines = vec![
-                Machine::new(incr(a)),
-                Machine::new(incr(a)),
-                Machine::new(read(a, done)),
-            ];
+            let machines = vec![Machine::new(incr(a)), Machine::new(incr(a)), reader(a)];
             (mem, machines)
         };
         let ops = vec![
@@ -1556,15 +1560,14 @@ mod tests {
         assert_eq!(full, pruned, "crash pruning changed the history set");
     }
 
-    /// `n` writes to `o` in a row. The continuation chain holds `token`
-    /// until the last write completes.
-    fn writes(o: ObjId, n: Word, token: Arc<()>) -> Step {
-        if n == 0 {
-            drop(token);
-            done(0)
-        } else {
-            write(o, n, move || writes(o, n - 1, token))
+    /// `n` writes to `o` in a row, of `n` down to 1. The body holds
+    /// `token` until the last write completes.
+    async fn writes(o: ObjId, n: Word, token: Arc<()>) -> Word {
+        for v in (1..=n).rev() {
+            access(Prim::Write(o, v)).await;
         }
+        drop(token);
+        0
     }
 
     #[test]
@@ -1578,10 +1581,11 @@ mod tests {
             let a = mem.alloc(0);
             let reader = || {
                 let t = Arc::clone(&token);
-                Machine::new(read(a, move |v| {
+                Machine::new(async move {
+                    let v = access(Prim::Read(a)).await;
                     drop(t);
-                    done(v)
-                }))
+                    v
+                })
             };
             let writer = Machine::new(writes(a, 6, Arc::clone(&token)));
             (mem, vec![writer, reader(), reader()])
@@ -1620,10 +1624,7 @@ mod tests {
         let setup = || {
             let mut mem = Memory::new();
             let a = mem.alloc(0);
-            let machines = vec![
-                Machine::new(writes(a, 3, Arc::default())),
-                Machine::new(read(a, done)),
-            ];
+            let machines = vec![Machine::new(writes(a, 3, Arc::default())), reader(a)];
             (mem, machines)
         };
         let ops = vec![
@@ -1742,18 +1743,10 @@ mod tests {
         // Same dirty-read scenario as `pruning_reaches_violating_schedules`,
         // but searched in parallel: a transient overcount of 2 must still
         // be found regardless of which worker owns the violating branch.
-        fn sloppy_double_incr(o: ObjId) -> Step {
-            read(o, move |v| {
-                write(o, v + 2, move || write(o, v + 1, move || done(0)))
-            })
-        }
         let setup = || {
             let mut mem = Memory::new();
             let o = mem.alloc(0);
-            let machines = vec![
-                Machine::new(sloppy_double_incr(o)),
-                Machine::new(read(o, done)),
-            ];
+            let machines = vec![Machine::new(sloppy_double_incr(o)), reader(o)];
             (mem, machines)
         };
         let ops = vec![

@@ -13,11 +13,11 @@
 //! * [`Memory`] — a collection of base objects (single-word cells) that
 //!   supports the three primitives and records every event in an
 //!   [`EventLog`].
-//! * [`Machine`] — an operation expressed as a step machine built from
-//!   continuation combinators ([`read`], [`write()`], [`cas`], [`done`]),
-//!   or from an `async` body whose accesses are [`Access`] futures
-//!   ([`body`]), so algorithms read like straight-line pseudo-code while
-//!   still exposing one shared-memory event at a time to the scheduler.
+//! * [`Machine`] — an operation as a step machine: an `async` body whose
+//!   shared-memory accesses are [`Access`] futures, boxed once, or a
+//!   single access that needs no body ([`Machine::single`]). Algorithms
+//!   read like straight-line pseudo-code while still exposing one
+//!   shared-memory event at a time to the scheduler.
 //! * [`Scheduler`] implementations — round-robin, seeded-random, and solo
 //!   (obstruction-free) schedules — plus an [`Executor`] that runs whole
 //!   workloads and records invocation/response [`History`]s.
@@ -31,13 +31,17 @@
 //! the paper, which is the point of simulating instead of timing.
 //!
 //! ```
-//! use ruo_sim::{Memory, Machine, read, write, done, Word};
+//! use ruo_sim::{access, Machine, Memory, Prim};
 //!
 //! // A two-step operation: read cell, then write incremented value back.
 //! let mut mem = Memory::new();
 //! let cell = mem.alloc(41);
 //! let pid = ruo_sim::ProcessId(0);
-//! let mut op = Machine::new(read(cell, move |v| write(cell, v + 1, move || done(v + 1))));
+//! let mut op = Machine::new(async move {
+//!     let v = access(Prim::Read(cell)).await;
+//!     access(Prim::Write(cell, v + 1)).await;
+//!     v + 1
+//! });
 //! while !op.is_done() {
 //!     let prim = op.enabled().expect("machine still running");
 //!     let resp = mem.apply(pid, prim);
@@ -71,9 +75,7 @@ pub use exec::{ExecOutcome, Executor, OpSpec, WorkloadBuilder};
 pub use fault::{Fault, FaultClock, FaultPlan};
 pub use history::{History, OpDesc, OpOutput, OpRecord, StripPendingError};
 pub use ids::{ObjId, ProcessId};
-pub use machine::{
-    access, body, cas, done, read, run_solo, write, Access, BoxedStep, Machine, Step,
-};
+pub use machine::{access, run_solo, Access, Machine};
 pub use mem::Memory;
 pub use rng::SplitMix64;
 pub use sched::{RandomScheduler, RoundRobin, Scheduler, ScriptedScheduler, Solo};

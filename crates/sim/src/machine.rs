@@ -1,26 +1,30 @@
 //! Operations as step machines.
 //!
-//! Algorithms in the simulator are written in continuation-passing style:
-//! each of [`read`], [`write`] and [`cas`] names the next shared-memory
-//! event and a closure that receives its response and produces the rest
-//! of the operation; [`done`] terminates with a result. This keeps
-//! algorithm code close to the paper's pseudo-code while exposing exactly
-//! one enabled event at a time — which is what the model requires ("if a
-//! process has not completed its operation, it has exactly one enabled
-//! event").
+//! An operation is an `async` body whose shared-memory accesses are
+//! [`Access`] futures: the body suspends once on each access and resumes
+//! with the event's response. A [`Machine`] owns the pinned body and the
+//! access it is suspended on, which is the operation's one enabled event
+//! — what the model requires ("if a process has not completed its
+//! operation, it has exactly one enabled event"). The scheduler reads
+//! the [`enabled`](Machine::enabled) event, applies it to memory, and
+//! [`feed`](Machine::feed)s the response back; the body then runs to its
+//! next access. The body is boxed once, when the machine is built, and a
+//! step allocates nothing.
 //!
 //! ```
-//! use ruo_sim::{read, cas, done, Machine, Memory, ProcessId, Step, ObjId, Word};
+//! use ruo_sim::{access, Machine, Memory, ObjId, Prim, ProcessId, Word};
 //!
 //! /// `fetch_max(o, v)`: a CAS-loop that raises `o` to at least `v`.
-//! fn fetch_max(o: ObjId, v: Word) -> Step {
-//!     read(o, move |cur| {
+//! async fn fetch_max(o: ObjId, v: Word) -> Word {
+//!     loop {
+//!         let cur = access(Prim::Read(o)).await;
 //!         if cur >= v {
-//!             done(cur)
-//!         } else {
-//!             cas(o, cur, v, move |ok| if ok == 1 { done(v) } else { fetch_max(o, v) })
+//!             return cur;
 //!         }
-//!     })
+//!         if access(Prim::Cas { obj: o, expected: cur, new: v }).await == 1 {
+//!             return v;
+//!         }
+//!     }
 //! }
 //!
 //! let mut mem = Memory::new();
@@ -31,11 +35,12 @@
 //!     m.feed(resp);
 //! }
 //! assert_eq!(mem.peek(o), 7);
+//! assert_eq!((m.result(), m.steps()), (Some(7), 2));
 //! ```
 //!
-//! An operation can also be written once as an `async` body whose
-//! shared-memory accesses are [`Access`] futures: [`body`] turns it into
-//! the same step chain, one enabled event per access.
+//! An operation of one access, such as a one-load read of a root, needs
+//! no body: [`Machine::single`] stores the primitive and a function of
+//! its response, and never allocates.
 
 use std::cell::Cell;
 use std::fmt;
@@ -43,81 +48,16 @@ use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
 
-use crate::{ObjId, Prim, Word};
+use crate::{Prim, Word};
 
-/// The continuation of an operation after one event's response.
-pub type BoxedStep = Box<dyn FnOnce(Word) -> Step + Send>;
-
-/// The state of an in-progress operation: either one enabled event plus a
-/// continuation, or a completed operation with its result.
-pub enum Step {
-    /// The operation's next (unique) enabled event, and what to do with
-    /// its response.
-    Pending {
-        /// The enabled primitive.
-        prim: Prim,
-        /// Continuation receiving the primitive's response.
-        k: BoxedStep,
-    },
-    /// The operation has completed with this result.
-    Done(Word),
-}
-
-impl fmt::Debug for Step {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Step::Pending { prim, .. } => f.debug_struct("Pending").field("prim", prim).finish(),
-            Step::Done(v) => f.debug_tuple("Done").field(v).finish(),
-        }
-    }
-}
-
-/// A pending `read` event; `k` receives the value read.
-pub fn read(obj: ObjId, k: impl FnOnce(Word) -> Step + Send + 'static) -> Step {
-    Step::Pending {
-        prim: Prim::Read(obj),
-        k: Box::new(k),
-    }
-}
-
-/// A pending `write` event; `k` runs after the write is applied.
-pub fn write(obj: ObjId, value: Word, k: impl FnOnce() -> Step + Send + 'static) -> Step {
-    Step::Pending {
-        prim: Prim::Write(obj, value),
-        k: Box::new(move |_| k()),
-    }
-}
-
-/// A pending `CAS` event; `k` receives `1` if the swap succeeded, `0`
-/// otherwise.
-pub fn cas(
-    obj: ObjId,
-    expected: Word,
-    new: Word,
-    k: impl FnOnce(Word) -> Step + Send + 'static,
-) -> Step {
-    Step::Pending {
-        prim: Prim::Cas { obj, expected, new },
-        k: Box::new(k),
-    }
-}
-
-/// Completes the operation with `result`.
-pub fn done(result: Word) -> Step {
-    Step::Done(result)
-}
-
-/// Where an [`Access`] and [`body`] hand over the event and its response.
-/// A body only runs inside `body`'s poll, on the polling thread.
-#[derive(Clone, Copy)]
-enum Port {
-    Idle,
-    Issued(Prim),
-    Answered(Word),
-}
-
+// Where an [`Access`] and the machine polling its body hand over the
+// event and its response. A body only runs inside a machine's poll, on
+// the polling thread.
 thread_local! {
-    static PORT: Cell<Port> = const { Cell::new(Port::Idle) };
+    /// The primitive of the access the body suspended on.
+    static ISSUED: Cell<Option<Prim>> = const { Cell::new(None) };
+    /// The response for the access the body resumes on.
+    static ANSWER: Cell<Option<Word>> = const { Cell::new(None) };
 }
 
 /// One shared-memory access of an `async` body: the body suspends once
@@ -130,7 +70,8 @@ pub struct Access {
     issued: bool,
 }
 
-/// An access of `prim`, for a body driven by [`body`].
+/// An access of `prim`, for a body driven by a [`Machine`].
+#[inline]
 pub fn access(prim: Prim) -> Access {
     Access {
         prim,
@@ -141,15 +82,13 @@ pub fn access(prim: Prim) -> Access {
 impl Future for Access {
     type Output = Word;
 
+    #[inline]
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Word> {
         if self.issued {
-            match PORT.replace(Port::Idle) {
-                Port::Answered(resp) => Poll::Ready(resp),
-                _ => panic!("an access resumed without a response"),
-            }
+            Poll::Ready(ANSWER.take().expect("an access resumed without a response"))
         } else {
             self.issued = true;
-            PORT.set(Port::Issued(self.prim));
+            ISSUED.set(Some(self.prim));
             Poll::Pending
         }
     }
@@ -157,63 +96,113 @@ impl Future for Access {
 
 type Body = Pin<Box<dyn Future<Output = Word> + Send>>;
 
-/// An operation written as an `async` body: each awaited [`Access`] is
-/// one enabled event, and the body's output is the result.
-///
-/// The body runs up to its first access at once, so the returned step
-/// is `Done` only for a body that takes no step.
-///
-/// ```
-/// use ruo_sim::{access, body, run_solo, Machine, Memory, Prim, ProcessId};
-///
-/// let mut mem = Memory::new();
-/// let o = mem.alloc(41);
-/// let incr = body(async move {
-///     let v = access(Prim::Read(o)).await;
-///     access(Prim::Write(o, v + 1)).await;
-///     v + 1
-/// });
-/// assert_eq!(run_solo(&mut mem, ProcessId(0), Machine::new(incr)), (42, 2));
-/// ```
-pub fn body(fut: impl Future<Output = Word> + Send + 'static) -> Step {
-    resume(Box::pin(fut))
+/// What the response of an operation's enabled access goes to.
+enum Rest {
+    /// The body suspended on the access.
+    Body(Body),
+    /// The map from the response to the result, for an operation of one
+    /// access.
+    Map(fn(Word) -> Word),
+    /// Nothing: the operation has completed.
+    Done,
 }
 
-fn resume(mut fut: Body) -> Step {
-    match fut.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
-        Poll::Ready(result) => Step::Done(result),
-        Poll::Pending => {
-            let Port::Issued(prim) = PORT.replace(Port::Idle) else {
-                panic!("a body suspended on something other than an access");
-            };
-            Step::Pending {
-                prim,
-                k: Box::new(move |resp| {
-                    PORT.set(Port::Answered(resp));
-                    resume(fut)
-                }),
-            }
-        }
-    }
-}
-
-/// Drives a [`Step`] chain event by event.
+/// One operation instance (e.g. one `WriteMax(v)` by one process),
+/// driven event by event.
 ///
-/// A `Machine` is one operation instance (e.g. one `WriteMax(v)` by one
-/// process). The scheduler asks for the [`enabled`](Machine::enabled)
-/// event, applies it to memory, and [`feed`](Machine::feed)s the response
-/// back. The number of `feed` calls is the operation's step count.
-#[derive(Debug)]
+/// The scheduler asks for the [`enabled`](Machine::enabled) event,
+/// applies it to memory, and [`feed`](Machine::feed)s the response back.
+/// The number of `feed` calls is the operation's step count.
 pub struct Machine {
-    state: Option<Step>,
+    /// The enabled access; `None` once the operation has completed.
+    enabled: Option<Prim>,
+    rest: Rest,
+    result: Word,
     steps: usize,
 }
 
+impl fmt::Debug for Machine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Machine")
+            .field("enabled", &self.enabled())
+            .field("result", &self.result())
+            .field("steps", &self.steps)
+            .finish()
+    }
+}
+
 impl Machine {
-    /// Wraps an operation's initial step.
-    pub fn new(initial: Step) -> Self {
+    /// The operation written as the `async` `body`: each awaited
+    /// [`Access`] is one enabled event, and the body's output is the
+    /// result. The body is boxed here, once.
+    ///
+    /// The body runs up to its first access at once, so the machine is
+    /// already done only for a body that takes no step.
+    ///
+    /// ```
+    /// use ruo_sim::{access, run_solo, Machine, Memory, Prim, ProcessId};
+    ///
+    /// let mut mem = Memory::new();
+    /// let o = mem.alloc(41);
+    /// let incr = Machine::new(async move {
+    ///     let v = access(Prim::Read(o)).await;
+    ///     access(Prim::Write(o, v + 1)).await;
+    ///     v + 1
+    /// });
+    /// assert_eq!(run_solo(&mut mem, ProcessId(0), incr), (42, 2));
+    /// ```
+    pub fn new(body: impl Future<Output = Word> + Send + 'static) -> Self {
+        let mut machine = Machine {
+            enabled: None,
+            rest: Rest::Body(Box::pin(body)),
+            result: 0,
+            steps: 0,
+        };
+        machine.poll();
+        machine
+    }
+
+    /// Runs the body up to its next access, or to its end. The body is
+    /// polled in place: a step moves nothing but the primitive and the
+    /// response.
+    fn poll(&mut self) {
+        let Rest::Body(body) = &mut self.rest else {
+            unreachable!("only a body is polled");
+        };
+        match body.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+            Poll::Ready(result) => self.finish(result),
+            Poll::Pending => {
+                self.enabled = ISSUED.take();
+                assert!(
+                    self.enabled.is_some(),
+                    "a body suspended on something other than an access"
+                );
+            }
+        }
+    }
+
+    fn finish(&mut self, result: Word) {
+        self.enabled = None;
+        self.rest = Rest::Done;
+        self.result = result;
+    }
+
+    /// The operation of the one access `prim`, whose result is `map` of
+    /// the response. It has no body and never allocates.
+    ///
+    /// ```
+    /// use ruo_sim::{run_solo, Machine, Memory, Prim, ProcessId};
+    ///
+    /// let mut mem = Memory::new();
+    /// let o = mem.alloc(-5);
+    /// let read = Machine::single(Prim::Read(o), |w| w.max(0));
+    /// assert_eq!(run_solo(&mut mem, ProcessId(0), read), (0, 1));
+    /// ```
+    pub fn single(prim: Prim, map: fn(Word) -> Word) -> Self {
         Machine {
-            state: Some(initial),
+            enabled: Some(prim),
+            rest: Rest::Map(map),
+            result: 0,
             steps: 0,
         }
     }
@@ -221,7 +210,9 @@ impl Machine {
     /// A machine that is already done (for zero-step operations).
     pub fn completed(result: Word) -> Self {
         Machine {
-            state: Some(Step::Done(result)),
+            enabled: None,
+            rest: Rest::Done,
+            result,
             steps: 0,
         }
     }
@@ -229,23 +220,17 @@ impl Machine {
     /// The operation's unique enabled event, or `None` if it has
     /// completed.
     pub fn enabled(&self) -> Option<Prim> {
-        match self.state.as_ref().expect("machine state present") {
-            Step::Pending { prim, .. } => Some(*prim),
-            Step::Done(_) => None,
-        }
+        self.enabled
     }
 
     /// Whether the operation has completed.
     pub fn is_done(&self) -> bool {
-        matches!(self.state.as_ref(), Some(Step::Done(_)))
+        self.enabled.is_none()
     }
 
     /// The operation's result, if completed.
     pub fn result(&self) -> Option<Word> {
-        match self.state.as_ref() {
-            Some(Step::Done(v)) => Some(*v),
-            _ => None,
-        }
+        self.enabled.is_none().then_some(self.result)
     }
 
     /// Number of shared-memory events this operation has issued.
@@ -261,16 +246,17 @@ impl Machine {
     ///
     /// Panics if the operation has already completed.
     pub fn feed(&mut self, resp: Word) -> bool {
-        match self.state.take().expect("machine state present") {
-            Step::Pending { k, .. } => {
-                self.steps += 1;
-                let next = k(resp);
-                let finished = matches!(next, Step::Done(_));
-                self.state = Some(next);
-                finished
+        assert!(!self.is_done(), "feed called on a completed operation");
+        self.steps += 1;
+        match self.rest {
+            Rest::Body(_) => {
+                ANSWER.set(Some(resp));
+                self.poll();
             }
-            Step::Done(_) => panic!("feed called on a completed operation"),
+            Rest::Map(map) => self.finish(map(resp)),
+            Rest::Done => unreachable!("an enabled access has a rest"),
         }
+        self.is_done()
     }
 }
 
@@ -300,15 +286,27 @@ pub fn run_solo(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Memory, ProcessId};
+    use crate::{Memory, ObjId, ProcessId};
+
+    fn read(o: ObjId) -> Access {
+        access(Prim::Read(o))
+    }
+
+    fn cas(obj: ObjId, expected: Word, new: Word) -> Access {
+        access(Prim::Cas { obj, expected, new })
+    }
 
     #[test]
     fn straight_line_machine_counts_steps() {
         let mut mem = Memory::new();
         let a = mem.alloc(10);
         let b = mem.alloc(0);
-        // read a; write a+1 to b; done(a)
-        let m = Machine::new(read(a, move |v| write(b, v + 1, move || done(v))));
+        // read a; write a+1 to b; result a
+        let m = Machine::new(async move {
+            let v = read(a).await;
+            access(Prim::Write(b, v + 1)).await;
+            v
+        });
         let (result, steps) = run_solo(&mut mem, ProcessId(0), m);
         assert_eq!(result, 10);
         assert_eq!(steps, 2);
@@ -317,15 +315,13 @@ mod tests {
 
     #[test]
     fn cas_loop_terminates_solo() {
-        fn incr(o: ObjId) -> Step {
-            read(o, move |v| {
-                cas(
-                    o,
-                    v,
-                    v + 1,
-                    move |ok| if ok == 1 { done(v + 1) } else { incr(o) },
-                )
-            })
+        async fn incr(o: ObjId) -> Word {
+            loop {
+                let v = read(o).await;
+                if cas(o, v, v + 1).await == 1 {
+                    return v + 1;
+                }
+            }
         }
         let mut mem = Memory::new();
         let o = mem.alloc(0);
@@ -355,75 +351,95 @@ mod tests {
         let mut mem = Memory::new();
         let o = mem.alloc(5);
         // CAS expecting 3 fails; fall back to reading the value.
-        let m = Machine::new(cas(o, 3, 9, move |ok| {
-            assert_eq!(ok, 0);
-            read(o, done)
-        }));
+        let m = Machine::new(async move {
+            assert_eq!(cas(o, 3, 9).await, 0);
+            read(o).await
+        });
         let (result, steps) = run_solo(&mut mem, ProcessId(0), m);
         assert_eq!(result, 5);
         assert_eq!(steps, 2);
     }
 
     #[test]
-    fn body_takes_the_steps_of_its_cps_twin() {
+    fn single_access_machine_maps_its_response() {
+        let mut mem = Memory::new();
+        let o = mem.alloc(0);
+        let mut m = Machine::single(
+            Prim::Cas {
+                obj: o,
+                expected: 0,
+                new: 4,
+            },
+            |ok| ok + 10,
+        );
+        assert_eq!(
+            m.enabled(),
+            Some(Prim::Cas {
+                obj: o,
+                expected: 0,
+                new: 4
+            })
+        );
+        assert!(m.feed(mem.apply(ProcessId(0), m.enabled().unwrap())));
+        assert_eq!((m.result(), m.steps()), (Some(11), 1));
+        assert_eq!(mem.peek(o), 4);
+    }
+
+    #[test]
+    fn body_issues_its_accesses_in_order() {
         async fn fetch_max(o: ObjId, v: Word) -> Word {
             loop {
-                let cur = access(Prim::Read(o)).await;
+                let cur = read(o).await;
                 if cur >= v {
                     return cur;
                 }
-                let cas = Prim::Cas {
-                    obj: o,
-                    expected: cur,
-                    new: v,
-                };
-                if access(cas).await == 1 {
+                if cas(o, cur, v).await == 1 {
                     return v;
                 }
             }
         }
-        fn fetch_max_cps(o: ObjId, v: Word) -> Step {
-            read(o, move |cur| {
-                if cur >= v {
-                    done(cur)
-                } else {
-                    cas(o, cur, v, move |ok| {
-                        if ok == 1 {
-                            done(v)
-                        } else {
-                            fetch_max_cps(o, v)
-                        }
-                    })
-                }
-            })
-        }
-        let run = |mk: &dyn Fn(ObjId) -> Step| {
-            let mut mem = Memory::new();
-            let o = mem.alloc(3);
-            // Interleave two raisers event by event.
-            let mut ms = [Machine::new(mk(o)), Machine::new(mk(o))];
-            while ms.iter().any(|m| !m.is_done()) {
-                for (i, m) in ms.iter_mut().enumerate() {
-                    if let Some(prim) = m.enabled() {
-                        let resp = mem.apply(ProcessId(i), prim);
-                        m.feed(resp);
-                    }
+        let mut mem = Memory::new();
+        let o = mem.alloc(3);
+        // Interleave two raisers event by event.
+        let mut ms = [Machine::new(fetch_max(o, 7)), Machine::new(fetch_max(o, 7))];
+        while ms.iter().any(|m| !m.is_done()) {
+            for (i, m) in ms.iter_mut().enumerate() {
+                if let Some(prim) = m.enabled() {
+                    let resp = mem.apply(ProcessId(i), prim);
+                    m.feed(resp);
                 }
             }
-            let results: Vec<_> = ms.iter().map(|m| (m.result(), m.steps())).collect();
-            (results, mem.log().events().to_vec())
-        };
-        let from_body = run(&|o| body(fetch_max(o, 7)));
-        let from_cps = run(&|o| fetch_max_cps(o, 7));
-        assert_eq!(from_body, from_cps);
+        }
+        let results: Vec<_> = ms.iter().map(|m| (m.result(), m.steps())).collect();
+        assert_eq!(results, [(Some(7), 2), (Some(7), 3)]);
         // Both read 3, one CAS wins, the loser's CAS fails and it
         // re-reads 7.
-        assert_eq!(from_body.1.len(), 5);
+        let raise = Prim::Cas {
+            obj: o,
+            expected: 3,
+            new: 7,
+        };
+        let events: Vec<_> = mem
+            .log()
+            .events()
+            .iter()
+            .map(|e| (e.pid.index(), e.prim, e.resp))
+            .collect();
+        assert_eq!(
+            events,
+            [
+                (0, Prim::Read(o), 3),
+                (1, Prim::Read(o), 3),
+                (0, raise, 1),
+                (1, raise, 0),
+                (1, Prim::Read(o), 7),
+            ]
+        );
     }
 
     #[test]
     fn body_without_access_is_done_at_once() {
-        let m = Machine::new(body(async { 5 }));
+        let m = Machine::new(async { 5 });
         assert_eq!(m.result(), Some(5));
         assert_eq!(m.steps(), 0);
     }

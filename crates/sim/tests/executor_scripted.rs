@@ -3,19 +3,22 @@
 
 use ruo_sim::history::OpDesc;
 use ruo_sim::{
-    cas, done, read, Executor, Machine, Memory, ObjId, OpSpec, ProcessId, RoundRobin,
-    ScriptedScheduler, Step, WorkloadBuilder,
+    access, Executor, Machine, Memory, ObjId, OpSpec, Prim, ProcessId, RoundRobin,
+    ScriptedScheduler, Word, WorkloadBuilder,
 };
 
-fn incr(o: ObjId) -> Step {
-    read(o, move |v| {
-        cas(
-            o,
-            v,
-            v + 1,
-            move |ok| if ok == 1 { done(v + 1) } else { incr(o) },
-        )
-    })
+async fn incr(o: ObjId) -> Word {
+    loop {
+        let v = access(Prim::Read(o)).await;
+        let cas = Prim::Cas {
+            obj: o,
+            expected: v,
+            new: v + 1,
+        };
+        if access(cas).await == 1 {
+            return v + 1;
+        }
+    }
 }
 
 fn increments(n: usize, o: ObjId) -> WorkloadBuilder {

@@ -19,55 +19,55 @@
 
 use ruo::sim::explore::{enumerate, ExploreOp};
 use ruo::sim::history::OpOutput;
-use ruo::sim::{cas, done, read, write, Machine, Memory, ObjId, OpDesc, ProcessId, Step};
+use ruo::sim::{access, Machine, Memory, ObjId, OpDesc, Prim, ProcessId};
 
 /// The buggy write: plain writes, check-then-act races everywhere.
 fn buggy_write(hi: ObjId, lo: ObjId, v: i64) -> Machine {
-    Machine::new(read(hi, move |h| {
+    Machine::new(async move {
+        let h = access(Prim::Read(hi)).await;
         if v > h {
-            write(hi, v, move || write(lo, h, move || done(0)))
-        } else {
-            read(lo, move |l| {
-                if v > l {
-                    write(lo, v, move || done(0))
-                } else {
-                    done(0)
-                }
-            })
+            access(Prim::Write(hi, v)).await;
+            access(Prim::Write(lo, h)).await; // demote old max
+        } else if v > access(Prim::Read(lo)).await {
+            access(Prim::Write(lo, v)).await;
         }
-    }))
+        0
+    })
 }
 
 /// The repaired write: raise each cell with a CAS loop, demoting what
 /// the `hi` swap displaced.
 fn fixed_write(hi: ObjId, lo: ObjId, v: i64) -> Machine {
-    fn raise(cell: ObjId, v: i64, k: Box<dyn FnOnce(Option<i64>) -> Step + Send>) -> Step {
-        read(cell, move |cur| {
+    /// Raises `cell` to `v`; returns what to try on the next cell down.
+    async fn raise(cell: ObjId, v: i64) -> Option<i64> {
+        loop {
+            let cur = access(Prim::Read(cell)).await;
             if v <= cur {
-                k(Some(v)) // v didn't displace anything here; try lower
-            } else {
-                cas(cell, cur, v, move |ok| {
-                    if ok == 1 {
-                        k(if cur >= 0 { Some(cur) } else { None })
-                    } else {
-                        raise(cell, v, k)
-                    }
-                })
+                return Some(v); // v didn't displace anything here; try lower
             }
-        })
+            let swap = Prim::Cas {
+                obj: cell,
+                expected: cur,
+                new: v,
+            };
+            if access(swap).await == 1 {
+                return (cur >= 0).then_some(cur);
+            }
+        }
     }
-    Machine::new(raise(
-        hi,
-        v,
-        Box::new(move |displaced| match displaced {
-            None => done(0),
-            Some(d) => raise(lo, d, Box::new(|_| done(0))),
-        }),
-    ))
+    Machine::new(async move {
+        if let Some(displaced) = raise(hi, v).await {
+            raise(lo, displaced).await;
+        }
+        0
+    })
 }
 
 fn read2(hi: ObjId, lo: ObjId) -> Machine {
-    Machine::new(read(hi, move |h| read(lo, move |l| done(h * 1000 + l))))
+    Machine::new(async move {
+        let h = access(Prim::Read(hi)).await;
+        h * 1000 + access(Prim::Read(lo)).await
+    })
 }
 
 /// The spec: if the read2 ran strictly after both writes of {5, 7}

@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use ruo::core::maxreg::sim::{SimMaxRegister, SimTreeMaxRegister};
+use ruo::core::maxreg::sim::{write_leaf, SimMaxRegister, SimTreeMaxRegister};
 use ruo::core::shape::AlgorithmATree;
 use ruo::metrics::ExploreGauges;
 use ruo::scenario::{
@@ -27,9 +27,7 @@ use ruo::scenario::{
 use ruo::sim::explore::{explore, ExploreConfig, ExploreOp};
 use ruo::sim::lin::{check_exact, check_interval};
 use ruo::sim::spec::SeqSpec;
-use ruo::sim::{
-    cas, done, read, write, History, Machine, Memory, ObjId, OpDesc, ProcessId, Step, Word, NEG_INF,
-};
+use ruo::sim::{History, Machine, Memory, ObjId, OpDesc, Prim, ProcessId, Word, NEG_INF};
 
 /// The flagship crash-tolerance proof: the scaled `N = 4` scope from
 /// `tests/exhaustive.rs` (one 27-step write, two dominated 1-step
@@ -136,67 +134,22 @@ fn double_cas_survives_every_one_crash_schedule_at_n4() {
 /// The single-CAS variant of Algorithm A, as in
 /// `tests/exhaustive.rs::exploration_rediscovers_the_single_cas_bug` —
 /// each level does one blind `CAS(node, old, max(children))` instead of
-/// the algorithm's double CAS.
+/// the algorithm's double CAS, and a dominated write returns at once.
 mod single_cas {
     use super::*;
 
-    type Levels = Arc<Vec<(ObjId, Option<ObjId>, Option<ObjId>)>>;
-
-    fn level(levels: Levels, i: usize) -> Step {
-        if i == levels.len() {
-            return done(0);
-        }
-        let (node, l, r) = levels[i];
-        let rd = move |o: Option<ObjId>, k: Box<dyn FnOnce(Word) -> Step + Send>| match o {
-            Some(o) => read(o, k),
-            None => k(NEG_INF),
-        };
-        read(node, move |old| {
-            rd(
-                l,
-                Box::new(move |lv| {
-                    rd(
-                        r,
-                        Box::new(move |rv| {
-                            cas(node, old, lv.max(rv), move |_| level(levels, i + 1))
-                        }),
-                    )
-                }),
-            )
-        })
-    }
-
     pub fn broken_write(
         tree: &Arc<AlgorithmATree>,
-        cells: &Arc<Vec<ObjId>>,
+        cells: &Arc<[ObjId]>,
         pid: usize,
         v: u64,
     ) -> Machine {
-        let leaf = tree.leaf_for(pid, v);
-        let shape = tree.shape();
-        let levels: Levels = Arc::new(
-            shape
-                .ancestors(leaf)
-                .into_iter()
-                .map(|a| {
-                    let info = shape.node(a);
-                    (
-                        cells[a],
-                        info.left.map(|i| cells[i]),
-                        info.right.map(|i| cells[i]),
-                    )
-                })
-                .collect(),
-        );
-        let leaf_cell = cells[leaf];
-        let w = v as Word;
-        Machine::new(read(leaf_cell, move |old| {
-            if w <= old {
-                done(0)
-            } else {
-                write(leaf_cell, w, move || level(levels, 0))
-            }
-        }))
+        let (tree, cells) = (Arc::clone(tree), Arc::clone(cells));
+        Machine::new(async move {
+            let leaf = tree.leaf_for(pid, v);
+            write_leaf(&cells, &tree, leaf, v as Word, false, 1).await;
+            0
+        })
     }
 }
 
@@ -210,12 +163,12 @@ fn one_crash_exploration_rediscovers_the_single_cas_bug() {
     let setup = || {
         let mut mem = Memory::new();
         let tree = Arc::new(AlgorithmATree::new(2));
-        let cells = Arc::new(mem.alloc_n(tree.shape().len(), NEG_INF));
+        let cells: Arc<[ObjId]> = mem.alloc_n(tree.shape().len(), NEG_INF).into();
         let root = cells[tree.root()];
         let machines = vec![
             single_cas::broken_write(&tree, &cells, 0, 2),
             single_cas::broken_write(&tree, &cells, 1, 3),
-            Machine::new(read(root, |v| done(v.max(0)))),
+            Machine::single(Prim::Read(root), |v| v.max(0)),
         ];
         (mem, machines)
     };

@@ -13,15 +13,13 @@
 
 use std::sync::Arc;
 
-use ruo::core::maxreg::sim::{SimMaxRegister, SimTreeMaxRegister};
+use ruo::core::maxreg::sim::{write_leaf, SimMaxRegister, SimTreeMaxRegister};
 use ruo::core::shape::AlgorithmATree;
 use ruo::metrics::ExploreGauges;
 use ruo::sim::explore::{assert_all_schedules_pass, enumerate, explore, ExploreConfig, ExploreOp};
 use ruo::sim::lin::{check_exact, check_interval};
 use ruo::sim::spec::SeqSpec;
-use ruo::sim::{
-    cas, done, read, write, Machine, Memory, ObjId, OpDesc, ProcessId, Step, Word, NEG_INF,
-};
+use ruo::sim::{Machine, Memory, ObjId, OpDesc, Prim, ProcessId, Word, NEG_INF};
 
 /// One `WriteMax(1)` racing two readers against the real Algorithm A:
 /// fully exhaustive (the write is 10 events, each reader 1), checking
@@ -128,75 +126,29 @@ fn algorithm_a_bounded_two_writers_one_reader() {
 /// a violating schedule on its own.
 #[test]
 fn exploration_rediscovers_the_single_cas_bug() {
-    type Levels = Arc<Vec<(ObjId, Option<ObjId>, Option<ObjId>)>>;
-
-    fn level(levels: Levels, i: usize) -> Step {
-        if i == levels.len() {
-            return done(0);
-        }
-        let (node, l, r) = levels[i];
-        let rd = move |o: Option<ObjId>, k: Box<dyn FnOnce(Word) -> Step + Send>| match o {
-            Some(o) => read(o, k),
-            None => k(NEG_INF),
-        };
-        read(node, move |old| {
-            rd(
-                l,
-                Box::new(move |lv| {
-                    rd(
-                        r,
-                        Box::new(move |rv| {
-                            // Single CAS per level: the injected fault.
-                            cas(node, old, lv.max(rv), move |_| level(levels, i + 1))
-                        }),
-                    )
-                }),
-            )
-        })
-    }
-
     fn broken_write(
         tree: &Arc<AlgorithmATree>,
-        cells: &Arc<Vec<ObjId>>,
+        cells: &Arc<[ObjId]>,
         pid: usize,
         v: u64,
     ) -> Machine {
-        let leaf = tree.leaf_for(pid, v);
-        let shape = tree.shape();
-        let levels: Levels = Arc::new(
-            shape
-                .ancestors(leaf)
-                .into_iter()
-                .map(|a| {
-                    let info = shape.node(a);
-                    (
-                        cells[a],
-                        info.left.map(|i| cells[i]),
-                        info.right.map(|i| cells[i]),
-                    )
-                })
-                .collect(),
-        );
-        let leaf_cell = cells[leaf];
-        let w = v as Word;
-        Machine::new(read(leaf_cell, move |old| {
-            if w <= old {
-                done(0)
-            } else {
-                write(leaf_cell, w, move || level(levels, 0))
-            }
-        }))
+        let (tree, cells) = (Arc::clone(tree), Arc::clone(cells));
+        Machine::new(async move {
+            let leaf = tree.leaf_for(pid, v);
+            write_leaf(&cells, &tree, leaf, v as Word, false, 1).await;
+            0
+        })
     }
 
     let setup = || {
         let mut mem = Memory::new();
         let tree = Arc::new(AlgorithmATree::new(2));
-        let cells = Arc::new(mem.alloc_n(tree.shape().len(), NEG_INF));
+        let cells: Arc<[ObjId]> = mem.alloc_n(tree.shape().len(), NEG_INF).into();
         let root = cells[tree.root()];
         let machines = vec![
             broken_write(&tree, &cells, 0, 2),
             broken_write(&tree, &cells, 1, 3),
-            Machine::new(read(root, |v| done(v.max(0)))),
+            Machine::single(Prim::Read(root), |v| v.max(0)),
         ];
         (mem, machines)
     };

@@ -22,7 +22,7 @@
 
 use std::sync::Arc;
 
-use ruo::core::maxreg::sim::{SimMaxRegister, SimTreeMaxRegister};
+use ruo::core::maxreg::sim::{write_leaf, SimMaxRegister, SimTreeMaxRegister};
 use ruo::core::shape::AlgorithmATree;
 use ruo::scenario::{
     build_sim_object, run_sim_seed, CrashAt, EngineKind, Family, FaultSpec, OpMix, ScenarioSpec,
@@ -32,8 +32,8 @@ use ruo::sim::history::{History, OpDesc, OpOutput, OpRecord};
 use ruo::sim::lin::{check_interval, ViolationKind};
 use ruo::sim::spec::SeqSpec;
 use ruo::sim::{
-    cas, done, read, write, Executor, FaultPlan, Machine, Memory, ObjId, OpSpec, ProcessId,
-    RandomScheduler, Step, Word, WorkloadBuilder, NEG_INF,
+    Executor, FaultPlan, Machine, Memory, ObjId, OpSpec, Prim, ProcessId, RandomScheduler, Word,
+    WorkloadBuilder, NEG_INF,
 };
 
 /// Applies exactly `k` events of `machine` (panics if it finishes
@@ -59,14 +59,12 @@ fn finish(mem: &mut Memory, pid: ProcessId, machine: &mut Machine) -> usize {
     extra
 }
 
-/// One propagation level: parent cell plus optional child cells.
-type Levels = Arc<Vec<(ObjId, Option<ObjId>, Option<ObjId>)>>;
-
 /// The *broken* variant: Algorithm A's write with only ONE
-/// read-children-and-CAS attempt per level.
+/// read-children-and-CAS attempt per level, and the paper's literal
+/// early return on a dominated leaf.
 struct BrokenTreeWrite {
     tree: Arc<AlgorithmATree>,
-    cells: Arc<Vec<ObjId>>,
+    cells: Arc<[ObjId]>,
 }
 
 impl BrokenTreeWrite {
@@ -75,65 +73,23 @@ impl BrokenTreeWrite {
         let cells = mem.alloc_n(tree.shape().len(), NEG_INF);
         BrokenTreeWrite {
             tree: Arc::new(tree),
-            cells: Arc::new(cells),
+            cells: cells.into(),
         }
     }
 
     fn write_max(&self, pid: ProcessId, v: u64) -> Machine {
-        let leaf = self.tree.leaf_for(pid.index(), v);
-        let shape = self.tree.shape();
-        let levels: Levels = Arc::new(
-            shape
-                .ancestors(leaf)
-                .into_iter()
-                .map(|a| {
-                    let info = shape.node(a);
-                    (
-                        self.cells[a],
-                        info.left.map(|i| self.cells[i]),
-                        info.right.map(|i| self.cells[i]),
-                    )
-                })
-                .collect(),
-        );
-        let leaf_cell = self.cells[leaf];
-        let w = v as Word;
-        fn level(levels: Levels, i: usize) -> Step {
-            if i == levels.len() {
-                return done(0);
-            }
-            let (node, l, r) = levels[i];
-            let rd = move |o: Option<ObjId>, k: Box<dyn FnOnce(Word) -> Step + Send>| match o {
-                Some(o) => read(o, k),
-                None => k(NEG_INF),
-            };
-            read(node, move |old| {
-                rd(
-                    l,
-                    Box::new(move |lv| {
-                        rd(
-                            r,
-                            Box::new(move |rv| {
-                                // ONE attempt only — the injected fault.
-                                cas(node, old, lv.max(rv), move |_| level(levels, i + 1))
-                            }),
-                        )
-                    }),
-                )
-            })
-        }
-        Machine::new(read(leaf_cell, move |old| {
-            if w <= old {
-                done(0)
-            } else {
-                write(leaf_cell, w, move || level(levels, 0))
-            }
-        }))
+        let (tree, cells) = (Arc::clone(&self.tree), Arc::clone(&self.cells));
+        Machine::new(async move {
+            let leaf = tree.leaf_for(pid.index(), v);
+            // ONE attempt only — the injected fault.
+            write_leaf(&cells, &tree, leaf, v as Word, false, 1).await;
+            0
+        })
     }
 
     fn read_max(&self) -> Machine {
         let root = self.cells[self.tree.root()];
-        Machine::new(read(root, |v| done(v.max(0))))
+        Machine::single(Prim::Read(root), |v| v.max(0))
     }
 }
 
