@@ -972,8 +972,10 @@ pub fn run_real(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, Engi
 pub struct ExploreParts {
     /// Returns a fresh memory and machine vector: a clone of the memory
     /// the object was built (and seeded) in once, and new machines on
-    /// that one object, so a call is cheap enough for the explorer's
-    /// rebuilds. `Sync` so [`explore_parallel`] workers can each call it.
+    /// that one object. The explorer calls it once per root branch and
+    /// again whenever a response leaves a machine's trail, so the call
+    /// is kept cheap. `Sync` so [`explore_parallel`] workers can each
+    /// call it.
     pub setup: Box<dyn Fn() -> (Memory, Vec<Machine>) + Sync>,
     /// One descriptor per machine.
     pub ops: Vec<ExploreOp>,

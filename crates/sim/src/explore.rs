@@ -12,20 +12,25 @@
 //! * **Incremental execution.** The DFS never replays a prefix. Taking a
 //!   step applies one primitive; backtracking undoes it with
 //!   [`Memory::undo_last`] (`O(1)` — each [`Event`](crate::Event) logs
-//!   the overwritten value) and pops the operation's response log, but
-//!   leaves its machine where it is. The machine is then *behind* its
-//!   log (a body cannot be rewound past the accesses it has resumed
-//!   from), and it is rebuilt only when the operation steps again:
-//!   one fresh machine from `setup` (the rest of that call is dropped —
-//!   no pool of spare machines is kept) re-fed the logged responses.
-//!   Until then the explorer reads the operation's enabled event from
-//!   the undone step. That is exact because a machine is a deterministic
-//!   function of the responses fed to it: after the same log, the
-//!   rebuilt machine enables the same event the undone step applied.
+//!   the overwritten value). A body cannot be rewound past the accesses
+//!   it has resumed from, so each operation keeps the *trail* of
+//!   (primitive, response) pairs its machine has consumed, and a cursor
+//!   for the current DFS path: the path's steps are a prefix of the
+//!   trail, and backtracking moves only the cursor. When the operation
+//!   steps again, its enabled event is the trail's next primitive (the
+//!   machine's own at the trail's end), and if memory returns the
+//!   response the machine consumed at that position, the machine is
+//!   still exact and only the cursor moves. That holds because a machine
+//!   is a deterministic function of the responses fed to it. Only a
+//!   different response cuts the trail and rebuilds the machine: one
+//!   fresh machine from `setup` (the rest of that call is dropped — no
+//!   pool of spare machines is kept) re-fed the path's responses.
 //!   Full-prefix replay costs `O(tree-size × depth)` memory events; this
-//!   costs `O(tree-size)` plus the re-feeds of machines that step again
-//!   after a backtrack. On the pruned W5 scope it saves 19 replayed
-//!   events per executed one (EXPERIMENTS.md § W5).
+//!   costs `O(tree-size)` plus the re-feeds of rebuilt machines. On the
+//!   pruned W5 scope it saves 20 replayed events per executed one, and
+//!   on the unpruned one it re-feeds none (EXPERIMENTS.md § W5). A DFS
+//!   node allocates nothing: the runnable operations are a `u64` mask,
+//!   and the explored siblings of every frame share one stack.
 //!
 //! * **Independence-based pruning** (sleep sets, Godefroid-style),
 //!   enabled via [`ExploreConfig::prune`]. Two steps by different
@@ -154,9 +159,9 @@ pub struct ExploreStats {
     pub executed_steps: u64,
     /// Memory events a full-prefix-replay explorer would have executed,
     /// minus this search's actual cost (forward steps are counted by
-    /// `executed_steps`; the responses re-fed to a machine rebuilt after
-    /// a backtrack, when it steps again, are subtracted here). A direct
-    /// measure of what undo and lazy rebuilding save.
+    /// `executed_steps`; the responses re-fed to a machine rebuilt when
+    /// a step's response left its trail are subtracted here). A direct
+    /// measure of what undo and keeping machines save.
     pub replay_steps_saved: u64,
     /// Deepest DFS prefix reached (= longest schedule length).
     pub peak_depth: usize,
@@ -249,17 +254,15 @@ struct Explorer<'a> {
     /// Event-log length when exploration started (setups may pre-run
     /// seed operations; those events are never undone).
     base: usize,
-    /// Each operation's machine. After a backtrack it is *behind* (fed
-    /// more responses than `resp_log` holds) until it is rebuilt, which
-    /// happens only when the operation steps again.
+    /// Each operation's machine, exact for its whole trail.
     machines: Vec<Machine>,
-    /// Responses each operation received on the current DFS path; its
-    /// length is the operation's step count.
-    resp_log: Vec<Vec<Word>>,
-    /// Each operation's enabled event at the current node (`None` once
-    /// it completed): read off the machine after a step, restored from
-    /// the undone step on backtrack.
-    enabled: Vec<Option<Prim>>,
+    /// The (primitive, response) pairs each machine has consumed, in
+    /// order. The operation's steps on the current DFS path are a prefix
+    /// of its trail.
+    trails: Vec<Vec<(Prim, Word)>>,
+    /// Each operation's step count on the current DFS path: the length
+    /// of the prefix of its trail that the path holds.
+    cursors: Vec<usize>,
     /// Tick of each operation's first event, if it has stepped.
     first_step: Vec<Option<usize>>,
     /// Tick just after each operation's last event, if it completed by
@@ -271,6 +274,10 @@ struct Explorer<'a> {
     crashed: u64,
     /// Remaining crash budget on the current DFS path.
     crashes_left: usize,
+    /// The siblings each frame on the current DFS path has explored, for
+    /// its children's sleep sets: a frame's entries sit behind its
+    /// ancestors', and it truncates them when it returns.
+    explored: Vec<StepInfo>,
     schedules: usize,
     truncated: bool,
     violation: Option<Vec<ProcessId>>,
@@ -300,14 +307,15 @@ impl<'a> Explorer<'a> {
             shared,
             mem,
             base,
-            enabled: machines.iter().map(Machine::enabled).collect(),
             machines,
-            resp_log: vec![Vec::new(); n],
+            trails: vec![Vec::new(); n],
+            cursors: vec![0; n],
             first_step: vec![None; n],
             completed_at: vec![None; n],
             prefix: Vec::new(),
             crashed: 0,
             crashes_left: cfg.max_crashes,
+            explored: Vec::new(),
             schedules: 0,
             truncated: false,
             violation: None,
@@ -316,20 +324,24 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// Executes one step of operation `idx` against `mem`, recording
-    /// everything needed to undo it. A machine left behind by a
-    /// backtrack is rebuilt first.
-    fn step_forward(&mut self, idx: usize) -> StepInfo {
-        let prim = self.enabled[idx].expect("runnable step exists");
-        if self.machines[idx].steps() > self.resp_log[idx].len() {
-            self.rebuild(idx);
+    /// Operation `idx`'s enabled event at the current node (`None` once
+    /// it completed): the next primitive on its trail, or the machine's
+    /// at the trail's end.
+    fn enabled(&self, idx: usize) -> Option<Prim> {
+        match self.trails[idx].get(self.cursors[idx]) {
+            Some(&(prim, _)) => Some(prim),
+            None => self.machines[idx].enabled(),
         }
-        debug_assert_eq!(
-            self.machines[idx].enabled(),
-            Some(prim),
-            "setup must be deterministic"
-        );
-        let was_first = self.first_step[idx].is_none();
+    }
+
+    /// Executes one step of operation `idx` against `mem`, recording
+    /// everything needed to undo it. When the response is the one the
+    /// machine consumed at this position, only the cursor moves; a
+    /// different response rebuilds the machine first.
+    fn step_forward(&mut self, idx: usize) -> StepInfo {
+        let prim = self.enabled(idx).expect("runnable step exists");
+        let at = self.cursors[idx];
+        let was_first = at == 0;
         let t = self.mem.steps();
         let resp = self.mem.apply(self.ops[idx].pid, prim);
         self.stats.executed_steps += 1;
@@ -342,19 +354,31 @@ impl<'a> Explorer<'a> {
         } else {
             self.stats.cas_fail += 1;
         }
-        let finished = self.machines[idx].feed(resp);
-        self.enabled[idx] = self.machines[idx].enabled();
-        self.resp_log[idx].push(resp);
+        let consumed = self.trails[idx].get(at).map(|&(_, r)| r);
+        if consumed != Some(resp) {
+            if consumed.is_some() {
+                self.rebuild(idx);
+            }
+            debug_assert_eq!(
+                self.machines[idx].enabled(),
+                Some(prim),
+                "setup must be deterministic"
+            );
+            self.machines[idx].feed(resp);
+            self.trails[idx].push((prim, resp));
+            assert!(
+                self.trails[idx].len() <= STEP_CAP,
+                "operation exceeded the exploration step cap"
+            );
+        }
+        self.cursors[idx] = at + 1;
+        let finished = at + 1 == self.trails[idx].len() && self.machines[idx].is_done();
         if was_first {
             self.first_step[idx] = Some(t);
         }
         if finished {
             self.completed_at[idx] = Some(t + 1);
         }
-        assert!(
-            self.machines[idx].steps() <= STEP_CAP,
-            "operation exceeded the exploration step cap"
-        );
         self.prefix.push(idx);
         StepInfo {
             idx,
@@ -365,14 +389,14 @@ impl<'a> Explorer<'a> {
     }
 
     /// Undoes the step described by `info`: the memory event is reversed
-    /// in `O(1)`, the response is popped, and the undone primitive is the
-    /// operation's enabled event again. The machine is left behind.
+    /// in `O(1)` and the operation's cursor moves back one, so the undone
+    /// primitive is its enabled event again. The machine and the trail
+    /// stay as they are.
     fn step_back(&mut self, info: &StepInfo) {
         self.prefix.pop();
         let idx = info.idx;
         self.mem.undo_last();
-        self.resp_log[idx].pop();
-        self.enabled[idx] = Some(info.prim);
+        self.cursors[idx] -= 1;
         if info.was_last {
             self.completed_at[idx] = None;
         }
@@ -381,20 +405,36 @@ impl<'a> Explorer<'a> {
         }
     }
 
-    /// Brings operation `idx`'s machine back to its response log: one
-    /// fresh machine from `setup` (deterministic by contract; the memory
-    /// and other machines it builds are dropped), re-fed every logged
-    /// response.
+    /// Cuts operation `idx`'s trail at its cursor and brings its machine
+    /// back to that point: one fresh machine from `setup` (deterministic
+    /// by contract; the memory and other machines it builds are
+    /// dropped), re-fed the responses the current path holds.
     fn rebuild(&mut self, idx: usize) {
         let (_, mut fresh) = (self.setup)();
         assert_eq!(fresh.len(), self.ops.len(), "setup/ops arity mismatch");
         let mut m = fresh.swap_remove(idx);
-        for &resp in &self.resp_log[idx] {
+        let trail = &mut self.trails[idx];
+        trail.truncate(self.cursors[idx]);
+        for &(_, resp) in trail.iter() {
             m.feed(resp);
         }
-        let refeeds = self.resp_log[idx].len() as u64;
+        let refeeds = trail.len() as u64;
         self.stats.replay_steps_saved = self.stats.replay_steps_saved.saturating_sub(refeeds);
         self.machines[idx] = m;
+    }
+
+    /// Starts a root branch from fresh machines, so that what the branch
+    /// does never depends on the branches explored before it. That is
+    /// what lets [`explore_parallel`]'s workers, each with its own share
+    /// of the root branches, add up to a sequential run's stats.
+    fn fresh_machines(&mut self) {
+        if self.trails.iter().all(Vec::is_empty) {
+            return;
+        }
+        let (_, machines) = (self.setup)();
+        assert_eq!(machines.len(), self.ops.len(), "setup/ops arity mismatch");
+        self.machines = machines;
+        self.trails.iter_mut().for_each(Vec::clear);
     }
 
     /// The child's sleep set after executing `info`: every process asleep
@@ -413,7 +453,7 @@ impl<'a> Explorer<'a> {
         while inherited != 0 {
             let q = inherited.trailing_zeros() as usize;
             inherited &= inherited - 1;
-            let prim = self.enabled[q].expect("sleeping op is enabled");
+            let prim = self.enabled(q).expect("sleeping op is enabled");
             // Whether q's deferred step would be its operation's *last*
             // is unknown without executing it — assume it could be
             // (conservative: waking a process early never loses a trace
@@ -437,10 +477,10 @@ impl<'a> Explorer<'a> {
             .iter()
             .enumerate()
             .map(|(i, op)| {
-                // The response log, not the machine: a crashed op's
-                // machine may be behind (it stepped past the crash point
-                // in a sibling subtree before the crash branch ran).
-                let steps = self.resp_log[i].len();
+                // The cursor, not the machine: a crashed op's machine
+                // may be ahead (it stepped past the crash point in a
+                // sibling subtree before the crash branch ran).
+                let steps = self.cursors[i];
                 if self.crashed & (1 << i) != 0 {
                     let invoke = self.first_step[i].expect("crashed op took an event");
                     debug_assert!(self.completed_at[i].is_none());
@@ -453,8 +493,8 @@ impl<'a> Explorer<'a> {
                         steps,
                     };
                 }
-                // A completed op has not been backtracked since it
-                // finished, so its machine is current.
+                // A completed op's path holds its whole trail, so its
+                // machine is current.
                 let output = if op.returns_value {
                     OpOutput::Value(
                         self.machines[i]
@@ -485,11 +525,13 @@ impl<'a> Explorer<'a> {
         recs.into_iter().collect()
     }
 
-    /// Operations that can step at this node: enabled and not crashed.
-    fn runnable(&self) -> Vec<usize> {
+    /// Operations that can step at this node, as a bitmask: enabled and
+    /// not crashed.
+    fn runnable(&self) -> u64 {
         (0..self.ops.len())
-            .filter(|&i| self.enabled[i].is_some() && self.crashed & (1 << i) == 0)
-            .collect()
+            .filter(|&i| self.enabled(i).is_some())
+            .fold(0, |mask, i| mask | 1 << i)
+            & !self.crashed
     }
 
     /// Whether another worker already stopped the search (violation or
@@ -531,8 +573,8 @@ impl<'a> Explorer<'a> {
             // to reach this node; the incremental scheme paid one step.
             self.stats.replay_steps_saved += (depth - 1) as u64;
         }
-        let runnable = self.runnable();
-        if runnable.is_empty() {
+        let mut runnable = self.runnable();
+        if runnable == 0 {
             // Complete schedule (every op done or crashed): build the
             // history and check it.
             self.schedules += 1;
@@ -553,15 +595,20 @@ impl<'a> Explorer<'a> {
             return;
         }
         let mut asleep = sleep;
-        let mut explored: Vec<StepInfo> = Vec::new();
-        for &idx in &runnable {
+        let siblings = self.explored.len();
+        while runnable != 0 {
+            let idx = runnable.trailing_zeros() as usize;
+            runnable &= runnable - 1;
             if self.cfg.prune && asleep & (1 << idx) != 0 {
                 self.stats.pruned_branches += 1;
                 continue;
             }
+            if depth == 0 {
+                self.fresh_machines();
+            }
             let info = self.step_forward(idx);
             let child_sleep = if self.cfg.prune {
-                self.child_sleep(asleep, &explored, &info)
+                self.child_sleep(asleep, &self.explored[siblings..], &info)
             } else {
                 0
             };
@@ -587,13 +634,14 @@ impl<'a> Explorer<'a> {
             }
             self.step_back(&info);
             if self.violation.is_some() || self.truncated || self.stopped() {
-                return;
+                break;
             }
             // Subsequent siblings may defer idx's step until something
             // dependent on it executes.
             asleep |= 1 << idx;
-            explored.push(info);
+            self.explored.push(info);
         }
+        self.explored.truncate(siblings);
     }
 
     /// Runs the root level of the search, descending only into the
@@ -608,9 +656,11 @@ impl<'a> Explorer<'a> {
     /// sequential root loop would have accumulated, so an owned branch
     /// at rank `k` starts with the same sleep set — earlier siblings
     /// whose first steps are independent of its own — that the
-    /// sequential DFS gives it. Union over workers, the searches visit
-    /// exactly the sequential node set, so merged counters (schedules,
-    /// pruned branches, executed steps, replay savings, crash branches)
+    /// sequential DFS gives it. Every owned branch then starts from fresh
+    /// machines, as in the sequential DFS, so it rebuilds machines at the
+    /// same nodes. Union over workers, the searches visit exactly the
+    /// sequential node set, so merged counters (schedules, pruned
+    /// branches, executed steps, replay savings, crash branches)
     /// reproduce a sequential run field-for-field.
     fn run_root_partition(&mut self, worker: usize, workers: usize) {
         if self.stopped() {
@@ -621,7 +671,7 @@ impl<'a> Explorer<'a> {
             return;
         }
         let runnable = self.runnable();
-        if runnable.is_empty() {
+        if runnable == 0 {
             // Degenerate scope (every op zero-step): exactly one worker
             // checks the single empty schedule.
             if worker == 0 {
@@ -630,19 +680,20 @@ impl<'a> Explorer<'a> {
             return;
         }
         let saved = self.stats;
-        let infos: Vec<StepInfo> = runnable
-            .iter()
-            .map(|&idx| {
+        let infos: Vec<StepInfo> = (0..self.ops.len())
+            .filter(|&idx| runnable & (1 << idx) != 0)
+            .map(|idx| {
                 let info = self.step_forward(idx);
                 self.step_back(&info);
                 info
             })
             .collect();
         self.stats = saved;
-        for (rank, &idx) in runnable.iter().enumerate() {
+        for (rank, idx) in infos.iter().map(|s| s.idx).enumerate() {
             if rank % workers != worker {
                 continue;
             }
+            self.fresh_machines();
             let info = self.step_forward(idx);
             debug_assert_eq!(info.prim, infos[rank].prim, "setup must be deterministic");
             let child_sleep = if self.cfg.prune {
@@ -679,12 +730,14 @@ impl<'a> Explorer<'a> {
 /// Explores interleavings of one-shot operations under `cfg`.
 ///
 /// * `setup` — builds a fresh memory and machines; must be
-///   deterministic (it is re-invoked whenever a machine left behind by a
-///   backtrack steps again, and only that one machine is kept, so keep
-///   the call cheap). It may pre-run seed operations solo before
-///   returning: exploration starts from whatever state `setup` leaves,
-///   and recorded ticks are absolute positions in that memory's event
-///   log.
+///   deterministic. It runs once to start the search, at most once more
+///   per root branch (each starts from fresh machines), and otherwise
+///   only when a step's response differs from the one its machine
+///   consumed at that position, when just that one machine is kept; so
+///   keep the call cheap. It may pre-run seed operations solo before
+///   returning:
+///   exploration starts from whatever state `setup` leaves, and recorded
+///   ticks are absolute positions in that memory's event log.
 /// * `ops` — descriptions matching `setup`'s machines (same order).
 /// * `check` — called with each complete execution's history; returning
 ///   `false` marks the schedule as a violation and stops the search.
@@ -729,8 +782,9 @@ pub fn explore(
 /// per-worker sleep-set search over its share of the top-level
 /// branches (ranks `≡ worker (mod workers)` in the root's runnable
 /// order, each seeded with the sleep set the sequential search would
-/// give it), and the workers coordinate only through a shared schedule
-/// budget and a stop flag. The union of the workers' searches visits
+/// give it and started from fresh machines), and the workers coordinate
+/// only through a shared schedule budget and a stop flag. The union of
+/// the workers' searches visits
 /// exactly the sequential node set, so the merged [`ExploreStats`]
 /// (fields summed, `peak_depth` maxed) reproduce a sequential
 /// [`explore`] of the same scope field-for-field — `tests` assert this
@@ -1658,6 +1712,48 @@ mod tests {
         assert_eq!(summary.schedules, 9);
         pending_steps.sort_unstable();
         assert_eq!(pending_steps, [1, 1, 2, 2, 2]);
+    }
+
+    #[test]
+    fn machines_are_kept_while_their_responses_match() {
+        // Writers on disjoint cells and a reader of a cell nobody
+        // writes: every interleaving feeds every operation the same
+        // responses, so no machine is ever rebuilt. `setup` runs once
+        // for the root and at most once more per root branch.
+        use std::cell::Cell;
+        let calls = Cell::new(0usize);
+        let setup = || {
+            calls.set(calls.get() + 1);
+            let mut mem = Memory::new();
+            let cells = mem.alloc_n(4, 0);
+            let mut machines: Vec<Machine> = cells[..3]
+                .iter()
+                .map(|&o| Machine::new(writes(o, 3, Arc::default())))
+                .collect();
+            machines.push(reader(cells[3]));
+            (mem, machines)
+        };
+        let ops: Vec<ExploreOp> = (0..4)
+            .map(|i| ExploreOp {
+                pid: ProcessId(i),
+                desc: if i < 3 {
+                    OpDesc::WriteMax(3)
+                } else {
+                    OpDesc::ReadMax
+                },
+                returns_value: i == 3,
+            })
+            .collect();
+        let summary = enumerate(&setup, &ops, &mut |_| true, 1_000_000);
+        // 10! / (3!·3!·3!·1!) interleavings of three 3-step writes and a
+        // read.
+        assert_eq!(summary.schedules, 16_800);
+        let root_branches = ops.len();
+        assert!(
+            calls.get() <= 1 + root_branches,
+            "{} setup calls for {root_branches} root branches",
+            calls.get()
+        );
     }
 
     #[test]

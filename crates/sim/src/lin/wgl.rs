@@ -55,7 +55,11 @@
 //!   ops linearized) where it holds an entry: the heads of a state fix
 //!   its depth, so no other probe can hit. An accepting check of a
 //!   crash-injected history meets a handful of dead ends at most, so it
-//!   almost never hashes.
+//!   almost never hashes. A rejection may meet thousands, so the memo is
+//!   one open-addressing table: every key has the same stride (the `w`
+//!   chain heads, then the spec state's words), and the keys sit end to
+//!   end in one arena. Recording a dead end allocates nothing until the
+//!   arena or the slots double.
 //!
 //! Verdict semantics are identical to `check_exact` — the completion
 //! rule for pending operations (each may linearize anywhere after its
@@ -80,11 +84,12 @@
 //! produced by `N`-process executions, and the memo makes the common
 //! linearizable case near-linear.
 
-use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasher, Hasher, RandomState};
 
 use super::{output_within_k, Violation, ViolationKind};
 use crate::history::{History, OpRecord};
 use crate::spec::{SeqSpec, SpecState};
+use crate::Word;
 
 /// No op: past a chain's end, or the root frame's missing last step.
 const NONE: u32 = u32::MAX;
@@ -184,14 +189,42 @@ fn push_frontier(arena: &mut Vec<u32>, heads: &[u32], ops: &[OpRecord]) {
     }
 }
 
+/// A failed state's key: the chain heads, then the spec state's words.
+/// Every state of one spec has the same number of words, so every key
+/// of one search has the same length.
+fn key<'a>(heads: &'a [u32], state: &'a SpecState) -> impl Iterator<Item = u64> + Clone + 'a {
+    let (word, words): (Option<u64>, &[Word]) = match state {
+        SpecState::Max(m) => (Some(*m as u64), &[]),
+        SpecState::Count(c) => (Some(*c), &[]),
+        SpecState::Snap(v) => (None, v),
+    };
+    let state = word.into_iter().chain(words.iter().map(|&w| w as u64));
+    heads.iter().map(|&h| u64::from(h)).chain(state)
+}
+
+/// Slots in a fresh table; it doubles whenever it is half full.
+const MIN_SLOTS: usize = 64;
+
 /// What the search learned at its dead ends; made at the first one.
+/// The failed states form one open-addressing table with linear
+/// probing, over keys in one arena (see the module docs).
 struct DeadEnds {
     /// `dead_at[d]`: some failed state has `d` ops linearized. The heads
     /// fix the depth, so a probe at any other depth cannot hit and is
     /// skipped without hashing.
     dead_at: Vec<bool>,
-    /// Failed states: chain heads -> spec states already proven dead.
-    failed: HashMap<Vec<u32>, HashSet<SpecState>>,
+    /// Words per key.
+    stride: usize,
+    /// Hashes keys with a per-table random seed, as the standard maps
+    /// do: a key holds values from the history, which may come from
+    /// outside the program.
+    hasher: RandomState,
+    /// Every failed state's key, `stride` words each, in the order they
+    /// were recorded.
+    keys: Vec<u64>,
+    /// The table: `0` for an empty slot, else `1 +` the key's index in
+    /// `keys`. Its length is a power of two.
+    slots: Vec<u32>,
     /// The deepest dead end: ops linearized, chain heads, spec state.
     deepest: (usize, Vec<u32>, SpecState),
 }
@@ -201,30 +234,69 @@ impl DeadEnds {
     fn new(ops: usize, depth: usize, heads: &[u32], state: &SpecState) -> DeadEnds {
         DeadEnds {
             dead_at: vec![false; ops + 1],
-            failed: HashMap::new(),
+            stride: key(heads, state).count(),
+            hasher: RandomState::new(),
+            keys: Vec::new(),
+            slots: vec![0; MIN_SLOTS],
             deepest: (depth, heads.to_vec(), state.clone()),
         }
     }
 
+    /// The slot holding `key`, or the empty slot where it would go. The
+    /// probe starts at the top bits of the key's hash (the slot count is
+    /// a power of two).
+    fn slot(&self, key: impl Iterator<Item = u64> + Clone) -> usize {
+        let mut hasher = self.hasher.build_hasher();
+        key.clone().for_each(|w| hasher.write_u64(w));
+        let mut s = (hasher.finish() >> (64 - self.slots.len().trailing_zeros())) as usize;
+        loop {
+            let k = self.slots[s] as usize;
+            if k == 0
+                || self.keys[(k - 1) * self.stride..k * self.stride]
+                    .iter()
+                    .copied()
+                    .eq(key.clone())
+            {
+                return s;
+            }
+            s = (s + 1) & (self.slots.len() - 1);
+        }
+    }
+
     fn holds(&self, depth: usize, heads: &[u32], state: &SpecState) -> bool {
-        self.dead_at[depth]
-            && self
-                .failed
-                .get(heads)
-                .is_some_and(|dead| dead.contains(state))
+        self.dead_at[depth] && self.slots[self.slot(key(heads, state))] != 0
     }
 
     #[cold]
     fn record(&mut self, depth: usize, heads: &[u32], state: SpecState) {
+        self.dead_at[depth] = true;
+        let slot = self.slot(key(heads, &state));
+        if self.slots[slot] == 0 {
+            self.keys.extend(key(heads, &state));
+            debug_assert_eq!(self.keys.len() % self.stride, 0, "keys of one stride");
+            let count = self.keys.len() / self.stride;
+            self.slots[slot] = u32::try_from(count).expect("dead ends fit the table");
+            if 2 * count >= self.slots.len() {
+                self.grow();
+            }
+        }
         if depth > self.deepest.0 {
             let (d, h, s) = &mut self.deepest;
             *d = depth;
             h.clear();
             h.extend_from_slice(heads);
-            *s = state.clone();
+            *s = state;
         }
-        self.dead_at[depth] = true;
-        self.failed.entry(heads.to_vec()).or_default().insert(state);
+    }
+
+    /// Doubles the slots and re-inserts every key.
+    #[cold]
+    fn grow(&mut self) {
+        self.slots = vec![0; 2 * self.slots.len()];
+        for (k, stored) in (1..).zip(self.keys.chunks_exact(self.stride)) {
+            let s = self.slot(stored.iter().copied());
+            self.slots[s] = k;
+        }
     }
 
     /// The rejection's detail: how far the longest partial
@@ -669,6 +741,111 @@ mod tests {
         let h = hist(ops);
         assert_eq!(h.len(), n * rounds);
         assert!(check_interval(&h, &SeqSpec::Counter).is_ok());
+    }
+
+    /// 4 processes of 500 ops each, an update and then a read in turn,
+    /// where process p's k-th op spans [4k + p, 4k + p + 4). Each read
+    /// returns what the spec returns after every update whose interval
+    /// closed before the read began (a feasible output), except the
+    /// first read from the middle of the history on, which returns
+    /// `planted`.
+    fn overlapping_with_planted_read(
+        spec: &SeqSpec,
+        update: impl Fn(usize, usize) -> OpDesc,
+        read: OpDesc,
+        planted: OpOutput,
+    ) -> History {
+        let (procs, rounds) = (4, 500);
+        let mut ops = Vec::new();
+        for k in 0..rounds {
+            for p in 0..procs {
+                let desc = if k % 2 == 0 {
+                    update(p, k)
+                } else {
+                    read.clone()
+                };
+                ops.push(op(p, desc, 4 * k + p, 4 * k + p + 4, OpOutput::Unit));
+            }
+        }
+        // Every op spans 4 ticks, so responses come in invocation order
+        // too: one pass applies each update before the first read that
+        // begins at or after its response.
+        let (mut state, mut applied) = (spec.init(), 0);
+        let mut planted = Some(planted);
+        for i in 0..ops.len() {
+            if !ops[i].desc.is_read() {
+                continue;
+            }
+            while ops[applied].response.unwrap() <= ops[i].invoke {
+                if ops[applied].desc.is_update() {
+                    state = spec.apply(&state, ops[applied].pid, &ops[applied].desc).0;
+                }
+                applied += 1;
+            }
+            let feasible = spec.apply(&state, ops[i].pid, &read).1;
+            ops[i].output = Some(match planted.take_if(|_| 2 * i >= ops.len()) {
+                Some(impossible) => impossible,
+                None => feasible,
+            });
+        }
+        hist(ops)
+    }
+
+    #[test]
+    fn memo_holds_thousands_of_dead_ends() {
+        // Each planted read is impossible in every state, so the search
+        // exhausts every partial linearization that can still reach it
+        // and records each as a dead end: 8,028 of them in each case, so
+        // the memo's table grows from 64 to 16,384 slots. The snapshot's
+        // keys carry the whole segment vector.
+        let snapshot = SeqSpec::Snapshot { n: 4, initial: 0 };
+        let cases = [
+            (
+                overlapping_with_planted_read(
+                    &SeqSpec::Counter,
+                    |_, _| OpDesc::CounterIncrement,
+                    OpDesc::CounterRead,
+                    OpOutput::Value(1001),
+                ),
+                SeqSpec::Counter,
+                "op#1004 CounterRead by p0 [1004, 1008] returned 1001, the spec needed 504",
+            ),
+            (
+                overlapping_with_planted_read(
+                    &MAX_SPEC,
+                    |p, k| OpDesc::WriteMax((4 * k + p) as Word),
+                    OpDesc::ReadMax,
+                    OpOutput::Value(2000),
+                ),
+                MAX_SPEC,
+                "op#1004 ReadMax by p0 [1004, 1008] returned 2000, the spec needed 1003",
+            ),
+            (
+                overlapping_with_planted_read(
+                    &snapshot,
+                    |_, k| OpDesc::Update(k as Word + 1),
+                    OpDesc::Scan,
+                    OpOutput::Vector(vec![-1, 0, 0, 0]),
+                ),
+                snapshot,
+                "op#1004 Scan by p0 [1004, 1008] returned [-1, 0, 0, 0], \
+                 the spec needed [251, 251, 251, 251]",
+            ),
+        ];
+        for (h, spec, culprit) in cases {
+            assert_eq!(h.len(), 2000);
+            let v = check_interval(&h, &spec).unwrap_err();
+            assert_eq!(v.kind, ViolationKind::NoLinearization, "{spec:?}");
+            // The planted read is op#1004; the three ops after it on the
+            // other processes overlap it, so 1007 ops precede the dead end.
+            for part in ["of 2000 operations", "covers 1007 of them", culprit] {
+                assert!(
+                    v.detail.contains(part),
+                    "{spec:?}: {part:?} missing from: {}",
+                    v.detail
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Allocation gate for simulated steps: an operation boxes its body
 //! once, a step allocates nothing, and a one-access read allocates
-//! nothing at all.
+//! nothing at all. Exploring a scope allocates less than it steps.
 //!
 //! A counting global allocator tallies, per thread, the allocations made
 //! while a machine is built and while it is fed its responses. Applying
-//! an event to `Memory` is left out: its event log grows on its own. The
-//! counts are deterministic, so the gate blocks where a wall-clock
-//! comparison could only warn.
+//! an event to `Memory` is left out of the solo runs: its event log grows
+//! on its own. An exploration is counted whole. The counts are
+//! deterministic, so the gate blocks where a wall-clock comparison could
+//! only warn.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ruo::core::counter::sim::{SimCounter, SimFArrayCounter};
 use ruo::core::maxreg::sim::{SimMaxRegister, SimTreeMaxRegister};
+use ruo::scenario::{explore_parts, ScenarioSpec};
+use ruo::sim::explore::{explore, history_is_wellformed, ExploreConfig};
 use ruo::sim::{Machine, Memory, ProcessId};
 
 /// The system allocator, counting allocations on threads that asked for
@@ -101,4 +104,46 @@ fn algorithm_a_write_allocates_at_most_once() {
     let (allocs, steps) = solo(&mut mem, p, || reg.write_max(p, 1 << 16));
     assert_eq!(steps, 58);
     assert!(allocs <= 1, "{allocs} allocations for one write");
+}
+
+/// The pruned W5 scope, built as the scenario suite builds it: three
+/// writers and a reader on Algorithm A with N = 4 and the root fast
+/// path, after a seed `WriteMax(3)`.
+#[test]
+fn exploring_keeps_machines_and_allocates_less_than_it_steps() {
+    let spec = ScenarioSpec::parse(include_str!("../scenarios/w5_explore_pruned.json"))
+        .expect("the W5 scenario parses");
+    let parts = explore_parts(&spec).expect("the W5 scope builds");
+    let calls = Cell::new(0usize);
+    let setup = || {
+        calls.set(calls.get() + 1);
+        (parts.setup)()
+    };
+    let cfg = ExploreConfig {
+        max_schedules: 100_000,
+        prune: true,
+        max_crashes: 0,
+    };
+    let (summary, allocs) =
+        counted(|| explore(&setup, &parts.ops, &mut history_is_wellformed, cfg));
+    assert!(summary.violation.is_none() && !summary.truncated);
+    assert_eq!(
+        (summary.schedules, summary.stats.executed_steps),
+        (696, 8_748)
+    );
+    // A machine is rebuilt only when a step's response differs from the
+    // one it consumed at that position.
+    assert!(
+        calls.get() < summary.schedules,
+        "{} setup calls for {} schedules",
+        calls.get(),
+        summary.schedules
+    );
+    // No DFS node allocates: what is left is each schedule's history and
+    // the rebuilds.
+    assert!(
+        (allocs as u64) < summary.stats.executed_steps,
+        "{allocs} allocations for {} executed steps",
+        summary.stats.executed_steps
+    );
 }
