@@ -295,7 +295,7 @@ mod tests {
     fn run_solo(mem: &mut Memory, m: Machine) -> (Word, usize) {
         let mut m = m;
         while let Some(prim) = m.enabled() {
-            let resp = mem.apply(ProcessId(0), prim);
+            let resp = mem.apply(ProcessId(0), prim).resp;
             m.feed(resp);
         }
         (m.result().expect("completed"), m.steps())

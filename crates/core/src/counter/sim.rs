@@ -406,13 +406,13 @@ mod tests {
         // First collect (2 reads).
         for _ in 0..2 {
             let p = rd.enabled().unwrap();
-            let r = mem.apply(ProcessId(0), p);
+            let r = mem.apply(ProcessId(0), p).resp;
             rd.feed(r);
         }
         // Concurrent increment invalidates the collect; the read retries.
         run_solo(&mut mem, ProcessId(1), c.increment(ProcessId(1)));
         while let Some(p) = rd.enabled() {
-            let r = mem.apply(ProcessId(0), p);
+            let r = mem.apply(ProcessId(0), p).resp;
             rd.feed(r);
         }
         assert!(rd.steps() > 4, "read should have retried");
@@ -471,7 +471,7 @@ mod tests {
             // combine phase.
             for _ in 0..2 {
                 let p = m.enabled().unwrap();
-                let r = mem.apply(ProcessId(i), p);
+                let r = mem.apply(ProcessId(i), p).resp;
                 m.feed(r);
             }
         }
@@ -491,7 +491,7 @@ mod tests {
             let mut progressed = false;
             for (i, m) in machines.iter_mut().enumerate() {
                 if let Some(p) = m.enabled() {
-                    let r = mem.apply(ProcessId(i), p);
+                    let r = mem.apply(ProcessId(i), p).resp;
                     m.feed(r);
                     progressed = true;
                 }
@@ -564,7 +564,7 @@ mod tests {
             let mut progressed = false;
             for (i, m) in machines.iter_mut().enumerate() {
                 if let Some(p) = m.enabled() {
-                    let r = mem.apply(ProcessId(i), p);
+                    let r = mem.apply(ProcessId(i), p).resp;
                     m.feed(r);
                     progressed = true;
                 }

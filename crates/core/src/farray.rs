@@ -574,7 +574,7 @@ mod tests {
             let mut progressed = false;
             for (pid, m) in machines.iter_mut() {
                 if let Some(prim) = m.enabled() {
-                    let resp = mem.apply(*pid, prim);
+                    let resp = mem.apply(*pid, prim).resp;
                     m.feed(resp);
                     progressed = true;
                 }
@@ -594,7 +594,7 @@ mod tests {
         run_solo(&mut mem, ProcessId(0), fa.update(ProcessId(0), 5));
         let mut m = fa.update(ProcessId(0), 3);
         let prim = m.enabled().unwrap();
-        let resp = mem.apply(ProcessId(0), prim);
+        let resp = mem.apply(ProcessId(0), prim).resp;
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.feed(resp)));
         assert!(result.is_err());
     }

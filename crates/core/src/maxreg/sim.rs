@@ -485,7 +485,7 @@ mod tests {
         let mut a = plain.write_max(ProcessId(0), 1);
         while mem.peek(reg.cells[parent]) != to_word(1) {
             let p = a.enabled().expect("A must reach the first level");
-            let r = mem.apply(ProcessId(0), p);
+            let r = mem.apply(ProcessId(0), p).resp;
             a.feed(r);
         }
         let (root_now, _) = run_solo(&mut mem, ProcessId(2), reg.read_max(ProcessId(2)));
@@ -620,12 +620,12 @@ mod tests {
         loop {
             let mut progressed = false;
             if let Some(p) = m0.enabled() {
-                let r = mem.apply(ProcessId(0), p);
+                let r = mem.apply(ProcessId(0), p).resp;
                 m0.feed(r);
                 progressed = true;
             }
             if let Some(p) = m1.enabled() {
-                let r = mem.apply(ProcessId(1), p);
+                let r = mem.apply(ProcessId(1), p).resp;
                 m1.feed(r);
                 progressed = true;
             }

@@ -77,14 +77,14 @@ mod tests {
         // First collect (2 reads).
         for _ in 0..2 {
             let p = scan.enabled().unwrap();
-            let r = mem.apply(ProcessId(0), p);
+            let r = mem.apply(ProcessId(0), p).resp;
             scan.feed(r);
         }
         // Now p1 updates segment 1, invalidating the first collect.
         run_solo(&mut mem, ProcessId(1), s.update(ProcessId(1), 3));
         // Let the scan finish.
         while let Some(p) = scan.enabled() {
-            let r = mem.apply(ProcessId(0), p);
+            let r = mem.apply(ProcessId(0), p).resp;
             scan.feed(r);
         }
         assert!(scan.steps() > 4, "scan should have retried");

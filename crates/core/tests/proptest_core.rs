@@ -129,7 +129,7 @@ fn sim_tree_register_is_schedule_independent() {
             let idx = alive[rng.gen_index(alive.len())];
             let (pid, m) = &mut machines[idx];
             let prim = m.enabled().unwrap();
-            let resp = mem.apply(*pid, prim);
+            let resp = mem.apply(*pid, prim).resp;
             m.feed(resp);
             let root = run_solo(&mut mem, ProcessId(0), reg.read_max(ProcessId(0))) as u64;
             assert!(
@@ -139,7 +139,7 @@ fn sim_tree_register_is_schedule_independent() {
         }
         for (pid, m) in machines.iter_mut() {
             while let Some(prim) = m.enabled() {
-                let resp = mem.apply(*pid, prim);
+                let resp = mem.apply(*pid, prim).resp;
                 m.feed(resp);
             }
         }

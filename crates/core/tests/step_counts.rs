@@ -15,7 +15,7 @@ use ruo_sim::{Machine, Memory, ProcessId};
 
 fn steps(mem: &mut Memory, pid: ProcessId, mut m: Machine) -> usize {
     while let Some(prim) = m.enabled() {
-        let resp = mem.apply(pid, prim);
+        let resp = mem.apply(pid, prim).resp;
         m.feed(resp);
     }
     m.steps()

@@ -363,10 +363,13 @@ pub fn run_essential(
                 }
             }
             let mut replay_pos = vec![0usize; writers];
+            tracker = FlowTracker::new(k);
             for &pid in &schedule {
                 let p = pid.index();
                 let prim = state[p].machine.enabled().expect("replay step exists");
-                let resp = mem.apply(pid, prim);
+                let ev = mem.apply(pid, prim);
+                tracker.observe(&ev);
+                let resp = ev.resp;
                 let (orig_prim, orig_resp) = state[p].history[replay_pos[p]];
                 if prim != orig_prim || resp != orig_resp {
                     replays_faithful = false;
@@ -375,8 +378,6 @@ pub fn run_essential(
                 state[p].machine.feed(resp);
             }
             replays += 1;
-            tracker = FlowTracker::new(k);
-            tracker.observe_log_suffix(mem.log());
         }
 
         // ---- Schedule this iteration's events ----
@@ -403,15 +404,15 @@ pub fn run_essential(
         for p in order {
             let pid = ProcessId(p);
             let prim = state[p].machine.enabled().expect("scheduled step exists");
-            let resp = mem.apply(pid, prim);
-            state[p].history.push((prim, resp));
-            state[p].machine.feed(resp);
+            let ev = mem.apply(pid, prim);
+            tracker.observe(&ev);
+            state[p].history.push((prim, ev.resp));
+            state[p].machine.feed(ev.resp);
             schedule.push(pid);
         }
         if let Some(pl) = halted_now {
             state[pl].halted = true;
         }
-        tracker.observe_log_suffix(mem.log());
 
         essential = chosen.iter().copied().collect();
         iterations += 1;
@@ -460,8 +461,7 @@ pub fn run_essential(
     let mut reader_objects = BTreeSet::new();
     while let Some(prim) = read_machine.enabled() {
         reader_objects.insert(prim.obj());
-        let resp = mem.apply(reader, prim);
-        read_machine.feed(resp);
+        read_machine.feed(mem.apply(reader, prim).resp);
     }
     let reader_value = read_machine.result().expect("read completes") as u64;
 

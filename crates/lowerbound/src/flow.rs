@@ -331,25 +331,39 @@ mod tests {
     use super::*;
     use ruo_sim::{Memory, Prim, ProcessId};
 
+    /// A memory and the log of every event applied to it.
+    struct Recorded {
+        mem: Memory,
+        log: EventLog,
+    }
+
+    impl Recorded {
+        fn apply(&mut self, pid: ProcessId, prim: Prim) {
+            let ev = self.mem.apply(pid, prim);
+            self.log.push(ev);
+        }
+    }
+
     #[test]
     fn visible_mutations_oracle_matches_simple_cases() {
-        let mut mem = Memory::new();
-        let o = mem.alloc(0);
+        let (mut mem, objs) = mk(1);
+        let o = objs[0];
         mem.apply(ProcessId(0), Prim::Write(o, 1)); // seq 0: covered below
         mem.apply(ProcessId(1), Prim::Write(o, 2)); // seq 1: visible
         mem.apply(ProcessId(2), Prim::Read(o)); // seq 2: protects seq 1
         mem.apply(ProcessId(0), Prim::Write(o, 3)); // seq 3: visible (last)
-        assert_eq!(visible_mutations(mem.log().events(), o), vec![1, 3]);
+        assert_eq!(visible_mutations(mem.log.events(), o), vec![1, 3]);
     }
 
-    fn mk(n_objs: usize) -> (Memory, Vec<ObjId>) {
+    fn mk(n_objs: usize) -> (Recorded, Vec<ObjId>) {
         let mut mem = Memory::new();
         let objs = mem.alloc_n(n_objs, 0);
-        (mem, objs)
+        let log = EventLog::new();
+        (Recorded { mem, log }, objs)
     }
 
-    fn feed(tracker: &mut FlowTracker, mem: &Memory) {
-        tracker.observe_log_suffix(mem.log());
+    fn feed(tracker: &mut FlowTracker, mem: &Recorded) {
+        tracker.observe_log_suffix(&mem.log);
     }
 
     #[test]

@@ -14,9 +14,12 @@
 //!    all the others fail; either way one awareness set at most.
 //!
 //! `ruo-lowerbound`'s Theorem 1 experiment iterates this round and
-//! checks `M(E_j) ≤ 3^j` on the real event log.
+//! checks `M(E_j) ≤ 3^j` on the real events, which the round feeds to a
+//! [`FlowTracker`] as it applies them.
 
 use ruo_sim::{Machine, Memory, ProcessId};
+
+use crate::flow::FlowTracker;
 
 /// Which phase of the Lemma 1 schedule an event was placed in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,11 +42,20 @@ pub struct Placement {
 }
 
 /// Runs one Lemma 1 round: every machine in `procs` that has an enabled
-/// event takes exactly one step, in the three-phase order. Returns the
-/// placements in schedule order.
+/// event takes exactly one step, in the three-phase order, and `tracker`
+/// observes each event as it is applied. Returns the placements in
+/// schedule order.
 ///
 /// Processes whose machines are already done are skipped.
-pub fn lemma1_round(mem: &mut Memory, procs: &mut [(ProcessId, &mut Machine)]) -> Vec<Placement> {
+///
+/// # Panics
+///
+/// Panics if `tracker` has not observed every earlier step of `mem`.
+pub fn lemma1_round(
+    mem: &mut Memory,
+    procs: &mut [(ProcessId, &mut Machine)],
+    tracker: &mut FlowTracker,
+) -> Vec<Placement> {
     // Classify against the values at the start of the round. Phase-1
     // events are all trivial, so classifications stay valid through
     // phase 1; phase 2/3 interactions are exactly the cases analyzed in
@@ -76,8 +88,9 @@ pub fn lemma1_round(mem: &mut Memory, procs: &mut [(ProcessId, &mut Machine)]) -
     for (idx, pid, phase) in phase1.into_iter().chain(phase2).chain(phase3) {
         let machine = &mut *procs[idx].1;
         let prim = machine.enabled().expect("classified event still enabled");
-        let resp = mem.apply(pid, prim);
-        machine.feed(resp);
+        let ev = mem.apply(pid, prim);
+        tracker.observe(&ev);
+        machine.feed(ev.resp);
         placements.push(Placement { pid, phase });
     }
     placements
@@ -86,7 +99,6 @@ pub fn lemma1_round(mem: &mut Memory, procs: &mut [(ProcessId, &mut Machine)]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlowTracker;
     use ruo_sim::{Machine, ObjId, Prim, Word};
 
     fn writer(o: ObjId, v: Word) -> Machine {
@@ -120,7 +132,7 @@ mod tests {
             (ProcessId(1), &mut m1),
             (ProcessId(2), &mut m2),
         ];
-        let placements = lemma1_round(&mut mem, &mut procs);
+        let placements = lemma1_round(&mut mem, &mut procs, &mut FlowTracker::new(3));
         let phases: Vec<Phase> = placements.iter().map(|p| p.phase).collect();
         assert_eq!(
             phases,
@@ -140,7 +152,7 @@ mod tests {
         let mut m0 = writer(o, 5); // writes the current value: trivial
         let mut m1 = writer(o, 6);
         let mut procs = vec![(ProcessId(0), &mut m0), (ProcessId(1), &mut m1)];
-        let placements = lemma1_round(&mut mem, &mut procs);
+        let placements = lemma1_round(&mut mem, &mut procs, &mut FlowTracker::new(2));
         assert_eq!(placements[0].phase, Phase::ReadsAndTrivial);
         assert_eq!(placements[0].pid, ProcessId(0));
         assert_eq!(placements[1].phase, Phase::Writes);
@@ -153,7 +165,7 @@ mod tests {
         let mut m0 = Machine::completed(0);
         let mut m1 = reader(o);
         let mut procs = vec![(ProcessId(0), &mut m0), (ProcessId(1), &mut m1)];
-        let placements = lemma1_round(&mut mem, &mut procs);
+        let placements = lemma1_round(&mut mem, &mut procs, &mut FlowTracker::new(2));
         assert_eq!(placements.len(), 1);
         assert_eq!(placements[0].pid, ProcessId(1));
     }
@@ -180,8 +192,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, m)| (ProcessId(i), m))
                 .collect();
-            lemma1_round(&mut mem, &mut procs);
-            tracker.observe_log_suffix(mem.log());
+            lemma1_round(&mut mem, &mut procs, &mut tracker);
             bound *= 3;
             assert!(
                 tracker.max_knowledge() <= bound,
@@ -204,9 +215,8 @@ mod tests {
             .enumerate()
             .map(|(i, m)| (ProcessId(i), m))
             .collect();
-        lemma1_round(&mut mem, &mut procs);
         let mut tracker = FlowTracker::new(5);
-        tracker.observe_log_suffix(mem.log());
+        lemma1_round(&mut mem, &mut procs, &mut tracker);
         assert_eq!(tracker.familiarity(o).len(), 1);
     }
 
@@ -220,7 +230,8 @@ mod tests {
             .enumerate()
             .map(|(i, m)| (ProcessId(i), m))
             .collect();
-        lemma1_round(&mut mem, &mut procs);
+        let mut tracker = FlowTracker::new(4);
+        lemma1_round(&mut mem, &mut procs, &mut tracker);
         let succeeded: Vec<usize> = machines
             .iter()
             .enumerate()
@@ -228,8 +239,6 @@ mod tests {
             .map(|(i, _)| i)
             .collect();
         assert_eq!(succeeded.len(), 1, "exactly one CAS may succeed");
-        let mut tracker = FlowTracker::new(4);
-        tracker.observe_log_suffix(mem.log());
         assert!(tracker.familiarity(o).len() <= 2);
     }
 }

@@ -105,10 +105,9 @@ pub fn run_theorem1(
             .filter(|(_, m)| !m.is_done())
             .map(|(p, m)| (*p, m))
             .collect();
-        lemma1_round(mem, &mut procs);
+        lemma1_round(mem, &mut procs, &mut tracker);
         rounds += 1;
         bound = bound.saturating_mul(3);
-        tracker.observe_log_suffix(mem.log());
         let m_e = tracker.max_knowledge();
         knowledge_per_round.push(m_e);
         if m_e > bound {
@@ -125,9 +124,9 @@ pub fn run_theorem1(
     let mut read_machine = counter.read(reader);
     let mut reader_awareness_curve = Vec::new();
     while let Some(prim) = read_machine.enabled() {
-        let resp = mem.apply(reader, prim);
-        read_machine.feed(resp);
-        tracker.observe_log_suffix(mem.log());
+        let ev = mem.apply(reader, prim);
+        tracker.observe(&ev);
+        read_machine.feed(ev.resp);
         reader_awareness_curve.push(tracker.awareness(reader).len());
     }
 

@@ -12,7 +12,7 @@ use ruo_lowerbound::flow::visible_mutations;
 use ruo_lowerbound::lemma1::lemma1_round;
 use ruo_lowerbound::turan::greedy_independent_set;
 use ruo_lowerbound::FlowTracker;
-use ruo_sim::{Machine, Memory, Prim, ProcessId, SplitMix64, Word};
+use ruo_sim::{EventLog, Machine, Memory, Prim, ProcessId, SplitMix64, Word};
 
 /// One random primitive applied by a random process to a random object;
 /// operands in -2..3.
@@ -34,6 +34,7 @@ fn tracker_visibility_matches_definition_1() {
     for case in 0..256 {
         let mut mem = Memory::new();
         let objs = mem.alloc_n(3, 0);
+        let mut log = EventLog::new();
         let steps = 1 + rng.gen_index(59);
         for _ in 0..steps {
             let (p, o, kind, a, b) = arb_step(&mut rng, 4, 3);
@@ -46,14 +47,14 @@ fn tracker_visibility_matches_definition_1() {
                     new: b,
                 },
             };
-            mem.apply(ProcessId(p), prim);
+            log.push(mem.apply(ProcessId(p), prim));
         }
         let mut tracker = FlowTracker::new(4);
-        tracker.observe_log_suffix(mem.log());
+        tracker.observe_log_suffix(&log);
         for &o in &objs {
             let mut got = tracker.contribution_seqs(o);
             got.sort_unstable();
-            let expected = visible_mutations(mem.log().events(), o);
+            let expected = visible_mutations(log.events(), o);
             assert_eq!(got, expected, "case {case}: object {o}");
         }
     }
@@ -81,8 +82,7 @@ fn awareness_is_monotone() {
                     new: b,
                 },
             };
-            mem.apply(ProcessId(p), prim);
-            tracker.observe_log_suffix(mem.log());
+            tracker.observe(&mem.apply(ProcessId(p), prim));
             for (q, size) in sizes.iter_mut().enumerate() {
                 let aw = tracker.awareness(ProcessId(q));
                 assert!(aw.contains(ProcessId(q)), "case {case}");
@@ -132,8 +132,7 @@ fn lemma1_bound_holds_for_random_machines() {
             if procs.is_empty() {
                 break;
             }
-            lemma1_round(&mut mem, &mut procs);
-            tracker.observe_log_suffix(mem.log());
+            lemma1_round(&mut mem, &mut procs, &mut tracker);
             bound *= 3;
             assert!(
                 tracker.max_knowledge() <= bound,

@@ -501,18 +501,20 @@ mod tests {
 
     fn run_to_completion(
         mem: &mut Memory,
+        log: &mut EventLog,
         pid: ProcessId,
         mut m: Machine,
         history: &mut History,
         desc: OpDesc,
     ) {
-        let invoke = mem.log().len();
+        let invoke = log.len();
         while !m.is_done() {
             let prim = m.enabled().expect("machine running");
-            let resp = mem.apply(pid, prim);
-            m.feed(resp);
+            let ev = mem.apply(pid, prim);
+            log.push(ev);
+            m.feed(ev.resp);
         }
-        let response = mem.log().len().max(invoke + 1);
+        let response = log.len().max(invoke + 1);
         history.push(OpRecord {
             pid,
             desc,
@@ -523,13 +525,15 @@ mod tests {
         });
     }
 
-    fn sample() -> (Memory, History) {
+    fn sample() -> (EventLog, History) {
         let mut mem = Memory::new();
+        let mut log = EventLog::new();
         let cell = mem.alloc(0);
         let mut history = History::new();
         // p0: read cell, CAS 0 -> 7 (succeeds).
         run_to_completion(
             &mut mem,
+            &mut log,
             ProcessId(0),
             Machine::new(async move {
                 let v = access(Prim::Read(cell)).await;
@@ -546,6 +550,7 @@ mod tests {
         // p1: CAS 0 -> 9 (fails — cell is 7), then write 9.
         run_to_completion(
             &mut mem,
+            &mut log,
             ProcessId(1),
             Machine::new(async move {
                 let cas = Prim::Cas {
@@ -563,21 +568,22 @@ mod tests {
         // p0: one read.
         run_to_completion(
             &mut mem,
+            &mut log,
             ProcessId(0),
             Machine::single(Prim::Read(cell), |v| v),
             &mut history,
             OpDesc::ReadMax,
         );
-        (mem, history)
+        (log, history)
     }
 
     #[test]
     fn attribution_partitions_each_process_exactly() {
-        let (mem, history) = sample();
-        let trace = trace_execution(mem.log(), &history);
+        let (log, history) = sample();
+        let trace = trace_execution(&log, &history);
         assert_eq!(trace.ops.len(), 3);
         let total: usize = trace.ops.iter().map(|o| o.events.len()).sum();
-        assert_eq!(total, mem.log().len());
+        assert_eq!(total, log.len());
         // First op: read + successful CAS.
         assert_eq!(trace.ops[0].prims.reads, 1);
         assert_eq!(trace.ops[0].prims.cas_ok, 1);
@@ -593,18 +599,18 @@ mod tests {
             assert!(op
                 .events
                 .iter()
-                .all(|e| { mem.log().events()[e.seq].pid.index() == op.pid }));
+                .all(|e| { log.events()[e.seq].pid.index() == op.pid }));
         }
     }
 
     #[test]
     fn stats_aggregate_matches_trace() {
-        let (mem, history) = sample();
-        let trace = trace_execution(mem.log(), &history);
+        let (log, history) = sample();
+        let trace = trace_execution(&log, &history);
         let stats = trace.stats();
         assert_eq!(stats.max_steps("write_max"), Some(2));
         assert_eq!(stats.max_steps("read_max"), Some(1));
-        assert_eq!(stats.prims.total(), mem.log().len() as u64);
+        assert_eq!(stats.prims.total(), log.len() as u64);
         let wm = &stats.per_op()[stats
             .per_op()
             .iter()
@@ -675,11 +681,11 @@ mod tests {
 
     #[test]
     fn jsonl_carries_header_ops_and_events() {
-        let (mem, history) = sample();
-        let trace = trace_execution(mem.log(), &history);
+        let (log, history) = sample();
+        let trace = trace_execution(&log, &history);
         let jsonl = trace.to_jsonl();
         let lines: Vec<&str> = jsonl.lines().collect();
-        assert_eq!(lines.len(), 1 + 3 + mem.log().len());
+        assert_eq!(lines.len(), 1 + 3 + log.len());
         assert!(lines[0].contains("\"schema\":\"ruo-trace-v1\""));
         assert!(lines[0].contains("\"ops\":3"));
         assert!(lines[1].contains("\"type\":\"op\""));
@@ -693,18 +699,19 @@ mod tests {
 
     #[test]
     fn chrome_trace_has_one_slice_per_op_and_event() {
-        let (mem, history) = sample();
-        let trace = trace_execution(mem.log(), &history);
+        let (log, history) = sample();
+        let trace = trace_execution(&log, &history);
         let chrome = trace.to_chrome_trace();
         assert!(chrome.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-        assert_eq!(chrome.matches("\"ph\":\"X\"").count(), 3 + mem.log().len());
-        assert_eq!(chrome.matches("\"cat\":\"prim\"").count(), mem.log().len());
+        assert_eq!(chrome.matches("\"ph\":\"X\"").count(), 3 + log.len());
+        assert_eq!(chrome.matches("\"cat\":\"prim\"").count(), log.len());
         assert!(chrome.contains("\"pending\":false"));
     }
 
     #[test]
     fn pending_op_stretches_to_its_last_event() {
         let mut mem = Memory::new();
+        let mut log = EventLog::new();
         let cell = mem.alloc(0);
         let pid = ProcessId(3);
         // Two steps issued, never completed.
@@ -715,8 +722,9 @@ mod tests {
         });
         for _ in 0..2 {
             let prim = m.enabled().unwrap();
-            let resp = mem.apply(pid, prim);
-            m.feed(resp);
+            let ev = mem.apply(pid, prim);
+            log.push(ev);
+            m.feed(ev.resp);
         }
         let mut history = History::new();
         history.push(OpRecord {
@@ -727,7 +735,7 @@ mod tests {
             output: None,
             steps: 2,
         });
-        let trace = trace_execution(mem.log(), &history);
+        let trace = trace_execution(&log, &history);
         assert_eq!(trace.ops[0].events.len(), 2);
         let chrome = trace.to_chrome_trace();
         assert!(chrome.contains("\"pending\":true"));

@@ -27,8 +27,8 @@ use ruo_sim::lin::{check_exact_k, check_interval_k, Violation};
 use ruo_sim::spec::SeqSpec;
 use ruo_sim::stepcount::CountingMem;
 use ruo_sim::{
-    run_solo, ExecOutcome, Executor, FaultPlan, History, Machine, Memory, OpDesc, OpOutput,
-    OpRecord, OpSpec, ProcessId, RandomScheduler, RoundRobin, Scheduler, SplitMix64,
+    EventLog, ExecOutcome, Executor, FaultPlan, History, Machine, Memory, OpDesc, OpOutput,
+    OpRecord, OpSpec, ProcessId, RandomScheduler, RoundRobin, Scheduler, SplitMix64, Word,
     WorkloadBuilder,
 };
 
@@ -553,11 +553,10 @@ fn make_scheduler(spec: &ScenarioSpec, run_seed: u64) -> Box<dyn Scheduler> {
 /// linearizable under the completion rule).
 #[derive(Debug)]
 pub struct SimSeedRun {
-    /// The executor's outcome (history, completion, crashes).
+    /// The executor's outcome (history, completion, crashes), with the
+    /// run's events — the raw material for step attribution
+    /// ([`ruo_metrics::trace_execution`]).
     pub outcome: ExecOutcome,
-    /// The final shared memory, with its full event log — the raw
-    /// material for step attribution ([`ruo_metrics::trace_execution`]).
-    pub memory: Memory,
     /// The checker's verdict on the history.
     pub violation: Option<Violation>,
     /// Whether the run drained: every op completed, or a crash
@@ -589,7 +588,6 @@ pub fn run_sim_seed(
     let violation = check_history(spec, &outcome.history).err();
     Ok(SimSeedRun {
         outcome,
-        memory: mem,
         violation,
         drained,
     })
@@ -655,10 +653,10 @@ pub fn run_sim(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, Engin
         let run = run_sim_seed(spec, run_seed, &plan)?;
         if let Some(acc) = &mut steps {
             acc.record_history(&run.outcome.history);
-            acc.record_events(run.memory.log());
+            acc.record_events(&run.outcome.events);
         }
         if first_trace.is_none() && wants_export(spec) {
-            first_trace = Some(trace_execution(run.memory.log(), &run.outcome.history));
+            first_trace = Some(trace_execution(&run.outcome.events, &run.outcome.history));
         }
         if let Some(cert) = &certifier {
             cert.record_outcome(&run.outcome);
@@ -981,6 +979,10 @@ pub struct ExploreParts {
     pub ops: Vec<ExploreOp>,
     /// The checker's initial object value (the seed update, if any).
     pub initial: i64,
+    /// The seed update's events, which every memory `setup` returns has
+    /// already taken (its steps `0..seed_events.len()`); empty without
+    /// a seed update. The canonical trace starts with them.
+    pub seed_events: EventLog,
 }
 
 impl std::fmt::Debug for ExploreParts {
@@ -1038,9 +1040,11 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
     // shared object: every counter and max-register sim face keeps its
     // state in `Memory` only (its fields are cell ids and shapes).
     let (mut seeded, obj) = build_sim_object(spec)?;
+    let mut seed_events = EventLog::new();
     if let (Some(seed_v), SimObject::MaxReg(reg)) = (espec.seed_update, &obj) {
-        run_solo(
+        run_recorded(
             &mut seeded,
+            &mut seed_events,
             ProcessId(0),
             reg.write_max(ProcessId(0), seed_v),
         );
@@ -1081,7 +1085,27 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
         setup,
         ops,
         initial: espec.seed_update.map_or(0, |v| v as i64),
+        seed_events,
     })
+}
+
+/// Runs `machine` solo on behalf of `pid`, appending each of its events
+/// to `log`; returns `(result, steps)` like [`run_solo`](ruo_sim::run_solo).
+fn run_recorded(
+    mem: &mut Memory,
+    log: &mut EventLog,
+    pid: ProcessId,
+    mut machine: Machine,
+) -> (Word, usize) {
+    while let Some(prim) = machine.enabled() {
+        let ev = mem.apply(pid, prim);
+        log.push(ev);
+        machine.feed(ev.resp);
+    }
+    (
+        machine.result().expect("machine completed"),
+        machine.steps(),
+    )
 }
 
 /// Runs the scope's machines to completion sequentially (each op solo,
@@ -1090,8 +1114,9 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
 /// trace. The setup's seed update (if any) appears as the first op.
 fn explore_canonical_trace(parts: &ExploreParts, spec: &ScenarioSpec) -> StepTrace {
     let (mut mem, machines) = (parts.setup)();
+    let mut log = parts.seed_events.clone();
     let mut history = History::new();
-    let seed_steps = mem.log().len();
+    let seed_steps = log.len();
     if seed_steps > 0 {
         let v = spec
             .explore
@@ -1108,9 +1133,9 @@ fn explore_canonical_trace(parts: &ExploreParts, spec: &ScenarioSpec) -> StepTra
         });
     }
     for (machine, op) in machines.into_iter().zip(&parts.ops) {
-        let invoke = mem.log().len();
-        let (result, steps) = run_solo(&mut mem, op.pid, machine);
-        let response = mem.log().len().max(invoke + 1);
+        let invoke = log.len();
+        let (result, steps) = run_recorded(&mut mem, &mut log, op.pid, machine);
+        let response = log.len().max(invoke + 1);
         history.push(OpRecord {
             pid: op.pid,
             desc: op.desc.clone(),
@@ -1124,7 +1149,7 @@ fn explore_canonical_trace(parts: &ExploreParts, spec: &ScenarioSpec) -> StepTra
             steps,
         });
     }
-    trace_execution(mem.log(), &history)
+    trace_execution(&log, &history)
 }
 
 /// Explores every schedule (and crash placement, per the budget) of the
@@ -1522,9 +1547,29 @@ mod tests {
         assert!(steps.prims.total() > 0);
         let doc = Json::parse(&std::fs::read_to_string(&chrome).unwrap()).unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        // Canonical schedule: seed write + the two scope ops, plus one
-        // slice per attributed primitive event.
-        assert!(events.len() > 3);
+        // Canonical schedule: the seed write, then the two scope ops,
+        // each run solo. One slice per op plus one per primitive.
+        let (mut mem, obj) = build_sim_object(&spec).unwrap();
+        let SimObject::MaxReg(reg) = &obj else {
+            panic!("a max register scope");
+        };
+        let solo =
+            |mem: &mut Memory, pid: usize, m: Machine| ruo_sim::run_solo(mem, ProcessId(pid), m).1;
+        let seed = solo(&mut mem, 0, reg.write_max(ProcessId(0), 1));
+        let write = solo(&mut mem, 0, reg.write_max(ProcessId(0), 2));
+        let read = solo(&mut mem, 1, reg.read_max(ProcessId(1)));
+        assert_eq!(events.len(), 3 + seed + write + read);
+        // The seed op's slice comes first, then its primitives at ticks
+        // 0..seed, then the scope's first op.
+        let field = |i: usize, key: &str| events[i].get(key).cloned().unwrap();
+        assert_eq!(field(0, "name"), Json::from("WriteMax(1)"));
+        assert_eq!(field(0, "dur"), Json::from(seed));
+        for (tick, i) in (1..=seed).enumerate() {
+            assert_eq!(field(i, "cat"), Json::from("prim"), "slice {i}");
+            assert_eq!(field(i, "tid"), Json::from(0u64), "slice {i}");
+            assert_eq!(field(i, "ts"), Json::from(tick), "slice {i}");
+        }
+        assert_eq!(field(seed + 1, "name"), Json::from("WriteMax(2)"));
         std::fs::remove_dir_all(chrome.parent().unwrap()).ok();
     }
 

@@ -1,9 +1,12 @@
 //! Shared-memory events and the execution log.
 //!
 //! The paper reasons about *executions*: sequences of events, each of
-//! which applies one primitive to one base object. [`EventLog`] is that
-//! sequence, recorded by [`Memory`](crate::Memory) as primitives are
-//! applied. The log carries enough information (value before/after, CAS
+//! which applies one primitive to one base object.
+//! [`Memory::apply`](crate::Memory::apply) returns each step's [`Event`]
+//! and keeps none; [`EventLog`] is the sequence, kept by the code that
+//! reads an execution (the executor's
+//! [`ExecOutcome::events`](crate::ExecOutcome::events), a test's own
+//! loop). An event carries enough information (value before/after, CAS
 //! success) for the information-flow analysis in `ruo-lowerbound` to
 //! recompute visibility, awareness and familiarity per Definitions 1–4.
 
@@ -131,7 +134,9 @@ impl Event {
     }
 }
 
-/// An execution: the sequence of all events applied to a [`Memory`](crate::Memory).
+/// An execution: the events applied to a [`Memory`](crate::Memory) from
+/// its initial configuration, in order, so that each event's `seq` is
+/// its position.
 #[derive(Clone, Debug, Default)]
 pub struct EventLog {
     events: Vec<Event>,
@@ -143,13 +148,19 @@ impl EventLog {
         Self::default()
     }
 
-    pub(crate) fn push(&mut self, ev: Event) {
-        debug_assert_eq!(ev.seq, self.events.len());
+    /// Appends the next event of the execution.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the event's `seq` is not its position in the log, that
+    /// is, if it is not the step right after the last one logged.
+    pub fn push(&mut self, ev: Event) {
+        assert_eq!(
+            ev.seq,
+            self.events.len(),
+            "an event's seq must be its position in the log"
+        );
         self.events.push(ev);
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<Event> {
-        self.events.pop()
     }
 
     /// Number of events in the execution.
@@ -287,5 +298,13 @@ mod tests {
         assert_eq!(log.steps_of(ProcessId(0)), 2);
         assert_eq!(log.steps_of(ProcessId(1)), 1);
         assert_eq!(log.steps_of(ProcessId(9)), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "seq must be its position")]
+    fn push_rejects_an_out_of_order_seq() {
+        let mut log = EventLog::new();
+        log.push(ev(0, 0, Prim::Read(ObjId(0)), 0, 0));
+        log.push(ev(2, 1, Prim::Read(ObjId(0)), 0, 0));
     }
 }

@@ -5,7 +5,7 @@ use std::fmt;
 
 use crate::fault::{FaultClock, FaultPlan};
 use crate::history::{History, OpDesc, OpOutput, OpRecord};
-use crate::{Machine, Memory, ProcessId, Scheduler, Word};
+use crate::{EventLog, Machine, Memory, ProcessId, Scheduler, Word};
 
 type StartFn = Box<dyn FnOnce() -> Machine + Send>;
 type FinishFn = Box<dyn FnOnce(Word) -> OpOutput + Send>;
@@ -110,6 +110,10 @@ pub struct ExecOutcome {
     /// in [`ExecOutcome::history`]: invoked but never responded. Empty
     /// for [`Executor::run`].
     pub crashed: Vec<ProcessId>,
+    /// Every event of the run, in order: the execution whose step
+    /// indices the history's ticks are. Step attribution
+    /// (`ruo_metrics::trace_execution`) reads it.
+    pub events: EventLog,
 }
 
 struct Running {
@@ -168,6 +172,11 @@ impl Executor {
     /// is stalled at once, the earliest window is released immediately
     /// (time passes vacuously when nobody can move), so stalls never
     /// deadlock the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mem` has already taken steps: the run's events are
+    /// recorded from the initial configuration.
     pub fn run_with_faults(
         &self,
         mem: &mut Memory,
@@ -175,7 +184,13 @@ impl Executor {
         sched: &mut dyn Scheduler,
         plan: &FaultPlan,
     ) -> ExecOutcome {
+        assert_eq!(
+            mem.steps(),
+            0,
+            "the executor runs from a memory that has taken no steps"
+        );
         let mut history = History::new();
+        let mut events = EventLog::new();
         let mut clock = FaultClock::new(plan, workload.queues.len());
         let mut procs: Vec<ProcState> = workload
             .queues
@@ -185,15 +200,20 @@ impl Executor {
                 current: None,
             })
             .collect();
+        // Scheduling buffers, refilled at every step.
+        let mut alive: Vec<ProcessId> = Vec::with_capacity(procs.len());
+        let mut runnable: Vec<ProcessId> = Vec::with_capacity(procs.len());
 
         loop {
-            let alive: Vec<ProcessId> = procs
-                .iter()
-                .enumerate()
-                .filter(|(_, st)| st.current.is_some() || !st.queue.is_empty())
-                .map(|(i, _)| ProcessId(i))
-                .filter(|&pid| !clock.is_crashed(pid))
-                .collect();
+            alive.clear();
+            alive.extend(
+                procs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, st)| st.current.is_some() || !st.queue.is_empty())
+                    .map(|(i, _)| ProcessId(i))
+                    .filter(|&pid| !clock.is_crashed(pid)),
+            );
             if alive.is_empty() {
                 let all_done = procs
                     .iter()
@@ -202,6 +222,7 @@ impl Executor {
                     history,
                     all_done,
                     crashed: clock.crashed_processes(),
+                    events,
                 };
             }
             if let Some(budget) = self.max_steps {
@@ -210,15 +231,18 @@ impl Executor {
                         history,
                         all_done: false,
                         crashed: clock.crashed_processes(),
+                        events,
                     };
                 }
             }
             let now = mem.steps();
-            let mut runnable: Vec<ProcessId> = alive
-                .iter()
-                .copied()
-                .filter(|&pid| !clock.is_stalled(pid, now))
-                .collect();
+            runnable.clear();
+            runnable.extend(
+                alive
+                    .iter()
+                    .copied()
+                    .filter(|&pid| !clock.is_stalled(pid, now)),
+            );
             if runnable.is_empty() {
                 let released = clock
                     .release_earliest_stall(&alive)
@@ -263,9 +287,10 @@ impl Executor {
 
             let running = st.current.as_mut().expect("current op present");
             let prim = running.machine.enabled().expect("running op has event");
-            let resp = mem.apply(pid, prim);
+            let ev = mem.apply(pid, prim);
+            events.push(ev);
             clock.on_event(pid, mem.steps());
-            let finished = running.machine.feed(resp);
+            let finished = running.machine.feed(ev.resp);
             history.ops_mut()[running.hist_idx].steps = running.machine.steps();
             if finished {
                 let result = running.machine.result().expect("finished machine");

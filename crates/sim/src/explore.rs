@@ -11,26 +11,25 @@
 //!
 //! * **Incremental execution.** The DFS never replays a prefix. Taking a
 //!   step applies one primitive; backtracking undoes it with
-//!   [`Memory::undo_last`] (`O(1)` — each [`Event`](crate::Event) logs
-//!   the overwritten value). A body cannot be rewound past the accesses
-//!   it has resumed from, so each operation keeps the *trail* of
-//!   (primitive, response) pairs its machine has consumed, and a cursor
-//!   for the current DFS path: the path's steps are a prefix of the
-//!   trail, and backtracking moves only the cursor. When the operation
-//!   steps again, its enabled event is the trail's next primitive (the
-//!   machine's own at the trail's end), and if memory returns the
-//!   response the machine consumed at that position, the machine is
-//!   still exact and only the cursor moves. That holds because a machine
-//!   is a deterministic function of the responses fed to it. Only a
-//!   different response cuts the trail and rebuilds the machine: one
-//!   fresh machine from `setup` (the rest of that call is dropped — no
-//!   pool of spare machines is kept) re-fed the path's responses.
-//!   Full-prefix replay costs `O(tree-size × depth)` memory events; this
-//!   costs `O(tree-size)` plus the re-feeds of rebuilt machines. On the
-//!   pruned W5 scope it saves 20 replayed events per executed one, and
-//!   on the unpruned one it re-feeds none (EXPERIMENTS.md § W5). A DFS
-//!   node allocates nothing: the runnable operations are a `u64` mask,
-//!   and the explored siblings of every frame share one stack.
+//!   [`Memory::undo`] (`O(1)`: the search keeps each step's [`Event`],
+//!   which holds the overwritten value). A body cannot be rewound past the
+//!   accesses it has resumed from, so each operation keeps the *trail* of
+//!   (primitive, response) pairs its machine has consumed, and a cursor for
+//!   the current DFS path: the path's steps are a prefix of the trail, and
+//!   backtracking moves only the cursor. When the operation steps again,
+//!   its enabled event is the trail's next primitive (the machine's own at
+//!   the trail's end), and if memory returns the response the machine
+//!   consumed at that position, the machine is still exact and only the
+//!   cursor moves. That holds because a machine is a deterministic function
+//!   of the responses fed to it. Only a different response cuts the trail
+//!   and rebuilds the machine: one fresh machine from `setup` (the rest of
+//!   that call is dropped — no pool of spare machines is kept) re-fed the
+//!   path's responses. Full-prefix replay costs `O(tree-size × depth)`
+//!   memory events; this costs `O(tree-size)` plus the re-feeds of rebuilt
+//!   machines. On the pruned W5 scope it saves 20 replayed events per
+//!   executed one, and on the unpruned one it re-feeds none (EXPERIMENTS.md
+//!   § W5). A DFS node allocates nothing: the runnable operations are a
+//!   `u64` mask, and the explored siblings of every frame share one stack.
 //!
 //! * **Independence-based pruning** (sleep sets, Godefroid-style),
 //!   enabled via [`ExploreConfig::prune`]. Two steps by different
@@ -87,7 +86,7 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 use crate::history::{History, OpOutput, OpRecord};
-use crate::{Machine, Memory, OpDesc, Prim, ProcessId, Word};
+use crate::{Event, Machine, Memory, OpDesc, Prim, ProcessId, Word};
 
 /// Hard per-operation step cap: a machine exceeding this many steps in
 /// one schedule would make enumeration meaningless.
@@ -207,9 +206,9 @@ pub struct ExploreSummary {
 struct StepInfo {
     /// Index (into `ops`) of the process that stepped.
     idx: usize,
-    /// The primitive applied: once the step is undone, the operation's
-    /// enabled event again.
-    prim: Prim,
+    /// The step's event: what undoing it restores, and its primitive,
+    /// which is the operation's enabled event again once it is undone.
+    ev: Event,
     /// Whether this was the operation's first step.
     was_first: bool,
     /// Whether this step completed the operation.
@@ -227,7 +226,7 @@ fn commutes(a: Prim, b: Prim) -> bool {
 /// immediately precedes the other's first (which is the one swap that
 /// can change the precedence relation — see the module docs).
 fn independent(a: &StepInfo, b: &StepInfo) -> bool {
-    commutes(a.prim, b.prim) && !(a.was_last && b.was_first) && !(b.was_last && a.was_first)
+    commutes(a.ev.prim, b.ev.prim) && !(a.was_last && b.was_first) && !(b.was_last && a.was_first)
 }
 
 /// Cross-worker coordination for [`explore_parallel`]: the global
@@ -251,8 +250,8 @@ struct Explorer<'a> {
     shared: Option<&'a SharedSearch>,
     /// The one memory being mutated and un-mutated in place.
     mem: Memory,
-    /// Event-log length when exploration started (setups may pre-run
-    /// seed operations; those events are never undone).
+    /// Step count when exploration started (setups may pre-run seed
+    /// operations; those steps are never undone).
     base: usize,
     /// Each operation's machine, exact for its whole trail.
     machines: Vec<Machine>,
@@ -342,8 +341,8 @@ impl<'a> Explorer<'a> {
         let prim = self.enabled(idx).expect("runnable step exists");
         let at = self.cursors[idx];
         let was_first = at == 0;
-        let t = self.mem.steps();
-        let resp = self.mem.apply(self.ops[idx].pid, prim);
+        let ev = self.mem.apply(self.ops[idx].pid, prim);
+        let resp = ev.resp;
         self.stats.executed_steps += 1;
         if prim.is_read() {
             self.stats.reads += 1;
@@ -374,28 +373,28 @@ impl<'a> Explorer<'a> {
         self.cursors[idx] = at + 1;
         let finished = at + 1 == self.trails[idx].len() && self.machines[idx].is_done();
         if was_first {
-            self.first_step[idx] = Some(t);
+            self.first_step[idx] = Some(ev.seq);
         }
         if finished {
-            self.completed_at[idx] = Some(t + 1);
+            self.completed_at[idx] = Some(ev.seq + 1);
         }
         self.prefix.push(idx);
         StepInfo {
             idx,
-            prim,
+            ev,
             was_first,
             was_last: finished,
         }
     }
 
-    /// Undoes the step described by `info`: the memory event is reversed
-    /// in `O(1)` and the operation's cursor moves back one, so the undone
-    /// primitive is its enabled event again. The machine and the trail
-    /// stay as they are.
+    /// Undoes the step described by `info`: its event is taken back from
+    /// memory in `O(1)` and the operation's cursor moves back one, so the
+    /// undone primitive is its enabled event again. The machine and the
+    /// trail stay as they are.
     fn step_back(&mut self, info: &StepInfo) {
         self.prefix.pop();
         let idx = info.idx;
-        self.mem.undo_last();
+        self.mem.undo(&info.ev);
         self.cursors[idx] -= 1;
         if info.was_last {
             self.completed_at[idx] = None;
@@ -459,7 +458,7 @@ impl<'a> Explorer<'a> {
             // (conservative: waking a process early never loses a trace
             // class, it only explores more).
             let q_first = self.first_step[q].is_none();
-            if commutes(prim, info.prim) && !info.was_first && !(info.was_last && q_first) {
+            if commutes(prim, info.ev.prim) && !info.was_first && !(info.was_last && q_first) {
                 out |= 1 << q;
             }
         }
@@ -695,7 +694,10 @@ impl<'a> Explorer<'a> {
             }
             self.fresh_machines();
             let info = self.step_forward(idx);
-            debug_assert_eq!(info.prim, infos[rank].prim, "setup must be deterministic");
+            debug_assert_eq!(
+                info.ev.prim, infos[rank].ev.prim,
+                "setup must be deterministic"
+            );
             let child_sleep = if self.cfg.prune {
                 infos[..rank]
                     .iter()
@@ -737,7 +739,8 @@ impl<'a> Explorer<'a> {
 ///   keep the call cheap. It may pre-run seed operations solo before
 ///   returning:
 ///   exploration starts from whatever state `setup` leaves, and recorded
-///   ticks are absolute positions in that memory's event log.
+///   ticks are absolute step indices of that memory (its seed steps
+///   come first).
 /// * `ops` — descriptions matching `setup`'s machines (same order).
 /// * `check` — called with each complete execution's history; returning
 ///   `false` marks the schedule as a violation and stops the search.
@@ -1326,8 +1329,7 @@ mod tests {
             for _ in 0..2 {
                 let mut m = Machine::new(incr(a));
                 while let Some(p) = m.enabled() {
-                    let r = mem.apply(ProcessId(9), p);
-                    m.feed(r);
+                    m.feed(mem.apply(ProcessId(9), p).resp);
                 }
             }
             let machines = vec![Machine::new(incr(a))];

@@ -1,9 +1,10 @@
 //! Invocation/response histories for linearizability checking.
 //!
 //! The executor records, for every operation instance, the interval
-//! `[invoke, response)` measured in *global event ticks* (positions in the
-//! execution's event log: `invoke` is the log length just before the
-//! operation's first event, `response` the position just after its last).
+//! `[invoke, response)` measured in *global event ticks* (step indices of
+//! the execution: `invoke` is the memory's step count just before the
+//! operation's first event, `response` the step count just after its
+//! last).
 //! Operation `a` *precedes* operation `b` exactly when
 //! `a.response <= b.invoke`, matching the paper's definition
 //! ("Φ1 precedes Φ2 in E if Φ1 completes in E before the first event of
@@ -124,11 +125,11 @@ pub struct OpRecord {
     pub pid: ProcessId,
     /// What the operation was.
     pub desc: OpDesc,
-    /// Global event tick at which the operation was invoked (the length
-    /// of the event log just before its first event).
+    /// Global event tick at which the operation was invoked (the
+    /// memory's step count just before its first event).
     pub invoke: usize,
     /// Global event tick at which the operation responded, if it did
-    /// (position just after its last event; always `> invoke`).
+    /// (the step count just after its last event; always `> invoke`).
     pub response: Option<usize>,
     /// The operation's output, if it completed.
     pub output: Option<OpOutput>,

@@ -11,7 +11,8 @@
 //! The simulator provides exactly that model:
 //!
 //! * [`Memory`] — a collection of base objects (single-word cells) that
-//!   supports the three primitives and records every event in an
+//!   supports the three primitives: each step returns its [`Event`], and
+//!   the code that reads an execution keeps the events in an
 //!   [`EventLog`].
 //! * [`Machine`] — an operation as a step machine: an `async` body whose
 //!   shared-memory accesses are [`Access`] futures, boxed once, or a
@@ -44,8 +45,7 @@
 //! });
 //! while !op.is_done() {
 //!     let prim = op.enabled().expect("machine still running");
-//!     let resp = mem.apply(pid, prim);
-//!     op.feed(resp);
+//!     op.feed(mem.apply(pid, prim).resp);
 //! }
 //! assert_eq!(op.result(), Some(42));
 //! assert_eq!(mem.peek(cell), 42);

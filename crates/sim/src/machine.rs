@@ -31,8 +31,7 @@
 //! let o = mem.alloc(0);
 //! let mut m = Machine::new(fetch_max(o, 7));
 //! while let Some(prim) = m.enabled() {
-//!     let resp = mem.apply(ProcessId(0), prim);
-//!     m.feed(resp);
+//!     m.feed(mem.apply(ProcessId(0), prim).resp);
 //! }
 //! assert_eq!(mem.peek(o), 7);
 //! assert_eq!((m.result(), m.steps()), (Some(7), 2));
@@ -274,8 +273,7 @@ pub fn run_solo(
     mut machine: Machine,
 ) -> (Word, usize) {
     while let Some(prim) = machine.enabled() {
-        let resp = mem.apply(pid, prim);
-        machine.feed(resp);
+        machine.feed(mem.apply(pid, prim).resp);
     }
     (
         machine.result().expect("machine completed"),
@@ -380,7 +378,7 @@ mod tests {
                 new: 4
             })
         );
-        assert!(m.feed(mem.apply(ProcessId(0), m.enabled().unwrap())));
+        assert!(m.feed(mem.apply(ProcessId(0), m.enabled().unwrap()).resp));
         assert_eq!((m.result(), m.steps()), (Some(11), 1));
         assert_eq!(mem.peek(o), 4);
     }
@@ -402,11 +400,13 @@ mod tests {
         let o = mem.alloc(3);
         // Interleave two raisers event by event.
         let mut ms = [Machine::new(fetch_max(o, 7)), Machine::new(fetch_max(o, 7))];
+        let mut log = crate::EventLog::new();
         while ms.iter().any(|m| !m.is_done()) {
             for (i, m) in ms.iter_mut().enumerate() {
                 if let Some(prim) = m.enabled() {
-                    let resp = mem.apply(ProcessId(i), prim);
-                    m.feed(resp);
+                    let ev = mem.apply(ProcessId(i), prim);
+                    log.push(ev);
+                    m.feed(ev.resp);
                 }
             }
         }
@@ -419,8 +419,7 @@ mod tests {
             expected: 3,
             new: 7,
         };
-        let events: Vec<_> = mem
-            .log()
+        let events: Vec<_> = log
             .events()
             .iter()
             .map(|e| (e.pid.index(), e.prim, e.resp))

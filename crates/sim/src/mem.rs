@@ -1,17 +1,21 @@
 //! Shared base-object memory.
 
-use crate::{Event, EventLog, ObjId, Prim, ProcessId, Word};
+use crate::{Event, ObjId, Prim, ProcessId, Word};
 
-/// The set `B` of shared base objects, with an event log.
+/// The set `B` of shared base objects, and the number of steps taken on
+/// them.
 ///
 /// Every [`apply`](Memory::apply) is one *step* in the paper's complexity
-/// measure and appends one [`Event`] to the log. Adversaries and test
-/// harnesses may inspect values without taking steps via
-/// [`peek`](Memory::peek); algorithms must not.
+/// measure: it returns the step's [`Event`] and keeps no record of it.
+/// Code that reads an execution (the executor's history export, the
+/// explorer's undo, the lower-bound adversaries' information flow)
+/// keeps the events it needs, in an [`EventLog`](crate::EventLog) or a
+/// `FlowTracker`. Adversaries and test harnesses may inspect values
+/// without taking steps via [`peek`](Memory::peek); algorithms must not.
 #[derive(Clone, Debug, Default)]
 pub struct Memory {
     cells: Vec<Word>,
-    log: EventLog,
+    steps: usize,
 }
 
 impl Memory {
@@ -46,15 +50,17 @@ impl Memory {
         self.cells.is_empty()
     }
 
-    /// Applies a primitive on behalf of `pid`, logging the event and
-    /// returning the response (read: the value; write: `0`; CAS: `1` on
-    /// success, `0` on failure).
+    /// Applies a primitive on behalf of `pid` and returns the step's
+    /// event: its `seq` is the step's index (the step count before it),
+    /// `prev` the object's value before it, and `resp` the response
+    /// (read: the value; write: `0`; CAS: `1` on success, `0` on
+    /// failure).
     ///
     /// # Panics
     ///
     /// Panics if the primitive targets an object not allocated from this
     /// memory.
-    pub fn apply(&mut self, pid: ProcessId, prim: Prim) -> Word {
+    pub fn apply(&mut self, pid: ProcessId, prim: Prim) -> Event {
         let obj = prim.obj();
         let prev = self.cells[obj.0];
         let resp = match prim {
@@ -72,50 +78,52 @@ impl Memory {
                 }
             }
         };
-        self.log.push(Event {
-            seq: self.log.len(),
+        let seq = self.steps;
+        self.steps += 1;
+        Event {
+            seq,
             pid,
             prim,
             prev,
             resp,
-        });
-        resp
+        }
     }
 
-    /// Undoes the most recent event in `O(1)`: the target cell is
-    /// restored to the value it held before the event and the event is
-    /// removed from the log. The explorer uses this to backtrack one
-    /// step without replaying the whole prefix.
+    /// Takes back the last step in `O(1)`: its object gets back the value
+    /// it held before the step (`ev.prev`) and the step count drops by
+    /// one. The explorer uses this to backtrack one step without
+    /// replaying the whole prefix.
     ///
     /// # Panics
     ///
-    /// Panics if the log is empty.
-    pub fn undo_last(&mut self) -> Event {
-        let ev = self.log.pop().expect("undo_last requires a logged event");
+    /// Panics if `ev` is not the last step taken (its `seq` is not the
+    /// step count minus one).
+    pub fn undo(&mut self, ev: &Event) {
+        assert!(
+            ev.seq + 1 == self.steps,
+            "undo takes back the last step, not step {} of {}",
+            ev.seq,
+            self.steps
+        );
         self.cells[ev.obj().0] = ev.prev;
-        ev
+        self.steps -= 1;
     }
 
-    /// Reads an object's current value without taking a step (no event is
-    /// logged). For adversaries, invariant checks and tests only.
+    /// Reads an object's current value without taking a step. For
+    /// adversaries, invariant checks and tests only.
     pub fn peek(&self, obj: ObjId) -> Word {
         self.cells[obj.0]
     }
 
-    /// The execution so far.
-    pub fn log(&self) -> &EventLog {
-        &self.log
-    }
-
     /// Total number of steps taken by all processes.
     pub fn steps(&self) -> usize {
-        self.log.len()
+        self.steps
     }
 
     /// Resets all cells to the provided snapshot of initial values and
-    /// clears the log. Used by replay-based adversaries (Lemma 2 erasure
-    /// is implemented by replaying the surviving events from the initial
-    /// configuration).
+    /// the step count to zero. Used by replay-based adversaries (Lemma 2
+    /// erasure is implemented by replaying the surviving events from the
+    /// initial configuration).
     ///
     /// # Panics
     ///
@@ -127,7 +135,7 @@ impl Memory {
             "reset snapshot must cover every allocated object"
         );
         self.cells.copy_from_slice(initial);
-        self.log = EventLog::new();
+        self.steps = 0;
     }
 
     /// Snapshot of every cell's current value, usable with
@@ -157,10 +165,10 @@ mod tests {
     fn read_returns_value_and_logs() {
         let mut mem = Memory::new();
         let a = mem.alloc(5);
-        let resp = mem.apply(ProcessId(0), Prim::Read(a));
-        assert_eq!(resp, 5);
+        let ev = mem.apply(ProcessId(0), Prim::Read(a));
+        assert_eq!(ev.resp, 5);
         assert_eq!(mem.steps(), 1);
-        assert_eq!(mem.log().events()[0].prev, 5);
+        assert_eq!(ev.prev, 5);
     }
 
     #[test]
@@ -183,7 +191,7 @@ mod tests {
                 new: 4,
             },
         );
-        assert_eq!(ok, 1);
+        assert_eq!(ok.resp, 1);
         assert_eq!(mem.peek(a), 4);
         let fail = mem.apply(
             ProcessId(0),
@@ -193,8 +201,39 @@ mod tests {
                 new: 5,
             },
         );
-        assert_eq!(fail, 0);
+        assert_eq!(fail.resp, 0);
         assert_eq!(mem.peek(a), 4);
+    }
+
+    #[test]
+    fn apply_returns_each_primitives_event() {
+        let mut mem = Memory::new();
+        let a = mem.alloc(3);
+        let b = mem.alloc(8);
+        let cas = |obj, expected, new| Prim::Cas { obj, expected, new };
+        let steps = [
+            (ProcessId(0), Prim::Read(a), 3, 3),
+            (ProcessId(1), Prim::Write(a, 9), 3, 0),
+            (ProcessId(2), cas(a, 9, 12), 9, 1),
+            (ProcessId(0), cas(a, 9, 15), 12, 0),
+            (ProcessId(1), Prim::Read(b), 8, 8),
+        ];
+        for (seq, (pid, prim, prev, resp)) in steps.into_iter().enumerate() {
+            let ev = mem.apply(pid, prim);
+            assert_eq!(
+                ev,
+                Event {
+                    seq,
+                    pid,
+                    prim,
+                    prev,
+                    resp,
+                },
+                "step {seq}"
+            );
+        }
+        assert_eq!(mem.steps(), 5);
+        assert_eq!((mem.peek(a), mem.peek(b)), (12, 8));
     }
 
     #[test]
@@ -215,15 +254,17 @@ mod tests {
         mem.reset_to(&init);
         assert_eq!(mem.peek(a), 3);
         assert_eq!(mem.steps(), 0);
+        // Step indices start again from zero.
+        assert_eq!(mem.apply(ProcessId(1), Prim::Read(a)).seq, 0);
     }
 
     #[test]
-    fn undo_last_reverses_each_primitive_kind() {
+    fn undo_restores_each_primitive_kind_and_the_step_count() {
         let mut mem = Memory::new();
         let a = mem.alloc(3);
-        mem.apply(ProcessId(0), Prim::Read(a));
-        mem.apply(ProcessId(0), Prim::Write(a, 9));
-        mem.apply(
+        let read = mem.apply(ProcessId(0), Prim::Read(a));
+        let write = mem.apply(ProcessId(0), Prim::Write(a, 9));
+        let cas = mem.apply(
             ProcessId(1),
             Prim::Cas {
                 obj: a,
@@ -233,21 +274,21 @@ mod tests {
         );
         assert_eq!(mem.peek(a), 12);
         assert_eq!(mem.steps(), 3);
-        let ev = mem.undo_last(); // successful CAS
-        assert!(ev.prim.is_cas());
-        assert_eq!(mem.peek(a), 9);
-        mem.undo_last(); // write
-        assert_eq!(mem.peek(a), 3);
-        mem.undo_last(); // read (no value change)
-        assert_eq!(mem.peek(a), 3);
-        assert_eq!(mem.steps(), 0);
+        mem.undo(&cas); // successful CAS
+        assert_eq!((mem.peek(a), mem.steps()), (9, 2));
+        mem.undo(&write);
+        assert_eq!((mem.peek(a), mem.steps()), (3, 1));
+        mem.undo(&read); // no value change
+        assert_eq!((mem.peek(a), mem.steps()), (3, 0));
+        // The undone steps' indices are taken again.
+        assert_eq!(mem.apply(ProcessId(2), Prim::Read(a)).seq, 0);
     }
 
     #[test]
     fn undo_restores_failed_cas_without_changing_value() {
         let mut mem = Memory::new();
         let a = mem.alloc(5);
-        mem.apply(
+        let ev = mem.apply(
             ProcessId(0),
             Prim::Cas {
                 obj: a,
@@ -256,17 +297,19 @@ mod tests {
             },
         );
         assert_eq!(mem.peek(a), 5);
-        mem.undo_last();
+        mem.undo(&ev);
         assert_eq!(mem.peek(a), 5);
-        assert!(mem.log().is_empty());
+        assert_eq!(mem.steps(), 0);
     }
 
     #[test]
-    #[should_panic(expected = "undo_last requires")]
-    fn undo_on_empty_log_panics() {
+    #[should_panic(expected = "undo takes back the last step")]
+    fn undoing_a_step_that_is_not_the_last_panics() {
         let mut mem = Memory::new();
-        let _ = mem.alloc(0);
-        mem.undo_last();
+        let a = mem.alloc(0);
+        let first = mem.apply(ProcessId(0), Prim::Write(a, 1));
+        mem.apply(ProcessId(1), Prim::Write(a, 2));
+        mem.undo(&first);
     }
 
     #[test]

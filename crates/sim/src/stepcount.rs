@@ -8,7 +8,7 @@
 //! wrapper method forwards to the underlying atomic with the caller's
 //! ordering and, *when counting is enabled*, bumps a thread-local
 //! per-operation tally ([`OpCounts`]) classified the same way the sim
-//! event log classifies events: read, write, CAS-success, CAS-failure.
+//! classifies its events: read, write, CAS-success, CAS-failure.
 //!
 //! Cost when disabled (the default): one `Relaxed` load of a process-wide
 //! flag and a predictable branch per shared-memory access — no shared
@@ -52,7 +52,7 @@ thread_local! {
 }
 
 /// Per-operation primitive-event tally, classified like the simulator's
-/// event log.
+/// events.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Atomic loads.

@@ -1,22 +1,26 @@
 //! Allocation gate for simulated steps: an operation boxes its body
 //! once, a step allocates nothing, and a one-access read allocates
-//! nothing at all. Exploring a scope allocates less than it steps.
+//! nothing at all. Exploring a scope, and running a workload under the
+//! executor, allocate less than they step.
 //!
 //! A counting global allocator tallies, per thread, the allocations made
-//! while a machine is built and while it is fed its responses. Applying
-//! an event to `Memory` is left out of the solo runs: its event log grows
-//! on its own. An exploration is counted whole. The counts are
-//! deterministic, so the gate blocks where a wall-clock comparison could
-//! only warn.
+//! while a machine is built and while it runs: every step, `Memory::apply`
+//! included. An exploration and an executor run are counted whole. The
+//! counts are deterministic, so the gate blocks where a wall-clock
+//! comparison could only warn.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::Arc;
 
 use ruo::core::counter::sim::{SimCounter, SimFArrayCounter};
 use ruo::core::maxreg::sim::{SimMaxRegister, SimTreeMaxRegister};
 use ruo::scenario::{explore_parts, ScenarioSpec};
 use ruo::sim::explore::{explore, history_is_wellformed, ExploreConfig};
-use ruo::sim::{Machine, Memory, ProcessId};
+use ruo::sim::{
+    run_solo, Executor, Machine, Memory, OpDesc, OpSpec, ProcessId, RandomScheduler,
+    WorkloadBuilder,
+};
 
 /// The system allocator, counting allocations on threads that asked for
 /// it.
@@ -60,14 +64,11 @@ fn counted<T>(f: impl FnOnce() -> T) -> (T, usize) {
 }
 
 /// Runs the machine `make` builds solo: `(allocations, steps)`, counting
-/// its construction and every `feed`, but not `Memory::apply`.
+/// its construction and every step.
 fn solo(mem: &mut Memory, pid: ProcessId, make: impl FnOnce() -> Machine) -> (usize, usize) {
-    let (mut machine, mut allocs) = counted(make);
-    while let Some(prim) = machine.enabled() {
-        let resp = mem.apply(pid, prim);
-        allocs += counted(|| machine.feed(resp)).1;
-    }
-    (allocs, machine.steps())
+    let (machine, built) = counted(make);
+    let ((_, steps), run) = counted(|| run_solo(mem, pid, machine));
+    (built + run, steps)
 }
 
 #[test]
@@ -79,6 +80,22 @@ fn one_access_reads_allocate_nothing() {
     let mut mem = Memory::new();
     let reg = SimTreeMaxRegister::new(&mut mem, 64);
     assert_eq!(solo(&mut mem, p, || reg.read_max(p)), (0, 1));
+}
+
+#[test]
+fn ten_thousand_solo_reads_on_one_memory_allocate_nothing() {
+    let mut mem = Memory::new();
+    let counter = SimFArrayCounter::new(&mut mem, 64);
+    let (steps, allocs) = counted(|| {
+        (0..10_000)
+            .map(|i| {
+                let p = ProcessId(i % 64);
+                run_solo(&mut mem, p, counter.read(p)).1
+            })
+            .sum::<usize>()
+    });
+    assert_eq!((steps, mem.steps()), (10_000, 10_000));
+    assert_eq!(allocs, 0, "{allocs} allocations for 10,000 reads");
 }
 
 #[test]
@@ -104,6 +121,38 @@ fn algorithm_a_write_allocates_at_most_once() {
     let (allocs, steps) = solo(&mut mem, p, || reg.write_max(p, 1 << 16));
     assert_eq!(steps, 58);
     assert!(allocs <= 1, "{allocs} allocations for one write");
+}
+
+/// A W9-shaped run: the f-array counter at N = 4, each process
+/// alternating increments and reads, 100 operations per process, under a
+/// random schedule. What the run allocates grows with its operations
+/// (each machine's box, the history, the run's events), not with its
+/// steps: a scheduling step allocates nothing.
+#[test]
+fn executor_run_allocates_less_than_it_steps() {
+    let n = 4;
+    let mut mem = Memory::new();
+    let counter = Arc::new(SimFArrayCounter::new(&mut mem, n));
+    let mut w = WorkloadBuilder::new(n);
+    for p in 0..n {
+        let pid = ProcessId(p);
+        for i in 0..100 {
+            let c = Arc::clone(&counter);
+            let op = if i % 2 == 0 {
+                OpSpec::update(OpDesc::CounterIncrement, move || c.increment(pid))
+            } else {
+                OpSpec::value(OpDesc::CounterRead, move || c.read(pid))
+            };
+            w.op(pid, op);
+        }
+    }
+    let mut sched = RandomScheduler::new(9);
+    let (outcome, allocs) = counted(|| Executor::new().run(&mut mem, w, &mut sched));
+    assert!(outcome.all_done);
+    assert_eq!(outcome.history.len(), 400);
+    let steps = outcome.events.len();
+    assert_eq!(steps, mem.steps());
+    assert!(allocs < steps, "{allocs} allocations for {steps} steps");
 }
 
 /// The pruned W5 scope, built as the scenario suite builds it: three

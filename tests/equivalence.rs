@@ -239,7 +239,7 @@ fn sim_and_real_tree_registers_converge_identically() {
             let pick = alive[rng.gen_index(alive.len())];
             let (pid, m) = &mut machines[pick];
             let prim = m.enabled().unwrap();
-            let resp = mem.apply(*pid, prim);
+            let resp = mem.apply(*pid, prim).resp;
             m.feed(resp);
         }
         for (i, &v) in values.iter().enumerate() {

@@ -233,7 +233,7 @@ fn scaled_scope_three_writers_one_reader_fast_path() {
         // afterwards the root holds 3 and dominates two of the writers.
         let mut seed = reg.write_max(ProcessId(0), 3);
         while let Some(prim) = seed.enabled() {
-            let resp = mem.apply(ProcessId(0), prim);
+            let resp = mem.apply(ProcessId(0), prim).resp;
             seed.feed(resp);
         }
         let machines = vec![

@@ -43,7 +43,7 @@ fn advance(mem: &mut Memory, pid: ProcessId, machine: &mut Machine, k: usize) {
         let prim = machine
             .enabled()
             .unwrap_or_else(|| panic!("machine finished after {i} of {k} events"));
-        let resp = mem.apply(pid, prim);
+        let resp = mem.apply(pid, prim).resp;
         machine.feed(resp);
     }
 }
@@ -52,7 +52,7 @@ fn advance(mem: &mut Memory, pid: ProcessId, machine: &mut Machine, k: usize) {
 fn finish(mem: &mut Memory, pid: ProcessId, machine: &mut Machine) -> usize {
     let mut extra = 0;
     while let Some(prim) = machine.enabled() {
-        let resp = mem.apply(pid, prim);
+        let resp = mem.apply(pid, prim).resp;
         machine.feed(resp);
         extra += 1;
     }
