@@ -37,11 +37,10 @@
 //! counter and max-register face × the three workloads × thread counts
 //! 1..64 (powers of two), each point carrying p50/p99 latency and
 //! ops/sec, written to `BENCH_scaling.json`
-//! (schema `ruo-scaling-v1`). This is the harness behind the
-//! combining/sharded `CounterMode` comparison: the acceptance question
-//! is whether `counter/combining` or `counter/sharded` beats
-//! `counter/farray` on `write_heavy` at the highest thread count. The
-//! file also gets a `stripe_balance` section: a direct
+//! (schema `ruo-scaling-v1`). It compares the counter tradeoff's two
+//! endpoints, `counter/farray` (`O(1)` reads) and `counter/sharded`
+//! (`O(1)` increments), on `write_heavy` at the highest thread count.
+//! The file also gets a `stripe_balance` section: a direct
 //! `ShardedCounter` + `ShardGauges` demo with deliberately skewed
 //! per-thread traffic, showing the per-stripe observability the boxed
 //! registry face cannot expose.

@@ -7,9 +7,7 @@
 //! [`ApproxCounter`](crate::counter::ApproxCounter) and
 //! [`ApproxMaxRegister`](crate::maxreg::ApproxMaxRegister) faces carry
 //! that relaxation. [`AccuracyClass`] names the *kind* of guarantee in
-//! registry capability metadata, exactly as
-//! [`CounterMode`](crate::counter::CounterMode) names the
-//! contended-write strategy; the factor `k` itself is a constructor
+//! registry capability metadata; the factor `k` itself is a constructor
 //! parameter, not part of the class.
 
 /// The accuracy guarantee a relaxed implementation provides, as used in

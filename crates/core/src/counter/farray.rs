@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use ruo_sim::{Machine, Memory, ProcessId, Word};
+use ruo_sim::{Machine, Memory, ProcessId};
 
 use super::sim::SimCounter;
 use crate::farray::{FArray, SimFArray, Sum};
@@ -68,27 +68,11 @@ impl FArrayCounter {
     pub fn n(&self) -> usize {
         self.fa.n()
     }
-
-    /// Adds `k` to the counter in **one** leaf-to-root propagation:
-    /// bumps the caller's leaf by `k` and runs the double-CAS climb
-    /// once, so a batch of `k` pending increments costs the same
-    /// `O(log N)` shared-memory steps as a single increment.
-    ///
-    /// This is the aggregation primitive behind
-    /// [`CombiningCounter`](crate::counter::CombiningCounter): the
-    /// combiner drains its publication array and applies the whole batch
-    /// through this method. `add(pid, 0)` is a no-op (no leaf access, no
-    /// propagation) so callers need not special-case empty batches.
-    pub fn add(&self, pid: ProcessId, k: u64) {
-        if k > 0 {
-            self.fa.merge(pid, k as Word);
-        }
-    }
 }
 
 impl Counter for FArrayCounter {
     fn increment(&self, pid: ProcessId) {
-        self.add(pid, 1);
+        self.fa.merge(pid, 1);
     }
 
     fn read(&self) -> u64 {
@@ -149,35 +133,6 @@ mod tests {
             c.increment(ProcessId(i % 3));
             assert_eq!(c.read(), i as u64 + 1);
         }
-    }
-
-    #[test]
-    fn add_applies_a_whole_batch_in_one_propagation() {
-        let c = FArrayCounter::new(4);
-        c.add(ProcessId(0), 0); // empty batch is a no-op
-        assert_eq!(c.read(), 0);
-        c.add(ProcessId(1), 57);
-        assert_eq!(c.read(), 57);
-        c.add(ProcessId(1), 3);
-        c.increment(ProcessId(2));
-        assert_eq!(c.read(), 61);
-    }
-
-    #[test]
-    fn concurrent_batched_adds_are_all_counted() {
-        let n = 4;
-        let c = Arc::new(FArrayCounter::new(n));
-        std::thread::scope(|s| {
-            for i in 0..n {
-                let c = Arc::clone(&c);
-                s.spawn(move || {
-                    for k in 1..=100u64 {
-                        c.add(ProcessId(i), k);
-                    }
-                });
-            }
-        });
-        assert_eq!(c.read(), n as u64 * 5050);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 //! | Implementation | Primitives | `CounterRead` | `CounterIncrement` | Progress |
 //! |---|---|---|---|---|
 //! | [`FArrayCounter`] (Jayanti-style, CAS variant) | read/write/CAS | `O(1)` | `O(log N)` | wait-free |
-//! | [`CombiningCounter`] (flat-combining front-end) | read/write/CAS | `O(1)` | `O(log N)` amortized per batch | blocking |
 //! | [`ShardedCounter`] (per-process stripes) | read/write | `O(N)` | `O(1)` | wait-free |
 //! | [`AacCounter`] | read/write | `O(log M)` | `O(log N · log M)` | wait-free, restricted use |
 //! | [`FetchAddCounter`] | fetch-and-add | `O(1)` | `O(1)` | wait-free (stronger primitive) |
@@ -15,13 +14,14 @@
 //! (`f(N) = 1`, increments `Θ(log N)`), the AAC counter near the other
 //! (`f(N) = Θ(log N)` for polynomially many increments); the fetch-add
 //! baseline escapes the tradeoff only by using a stronger primitive than
-//! the model allows. The [`CounterMode`] knob selects among the three
-//! contended-write strategies built on the same leaf/stripe layout:
-//! exact per-increment propagation, batched combining, or pure stripes.
+//! the model allows. The f-array and sharded counters are the two
+//! wait-free endpoints built on one per-process layout: per-increment
+//! propagation (`O(1)` reads) or pure stripes (`O(1)` increments). A
+//! caller picks one by type, or by registry id (`counter/farray`,
+//! `counter/sharded`).
 
 mod aac;
 mod approx;
-mod combining;
 mod farray;
 mod fetch_add;
 mod sharded;
@@ -29,115 +29,6 @@ pub mod sim;
 
 pub use aac::AacCounter;
 pub use approx::{ApproxCounter, SimApproxCounter};
-pub use combining::CombiningCounter;
 pub use farray::FArrayCounter;
 pub use fetch_add::FetchAddCounter;
 pub use sharded::ShardedCounter;
-
-use crate::traits::Counter;
-
-/// Constructor-level knob selecting the contended-write strategy of the
-/// f-array-derived counters (ISSUE 6 / ROADMAP item 2).
-///
-/// | Mode | Read | Increment | Progress |
-/// |---|---|---|---|
-/// | [`Exact`](CounterMode::Exact) | `O(1)` | `O(log N)` | wait-free |
-/// | [`Combining`](CounterMode::Combining) | `O(1)` | `O(log N)` per batch | blocking |
-/// | [`Sharded`](CounterMode::Sharded) | `O(N)` | `O(1)` | wait-free |
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum CounterMode {
-    /// Exact f-array: every increment runs its own propagation
-    /// ([`FArrayCounter`]).
-    Exact,
-    /// Flat-combining front-end: one aggregated propagation per batch
-    /// ([`CombiningCounter`]).
-    Combining,
-    /// Per-process stripes, no propagation; reads collect-sum
-    /// ([`ShardedCounter`]).
-    Sharded,
-}
-
-impl CounterMode {
-    /// The schema name (`"exact"`, `"combining"`, `"sharded"`), as used
-    /// in registry capability metadata and scenario tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            CounterMode::Exact => "exact",
-            CounterMode::Combining => "combining",
-            CounterMode::Sharded => "sharded",
-        }
-    }
-
-    /// Parses a schema name; inverse of [`CounterMode::name`].
-    pub fn parse(s: &str) -> Option<CounterMode> {
-        match s {
-            "exact" => Some(CounterMode::Exact),
-            "combining" => Some(CounterMode::Combining),
-            "sharded" => Some(CounterMode::Sharded),
-            _ => None,
-        }
-    }
-
-    /// All modes, in schema order.
-    pub fn all() -> [CounterMode; 3] {
-        [
-            CounterMode::Exact,
-            CounterMode::Combining,
-            CounterMode::Sharded,
-        ]
-    }
-}
-
-impl std::fmt::Display for CounterMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Builds a counter for `n` processes with the chosen contended-write
-/// [`CounterMode`] — the constructor-level knob of ISSUE 6.
-///
-/// ```
-/// use ruo_core::counter::{with_mode, CounterMode};
-/// use ruo_sim::ProcessId;
-///
-/// let counter = with_mode(CounterMode::Sharded, 4);
-/// counter.increment(ProcessId(2));
-/// assert_eq!(counter.read(), 1);
-/// ```
-///
-/// # Panics
-///
-/// Panics if `n == 0`.
-pub fn with_mode(mode: CounterMode, n: usize) -> Box<dyn Counter> {
-    match mode {
-        CounterMode::Exact => Box::new(FArrayCounter::new(n)),
-        CounterMode::Combining => Box::new(CombiningCounter::new(n)),
-        CounterMode::Sharded => Box::new(ShardedCounter::new(n)),
-    }
-}
-
-#[cfg(test)]
-mod mode_tests {
-    use super::*;
-    use ruo_sim::ProcessId;
-
-    #[test]
-    fn names_round_trip() {
-        for mode in CounterMode::all() {
-            assert_eq!(CounterMode::parse(mode.name()), Some(mode));
-            assert_eq!(format!("{mode}"), mode.name());
-        }
-        assert_eq!(CounterMode::parse("nope"), None);
-    }
-
-    #[test]
-    fn every_mode_builds_a_working_counter() {
-        for mode in CounterMode::all() {
-            let c = with_mode(mode, 3);
-            c.increment(ProcessId(0));
-            c.increment(ProcessId(2));
-            assert_eq!(c.read(), 2, "mode {mode}");
-        }
-    }
-}

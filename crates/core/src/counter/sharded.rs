@@ -9,10 +9,8 @@
 //! In the paper's terms this sits at the far write-optimal end of
 //! Theorem 1's curve: updates in `O(1)` force reads to `Ω(N / ...)` —
 //! and the stripe collect pays exactly that linear read. The
-//! [`CounterMode`](crate::counter::CounterMode) knob makes the choice
-//! explicit: `Exact` (f-array: `O(1)` read / `O(log N)` increment),
-//! `Combining` (batched climbs, blocking), `Sharded` (this module:
-//! `O(1)` increment / `O(N)` read).
+//! [`FArrayCounter`](crate::counter::FArrayCounter) is the other end on
+//! the same leaf layout (`O(1)` read / `O(log N)` increment).
 //!
 //! # Linearizability
 //!

@@ -7,8 +7,8 @@
 //! The f-array, sharded and approximate counters derive their machines
 //! from the bodies they ship with ([`crate::cells`]) and live beside
 //! them. Below are the AAC counter's machines, still written apart from
-//! its real face, and three counters that exist only in the simulator:
-//! the combining model, the CAS loop and Corollary 1's snapshot counter.
+//! its real face, and two counters that exist only in the simulator:
+//! the CAS loop and Corollary 1's snapshot counter.
 
 use std::sync::Arc;
 
@@ -16,7 +16,6 @@ use ruo_sim::{Machine, Memory, ObjId, Prim, ProcessId, Word};
 
 pub use super::farray::SimFArrayCounter;
 pub use super::sharded::SimShardedCounter;
-use super::sharded::{bump, collect_sum};
 use crate::cells::Cells;
 use crate::maxreg::aac::AacShape;
 use crate::maxreg::sim::{aac_read, aac_write};
@@ -34,74 +33,6 @@ pub trait SimCounter: Send + Sync {
     /// A `CounterRead` as a step machine; the machine's result is the
     /// count.
     fn read(&self, pid: ProcessId) -> Machine;
-}
-
-/// The combining counter's batch semantics as a *wait-free* step
-/// machine: the publication array is modeled by one announce cell per
-/// process (single-writer, monotone), and "combining" is an arity-`N`
-/// f-array level — read the root, collect every announce cell, CAS the
-/// whole batch sum in, twice. The root therefore jumps by whole batches
-/// (several processes' pending increments land in one CAS), which is
-/// exactly the batch-boundary behaviour the explorer must prove
-/// harmless against the counter spec.
-///
-/// Unlike the real [`CombiningCounter`](crate::counter::CombiningCounter)
-/// — whose waiters *block* on a combiner lock and therefore cannot be
-/// driven under the explorer's step cap when the adversary stalls the
-/// combiner forever — every operation here finishes in a bounded number
-/// of its own steps: `CounterIncrement` is `2 + 2(N + 2)` steps,
-/// `CounterRead` is 1. The double-collect-and-CAS discipline is sound by
-/// the same covering argument as the f-array's two propagation attempts
-/// (the argument is arity-independent).
-#[derive(Debug)]
-pub struct SimCombiningCounter {
-    /// `cells[i]` for `i < N`: total increments announced by process
-    /// `i`; `cells[N]`: the combined total, the only cell reads touch.
-    cells: Arc<[ObjId]>,
-}
-
-impl SimCombiningCounter {
-    /// Allocates the announce cells and the root (all `0`) in `mem`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(mem: &mut Memory, n: usize) -> Self {
-        assert!(n >= 1);
-        SimCombiningCounter {
-            cells: mem.alloc_n(n + 1, 0).into(),
-        }
-    }
-}
-
-/// Announce one increment of process `i`, then install the whole
-/// announced batch at the root: read it, collect the `n` announce
-/// cells, CAS the sum in — twice.
-async fn announce_and_combine<C: Cells + ?Sized>(cells: &C, n: usize, i: usize) {
-    bump(cells, i).await;
-    for _ in 0..2 {
-        let old = cells.load(n).await;
-        let sum = collect_sum(cells, 0..n).await;
-        cells.cas(n, old, sum).await;
-    }
-}
-
-impl SimCounter for SimCombiningCounter {
-    fn n(&self) -> usize {
-        self.cells.len() - 1
-    }
-
-    fn increment(&self, pid: ProcessId) -> Machine {
-        let (cells, n) = (Arc::clone(&self.cells), self.n());
-        Machine::new(async move {
-            announce_and_combine(&*cells, n, pid.index()).await;
-            0
-        })
-    }
-
-    fn read(&self, _pid: ProcessId) -> Machine {
-        Machine::single(Prim::Read(self.cells[self.n()]), |w| w)
-    }
 }
 
 /// The AAC read/write-only counter as step machines: `CounterRead` is
@@ -432,76 +363,6 @@ mod tests {
         let w2 = mem.peek(c.segments[0]);
         assert_ne!(w1, w2);
         assert_ne!((w1 as u64) >> 32, (w2 as u64) >> 32);
-    }
-
-    #[test]
-    fn combining_read_is_one_step_and_increment_is_bounded() {
-        let n = 5;
-        let mut mem = Memory::new();
-        let c = SimCombiningCounter::new(&mut mem, n);
-        let (_, steps) = run_solo(&mut mem, ProcessId(2), c.increment(ProcessId(2)));
-        assert_eq!(steps, 2 + 2 * (n + 2), "wait-free bound must be exact solo");
-        let (v, steps) = run_solo(&mut mem, ProcessId(0), c.read(ProcessId(0)));
-        assert_eq!(v, 1);
-        assert_eq!(steps, 1);
-    }
-
-    #[test]
-    fn combining_counts_sequential_increments() {
-        let mut mem = Memory::new();
-        let c = SimCombiningCounter::new(&mut mem, 4);
-        for i in 0..8usize {
-            run_solo(&mut mem, ProcessId(i % 4), c.increment(ProcessId(i % 4)));
-            let (v, _) = run_solo(&mut mem, ProcessId(0), c.read(ProcessId(0)));
-            assert_eq!(v, i as Word + 1);
-        }
-    }
-
-    #[test]
-    fn combining_batches_land_together() {
-        // Three processes announce, none has installed yet; the fourth's
-        // combine sweeps the whole pending batch into the root in one
-        // CAS — the root jumps straight from 0 to 4.
-        let n = 4;
-        let mut mem = Memory::new();
-        let c = SimCombiningCounter::new(&mut mem, n);
-        let mut stalled: Vec<Machine> = (0..3).map(|i| c.increment(ProcessId(i))).collect();
-        for (i, m) in stalled.iter_mut().enumerate() {
-            // Drive only the announce (read + write), stall before the
-            // combine phase.
-            for _ in 0..2 {
-                let p = m.enabled().unwrap();
-                let r = mem.apply(ProcessId(i), p).resp;
-                m.feed(r);
-            }
-        }
-        assert_eq!(mem.peek(c.cells[n]), 0, "nothing installed yet");
-        run_solo(&mut mem, ProcessId(3), c.increment(ProcessId(3)));
-        let (v, _) = run_solo(&mut mem, ProcessId(0), c.read(ProcessId(0)));
-        assert_eq!(v, 4, "one combine must sweep the whole pending batch");
-    }
-
-    #[test]
-    fn interleaved_combining_increments_all_count() {
-        let mut mem = Memory::new();
-        let n = 4;
-        let c = SimCombiningCounter::new(&mut mem, n);
-        let mut machines: Vec<Machine> = (0..n).map(|i| c.increment(ProcessId(i))).collect();
-        loop {
-            let mut progressed = false;
-            for (i, m) in machines.iter_mut().enumerate() {
-                if let Some(p) = m.enabled() {
-                    let r = mem.apply(ProcessId(i), p).resp;
-                    m.feed(r);
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        let (v, _) = run_solo(&mut mem, ProcessId(0), c.read(ProcessId(0)));
-        assert_eq!(v, n as Word);
     }
 
     #[test]

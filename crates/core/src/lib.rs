@@ -33,8 +33,7 @@
 //!
 //! The simulator faces still written apart from the real code are
 //! Algorithm A's (its always-double-CAS climb pins the benchmark's W5
-//! scope), the combining counter's (a wait-free model of a blocking
-//! combiner), the CAS cell and approximate max register's (their real
+//! scope), the CAS cell and approximate max register's (their real
 //! faces use the CAS witness value, which the model's CAS does not
 //! return), and the AAC register and counter's.
 //!

@@ -44,7 +44,7 @@ fn list() {
                 entry.display,
                 if entry.has_real() { "yes" } else { "-" },
                 if entry.has_sim() { "yes" } else { "-" },
-                format!("{:?}", entry.caps.progress),
+                entry.caps.progress.name(),
                 entry.caps.accuracy.map_or("exact", |a| a.name()),
             );
         }

@@ -40,8 +40,8 @@ pub use engine::{
     EngineError, ExploreParts, SimSeedRun,
 };
 pub use registry::{
-    family_impls, find, registry, AccuracyClass, BuildError, BuildParams, Capabilities,
-    CounterMode, Family, ImplEntry, ProgressClass, RealObject, SimObject,
+    family_impls, find, registry, AccuracyClass, BuildError, BuildParams, Capabilities, Family,
+    ImplEntry, ProgressClass, RealObject, SimObject,
 };
 pub use report::{ScenarioReport, TelemetryBlock, REPORT_SCHEMA};
 pub use ruo_metrics::{Json, JsonError};

@@ -2,8 +2,8 @@
 //! snapshot implementation in `ruo-core`, with constructors for both
 //! *faces* — the real-atomics trait objects the thread harnesses drive
 //! and the simulator step machines the executor / explorer drive — plus
-//! capability metadata (progress class, capacity bounds, supported
-//! process counts, § 4.5 root fast path).
+//! capability metadata (progress class, capacity bound, whether the
+//! throughput bench runs it, accuracy class).
 //!
 //! Every harness resolves implementations through [`find`] instead of
 //! hand-listing constructors, so a new implementation registered here is
@@ -16,12 +16,11 @@ use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 use ruo_core::counter::sim::{
-    SimAacCounter, SimCasLoopCounter, SimCombiningCounter, SimCounter, SimFArrayCounter,
-    SimShardedCounter, SimSnapshotCounter,
+    SimAacCounter, SimCasLoopCounter, SimCounter, SimFArrayCounter, SimShardedCounter,
+    SimSnapshotCounter,
 };
 use ruo_core::counter::{
-    AacCounter, ApproxCounter, CombiningCounter, FArrayCounter, FetchAddCounter, ShardedCounter,
-    SimApproxCounter,
+    AacCounter, ApproxCounter, FArrayCounter, FetchAddCounter, ShardedCounter, SimApproxCounter,
 };
 use ruo_core::maxreg::aac::MAX_CAPACITY;
 use ruo_core::maxreg::sim::{
@@ -31,7 +30,7 @@ use ruo_core::maxreg::sim::{
 use ruo_core::maxreg::{
     check_tree_size, AacMaxRegister, AacShape, ApproxMaxRegister, CapacityError,
     CasRetryMaxRegister, FArrayMaxRegister, LockMaxRegister, SimApproxMaxRegister, TreeMaxRegister,
-    TreeSizeError, MAX_PROCESSES,
+    TreeSizeError,
 };
 use ruo_core::reduction::CounterFromSnapshot;
 use ruo_core::snapshot::sim::{SimDoubleCollectSnapshot, SimSnapshot};
@@ -40,7 +39,6 @@ use ruo_core::{Counter, MaxRegister, Snapshot};
 use ruo_sim::Memory;
 
 pub use ruo_core::accuracy::AccuracyClass;
-pub use ruo_core::counter::CounterMode;
 
 /// The three object families of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -122,19 +120,8 @@ pub struct Capabilities {
     /// registers, restricted-use counters, path-copy snapshots) that
     /// operations must respect.
     pub bounded_capacity: bool,
-    /// Largest supported process count, when the implementation bounds
-    /// it (Algorithm A's eager arena).
-    pub max_n: Option<usize>,
-    /// Whether the simulator face supports the § 4.5 root-read fast
-    /// path toggle.
-    pub root_fast_path: bool,
     /// Whether the W4 throughput bench includes this implementation.
     pub benched: bool,
-    /// For the f-array-derived counter family: which
-    /// [`CounterMode`] this entry realizes (`Exact` per-increment
-    /// propagation, `Combining` batches, `Sharded` stripes). `None` for
-    /// implementations outside that mode knob.
-    pub counter_mode: Option<CounterMode>,
     /// The accuracy guarantee of the entry's reads (ISSUE 9). `None`
     /// means exact — reads return the precise linearized value. `Some`
     /// entries honour [`BuildParams::accuracy_k`] at construction and
@@ -367,10 +354,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::WaitFree,
                 bounded_capacity: false,
-                max_n: Some(MAX_PROCESSES),
-                root_fast_path: true,
                 benched: true,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: Some("TreeMaxRegister"),
@@ -393,12 +377,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::WaitFree,
                 bounded_capacity: false,
-                max_n: Some(MAX_PROCESSES),
-                // Elimination subsumes the § 4.5 root check: both faces
-                // always probe the root first, then scan per level.
-                root_fast_path: true,
                 benched: true,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: Some("TreeMaxRegister"),
@@ -423,10 +402,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::WaitFree,
                 bounded_capacity: true,
-                max_n: None,
-                root_fast_path: false,
                 benched: true,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: Some("AacMaxRegister"),
@@ -450,10 +426,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::WaitFree,
                 bounded_capacity: true,
-                max_n: None,
-                root_fast_path: false,
                 benched: true,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: Some("AacMaxRegister"),
@@ -477,10 +450,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::WaitFree,
                 bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
                 benched: true,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: Some("FArrayMaxRegister"),
@@ -499,10 +469,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::LockFree,
                 bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
                 benched: true,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: Some("CasRetryMaxRegister"),
@@ -521,10 +488,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::LockFree,
                 bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
                 benched: false,
-                counter_mode: None,
                 accuracy: Some(AccuracyClass::KMultiplicative),
             },
             real_type: Some("ApproxMaxRegister"),
@@ -549,10 +513,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::Blocking,
                 bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
                 benched: true,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: Some("LockMaxRegister"),
@@ -568,10 +529,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::WaitFree,
                 bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
                 benched: true,
-                counter_mode: Some(CounterMode::Exact),
                 accuracy: None,
             },
             real_type: Some("FArrayCounter"),
@@ -585,44 +543,12 @@ fn build_registry() -> Vec<ImplEntry> {
         },
         ImplEntry {
             family: Family::Counter,
-            id: "combining",
-            display: "flat combining",
-            caps: Capabilities {
-                // Waiters spin on their publication slot until a
-                // combiner services it; a crashed combiner strands them.
-                progress: ProgressClass::Blocking,
-                bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
-                benched: true,
-                counter_mode: Some(CounterMode::Combining),
-                accuracy: None,
-            },
-            real_type: Some("CombiningCounter"),
-            // The sim face is the wait-free batch model (announce array
-            // + arity-N double-CAS install), NOT a lock simulation: the
-            // explorer's step cap cannot drive blocking waiters, but the
-            // batch boundaries — the combining-specific behaviour — are
-            // exactly what it verifies.
-            sim_type: Some("SimCombiningCounter"),
-            real: Some(|p| Ok(RealObject::Counter(Box::new(CombiningCounter::new(p.n))))),
-            sim: Some(|mem, p| {
-                Ok(SimObject::Counter(Arc::new(SimCombiningCounter::new(
-                    mem, p.n,
-                ))))
-            }),
-        },
-        ImplEntry {
-            family: Family::Counter,
             id: "sharded",
             display: "sharded stripes",
             caps: Capabilities {
                 progress: ProgressClass::WaitFree,
                 bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
                 benched: true,
-                counter_mode: Some(CounterMode::Sharded),
                 accuracy: None,
             },
             real_type: Some("ShardedCounter"),
@@ -641,10 +567,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::WaitFree,
                 bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
                 benched: false,
-                counter_mode: None,
                 accuracy: Some(AccuracyClass::KMultiplicative),
             },
             real_type: Some("ApproxCounter"),
@@ -670,10 +593,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::WaitFree,
                 bounded_capacity: true,
-                max_n: None,
-                root_fast_path: false,
                 benched: true,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: Some("AacCounter"),
@@ -702,10 +622,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::WaitFree,
                 bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
                 benched: true,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: Some("FetchAddCounter"),
@@ -720,10 +637,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::LockFree,
                 bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
                 benched: false,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: None,
@@ -742,10 +656,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::ObstructionFree,
                 bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
                 benched: false,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: None,
@@ -764,10 +675,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::ObstructionFree,
                 bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
                 benched: false,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: Some("CounterFromSnapshot"),
@@ -787,10 +695,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::ObstructionFree,
                 bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
                 benched: true,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: Some("DoubleCollectSnapshot"),
@@ -813,10 +718,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::LockFree,
                 bounded_capacity: true,
-                max_n: None,
-                root_fast_path: false,
                 benched: true,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: Some("PathCopySnapshot"),
@@ -835,10 +737,7 @@ fn build_registry() -> Vec<ImplEntry> {
             caps: Capabilities {
                 progress: ProgressClass::WaitFree,
                 bounded_capacity: false,
-                max_n: None,
-                root_fast_path: false,
                 benched: true,
-                counter_mode: None,
                 accuracy: None,
             },
             real_type: Some("AfekSnapshot"),

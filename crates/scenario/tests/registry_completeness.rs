@@ -9,7 +9,7 @@
 use std::collections::BTreeSet;
 use std::path::Path;
 
-use ruo_scenario::{registry, AccuracyClass, CounterMode, Family};
+use ruo_scenario::{registry, AccuracyClass, Family, ProgressClass};
 
 /// `(trait, implementing type)` pairs declared in a source tree, for
 /// the six object-facing traits.
@@ -108,52 +108,28 @@ fn every_core_implementation_is_registered() {
 }
 
 #[test]
-fn counter_mode_metadata_covers_every_mode_exactly_once() {
-    // The `CounterMode` knob (ISSUE 6) is capability metadata: each
-    // contended-write strategy must be registered on exactly one
-    // counter face, and non-counter faces must not claim a mode.
-    let mut seen: Vec<(CounterMode, &str)> = Vec::new();
+fn no_blocking_implementation_has_a_sim_face() {
+    // The explorer and the sim engine drive every sim face under a step
+    // cap that assumes each operation finishes in its own steps. A
+    // blocking operation's steps depend on another process's progress,
+    // so a blocking implementation may only have a real face.
     for e in registry() {
-        match (e.family, e.caps.counter_mode) {
-            (Family::Counter, Some(mode)) => seen.push((mode, e.id)),
-            (Family::Counter, None) => {}
-            (family, Some(mode)) => panic!(
-                "{family}/{} claims counter_mode {mode} but is not a counter face",
-                e.id
-            ),
-            (_, None) => {}
-        }
-    }
-    for mode in CounterMode::all() {
-        let holders: Vec<&str> = seen
-            .iter()
-            .filter(|(m, _)| *m == mode)
-            .map(|(_, id)| *id)
-            .collect();
-        assert_eq!(
-            holders.len(),
-            1,
-            "counter_mode {mode} must be registered on exactly one counter face, found {holders:?}"
-        );
-    }
-    // And the registered face's id must round-trip through the schema
-    // name so scenario tables can address modes by string.
-    for (mode, id) in &seen {
-        assert_eq!(
-            CounterMode::parse(mode.name()),
-            Some(*mode),
-            "schema name for mode on face {id} does not round-trip"
+        assert!(
+            !(e.caps.progress == ProgressClass::Blocking && e.has_sim()),
+            "{}/{} is blocking but registers the sim face {:?}",
+            e.family,
+            e.id,
+            e.sim_type
         );
     }
 }
 
 #[test]
 fn accuracy_metadata_covers_every_class_exactly_once_per_family() {
-    // The `accuracy` capability (ISSUE 9) follows the same metadata
-    // rule as `counter_mode`: each accuracy class must be registered on
-    // exactly one face per relaxable family (maxreg and counter — the
-    // checkers never relax snapshot vectors), and its schema name must
-    // round-trip so scenario accuracy sections can address it.
+    // Each accuracy class must be registered on exactly one face per
+    // relaxable family (maxreg and counter — the checkers never relax
+    // snapshot vectors), and its schema name must round-trip so
+    // scenario accuracy sections can address it.
     for family in [Family::MaxReg, Family::Counter] {
         for class in AccuracyClass::all() {
             let holders: Vec<&str> = registry()

@@ -267,6 +267,8 @@ impl Machine {
 /// solo-complexity measurement in the workspace; it lives here (rather
 /// than in the bench crate) so that every crate can reach it without a
 /// bench dependency.
+// Inlined so the solo loop compiles into its caller: one-step reads then vary less with code placement.
+#[inline]
 pub fn run_solo(
     mem: &mut crate::Memory,
     pid: crate::ProcessId,

@@ -253,7 +253,7 @@ fn sim_and_real_tree_registers_converge_identically() {
 
 /// Registry entries whose simulator face is still written apart from
 /// the real one, so their steps may differ.
-const TWINS: [(Family, &str, &str); 8] = [
+const TWINS: [(Family, &str, &str); 7] = [
     (
         Family::MaxReg,
         "tree",
@@ -283,11 +283,6 @@ const TWINS: [(Family, &str, &str); 8] = [
         Family::MaxReg,
         "approx",
         "the real face uses the CAS witness value; the model's CAS answers only success or failure",
-    ),
-    (
-        Family::Counter,
-        "combining",
-        "the sim face is a wait-free model of the blocking combiner",
     ),
     (
         Family::Counter,

@@ -6,9 +6,7 @@
 //! with the same complete interval checker the simulator histories go
 //! through. Any violation it reports is a real linearizability bug.
 
-use ruo::core::counter::{
-    AacCounter, CombiningCounter, CounterMode, FArrayCounter, FetchAddCounter, ShardedCounter,
-};
+use ruo::core::counter::{AacCounter, FArrayCounter, FetchAddCounter, ShardedCounter};
 use ruo::core::maxreg::{
     AacMaxRegister, CasRetryMaxRegister, FArrayMaxRegister, LockMaxRegister, TreeMaxRegister,
 };
@@ -193,12 +191,10 @@ fn exercise_counter<C: Counter>(counter: &C, name: &str) {
 }
 
 /// Contended counter stress: 8 threads, write-heavy (3 increments per
-/// read), the regime where the combining front-end actually forms
-/// multi-request batches and the sharded reads must merge in-flight
-/// stripes. A combiner publishing `serviced` before the batch reaches
-/// the root, or a collect that double-counts a stripe, fails the
-/// checker here.
-fn exercise_counter_contended<C: Counter + ?Sized>(counter: &C, name: &str) {
+/// read), the regime where f-array climbs collide and the sharded reads
+/// must merge in-flight stripes. A climb that loses an increment, or a
+/// collect that double-counts a stripe, fails the checker here.
+fn exercise_counter_contended<C: Counter>(counter: &C, name: &str) {
     let rec = ThreadRecorder::new();
     let threads = 8;
     let ops = 400u64;
@@ -233,16 +229,6 @@ fn farray_counter_threads_are_linearizable() {
 }
 
 #[test]
-fn combining_counter_threads_are_linearizable() {
-    exercise_counter(&CombiningCounter::new(4), "CombiningCounter");
-}
-
-#[test]
-fn combining_counter_contended_threads_are_linearizable() {
-    exercise_counter_contended(&CombiningCounter::new(8), "CombiningCounter/contended");
-}
-
-#[test]
 fn sharded_counter_threads_are_linearizable() {
     exercise_counter(&ShardedCounter::new(4), "ShardedCounter");
 }
@@ -254,17 +240,8 @@ fn sharded_counter_contended_threads_are_linearizable() {
 
 #[test]
 fn farray_counter_contended_threads_are_linearizable() {
-    // Baseline for the two front-ends: the exact counter under the same
-    // 8-thread write-heavy mix.
+    // The exact counter under the same 8-thread write-heavy mix.
     exercise_counter_contended(&FArrayCounter::new(8), "FArrayCounter/contended");
-}
-
-#[test]
-fn every_counter_mode_is_linearizable_through_the_boxed_knob() {
-    for mode in CounterMode::all() {
-        let counter = ruo::core::counter::with_mode(mode, 8);
-        exercise_counter_contended(&*counter, &format!("with_mode({mode})"));
-    }
 }
 
 #[test]
