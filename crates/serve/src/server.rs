@@ -2,7 +2,7 @@
 //!
 //! ## Architecture
 //!
-//! One acceptor thread polls a non-blocking listener and runs the
+//! One acceptor thread blocks in `accept` and runs the
 //! admission gate; `workers` worker threads pop admitted connections
 //! from a bounded queue and serve them to completion. Worker `w` is
 //! process identity `ProcessId(w)` on every object — one pid per
@@ -10,6 +10,26 @@
 //! require. All sockets carry read/write timeouts, so a stalled or
 //! half-closed peer (chaos does both) can hold a worker for at most one
 //! timeout, never forever.
+//!
+//! ## Wake protocol
+//!
+//! Nothing polls. A connection is admitted as soon as `accept` returns
+//! it, an idle worker waits on the queue's condvar with no timeout, and
+//! an idle server never wakes. [`Server::shutdown`] wakes both:
+//!
+//! - It stores `draining` while holding the queue lock, then broadcasts
+//!   on the condvar. A worker checks the flag under that lock before it
+//!   waits, so it either sees the flag or is already waiting when the
+//!   broadcast comes; it cannot fall asleep after it.
+//! - It then opens one loopback connection to the listener. `accept`
+//!   returns it, and the acceptor, which checks `draining` after every
+//!   accepted stream, returns and drops the stream unadmitted. Only a
+//!   failed connect is retried: each extra connection would wait in the
+//!   listen backlog, and a full backlog drops SYNs that the kernel
+//!   resends only after a second.
+//!
+//! A worker serving a connection notices the drain at its next read,
+//! within one `io_timeout`.
 //!
 //! ## Degradation ladder
 //!
@@ -394,7 +414,6 @@ impl Server {
 
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         let n_workers = cfg.workers;
         let dedup_cap = cfg.dedup_window;
@@ -456,9 +475,14 @@ impl Server {
     /// are answered `err closed`, in-flight requests complete and are
     /// acked, threads join. Returns the op logs and final state.
     pub fn shutdown(mut self) -> ServeSummary {
-        self.inner.draining.store(true, Ordering::SeqCst);
+        {
+            let _q = self.inner.queue.lock().unwrap();
+            self.inner.draining.store(true, Ordering::SeqCst);
+        }
         self.inner.queue_cv.notify_all();
         if let Some(a) = self.acceptor.take() {
+            // Held open until the acceptor is joined.
+            let _wake = wake_acceptor(self.addr, &a);
             let _ = a.join();
         }
         for w in self.workers.drain(..) {
@@ -490,46 +514,66 @@ impl Server {
 fn accept_loop(inner: &Inner, listener: TcpListener) {
     let pid = ProcessId(inner.cfg.workers); // the acceptor's gauge identity
     loop {
+        let stream = match listener.accept() {
+            Ok((stream, _peer)) => stream,
+            Err(_) => {
+                if inner.draining.load(Ordering::SeqCst) {
+                    return;
+                }
+                // Back off from a failing accept (out of descriptors, …).
+                thread::sleep(Duration::from_millis(1));
+                continue;
+            }
+        };
         if inner.draining.load(Ordering::SeqCst) {
+            // The drain's wake connection or a late arrival: dropped
+            // unadmitted.
             return;
         }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let conn_id = inner.conn_ids.fetch_add(1, Ordering::Relaxed);
-                let _ = stream.set_nodelay(true);
-                let _ = stream.set_read_timeout(Some(inner.cfg.io_timeout));
-                let _ = stream.set_write_timeout(Some(inner.cfg.io_timeout));
-                let depth = inner.queue_depth.load(Ordering::Relaxed);
-                inner.gauges.record_queue_depth(pid, depth as u64 + 1);
-                if depth >= inner.cfg.queue_cap {
-                    // Shed at the gate: one best-effort refusal line.
-                    inner.gauges.bump(pid, HealthEvent::Shed);
-                    let mut s = stream;
-                    let _ = s.write_all(b"err overload\n");
-                    continue;
-                }
-                inner.gauges.bump(pid, HealthEvent::Admitted);
-                let accept_tick = inner.next_tick();
-                let wrapped = match &inner.cfg.chaos {
-                    Some(plan) => ChaosStream::new(stream, plan, conn_id),
-                    None => ChaosStream::passthrough(stream),
-                };
-                let enqueue_tick = inner.next_tick();
-                let mut q = inner.queue.lock().unwrap();
-                q.push_back(PendingConn {
-                    stream: wrapped,
-                    enqueued: Instant::now(),
-                    conn_id,
-                    accept_tick,
-                    enqueue_tick,
-                });
-                inner.queue_depth.store(q.len(), Ordering::Relaxed);
-                drop(q);
-                inner.queue_cv.notify_one();
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(1));
-            }
+        let conn_id = inner.conn_ids.fetch_add(1, Ordering::Relaxed);
+        let _ = stream.set_nodelay(true);
+        let _ = stream.set_read_timeout(Some(inner.cfg.io_timeout));
+        let _ = stream.set_write_timeout(Some(inner.cfg.io_timeout));
+        let depth = inner.queue_depth.load(Ordering::Relaxed);
+        inner.gauges.record_queue_depth(pid, depth as u64 + 1);
+        if depth >= inner.cfg.queue_cap {
+            // Shed at the gate: one best-effort refusal line.
+            inner.gauges.bump(pid, HealthEvent::Shed);
+            let mut s = stream;
+            let _ = s.write_all(b"err overload\n");
+            continue;
+        }
+        inner.gauges.bump(pid, HealthEvent::Admitted);
+        let accept_tick = inner.next_tick();
+        let wrapped = match &inner.cfg.chaos {
+            Some(plan) => ChaosStream::new(stream, plan, conn_id),
+            None => ChaosStream::passthrough(stream),
+        };
+        let enqueue_tick = inner.next_tick();
+        let mut q = inner.queue.lock().unwrap();
+        q.push_back(PendingConn {
+            stream: wrapped,
+            enqueued: Instant::now(),
+            conn_id,
+            accept_tick,
+            enqueue_tick,
+        });
+        inner.queue_depth.store(q.len(), Ordering::Relaxed);
+        drop(q);
+        inner.queue_cv.notify_one();
+    }
+}
+
+/// Returns the acceptor from its blocking `accept` with one loopback
+/// connection to `addr` (see the module's wake protocol). The caller
+/// holds the stream open until it has joined the acceptor. A failed
+/// connect is retried only while the acceptor still runs; a successful
+/// one never is.
+fn wake_acceptor(addr: SocketAddr, acceptor: &JoinHandle<()>) -> Option<TcpStream> {
+    loop {
+        match TcpStream::connect(addr) {
+            Ok(stream) => return Some(stream),
+            Err(_) if acceptor.is_finished() => return None,
             Err(_) => thread::sleep(Duration::from_millis(1)),
         }
     }
@@ -548,11 +592,7 @@ fn worker_loop(inner: &Inner, w: usize) {
                 if inner.draining.load(Ordering::SeqCst) {
                     return;
                 }
-                let (guard, _) = inner
-                    .queue_cv
-                    .wait_timeout(q, Duration::from_millis(5))
-                    .unwrap();
-                q = guard;
+                q = inner.queue_cv.wait(q).unwrap();
             }
         };
         let draining = inner.draining.load(Ordering::SeqCst);
