@@ -5,7 +5,10 @@
 //! access. On real cells each access is ready at once and [`run`]
 //! finishes the body in one poll; on simulator cells each access is one
 //! [`ruo_sim::Access`], and a [`ruo_sim::Machine`] owns the body and
-//! steps it one event at a time. A one-load read needs no body: it is
+//! steps it one event at a time under a scheduler. Run solo
+//! ([`ruo_sim::run_solo`]), the simulator's accesses apply themselves
+//! to the memory as the body reaches them, so that body too finishes in
+//! one poll after its first access. A one-load read needs no body: it is
 //! a [`Machine::single`](ruo_sim::Machine::single) of the load, which
 //! allocates nothing.
 

@@ -212,7 +212,7 @@ impl SimCounter for SimApproxCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruo_sim::Word;
+    use ruo_sim::run_solo;
     use std::sync::Arc as StdArc;
 
     #[test]
@@ -292,24 +292,15 @@ mod tests {
         assert!(v <= total && v * k >= total, "v={v} total={total}");
     }
 
-    fn run_solo(mem: &mut Memory, m: Machine) -> (Word, usize) {
-        let mut m = m;
-        while let Some(prim) = m.enabled() {
-            let resp = mem.apply(ProcessId(0), prim).resp;
-            m.feed(resp);
-        }
-        (m.result().expect("completed"), m.steps())
-    }
-
     #[test]
     fn sim_face_matches_real_semantics() {
         let mut mem = Memory::new();
         let c = SimApproxCounter::new(&mut mem, 2, 2);
         let mut exact = 0u64;
         for i in 0..40usize {
-            run_solo(&mut mem, c.increment(ProcessId(i % 2)));
+            run_solo(&mut mem, ProcessId(i % 2), c.increment(ProcessId(i % 2)));
             exact += 1;
-            let (v, steps) = run_solo(&mut mem, c.read(ProcessId(0)));
+            let (v, steps) = run_solo(&mut mem, ProcessId(0), c.read(ProcessId(0)));
             assert_eq!(steps, 2, "read collects one pass over published");
             let v = v as u64;
             assert!(v <= exact && v * 2 >= exact, "v={v} exact={exact}");
@@ -321,9 +312,9 @@ mod tests {
         let mut mem = Memory::new();
         let c = SimApproxCounter::new(&mut mem, 1, 1);
         for i in 0..5u64 {
-            let (_, steps) = run_solo(&mut mem, c.increment(ProcessId(0)));
+            let (_, steps) = run_solo(&mut mem, ProcessId(0), c.increment(ProcessId(0)));
             assert_eq!(steps, 4, "k=1 publishes on every increment");
-            let (v, _) = run_solo(&mut mem, c.read(ProcessId(0)));
+            let (v, _) = run_solo(&mut mem, ProcessId(0), c.read(ProcessId(0)));
             assert_eq!(v as u64, i + 1);
         }
     }
@@ -332,9 +323,9 @@ mod tests {
     fn sim_unpublished_increment_is_three_steps() {
         let mut mem = Memory::new();
         let c = SimApproxCounter::new(&mut mem, 1, 4);
-        let (_, first) = run_solo(&mut mem, c.increment(ProcessId(0)));
+        let (_, first) = run_solo(&mut mem, ProcessId(0), c.increment(ProcessId(0)));
         assert_eq!(first, 4, "first increment publishes (0*k < 1)");
-        let (_, second) = run_solo(&mut mem, c.increment(ProcessId(0)));
+        let (_, second) = run_solo(&mut mem, ProcessId(0), c.increment(ProcessId(0)));
         assert_eq!(second, 3, "second stays private (1*4 >= 2)");
     }
 }

@@ -342,12 +342,9 @@ mod tests {
         }
         // Concurrent increment invalidates the collect; the read retries.
         run_solo(&mut mem, ProcessId(1), c.increment(ProcessId(1)));
-        while let Some(p) = rd.enabled() {
-            let r = mem.apply(ProcessId(0), p).resp;
-            rd.feed(r);
-        }
-        assert!(rd.steps() > 4, "read should have retried");
-        assert_eq!(rd.result(), Some(1));
+        let (v, steps) = run_solo(&mut mem, ProcessId(0), rd);
+        assert!(steps > 4, "read should have retried");
+        assert_eq!(v, 1);
     }
 
     #[test]

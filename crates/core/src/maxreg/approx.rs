@@ -210,6 +210,7 @@ impl SimMaxRegister for SimApproxMaxRegister {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ruo_sim::run_solo;
     use std::sync::Arc;
 
     #[test]
@@ -299,26 +300,17 @@ mod tests {
         assert!(r <= max && r * 3 >= max);
     }
 
-    fn run_solo(mem: &mut Memory, m: Machine) -> (Word, usize) {
-        let mut m = m;
-        while let Some(prim) = m.enabled() {
-            let resp = mem.apply(ProcessId(0), prim).resp;
-            m.feed(resp);
-        }
-        (m.result().expect("completed"), m.steps())
-    }
-
     #[test]
     fn sim_face_matches_real_semantics() {
         let mut mem = Memory::new();
         let reg = SimApproxMaxRegister::new(&mut mem, 2, 2);
-        let (r, steps) = run_solo(&mut mem, reg.read_max(ProcessId(0)));
+        let (r, steps) = run_solo(&mut mem, ProcessId(0), reg.read_max(ProcessId(0)));
         assert_eq!((r, steps), (0, 1));
-        let (_, steps) = run_solo(&mut mem, reg.write_max(ProcessId(0), 13));
+        let (_, steps) = run_solo(&mut mem, ProcessId(0), reg.write_max(ProcessId(0), 13));
         assert_eq!(steps, 2, "fresh write: read + CAS");
-        let (_, steps) = run_solo(&mut mem, reg.write_max(ProcessId(1), 9));
+        let (_, steps) = run_solo(&mut mem, ProcessId(1), reg.write_max(ProcessId(1), 9));
         assert_eq!(steps, 1, "dominated write is one read");
-        let (r, steps) = run_solo(&mut mem, reg.read_max(ProcessId(1)));
+        let (r, steps) = run_solo(&mut mem, ProcessId(1), reg.read_max(ProcessId(1)));
         assert_eq!((r, steps), (8, 1));
     }
 
@@ -326,7 +318,7 @@ mod tests {
     fn sim_write_zero_is_free() {
         let mut mem = Memory::new();
         let reg = SimApproxMaxRegister::new(&mut mem, 1, 2);
-        let (_, steps) = run_solo(&mut mem, reg.write_max(ProcessId(0), 0));
+        let (_, steps) = run_solo(&mut mem, ProcessId(0), reg.write_max(ProcessId(0), 0));
         assert_eq!(steps, 0);
     }
 }

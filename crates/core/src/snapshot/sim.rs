@@ -83,12 +83,8 @@ mod tests {
         // Now p1 updates segment 1, invalidating the first collect.
         run_solo(&mut mem, ProcessId(1), s.update(ProcessId(1), 3));
         // Let the scan finish.
-        while let Some(p) = scan.enabled() {
-            let r = mem.apply(ProcessId(0), p).resp;
-            scan.feed(r);
-        }
-        assert!(scan.steps() > 4, "scan should have retried");
-        let token = scan.result().unwrap();
+        let (token, steps) = run_solo(&mut mem, ProcessId(0), scan);
+        assert!(steps > 4, "scan should have retried");
         assert_eq!(s.take_scan_result(token), vec![0, 3]);
     }
 

@@ -13,6 +13,7 @@ use ruo_core::maxreg::sim::{
 use ruo_core::snapshot::sim::{SimDoubleCollectSnapshot, SimSnapshot};
 use ruo_sim::{Machine, Memory, ProcessId};
 
+// Event by event, not `run_solo`: an oracle of the solo pins independent of its direct path.
 fn steps(mem: &mut Memory, pid: ProcessId, mut m: Machine) -> usize {
     while let Some(prim) = m.enabled() {
         let resp = mem.apply(pid, prim).resp;

@@ -553,10 +553,13 @@ fn make_scheduler(spec: &ScenarioSpec, run_seed: u64) -> Box<dyn Scheduler> {
 /// linearizable under the completion rule).
 #[derive(Debug)]
 pub struct SimSeedRun {
-    /// The executor's outcome (history, completion, crashes), with the
-    /// run's events — the raw material for step attribution
-    /// ([`ruo_metrics::trace_execution`]).
+    /// The executor's outcome: history, completion, crashes.
     pub outcome: ExecOutcome,
+    /// The run's events, the raw material for step attribution
+    /// ([`ruo_metrics::trace_execution`]). Recorded only when the spec's
+    /// trace section asks for the `steps` block or an event-level
+    /// export, which are what read them.
+    pub events: Option<EventLog>,
     /// The checker's verdict on the history.
     pub violation: Option<Violation>,
     /// Whether the run drained: every op completed, or a crash
@@ -583,11 +586,17 @@ pub fn run_sim_seed(
     let (mut mem, obj) = build_sim_object(spec)?;
     let w = sim_workload(&obj, spec, run_seed)?;
     let mut sched = make_scheduler(spec, run_seed);
-    let outcome = make_executor(spec).run_with_faults(&mut mem, w, sched.as_mut(), plan);
+    let executor = make_executor(spec);
+    let mut events = (wants_steps(spec) || wants_export(spec)).then(EventLog::new);
+    let outcome = match &mut events {
+        Some(log) => executor.run_recorded(&mut mem, w, sched.as_mut(), plan, log),
+        None => executor.run_with_faults(&mut mem, w, sched.as_mut(), plan),
+    };
     let drained = outcome.all_done || !outcome.crashed.is_empty();
     let violation = check_history(spec, &outcome.history).err();
     Ok(SimSeedRun {
         outcome,
+        events,
         violation,
         drained,
     })
@@ -651,12 +660,14 @@ pub fn run_sim(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, Engin
         let run_seed = spec.seed.wrapping_add(k);
         let plan = fault_plan_for_seed(spec, run_seed);
         let run = run_sim_seed(spec, run_seed, &plan)?;
+        // `run_sim_seed` records the events exactly when these two read them.
         if let Some(acc) = &mut steps {
             acc.record_history(&run.outcome.history);
-            acc.record_events(&run.outcome.events);
+            acc.record_events(run.events.as_ref().expect("steps are recorded"));
         }
         if first_trace.is_none() && wants_export(spec) {
-            first_trace = Some(trace_execution(&run.outcome.events, &run.outcome.history));
+            let events = run.events.as_ref().expect("an export is recorded");
+            first_trace = Some(trace_execution(events, &run.outcome.history));
         }
         if let Some(cert) = &certifier {
             cert.record_outcome(&run.outcome);

@@ -4,9 +4,9 @@
 //! which applies one primitive to one base object.
 //! [`Memory::apply`](crate::Memory::apply) returns each step's [`Event`]
 //! and keeps none; [`EventLog`] is the sequence, kept by the code that
-//! reads an execution (the executor's
-//! [`ExecOutcome::events`](crate::ExecOutcome::events), a test's own
-//! loop). An event carries enough information (value before/after, CAS
+//! reads an execution (the log a caller hands
+//! [`Executor::run_recorded`](crate::Executor::run_recorded), a test's
+//! own loop). An event carries enough information (value before/after, CAS
 //! success) for the information-flow analysis in `ruo-lowerbound` to
 //! recompute visibility, awareness and familiarity per Definitions 1–4.
 

@@ -5,7 +5,7 @@ use std::fmt;
 
 use crate::fault::{FaultClock, FaultPlan};
 use crate::history::{History, OpDesc, OpOutput, OpRecord};
-use crate::{EventLog, Machine, Memory, ProcessId, Scheduler, Word};
+use crate::{Event, EventLog, Machine, Memory, ProcessId, Scheduler, Word};
 
 type StartFn = Box<dyn FnOnce() -> Machine + Send>;
 type FinishFn = Box<dyn FnOnce(Word) -> OpOutput + Send>;
@@ -110,10 +110,6 @@ pub struct ExecOutcome {
     /// in [`ExecOutcome::history`]: invoked but never responded. Empty
     /// for [`Executor::run`].
     pub crashed: Vec<ProcessId>,
-    /// Every event of the run, in order: the execution whose step
-    /// indices the history's ticks are. Step attribution
-    /// (`ruo_metrics::trace_execution`) reads it.
-    pub events: EventLog,
 }
 
 struct Running {
@@ -151,6 +147,11 @@ impl Executor {
 
     /// Runs the workload on `mem` under `sched` until every operation
     /// completes or the step budget is exhausted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mem` has already taken steps (see
+    /// [`run_with_faults`](Executor::run_with_faults)).
     pub fn run(
         &self,
         mem: &mut Memory,
@@ -175,8 +176,8 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Panics if `mem` has already taken steps: the run's events are
-    /// recorded from the initial configuration.
+    /// Panics if `mem` has already taken steps: the history's ticks are
+    /// step indices from the initial configuration.
     pub fn run_with_faults(
         &self,
         mem: &mut Memory,
@@ -184,13 +185,46 @@ impl Executor {
         sched: &mut dyn Scheduler,
         plan: &FaultPlan,
     ) -> ExecOutcome {
+        self.drive(mem, workload, sched, plan, |_| {})
+    }
+
+    /// [`run_with_faults`](Executor::run_with_faults), appending every
+    /// event of the run to `events` in order: the execution whose step
+    /// indices the history's ticks are. Step attribution
+    /// (`ruo_metrics::trace_execution`) reads it; no other caller needs
+    /// the events, so the other entry points keep none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mem` has already taken steps, or if the run takes a
+    /// step while `events` is not empty: an event's `seq` is its
+    /// position in the log ([`EventLog::push`]).
+    pub fn run_recorded(
+        &self,
+        mem: &mut Memory,
+        workload: WorkloadBuilder,
+        sched: &mut dyn Scheduler,
+        plan: &FaultPlan,
+        events: &mut EventLog,
+    ) -> ExecOutcome {
+        self.drive(mem, workload, sched, plan, |ev| events.push(ev))
+    }
+
+    /// The run loop, handing each step's event to `on_event`.
+    fn drive(
+        &self,
+        mem: &mut Memory,
+        workload: WorkloadBuilder,
+        sched: &mut dyn Scheduler,
+        plan: &FaultPlan,
+        mut on_event: impl FnMut(Event),
+    ) -> ExecOutcome {
         assert_eq!(
             mem.steps(),
             0,
             "the executor runs from a memory that has taken no steps"
         );
         let mut history = History::new();
-        let mut events = EventLog::new();
         let mut clock = FaultClock::new(plan, workload.queues.len());
         let mut procs: Vec<ProcState> = workload
             .queues
@@ -222,7 +256,6 @@ impl Executor {
                     history,
                     all_done,
                     crashed: clock.crashed_processes(),
-                    events,
                 };
             }
             if let Some(budget) = self.max_steps {
@@ -231,7 +264,6 @@ impl Executor {
                         history,
                         all_done: false,
                         crashed: clock.crashed_processes(),
-                        events,
                     };
                 }
             }
@@ -288,7 +320,7 @@ impl Executor {
             let running = st.current.as_mut().expect("current op present");
             let prim = running.machine.enabled().expect("running op has event");
             let ev = mem.apply(pid, prim);
-            events.push(ev);
+            on_event(ev);
             clock.on_event(pid, mem.steps());
             let finished = running.machine.feed(ev.resp);
             history.ops_mut()[running.hist_idx].steps = running.machine.steps();
@@ -531,6 +563,31 @@ mod tests {
             format!("{:?}", outcome.history)
         };
         assert_eq!(run(true), run(false));
+    }
+
+    #[test]
+    fn recorded_run_logs_every_step_of_the_same_run() {
+        let run = |record: bool| {
+            let mut mem = Memory::new();
+            let o = mem.alloc(0);
+            let mut sched = RandomScheduler::new(5);
+            let plan = FaultPlan::new().crash(ProcessId(2), 1);
+            let mut log = EventLog::new();
+            let outcome = if record {
+                Executor::new().run_recorded(&mut mem, workload(4, o), &mut sched, &plan, &mut log)
+            } else {
+                Executor::new().run_with_faults(&mut mem, workload(4, o), &mut sched, &plan)
+            };
+            (format!("{:?}", outcome.history), mem.steps(), log)
+        };
+        let (plain, steps, empty) = run(false);
+        let (recorded, recorded_steps, log) = run(true);
+        assert_eq!(plain, recorded);
+        assert_eq!(steps, recorded_steps);
+        assert!(empty.is_empty());
+        assert_eq!(log.len(), steps);
+        // p2 crashed after its first event, and took no other.
+        assert_eq!(log.steps_of(ProcessId(2)), 1);
     }
 
     #[test]

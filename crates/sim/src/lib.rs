@@ -18,7 +18,9 @@
 //!   shared-memory accesses are [`Access`] futures, boxed once, or a
 //!   single access that needs no body ([`Machine::single`]). Algorithms
 //!   read like straight-line pseudo-code while still exposing one
-//!   shared-memory event at a time to the scheduler.
+//!   shared-memory event at a time to the scheduler. With no scheduler,
+//!   [`run_solo`] runs a body to its end in one poll and takes the same
+//!   steps.
 //! * [`Scheduler`] implementations — round-robin, seeded-random, and solo
 //!   (obstruction-free) schedules — plus an [`Executor`] that runs whole
 //!   workloads and records invocation/response [`History`]s.

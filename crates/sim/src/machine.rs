@@ -40,14 +40,26 @@
 //! An operation of one access, such as a one-load read of a root, needs
 //! no body: [`Machine::single`] stores the primitive and a function of
 //! its response, and never allocates.
+//!
+//! A solo run has no scheduler to interleave anything, so [`run_solo`]
+//! does not suspend a body at every access. It applies the enabled
+//! access, lends the memory to the thread's solo slot and feeds the
+//! machine once; while the slot holds a memory, an access applies its
+//! primitive to it at once, and the body runs to its end in that one
+//! poll. The events, their order, the result and the step count are
+//! those of stepping the machine event by event. The executor, the
+//! explorer and the lower-bound adversaries never fill the slot, so
+//! they still see one enabled event per access. A body builds no
+//! machines of its own: one built inside a solo run would apply its
+//! accesses to the lent memory as it is built.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
 
-use crate::{Prim, Word};
+use crate::{Memory, Prim, ProcessId, Word};
 
 // Where an [`Access`] and the machine polling its body hand over the
 // event and its response. A body only runs inside a machine's poll, on
@@ -57,11 +69,22 @@ thread_local! {
     static ISSUED: Cell<Option<Prim>> = const { Cell::new(None) };
     /// The response for the access the body resumes on.
     static ANSWER: Cell<Option<Word>> = const { Cell::new(None) };
+    /// The memory and process of the [`run_solo`] in progress, if any.
+    static SOLO: RefCell<Option<Solo>> = const { RefCell::new(None) };
+}
+
+/// What a solo run lends its accesses: the memory they step on and the
+/// process that takes the steps.
+struct Solo {
+    mem: Memory,
+    pid: ProcessId,
 }
 
 /// One shared-memory access of an `async` body: the body suspends once
 /// on it, and resumes with the event's response (read: the value;
-/// write: `0`; CAS: `1` on success, `0` on failure).
+/// write: `0`; CAS: `1` on success, `0` on failure). Inside
+/// [`run_solo`] it does not suspend: it applies its primitive to the
+/// solo run's memory and is ready with the response at once.
 #[derive(Debug)]
 #[must_use = "an access takes its step only when awaited"]
 pub struct Access {
@@ -84,12 +107,19 @@ impl Future for Access {
     #[inline]
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<Word> {
         if self.issued {
-            Poll::Ready(ANSWER.take().expect("an access resumed without a response"))
-        } else {
-            self.issued = true;
-            ISSUED.set(Some(self.prim));
-            Poll::Pending
+            return Poll::Ready(ANSWER.take().expect("an access resumed without a response"));
         }
+        let prim = self.prim;
+        let solo = SOLO.with_borrow_mut(|solo| {
+            solo.as_mut()
+                .map(|Solo { mem, pid }| mem.apply(*pid, prim).resp)
+        });
+        if let Some(resp) = solo {
+            return Poll::Ready(resp);
+        }
+        self.issued = true;
+        ISSUED.set(Some(prim));
+        Poll::Pending
     }
 }
 
@@ -111,7 +141,9 @@ enum Rest {
 ///
 /// The scheduler asks for the [`enabled`](Machine::enabled) event,
 /// applies it to memory, and [`feed`](Machine::feed)s the response back.
-/// The number of `feed` calls is the operation's step count.
+/// The operation's step count is the number of events it has taken: one
+/// per `feed`, and under [`run_solo`] also each access its body applied
+/// directly.
 pub struct Machine {
     /// The enabled access; `None` once the operation has completed.
     enabled: Option<Prim>,
@@ -232,7 +264,7 @@ impl Machine {
         self.enabled.is_none().then_some(self.result)
     }
 
-    /// Number of shared-memory events this operation has issued.
+    /// Number of shared-memory events this operation has taken.
     pub fn steps(&self) -> usize {
         self.steps
     }
@@ -263,24 +295,79 @@ impl Machine {
 /// `(result, steps)` — the *solo step complexity* of the operation,
 /// which is the measure used in all step-count tables.
 ///
+/// A one-access machine is answered directly. A body is fed once: its
+/// enabled access is applied here, and every later access applies
+/// itself to `mem` as the body reaches it (see the module docs). The
+/// result, the step count and `mem` afterwards equal those of stepping
+/// the machine event by event, and `steps` counts the events the
+/// machine had taken before, too.
+///
 /// This is the single shared driver for every sequential-sanity test and
 /// solo-complexity measurement in the workspace; it lives here (rather
 /// than in the bench crate) so that every crate can reach it without a
 /// bench dependency.
-// Inlined so the solo loop compiles into its caller: one-step reads then vary less with code placement.
+///
+/// # Panics
+///
+/// Panics if called from inside a body that `run_solo` is running, and
+/// if the body suspends on something other than an access. `mem` keeps
+/// every step applied before the panic.
+// Inlined so that a one-step read compiles into its caller with no call
+// and no `feed`: one-step reads then vary less with code placement. The
+// body path stays out of line.
 #[inline]
-pub fn run_solo(
-    mem: &mut crate::Memory,
-    pid: crate::ProcessId,
-    mut machine: Machine,
-) -> (Word, usize) {
-    while let Some(prim) = machine.enabled() {
-        machine.feed(mem.apply(pid, prim).resp);
+pub fn run_solo(mem: &mut Memory, pid: ProcessId, machine: Machine) -> (Word, usize) {
+    match (machine.enabled, &machine.rest) {
+        (Some(prim), Rest::Map(map)) => (map(mem.apply(pid, prim).resp), 1),
+        _ => run_body_solo(mem, pid, machine),
+    }
+}
+
+/// [`run_solo`] of a body, or of a machine that is already done.
+#[inline(never)]
+fn run_body_solo(mem: &mut Memory, pid: ProcessId, mut machine: Machine) -> (Word, usize) {
+    if let Some(prim) = machine.enabled {
+        let resp = mem.apply(pid, prim).resp;
+        let before = mem.steps();
+        let lent = Lent::new(mem, pid);
+        machine.feed(resp);
+        drop(lent);
+        machine.steps += mem.steps() - before;
     }
     (
-        machine.result().expect("machine completed"),
-        machine.steps(),
+        machine
+            .result()
+            .expect("a solo run completes its operation"),
+        machine.steps,
     )
+}
+
+/// A caller's memory lent to the thread's solo slot. Dropping it, also
+/// on unwind, gives the memory back with every step applied to it and
+/// clears the slot.
+struct Lent<'a> {
+    mem: &'a mut Memory,
+}
+
+impl<'a> Lent<'a> {
+    fn new(mem: &'a mut Memory, pid: ProcessId) -> Self {
+        SOLO.with_borrow_mut(|solo| {
+            assert!(solo.is_none(), "run_solo called inside a solo run");
+            *solo = Some(Solo {
+                mem: std::mem::take(mem),
+                pid,
+            });
+        });
+        Lent { mem }
+    }
+}
+
+impl Drop for Lent<'_> {
+    fn drop(&mut self) {
+        if let Some(solo) = SOLO.take() {
+            *self.mem = solo.mem;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use ruo::metrics::ExploreGauges;
 use ruo::sim::explore::{assert_all_schedules_pass, enumerate, explore, ExploreConfig, ExploreOp};
 use ruo::sim::lin::{check_exact, check_interval};
 use ruo::sim::spec::SeqSpec;
-use ruo::sim::{Machine, Memory, ObjId, OpDesc, Prim, ProcessId, Word, NEG_INF};
+use ruo::sim::{run_solo, Machine, Memory, ObjId, OpDesc, Prim, ProcessId, Word, NEG_INF};
 
 /// One `WriteMax(1)` racing two readers against the real Algorithm A:
 /// fully exhaustive (the write is 10 events, each reader 1), checking
@@ -231,11 +231,7 @@ fn scaled_scope_three_writers_one_reader_fast_path() {
         let reg = SimTreeMaxRegister::with_root_fast_path(&mut mem, 4);
         // Seed: WriteMax(3) runs solo to completion before the scope —
         // afterwards the root holds 3 and dominates two of the writers.
-        let mut seed = reg.write_max(ProcessId(0), 3);
-        while let Some(prim) = seed.enabled() {
-            let resp = mem.apply(ProcessId(0), prim).resp;
-            seed.feed(resp);
-        }
+        run_solo(&mut mem, ProcessId(0), reg.write_max(ProcessId(0), 3));
         let machines = vec![
             reg.write_max(ProcessId(0), 4), // not dominated: probe + full write
             reg.write_max(ProcessId(1), 2), // strictly dominated: 1 root read
