@@ -112,9 +112,13 @@ fn main() {
     println!("\nReading the table:");
     println!("- Algorithm A / f(K)=1: the adversary keeps a large hidden set stepping for");
     println!("  as long as their WriteMax lasts — far above the log log K floor.");
-    println!("- CAS cell: lock-free but NOT wait-free — the construction starves writers");
-    println!("  forever (it only stops at the iteration cap). Theorem 3 assumes");
-    println!("  obstruction-freedom, which the cell has, so unbounded i* is consistent.");
+    println!("- CAS cell: lock-free but NOT wait-free. After one round of reads, each");
+    println!("  iteration lets one writer's CAS succeed and halts that writer; every other");
+    println!("  CAS fails, and its witness sends its writer straight into another CAS. So");
+    println!("  one writer leaves per iteration and none completes: i* = K − 3 until the");
+    println!("  essential set is too small, or the iteration cap from K = 1024. Theorem 3");
+    println!("  assumes obstruction-freedom, which the cell has, so an i* that grows with");
+    println!("  K is consistent.");
     println!("- AAC: the larger f(K) both raises the stopping threshold and shrinks the");
     println!("  predicted floor, exactly as the tradeoff says.");
 

@@ -2,7 +2,7 @@
 //!
 //! A balanced binary tree with one leaf per process. Leaf `i` is a plain
 //! single-writer register holding process `i`'s increment count; every
-//! internal node is an [`AacMaxRegister`] holding the sum of its
+//! internal node is an AAC max register holding the sum of its
 //! subtree's leaves. `CounterIncrement` bumps the caller's leaf and, at
 //! each node up the path, reads both children and `WriteMax`es their sum
 //! into the node (sums only grow, so a max register can carry them).
@@ -15,16 +15,114 @@
 //! introduction. Theorem 2 shows the read side is optimal and forces
 //! `Ω(log N)` increments, so the extra `log` factor on increments is the
 //! price of renouncing CAS.
+//!
+//! Both faces run one body over [`Cells`]: [`AacCounter`] on real cells
+//! (a word per leaf, packed one-byte switches per internal node) and
+//! [`SimAacCounter`] on simulator cells, so both take the same steps.
+//! Every internal node's register has the one [`AacShape`] of capacity
+//! `M + 1`; only its switches are its own. An incrementer stores into
+//! its own subtree's registers and then loads its sibling's, so every
+//! real access is `SeqCst` (DESIGN.md § Memory orderings): with
+//! release/acquire, two incrementers in sibling subtrees could each
+//! miss the other's switch and both write a sum short of the total.
 
 use std::fmt;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::AtomicU8;
+use std::sync::Arc;
 
-use ruo_sim::stepcount::CountingU64;
-use ruo_sim::ProcessId;
+use ruo_sim::stepcount::CountingI64;
+use ruo_sim::{Machine, Memory, ObjId, ProcessId, Word};
 
-use crate::maxreg::AacMaxRegister;
+use super::sim::SimCounter;
+use crate::cells::{real_bytes, real_cells, run, Cells};
+use crate::maxreg::aac::{aac_read, aac_write, AacShape};
+use crate::pad::CachePadded;
 use crate::shape::TreeShape;
-use crate::traits::{Counter, MaxRegister};
+use crate::traits::Counter;
+
+/// A node's cells: a leaf's single-writer count, or an internal node's
+/// max register switches.
+#[derive(Debug)]
+enum NodeCells<L: ?Sized, S: ?Sized> {
+    Leaf(Box<L>),
+    Switches(Box<S>),
+}
+
+/// The AAC counter's tree and its cells: leaf count cells `L` and
+/// switch tables `S`.
+#[derive(Debug)]
+struct AacTree<L: ?Sized, S: ?Sized> {
+    shape: TreeShape,
+    root: usize,
+    /// The leaf of each process.
+    leaves: Vec<usize>,
+    /// Per node, in node order.
+    cells: Vec<NodeCells<L, S>>,
+    /// The shape of every internal node's register.
+    reg: AacShape,
+}
+
+impl<L: Cells + ?Sized, S: Cells + ?Sized> AacTree<L, S> {
+    /// Lays out the tree for `n` processes and at most `max_increments`
+    /// increments; `alloc` makes a node's cells from its switch count,
+    /// `None` for a leaf.
+    fn new(
+        n: usize,
+        max_increments: u64,
+        mut alloc: impl FnMut(Option<usize>) -> NodeCells<L, S>,
+    ) -> Self {
+        assert!(n >= 1, "at least one process required");
+        assert!(max_increments >= 1, "bound must be positive");
+        let mut shape = TreeShape::new();
+        let (root, leaves) = shape.build_complete(n);
+        let reg = AacShape::new(max_increments + 1);
+        let cells = (0..shape.len())
+            .map(|idx| alloc((!shape.node(idx).is_leaf()).then_some(reg.switch_count())))
+            .collect();
+        AacTree {
+            shape,
+            root,
+            leaves,
+            cells,
+            reg,
+        }
+    }
+
+    /// The count below `child`: `0` for a missing child, a leaf's cell,
+    /// or an internal node's max register.
+    async fn count(&self, child: Option<usize>) -> u64 {
+        match child.map(|i| &self.cells[i]) {
+            None => 0,
+            Some(NodeCells::Leaf(cell)) => cell.load(0).await as u64,
+            Some(NodeCells::Switches(switches)) => aac_read(&**switches, &self.reg).await,
+        }
+    }
+
+    /// Bumps process `p`'s leaf count, then walks to the root, writing at
+    /// each ancestor the sum of its children's counts into its max
+    /// register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a sum exceeds the restricted-use bound.
+    async fn increment(&self, p: usize) {
+        let mut node = self.leaves[p];
+        let NodeCells::Leaf(own) = &self.cells[node] else {
+            unreachable!("a process owns a leaf")
+        };
+        let c = own.load(0).await;
+        own.store(0, c + 1).await;
+        while let Some(parent) = self.shape.parent(node) {
+            let info = self.shape.node(parent);
+            let sum = self.count(info.left).await + self.count(info.right).await;
+            let NodeCells::Switches(switches) = &self.cells[parent] else {
+                unreachable!("a parent is an internal node")
+            };
+            aac_write(&**switches, &self.reg, sum).await;
+            node = parent;
+        }
+    }
+}
 
 /// Restricted-use wait-free counter from reads and writes only:
 /// `O(log M)` reads, `O(log N · log M)` increments, supporting at most
@@ -41,22 +139,14 @@ use crate::traits::{Counter, MaxRegister};
 /// assert_eq!(counter.read(), 2);
 /// ```
 pub struct AacCounter {
-    shape: TreeShape,
-    root: usize,
-    leaves: Vec<usize>,
-    /// Single-writer per-process counts, indexed by leaf node id.
-    leaf_cells: Vec<CountingU64>,
-    /// Internal-node max registers, indexed by node id (leaf slots are
-    /// `None`).
-    registers: Vec<Option<AacMaxRegister>>,
-    max_increments: u64,
+    tree: AacTree<[CachePadded<CountingI64>], [AtomicU8]>,
 }
 
 impl fmt::Debug for AacCounter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AacCounter")
-            .field("n", &self.leaves.len())
-            .field("max_increments", &self.max_increments)
+            .field("n", &self.n())
+            .field("max_increments", &self.max_increments())
             .finish()
     }
 }
@@ -70,54 +160,21 @@ impl AacCounter {
     ///
     /// Panics if `n == 0` or `max_increments == 0`.
     pub fn new(n: usize, max_increments: u64) -> Self {
-        assert!(n >= 1, "at least one process required");
-        assert!(max_increments >= 1, "bound must be positive");
-        let mut shape = TreeShape::new();
-        let (root, leaves) = shape.build_complete(n);
-        shape.fix_depths(root);
-        let leaf_cells = (0..shape.len()).map(|_| CountingU64::new(0)).collect();
-        let registers = (0..shape.len())
-            .map(|idx| {
-                if shape.node(idx).is_leaf() {
-                    None
-                } else {
-                    Some(AacMaxRegister::new(max_increments + 1))
-                }
-            })
-            .collect();
-        AacCounter {
-            shape,
-            root,
-            leaves,
-            leaf_cells,
-            registers,
-            max_increments,
-        }
+        let tree = AacTree::new(n, max_increments, |switches| match switches {
+            None => NodeCells::Leaf(real_cells(1, 0)),
+            Some(len) => NodeCells::Switches(real_bytes(len)),
+        });
+        AacCounter { tree }
     }
 
     /// Number of processes sharing the counter.
     pub fn n(&self) -> usize {
-        self.leaves.len()
+        self.tree.leaves.len()
     }
 
     /// The restricted-use bound on total increments.
     pub fn max_increments(&self) -> u64 {
-        self.max_increments
-    }
-
-    /// Reads the value at node `idx`: the leaf cell for leaves, the max
-    /// register for internal nodes.
-    fn node_value(&self, idx: usize, pid: ProcessId) -> u64 {
-        match &self.registers[idx] {
-            Some(reg) => {
-                let _ = pid;
-                reg.read_max()
-            }
-            // SeqCst: sibling-leaf reads during sum propagation pair
-            // with the SeqCst leaf store in `increment` (store-buffering
-            // — DESIGN.md § Memory orderings).
-            None => self.leaf_cells[idx].load(Ordering::SeqCst),
-        }
+        self.tree.reg.capacity() - 1
     }
 }
 
@@ -127,35 +184,67 @@ impl Counter for AacCounter {
     /// Panics if the restricted-use bound is exceeded (an internal
     /// `WriteMax` would overflow its register).
     fn increment(&self, pid: ProcessId) {
-        let leaf = self.leaves[pid.index()];
-        // Relaxed: the leaf is single-writer, so this load only reads the
-        // caller's own last store. The store below stays SeqCst: a
-        // concurrent incrementer publishes its leaf and then reads ours
-        // via `node_value` — the store-buffering pattern that
-        // Release/Acquire would not forbid (DESIGN.md § Memory
-        // orderings).
-        let c = self.leaf_cells[leaf].load(Ordering::Relaxed);
-        self.leaf_cells[leaf].store(c + 1, Ordering::SeqCst);
-        for node in self.shape.ancestors(leaf) {
-            let info = self.shape.node(node);
-            let l = info.left.map_or(0, |i| self.node_value(i, pid));
-            let r = info.right.map_or(0, |i| self.node_value(i, pid));
-            self.registers[node]
-                .as_ref()
-                .expect("ancestors are internal nodes")
-                .write_max(pid, l + r);
-        }
+        run(self.tree.increment(pid.index()));
     }
 
     fn read(&self) -> u64 {
-        self.node_value(self.root, ProcessId(0))
+        run(self.tree.count(Some(self.tree.root)))
+    }
+}
+
+/// The AAC counter as step machines, on the same body: `CounterRead` is
+/// `O(log M)`, `CounterIncrement` is `O(log N · log M)`.
+#[derive(Debug)]
+pub struct SimAacCounter {
+    tree: Arc<AacTree<[ObjId], [ObjId]>>,
+}
+
+impl SimAacCounter {
+    /// Allocates all cells in `mem`, node by node, for `n` processes and
+    /// at most `max_increments` total increments.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0` or `max_increments == 0`.
+    pub fn new(mem: &mut Memory, n: usize, max_increments: u64) -> Self {
+        let tree = AacTree::new(n, max_increments, |switches| match switches {
+            None => NodeCells::Leaf(mem.alloc_n(1, 0).into()),
+            Some(len) => NodeCells::Switches(mem.alloc_n(len, 0).into()),
+        });
+        SimAacCounter {
+            tree: Arc::new(tree),
+        }
+    }
+
+    /// The restricted-use bound on total increments.
+    pub fn max_increments(&self) -> u64 {
+        self.tree.reg.capacity() - 1
+    }
+}
+
+impl SimCounter for SimAacCounter {
+    fn n(&self) -> usize {
+        self.tree.leaves.len()
+    }
+
+    fn increment(&self, pid: ProcessId) -> Machine {
+        let tree = Arc::clone(&self.tree);
+        Machine::new(async move {
+            tree.increment(pid.index()).await;
+            0
+        })
+    }
+
+    fn read(&self, _pid: ProcessId) -> Machine {
+        let tree = Arc::clone(&self.tree);
+        Machine::new(async move { tree.count(Some(tree.root)).await as Word })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn fresh_counter_reads_zero() {

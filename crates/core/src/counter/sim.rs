@@ -4,22 +4,19 @@
 //! the Lemma 1 adversary in `ruo-lowerbound` drives these machines one
 //! enabled event at a time.
 //!
-//! The f-array, sharded and approximate counters derive their machines
-//! from the bodies they ship with ([`crate::cells`]) and live beside
-//! them. Below are the AAC counter's machines, still written apart from
-//! its real face, and two counters that exist only in the simulator:
-//! the CAS loop and Corollary 1's snapshot counter.
+//! The f-array, sharded, approximate and AAC counters derive their
+//! machines from the bodies they ship with ([`crate::cells`]) and live
+//! beside them. Below are two counters that exist only in the
+//! simulator: the CAS loop and Corollary 1's snapshot counter.
 
 use std::sync::Arc;
 
 use ruo_sim::{Machine, Memory, ObjId, Prim, ProcessId, Word};
 
+pub use super::aac::SimAacCounter;
 pub use super::farray::SimFArrayCounter;
 pub use super::sharded::SimShardedCounter;
 use crate::cells::Cells;
-use crate::maxreg::aac::AacShape;
-use crate::maxreg::sim::{aac_read, aac_write};
-use crate::shape::TreeShape;
 use crate::snapshot::double_collect;
 
 /// A counter whose operations are simulator step machines.
@@ -33,112 +30,6 @@ pub trait SimCounter: Send + Sync {
     /// A `CounterRead` as a step machine; the machine's result is the
     /// count.
     fn read(&self, pid: ProcessId) -> Machine;
-}
-
-/// The AAC read/write-only counter as step machines: `CounterRead` is
-/// `O(log M)`, `CounterIncrement` is `O(log N · log M)`.
-#[derive(Debug)]
-pub struct SimAacCounter {
-    tree: Arc<AacCounterTree>,
-    leaves: Vec<usize>,
-    max_increments: u64,
-}
-
-/// The AAC counter's tree and its cells: each process owns a leaf
-/// count, and each internal node is an AAC max register holding the sum
-/// of its children.
-#[derive(Debug)]
-struct AacCounterTree {
-    shape: TreeShape,
-    root: usize,
-    /// Per node: a leaf's one single-writer cell, or an internal node's
-    /// max register switch cells.
-    cells: Vec<Box<[ObjId]>>,
-    reg: AacShape,
-}
-
-impl AacCounterTree {
-    /// The count below `child`: `0` for a missing child, a leaf's cell,
-    /// or an internal node's max register.
-    async fn count(&self, child: Option<usize>) -> u64 {
-        match child {
-            None => 0,
-            Some(i) if self.shape.node(i).is_leaf() => self.cells[i].load(0).await as u64,
-            Some(i) => aac_read(&*self.cells[i], &self.reg).await,
-        }
-    }
-
-    /// Bumps `leaf`'s count, then walks to the root, writing at each
-    /// ancestor the sum of its children's counts into its max register.
-    async fn increment(&self, leaf: usize) {
-        let own = &*self.cells[leaf];
-        let c = own.load(0).await;
-        own.store(0, c + 1).await;
-        let mut node = leaf;
-        while let Some(parent) = self.shape.parent(node) {
-            let info = self.shape.node(parent);
-            let sum = self.count(info.left).await + self.count(info.right).await;
-            aac_write(&*self.cells[parent], &self.reg, sum).await;
-            node = parent;
-        }
-    }
-}
-
-impl SimAacCounter {
-    /// Allocates all cells in `mem` for `n` processes and at most
-    /// `max_increments` total increments.
-    pub fn new(mem: &mut Memory, n: usize, max_increments: u64) -> Self {
-        assert!(n >= 1);
-        assert!(max_increments >= 1);
-        let mut shape = TreeShape::new();
-        let (root, leaves) = shape.build_complete(n);
-        shape.fix_depths(root);
-        let reg = AacShape::new(max_increments + 1);
-        let cells = (0..shape.len())
-            .map(|idx| {
-                let len = if shape.node(idx).is_leaf() {
-                    1
-                } else {
-                    reg.switch_count()
-                };
-                mem.alloc_n(len, 0).into()
-            })
-            .collect();
-        SimAacCounter {
-            tree: Arc::new(AacCounterTree {
-                shape,
-                root,
-                cells,
-                reg,
-            }),
-            leaves,
-            max_increments,
-        }
-    }
-
-    /// The restricted-use bound on total increments.
-    pub fn max_increments(&self) -> u64 {
-        self.max_increments
-    }
-}
-
-impl SimCounter for SimAacCounter {
-    fn n(&self) -> usize {
-        self.leaves.len()
-    }
-
-    fn increment(&self, pid: ProcessId) -> Machine {
-        let (tree, leaf) = (Arc::clone(&self.tree), self.leaves[pid.index()]);
-        Machine::new(async move {
-            tree.increment(leaf).await;
-            0
-        })
-    }
-
-    fn read(&self, _pid: ProcessId) -> Machine {
-        let tree = Arc::clone(&self.tree);
-        Machine::new(async move { tree.count(Some(tree.root)).await as Word })
-    }
 }
 
 /// The single-cell CAS-loop counter as step machines: both operations
@@ -160,11 +51,12 @@ impl SimCasLoopCounter {
 }
 
 /// Adds one to `cells[cell]`: read it and CAS the successor in,
-/// retrying from the read when the CAS fails.
+/// retrying from a fresh read when the CAS fails (the textbook loop,
+/// which T1's CAS-loop row measures).
 async fn cas_loop_increment<C: Cells + ?Sized>(cells: &C, cell: usize) {
     loop {
         let v = cells.load(cell).await;
-        if cells.cas(cell, v, v + 1).await == 1 {
+        if cells.cas(cell, v, v + 1).await == v {
             return;
         }
     }

@@ -117,7 +117,7 @@ pub(crate) async fn climb<A: Aggregation, C: Cells + ?Sized>(cells: &C, path: &[
             let new = A::combine(left, child::<A, C>(cells, step.right).await);
             // Monotone children make `new` cover `old`; equality means
             // the node already holds what we just read.
-            if new == old || cells.cas(node, old, new).await == 1 {
+            if new == old || cells.cas(node, old, new).await == old {
                 break;
             }
         }

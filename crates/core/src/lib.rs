@@ -28,14 +28,12 @@
 //! over [`cells::Cells`], polled once on real cells and stepped one
 //! access at a time on simulator cells. The f-array
 //! ([`farray::FArray`]) and its counter and max register, Algorithm A's
-//! real climb, and the sharded, approximate and double-collect objects
-//! are written that way.
+//! real climb, the sharded, approximate and double-collect objects, the
+//! CAS cell, and the AAC register and counter are written that way.
 //!
-//! The simulator faces still written apart from the real code are
-//! Algorithm A's (its always-double-CAS climb pins the benchmark's W5
-//! scope), the CAS cell and approximate max register's (their real
-//! faces use the CAS witness value, which the model's CAS does not
-//! return), and the AAC register and counter's.
+//! The one simulator face still written apart from the real code is
+//! Algorithm A's: its always-double-CAS climb pins the benchmark's W5
+//! scope.
 //!
 //! ## Quick start
 //!

@@ -15,13 +15,22 @@
 //! `O(log M)` steps, which the paper proves optimal for reads; this
 //! implementation is the read/write-only baseline that Algorithm A's
 //! `O(1)` reads are compared against.
+//!
+//! Each operation is one body over [`Cells`] (`aac_write`, `aac_read`):
+//! [`AacMaxRegister`] runs it on packed real one-byte switches and
+//! [`SimAacMaxRegister`] on simulator cells, so both faces take the same
+//! steps. The AAC counter keeps a table of switches at each internal
+//! node and runs the same two bodies on it. Switch loads and stores are
+//! `SeqCst`, like every real cell's (DESIGN.md § Memory orderings).
 
 use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::AtomicU8;
+use std::sync::Arc;
 
-use ruo_sim::stepcount;
-use ruo_sim::ProcessId;
+use ruo_sim::{Machine, Memory, ObjId, ProcessId, Word};
 
+use super::sim::SimMaxRegister;
+use crate::cells::{real_bytes, run, Cells};
 use crate::traits::MaxRegister;
 
 /// Hard cap on the register capacity.
@@ -91,19 +100,7 @@ impl AacShape {
     /// tree is materialized eagerly, so capacities near the cap already
     /// commit gigabytes (see [`AacShape::estimated_bytes`]).
     pub fn new(capacity: u64) -> Self {
-        assert!(capacity >= 1, "capacity must be positive");
-        assert!(
-            capacity <= MAX_CAPACITY,
-            "capacity {capacity} exceeds MAX_CAPACITY ({MAX_CAPACITY}): the switch tree \
-             materializes eagerly and would need ~{} MiB",
-            AacShape::estimated_bytes(capacity) >> 20
-        );
-        let mut shape = AacShape {
-            nodes: Vec::new(),
-            root: 0,
-            capacity,
-            switches: 0,
-        };
+        let mut shape = Self::empty(capacity);
         shape.root = shape.build(capacity);
         shape
     }
@@ -123,6 +120,13 @@ impl AacShape {
     /// Panics if `capacity` is `0` or exceeds [`MAX_CAPACITY`] (same
     /// eager-materialization concern as [`AacShape::new`]).
     pub fn new_unbalanced(capacity: u64) -> Self {
+        let mut shape = Self::empty(capacity);
+        shape.root = shape.build_unbalanced(capacity, 1);
+        shape
+    }
+
+    /// A shape with no nodes yet, for values `0 .. capacity`.
+    fn empty(capacity: u64) -> Self {
         assert!(capacity >= 1, "capacity must be positive");
         assert!(
             capacity <= MAX_CAPACITY,
@@ -130,14 +134,12 @@ impl AacShape {
              materializes eagerly and would need ~{} MiB",
             AacShape::estimated_bytes(capacity) >> 20
         );
-        let mut shape = AacShape {
+        AacShape {
             nodes: Vec::new(),
             root: 0,
             capacity,
             switches: 0,
-        };
-        shape.root = shape.build_unbalanced(capacity, 1);
-        shape
+        }
     }
 
     fn build_unbalanced(&mut self, cap: u64, group: u64) -> usize {
@@ -399,9 +401,7 @@ impl AacMaxRegister {
     }
 
     fn with_shape(shape: AacShape) -> Self {
-        let switches = (0..shape.switch_count())
-            .map(|_| AtomicU8::new(0))
-            .collect();
+        let switches = real_bytes(shape.switch_count());
         AacMaxRegister { shape, switches }
     }
 
@@ -413,16 +413,6 @@ impl AacMaxRegister {
     /// The shared switch-tree shape.
     pub fn shape(&self) -> &AacShape {
         &self.shape
-    }
-
-    fn switch_is_set(&self, idx: usize) -> bool {
-        // Switches are `AtomicU8`, outside `CountingU64`; count the
-        // primitive by hand so step tallies match the paper's measure.
-        stepcount::count_read();
-        // Acquire pairs with the Release store in `descend_write`: a set
-        // switch publishes every deeper switch the writer set before it
-        // (classic message passing — DESIGN.md § Memory orderings).
-        self.switches[idx].load(Ordering::Acquire) != 0
     }
 
     /// Writes `v` if it fits the bound.
@@ -437,51 +427,8 @@ impl AacMaxRegister {
                 capacity: self.shape.capacity(),
             });
         }
-        self.descend_write(self.shape.root(), v);
+        run(aac_write(&*self.switches, &self.shape, v));
         Ok(())
-    }
-
-    fn descend_write(&self, mut idx: usize, v: u64) {
-        loop {
-            let node = *self.shape.node(idx);
-            let (Some(left), Some(right), Some(switch)) = (node.left, node.right, node.switch)
-            else {
-                return; // unit leaf: value 0, nothing to store
-            };
-            if v >= node.half {
-                // Descend right with the shifted value, then set the
-                // switch — the order matters: once the switch is set,
-                // readers go right and must find the value there.
-                // Release publishes the deeper switches to the Acquire
-                // load in `switch_is_set`.
-                self.descend_write(right, v - node.half);
-                stepcount::count_write();
-                self.switches[switch].store(1, Ordering::Release);
-                return;
-            }
-            // Lower half: only meaningful while the switch is unset.
-            if self.switch_is_set(switch) {
-                return;
-            }
-            idx = left;
-        }
-    }
-
-    fn read_from(&self, mut idx: usize) -> u64 {
-        let mut base = 0u64;
-        loop {
-            let node = *self.shape.node(idx);
-            let (Some(left), Some(right), Some(switch)) = (node.left, node.right, node.switch)
-            else {
-                return base;
-            };
-            if self.switch_is_set(switch) {
-                base += node.half;
-                idx = right;
-            } else {
-                idx = left;
-            }
-        }
     }
 }
 
@@ -497,14 +444,147 @@ impl MaxRegister for AacMaxRegister {
     }
 
     fn read_max(&self) -> u64 {
-        self.read_from(self.shape.root())
+        run(aac_read(&*self.switches, &self.shape))
+    }
+}
+
+/// The AAC write of `v` over the switch `cells` of `shape`: descend
+/// from the root, right (shifted down by the split) while `v` is in the
+/// upper half and left while the left turn's switch is unset; a set one
+/// means a larger value is already written, and the descent stops
+/// there. Then set the switches of the right turns, deepest first, so
+/// a reader that follows a set switch finds the value below it.
+///
+/// # Panics
+///
+/// Panics if `v` does not fit the register (`v >= capacity`).
+pub(crate) async fn aac_write<C: Cells + ?Sized>(cells: &C, shape: &AacShape, mut v: u64) {
+    assert!(
+        v < shape.capacity(),
+        "value {v} exceeds the AAC register bound {}",
+        shape.capacity()
+    );
+    // The right turns' switches, in descent order, on the stack: a
+    // shape of capacity `M ≤ MAX_CAPACITY` is at most
+    // `2·⌈log₂ M⌉ + 1 ≤ 53` levels deep.
+    let (mut right_turns, mut turns) = ([0; 64], 0);
+    let mut idx = shape.root();
+    while let AacNode {
+        left: Some(left),
+        right: Some(right),
+        switch: Some(switch),
+        half,
+        ..
+    } = *shape.node(idx)
+    {
+        if v >= half {
+            right_turns[turns] = switch;
+            turns += 1;
+            v -= half;
+            idx = right;
+        } else if cells.load(switch).await != 0 {
+            break;
+        } else {
+            idx = left;
+        }
+    }
+    for &switch in right_turns[..turns].iter().rev() {
+        cells.store(switch, 1).await;
+    }
+}
+
+/// The AAC read over the switch `cells` of `shape`: follow the switches
+/// down from the root, adding the split at each set one.
+pub(crate) async fn aac_read<C: Cells + ?Sized>(cells: &C, shape: &AacShape) -> u64 {
+    let (mut idx, mut base) = (shape.root(), 0);
+    while let AacNode {
+        left: Some(left),
+        right: Some(right),
+        switch: Some(switch),
+        half,
+        ..
+    } = *shape.node(idx)
+    {
+        if cells.load(switch).await != 0 {
+            base += half;
+            idx = right;
+        } else {
+            idx = left;
+        }
+    }
+    base
+}
+
+/// The AAC register as step machines, on the same bodies: both
+/// operations are `O(log M)` steps.
+#[derive(Debug)]
+pub struct SimAacMaxRegister {
+    shape: Arc<AacShape>,
+    switches: Arc<[ObjId]>,
+    n: usize,
+}
+
+impl SimAacMaxRegister {
+    /// Allocates the switch cells (all unset) in `mem`, balanced shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is invalid (see [`AacShape::new`]).
+    pub fn new(mem: &mut Memory, n: usize, capacity: u64) -> Self {
+        Self::with_shape(mem, n, AacShape::new(capacity))
+    }
+
+    /// Allocates the Bentley–Yao-skewed variant: operations on value `v`
+    /// cost `O(min(log capacity, log v))` steps.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is invalid (see [`AacShape::new_unbalanced`]).
+    pub fn new_unbalanced(mem: &mut Memory, n: usize, capacity: u64) -> Self {
+        Self::with_shape(mem, n, AacShape::new_unbalanced(capacity))
+    }
+
+    fn with_shape(mem: &mut Memory, n: usize, shape: AacShape) -> Self {
+        let switches = mem.alloc_n(shape.switch_count(), 0);
+        SimAacMaxRegister {
+            shape: Arc::new(shape),
+            switches: switches.into(),
+            n,
+        }
+    }
+
+    /// The register's capacity `M`.
+    pub fn capacity(&self) -> u64 {
+        self.shape.capacity()
+    }
+}
+
+impl SimMaxRegister for SimAacMaxRegister {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    /// # Panics
+    ///
+    /// Panics if `v` exceeds the register's bound.
+    fn write_max(&self, _pid: ProcessId, v: u64) -> Machine {
+        let (shape, switches) = (Arc::clone(&self.shape), Arc::clone(&self.switches));
+        Machine::new(async move {
+            aac_write(&*switches, &shape, v).await;
+            0
+        })
+    }
+
+    fn read_max(&self, _pid: ProcessId) -> Machine {
+        let (shape, switches) = (Arc::clone(&self.shape), Arc::clone(&self.switches));
+        Machine::new(async move { aac_read(&*switches, &shape).await as Word })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn shape_counts_match_capacity() {
@@ -602,6 +682,16 @@ mod tests {
         let balanced = AacShape::new(1 << 16);
         assert_eq!(balanced.value_depth(0), 16);
         assert!(shape.value_depth(1) < balanced.value_depth(1));
+    }
+
+    #[test]
+    fn shapes_are_at_most_twice_log_capacity_plus_one_deep() {
+        for cap in [1u64, 2, 3, 5, 64, 1000, 1 << 16] {
+            let bound = 2 * (64 - (cap - 1).leading_zeros()) as usize + 1;
+            assert!(AacShape::new(cap).depth() <= bound, "balanced, cap={cap}");
+            let unbalanced = AacShape::new_unbalanced(cap).depth();
+            assert!(unbalanced <= bound, "unbalanced, cap={cap}: {unbalanced}");
+        }
     }
 
     #[test]

@@ -24,14 +24,21 @@
 //! exact value and the object reduces to the exact
 //! [`CasRetryMaxRegister`](crate::maxreg::CasRetryMaxRegister) bit for
 //! bit.
+//!
+//! Both faces raise the code cell with the CAS cell's one body
+//! (`raise`, retrying from the CAS witness): [`ApproxMaxRegister`] on
+//! one real cell, [`SimApproxMaxRegister`] on one simulator cell, so
+//! they take the same steps.
 
 use std::fmt;
 use std::sync::atomic::Ordering;
 
-use ruo_sim::stepcount::CountingU64;
+use ruo_sim::stepcount::CountingI64;
 use ruo_sim::{access, Machine, Memory, ObjId, Prim, ProcessId, Word};
 
-use super::sim::{raise, SimMaxRegister};
+use super::cas_retry::raise;
+use super::sim::SimMaxRegister;
+use crate::cells::run;
 use crate::pad::CachePadded;
 use crate::traits::MaxRegister;
 use crate::value::MAX_VALUE;
@@ -88,7 +95,7 @@ fn decode(code: u64, k: u64) -> u64 {
 /// ```
 pub struct ApproxMaxRegister {
     /// The bucket-code cell; `0` = nothing written.
-    cell: CachePadded<CountingU64>,
+    cell: [CachePadded<CountingI64>; 1],
     k: u64,
 }
 
@@ -110,7 +117,7 @@ impl ApproxMaxRegister {
     pub fn new(k: u64) -> Self {
         assert!(k >= 1, "accuracy factor k must be >= 1");
         ApproxMaxRegister {
-            cell: CachePadded::new(CountingU64::new(0)),
+            cell: Default::default(),
             k,
         }
     }
@@ -127,31 +134,19 @@ impl MaxRegister for ApproxMaxRegister {
             return;
         }
         assert!(v <= MAX_VALUE, "value {v} exceeds MAX_VALUE");
-        let code = encode(v, self.k);
-        // Same single-cell discipline as CasRetryMaxRegister: the cell's
-        // modification order is the linearization order, and returning
-        // on `cur >= code` is sound because the observed covering write
-        // already placed the true maximum in our bucket or above.
-        let mut cur = self.cell.load(Ordering::Acquire);
-        while cur < code {
-            match self
-                .cell
-                .compare_exchange(cur, code, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+        // A covering code already in the cell placed the true maximum in
+        // our bucket or above, so `raise` returning on it is sound.
+        run(raise(&self.cell[..], 0, encode(v, self.k) as Word));
     }
 
     fn read_max(&self) -> u64 {
-        decode(self.cell.load(Ordering::Acquire), self.k)
+        decode(self.cell[0].load(Ordering::Acquire) as u64, self.k)
     }
 }
 
 /// The k-accurate max register as step machines: `ReadMax` is exactly 1
-/// step; `WriteMax` is 1 step when dominated, `1 + 2·retries` otherwise
-/// (lock-free, like the real face).
+/// step; `WriteMax` is 1 step when dominated, and otherwise one load
+/// plus one CAS per attempt (lock-free, like the real face).
 #[derive(Debug)]
 pub struct SimApproxMaxRegister {
     cell: ObjId,

@@ -1,23 +1,50 @@
 //! The obvious single-cell max register: a CAS retry loop.
 //!
 //! `ReadMax` is one load; `WriteMax(v)` reads the cell and CASes `v` in
-//! if it is larger, retrying on interference. Both operations are `O(1)`
-//! steps *when run solo* — but the write is only **lock-free**, not
-//! wait-free: an unlucky writer can be starved by faster writers forever.
-//! The paper's tradeoffs are about *wait-free / obstruction-free
-//! worst-case step complexity*, which this baseline sidesteps rather than
-//! beats; it exists to anchor the benchmarks at "what a single CAS cell
-//! buys you".
+//! if it is larger, retrying from the CAS's witness on interference.
+//! Both operations are `O(1)` steps *when run solo* — but the write is
+//! only **lock-free**, not wait-free: an unlucky writer can be starved
+//! by faster writers forever. The paper's tradeoffs are about
+//! *wait-free / obstruction-free worst-case step complexity*, which
+//! this baseline sidesteps rather than beats; it exists to anchor the
+//! benchmarks at "what a single CAS cell buys you".
+//!
+//! The write is one body, [`raise`], over [`Cells`]:
+//! [`CasRetryMaxRegister`] runs it on one real cell and
+//! [`SimCasRetryMaxRegister`] on one simulator cell, so both faces take
+//! the same steps. The k-accurate register raises its code cell with
+//! the same body.
 
 use std::fmt;
 use std::sync::atomic::Ordering;
 
-use ruo_sim::stepcount::CountingU64;
-use ruo_sim::ProcessId;
+use ruo_sim::stepcount::CountingI64;
+use ruo_sim::{Machine, Memory, ObjId, Prim, ProcessId, Word};
 
+use super::sim::SimMaxRegister;
+use crate::cells::{run, Cells};
 use crate::pad::CachePadded;
 use crate::traits::MaxRegister;
-use crate::value::MAX_VALUE;
+use crate::value::to_word;
+
+/// Raises `cells[cell]` to at least `v`: read it, return when it holds
+/// `v` or more, and CAS `v` in otherwise. A failed CAS witnesses the
+/// cell's current value, and the loop goes on from that value with no
+/// re-read (lock-free).
+///
+/// A single cell's modification order is the linearization order, so
+/// returning on a value `≥ v` is sound: the write that put it there
+/// already covers ours.
+pub(crate) async fn raise<C: Cells + ?Sized>(cells: &C, cell: usize, v: Word) {
+    let mut cur = cells.load(cell).await;
+    while cur < v {
+        let witness = cells.cas(cell, cur, v).await;
+        if witness == cur {
+            return;
+        }
+        cur = witness;
+    }
+}
 
 /// Lock-free single-cell max register (CAS retry loop).
 ///
@@ -33,15 +60,15 @@ use crate::value::MAX_VALUE;
 /// ```
 #[derive(Default)]
 pub struct CasRetryMaxRegister {
-    /// Padded so the register never false-shares with whatever the
-    /// embedding structure allocates next to it.
-    cell: CachePadded<CountingU64>,
+    /// One cell, padded so the register never false-shares with
+    /// whatever the embedding structure allocates next to it.
+    cell: [CachePadded<CountingI64>; 1],
 }
 
 impl fmt::Debug for CasRetryMaxRegister {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CasRetryMaxRegister")
-            .field("value", &self.cell.load(Ordering::Relaxed))
+            .field("value", &self.cell[0].load(Ordering::Relaxed))
             .finish()
     }
 }
@@ -54,27 +81,53 @@ impl CasRetryMaxRegister {
 }
 
 impl MaxRegister for CasRetryMaxRegister {
+    /// # Panics
+    ///
+    /// Panics if `v` exceeds [`MAX_VALUE`](crate::value::MAX_VALUE).
     fn write_max(&self, _pid: ProcessId, v: u64) {
-        assert!(v <= MAX_VALUE, "value {v} exceeds MAX_VALUE");
-        // Single-cell object: every operation is one atomic access, so
-        // AcqRel/Acquire suffice — the cell's modification order is the
-        // linearization order (DESIGN.md § Memory orderings). Returning
-        // on `cur >= v` is sound because the Acquire load orders the
-        // observed covering write before our completion.
-        let mut cur = self.cell.load(Ordering::Acquire);
-        while cur < v {
-            match self
-                .cell
-                .compare_exchange(cur, v, Ordering::AcqRel, Ordering::Acquire)
-            {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
+        run(raise(&self.cell[..], 0, to_word(v)));
     }
 
     fn read_max(&self) -> u64 {
-        self.cell.load(Ordering::Acquire)
+        // One load of a single cell: Acquire orders the write it reads
+        // before our completion (DESIGN.md § Memory orderings).
+        self.cell[0].load(Ordering::Acquire) as u64
+    }
+}
+
+/// The single-cell CAS-retry register as step machines, on the same
+/// body: `ReadMax` is 1 step, a solo `WriteMax` 2.
+#[derive(Debug)]
+pub struct SimCasRetryMaxRegister {
+    cell: ObjId,
+    n: usize,
+}
+
+impl SimCasRetryMaxRegister {
+    /// Allocates the cell (value `0`) in `mem`.
+    pub fn new(mem: &mut Memory, n: usize) -> Self {
+        SimCasRetryMaxRegister {
+            cell: mem.alloc(0),
+            n,
+        }
+    }
+}
+
+impl SimMaxRegister for SimCasRetryMaxRegister {
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn write_max(&self, _pid: ProcessId, v: u64) -> Machine {
+        let (cell, w) = ([self.cell], to_word(v));
+        Machine::new(async move {
+            raise(&cell[..], 0, w).await;
+            0
+        })
+    }
+
+    fn read_max(&self, _pid: ProcessId) -> Machine {
+        Machine::single(Prim::Read(self.cell), |w| w)
     }
 }
 

@@ -4,21 +4,20 @@
 //! exact, schedules are adversary-controlled, and the lower-bound
 //! constructions of `ruo-lowerbound` can be run against them.
 //!
-//! The f-array register's machines derive from the body it ships with
-//! ([`SimFArrayMaxRegister`], beside its real face). The bodies below
-//! are written apart from their real faces: Algorithm A's always CASes
-//! twice per level, the AAC register's descends over simulator switch
-//! cells, and the CAS cell's reads the cell again after a failed CAS,
-//! where the real face uses the CAS witness value.
+//! The f-array, AAC, CAS-cell and k-accurate registers derive their
+//! machines from the bodies they ship with ([`crate::cells`]) and live
+//! beside their real faces. Algorithm A's machines below are still
+//! written apart from its real face: they always CAS twice per level.
 
 use std::sync::Arc;
 
 use ruo_sim::{Machine, Memory, ObjId, Prim, ProcessId, Word, NEG_INF};
 
+pub use super::aac::SimAacMaxRegister;
+pub use super::cas_retry::SimCasRetryMaxRegister;
 pub use super::farray::SimFArrayMaxRegister;
 use crate::cells::Cells;
 use crate::farray::{child, Max};
-use crate::maxreg::aac::{AacNode, AacShape};
 use crate::shape::{AlgorithmATree, NodeIdx, PathNode};
 use crate::value::{from_word, to_word};
 
@@ -193,179 +192,6 @@ impl SimMaxRegister for SimTreeMaxRegister {
     fn read_max(&self, _pid: ProcessId) -> Machine {
         let root = self.cells[self.tree.root()];
         Machine::single(Prim::Read(root), |w| from_word(w) as Word)
-    }
-}
-
-/// The AAC read/write-only register as step machines: both operations
-/// are `O(log M)` steps.
-#[derive(Debug)]
-pub struct SimAacMaxRegister {
-    shape: Arc<AacShape>,
-    switches: Arc<[ObjId]>,
-    n: usize,
-}
-
-impl SimAacMaxRegister {
-    /// Allocates the switch cells (all unset) in `mem`, balanced shape.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is invalid (see [`AacShape::new`]).
-    pub fn new(mem: &mut Memory, n: usize, capacity: u64) -> Self {
-        Self::with_shape(mem, n, AacShape::new(capacity))
-    }
-
-    /// Allocates the Bentley–Yao-skewed variant: operations on value `v`
-    /// cost `O(min(log capacity, log v))` steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is invalid (see [`AacShape::new_unbalanced`]).
-    pub fn new_unbalanced(mem: &mut Memory, n: usize, capacity: u64) -> Self {
-        Self::with_shape(mem, n, AacShape::new_unbalanced(capacity))
-    }
-
-    fn with_shape(mem: &mut Memory, n: usize, shape: AacShape) -> Self {
-        let switches = mem.alloc_n(shape.switch_count(), 0);
-        SimAacMaxRegister {
-            shape: Arc::new(shape),
-            switches: switches.into(),
-            n,
-        }
-    }
-
-    /// The register's capacity `M`.
-    pub fn capacity(&self) -> u64 {
-        self.shape.capacity()
-    }
-}
-
-/// The AAC write of `v` over the switch `cells` of `shape`: descend
-/// from the root, right (shifted down by the split) while `v` is in the
-/// upper half and left while the left turn's switch is unset; a set one
-/// means a larger value is already written, and the descent stops
-/// there. Then set the switches of the right turns, deepest first, so
-/// a reader that follows a set switch finds the value below it.
-pub(crate) async fn aac_write<C: Cells + ?Sized>(cells: &C, shape: &AacShape, mut v: u64) {
-    let mut right_turns = Vec::new();
-    let mut idx = shape.root();
-    while let AacNode {
-        left: Some(left),
-        right: Some(right),
-        switch: Some(switch),
-        half,
-        ..
-    } = *shape.node(idx)
-    {
-        if v >= half {
-            right_turns.push(switch);
-            v -= half;
-            idx = right;
-        } else if cells.load(switch).await != 0 {
-            break;
-        } else {
-            idx = left;
-        }
-    }
-    for &switch in right_turns.iter().rev() {
-        cells.store(switch, 1).await;
-    }
-}
-
-/// The AAC read over the switch `cells` of `shape`: follow the switches
-/// down from the root, adding the split at each set one.
-pub(crate) async fn aac_read<C: Cells + ?Sized>(cells: &C, shape: &AacShape) -> u64 {
-    let (mut idx, mut base) = (shape.root(), 0);
-    while let AacNode {
-        left: Some(left),
-        right: Some(right),
-        switch: Some(switch),
-        half,
-        ..
-    } = *shape.node(idx)
-    {
-        if cells.load(switch).await != 0 {
-            base += half;
-            idx = right;
-        } else {
-            idx = left;
-        }
-    }
-    base
-}
-
-impl SimMaxRegister for SimAacMaxRegister {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    /// # Panics
-    ///
-    /// Panics if `v` exceeds the register's bound.
-    fn write_max(&self, _pid: ProcessId, v: u64) -> Machine {
-        assert!(
-            v < self.shape.capacity(),
-            "value {v} exceeds the AAC register bound {}",
-            self.shape.capacity()
-        );
-        let (shape, switches) = (Arc::clone(&self.shape), Arc::clone(&self.switches));
-        Machine::new(async move {
-            aac_write(&*switches, &shape, v).await;
-            0
-        })
-    }
-
-    fn read_max(&self, _pid: ProcessId) -> Machine {
-        let (shape, switches) = (Arc::clone(&self.shape), Arc::clone(&self.switches));
-        Machine::new(async move { aac_read(&*switches, &shape).await as Word })
-    }
-}
-
-/// The single-cell CAS-retry register as step machines.
-#[derive(Debug)]
-pub struct SimCasRetryMaxRegister {
-    cell: ObjId,
-    n: usize,
-}
-
-impl SimCasRetryMaxRegister {
-    /// Allocates the cell (value `0`) in `mem`.
-    pub fn new(mem: &mut Memory, n: usize) -> Self {
-        SimCasRetryMaxRegister {
-            cell: mem.alloc(0),
-            n,
-        }
-    }
-}
-
-/// Raises `cells[cell]` to at least `v`: read it, return when it holds
-/// `v` or more, CAS `v` in otherwise, and retry from the read when the
-/// CAS fails (lock-free). The CAS-retry register's writes take it, and
-/// so do the k-accurate register's, on their code cell.
-pub(crate) async fn raise<C: Cells + ?Sized>(cells: &C, cell: usize, v: Word) {
-    loop {
-        let cur = cells.load(cell).await;
-        if cur >= v || cells.cas(cell, cur, v).await == 1 {
-            return;
-        }
-    }
-}
-
-impl SimMaxRegister for SimCasRetryMaxRegister {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn write_max(&self, _pid: ProcessId, v: u64) -> Machine {
-        let (cell, w) = ([self.cell], to_word(v));
-        Machine::new(async move {
-            raise(&cell[..], 0, w).await;
-            0
-        })
-    }
-
-    fn read_max(&self, _pid: ProcessId) -> Machine {
-        Machine::single(Prim::Read(self.cell), |w| w)
     }
 }
 

@@ -116,7 +116,7 @@ mod tests {
                 expected,
                 new,
             },
-            |ok| ok,
+            |witness| witness,
         )
     }
 
@@ -138,8 +138,9 @@ mod tests {
             phases,
             vec![Phase::ReadsAndTrivial, Phase::Writes, Phase::Cases]
         );
-        // The CAS ran after the write changed the value: it must fail.
-        assert_eq!(m0.result(), Some(0));
+        // The CAS ran after the write changed the value: it must fail,
+        // witnessing the written 5 rather than the expected 0.
+        assert_eq!(m0.result(), Some(5));
         // The reader ran first and saw the initial value.
         assert_eq!(m2.result(), Some(0));
         assert_eq!(mem.peek(o), 5);
@@ -232,10 +233,11 @@ mod tests {
             .collect();
         let mut tracker = FlowTracker::new(4);
         lemma1_round(&mut mem, &mut procs, &mut tracker);
+        // A CAS succeeded exactly when it witnessed the expected 0.
         let succeeded: Vec<usize> = machines
             .iter()
             .enumerate()
-            .filter(|(_, m)| m.result() == Some(1))
+            .filter(|(_, m)| m.result() == Some(0))
             .map(|(i, _)| i)
             .collect();
         assert_eq!(succeeded.len(), 1, "exactly one CAS may succeed");

@@ -89,7 +89,7 @@ impl PrimCounts {
             self.reads += 1;
         } else if ev.prim.is_write() {
             self.writes += 1;
-        } else if ev.resp == 1 {
+        } else if ev.cas_succeeded() {
             self.cas_ok += 1;
         } else {
             self.cas_fail += 1;
@@ -258,7 +258,7 @@ impl TraceEvent {
             "read"
         } else if ev.prim.is_write() {
             "write"
-        } else if ev.resp == 1 {
+        } else if ev.cas_succeeded() {
             "cas_ok"
         } else {
             "cas_fail"

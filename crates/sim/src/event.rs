@@ -7,7 +7,7 @@
 //! reads an execution (the log a caller hands
 //! [`Executor::run_recorded`](crate::Executor::run_recorded), a test's
 //! own loop). An event carries enough information (value before/after, CAS
-//! success) for the information-flow analysis in `ruo-lowerbound` to
+//! witness) for the information-flow analysis in `ruo-lowerbound` to
 //! recompute visibility, awareness and familiarity per Definitions 1–4.
 
 use crate::{ObjId, ProcessId, Word};
@@ -23,8 +23,10 @@ pub enum Prim {
     /// Write a value to the object.
     Write(ObjId, Word),
     /// `CAS(obj, expected, new)`: atomically replace the value with `new`
-    /// if it currently equals `expected`. Responds `1` on success and `0`
-    /// on failure.
+    /// if it currently equals `expected`. Responds with its witness, the
+    /// value the object held before it, as a hardware
+    /// `compare_exchange` does: the CAS succeeded exactly when the
+    /// witness equals `expected`.
     Cas {
         /// Target object.
         obj: ObjId,
@@ -91,7 +93,8 @@ pub struct Event {
     /// Value of the object immediately before the event.
     pub prev: Word,
     /// Response returned to the process (read: the value; write: `0`;
-    /// CAS: `1` on success, `0` on failure).
+    /// CAS: its witness, the value before it; see
+    /// [`cas_succeeded`](Event::cas_succeeded)).
     pub resp: Word,
 }
 
@@ -102,19 +105,21 @@ impl Event {
         self.prim.obj()
     }
 
+    /// Whether this event is a CAS that succeeded: its witness equals
+    /// `expected`.
+    #[inline]
+    pub fn cas_succeeded(&self) -> bool {
+        matches!(self.prim, Prim::Cas { expected, .. } if self.resp == expected)
+    }
+
     /// The object's value immediately after this event.
     #[inline]
     pub fn next_value(&self) -> Word {
         match self.prim {
             Prim::Read(_) => self.prev,
             Prim::Write(_, v) => v,
-            Prim::Cas { new, .. } => {
-                if self.resp == 1 {
-                    new
-                } else {
-                    self.prev
-                }
-            }
+            Prim::Cas { new, .. } if self.cas_succeeded() => new,
+            Prim::Cas { .. } => self.prev,
         }
     }
 
@@ -245,8 +250,9 @@ mod tests {
                 new: 9,
             },
             7,
-            0,
+            7,
         );
+        assert!(!e.cas_succeeded());
         assert!(e.is_trivial());
         assert_eq!(e.next_value(), 7);
     }
@@ -262,8 +268,9 @@ mod tests {
                 new: 9,
             },
             7,
-            1,
+            7,
         );
+        assert!(e.cas_succeeded());
         assert!(!e.is_trivial());
         assert_eq!(e.next_value(), 9);
     }

@@ -351,7 +351,7 @@ mod tests {
                 expected: v,
                 new: v + 1,
             };
-            if access(cas).await == 1 {
+            if access(cas).await == v {
                 return v + 1;
             }
         }

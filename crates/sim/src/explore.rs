@@ -348,7 +348,7 @@ impl<'a> Explorer<'a> {
             self.stats.reads += 1;
         } else if prim.is_write() {
             self.stats.writes += 1;
-        } else if resp == 1 {
+        } else if ev.cas_succeeded() {
             self.stats.cas_ok += 1;
         } else {
             self.stats.cas_fail += 1;
@@ -966,7 +966,7 @@ mod tests {
                 expected: v,
                 new: v + 1,
             };
-            if access(cas).await == 1 {
+            if access(cas).await == v {
                 return v + 1;
             }
         }

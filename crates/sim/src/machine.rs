@@ -21,7 +21,7 @@
 //!         if cur >= v {
 //!             return cur;
 //!         }
-//!         if access(Prim::Cas { obj: o, expected: cur, new: v }).await == 1 {
+//!         if access(Prim::Cas { obj: o, expected: cur, new: v }).await == cur {
 //!             return v;
 //!         }
 //!     }
@@ -50,8 +50,9 @@
 //! those of stepping the machine event by event. The executor, the
 //! explorer and the lower-bound adversaries never fill the slot, so
 //! they still see one enabled event per access. A body builds no
-//! machines of its own: one built inside a solo run would apply its
-//! accesses to the lent memory as it is built.
+//! machines of its own: one built inside a solo run applies its
+//! accesses to the lent memory as it is built, and [`Machine::new`]
+//! panics.
 
 use std::cell::{Cell, RefCell};
 use std::fmt;
@@ -82,7 +83,8 @@ struct Solo {
 
 /// One shared-memory access of an `async` body: the body suspends once
 /// on it, and resumes with the event's response (read: the value;
-/// write: `0`; CAS: `1` on success, `0` on failure). Inside
+/// write: `0`; CAS: its witness, which equals `expected` exactly when
+/// the CAS succeeded). Inside
 /// [`run_solo`] it does not suspend: it applies its primitive to the
 /// solo run's memory and is ready with the response at once.
 #[derive(Debug)]
@@ -170,6 +172,11 @@ impl Machine {
     /// The body runs up to its first access at once, so the machine is
     /// already done only for a body that takes no step.
     ///
+    /// # Panics
+    ///
+    /// Panics if called inside a body that [`run_solo`] is running: the
+    /// new body's accesses applied themselves to the lent memory.
+    ///
     /// ```
     /// use ruo_sim::{access, run_solo, Machine, Memory, Prim, ProcessId};
     ///
@@ -190,6 +197,12 @@ impl Machine {
             steps: 0,
         };
         machine.poll();
+        // A body that suspended, as every stepped one does, skips the check.
+        assert!(
+            !machine.is_done() || SOLO.with_borrow(Option::is_none),
+            "Machine::new called inside a solo run: the new body's accesses \
+             applied themselves to the solo run's memory"
+        );
         machine
     }
 
@@ -405,7 +418,7 @@ mod tests {
         async fn incr(o: ObjId) -> Word {
             loop {
                 let v = read(o).await;
-                if cas(o, v, v + 1).await == 1 {
+                if cas(o, v, v + 1).await == v {
                     return v + 1;
                 }
             }
@@ -437,9 +450,9 @@ mod tests {
     fn failed_cas_takes_the_retry_branch() {
         let mut mem = Memory::new();
         let o = mem.alloc(5);
-        // CAS expecting 3 fails; fall back to reading the value.
+        // CAS expecting 3 fails and witnesses 5; fall back to reading.
         let m = Machine::new(async move {
-            assert_eq!(cas(o, 3, 9).await, 0);
+            assert_eq!(cas(o, 3, 9).await, 5);
             read(o).await
         });
         let (result, steps) = run_solo(&mut mem, ProcessId(0), m);
@@ -457,7 +470,7 @@ mod tests {
                 expected: 0,
                 new: 4,
             },
-            |ok| ok + 10,
+            |witness| witness + 10,
         );
         assert_eq!(
             m.enabled(),
@@ -468,7 +481,7 @@ mod tests {
             })
         );
         assert!(m.feed(mem.apply(ProcessId(0), m.enabled().unwrap()).resp));
-        assert_eq!((m.result(), m.steps()), (Some(11), 1));
+        assert_eq!((m.result(), m.steps()), (Some(10), 1));
         assert_eq!(mem.peek(o), 4);
     }
 
@@ -480,7 +493,7 @@ mod tests {
                 if cur >= v {
                     return cur;
                 }
-                if cas(o, cur, v).await == 1 {
+                if cas(o, cur, v).await == cur {
                     return v;
                 }
             }
@@ -501,8 +514,8 @@ mod tests {
         }
         let results: Vec<_> = ms.iter().map(|m| (m.result(), m.steps())).collect();
         assert_eq!(results, [(Some(7), 2), (Some(7), 3)]);
-        // Both read 3, one CAS wins, the loser's CAS fails and it
-        // re-reads 7.
+        // Both read 3, one CAS wins witnessing 3, the loser's CAS fails
+        // witnessing 7, and it re-reads 7.
         let raise = Prim::Cas {
             obj: o,
             expected: 3,
@@ -518,8 +531,8 @@ mod tests {
             [
                 (0, Prim::Read(o), 3),
                 (1, Prim::Read(o), 3),
-                (0, raise, 1),
-                (1, raise, 0),
+                (0, raise, 3),
+                (1, raise, 7),
                 (1, Prim::Read(o), 7),
             ]
         );

@@ -53,8 +53,8 @@ impl Memory {
     /// Applies a primitive on behalf of `pid` and returns the step's
     /// event: its `seq` is the step's index (the step count before it),
     /// `prev` the object's value before it, and `resp` the response
-    /// (read: the value; write: `0`; CAS: `1` on success, `0` on
-    /// failure).
+    /// (read: the value; write: `0`; CAS: its witness, the value before
+    /// it, which equals `expected` exactly when the CAS succeeds).
     ///
     /// # Panics
     ///
@@ -72,10 +72,8 @@ impl Memory {
             Prim::Cas { expected, new, .. } => {
                 if prev == expected {
                     self.cells[obj.0] = new;
-                    1
-                } else {
-                    0
                 }
+                prev
             }
         };
         let seq = self.steps;
@@ -191,7 +189,8 @@ mod tests {
                 new: 4,
             },
         );
-        assert_eq!(ok.resp, 1);
+        assert_eq!(ok.resp, 3, "a CAS answers with its witness");
+        assert!(ok.cas_succeeded());
         assert_eq!(mem.peek(a), 4);
         let fail = mem.apply(
             ProcessId(0),
@@ -201,7 +200,8 @@ mod tests {
                 new: 5,
             },
         );
-        assert_eq!(fail.resp, 0);
+        assert_eq!(fail.resp, 4, "a failed CAS witnesses the current value");
+        assert!(!fail.cas_succeeded());
         assert_eq!(mem.peek(a), 4);
     }
 
@@ -214,8 +214,8 @@ mod tests {
         let steps = [
             (ProcessId(0), Prim::Read(a), 3, 3),
             (ProcessId(1), Prim::Write(a, 9), 3, 0),
-            (ProcessId(2), cas(a, 9, 12), 9, 1),
-            (ProcessId(0), cas(a, 9, 15), 12, 0),
+            (ProcessId(2), cas(a, 9, 12), 9, 9),
+            (ProcessId(0), cas(a, 9, 15), 12, 12),
             (ProcessId(1), Prim::Read(b), 8, 8),
         ];
         for (seq, (pid, prim, prev, resp)) in steps.into_iter().enumerate() {

@@ -15,7 +15,7 @@ async fn incr(o: ObjId) -> Word {
             expected: v,
             new: v + 1,
         };
-        if access(cas).await == 1 {
+        if access(cas).await == v {
             return v + 1;
         }
     }

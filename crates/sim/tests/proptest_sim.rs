@@ -58,11 +58,11 @@ fn memory_semantics_hold() {
                     shadow[o] = v;
                 }
                 Prim::Cas { expected, new, .. } => {
+                    // The witness: the value before the CAS.
+                    assert_eq!(resp, shadow[o], "case {case}");
+                    assert_eq!(ev.cas_succeeded(), shadow[o] == expected, "case {case}");
                     if shadow[o] == expected {
-                        assert_eq!(resp, 1, "case {case}");
                         shadow[o] = new;
-                    } else {
-                        assert_eq!(resp, 0, "case {case}");
                     }
                 }
             }
@@ -107,7 +107,7 @@ fn executor_is_deterministic_and_exact() {
                 expected: v,
                 new: v + 1,
             };
-            if access(cas).await == 1 {
+            if access(cas).await == v {
                 return v + 1;
             }
         }

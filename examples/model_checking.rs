@@ -50,7 +50,7 @@ fn fixed_write(hi: ObjId, lo: ObjId, v: i64) -> Machine {
                 expected: cur,
                 new: v,
             };
-            if access(swap).await == 1 {
+            if access(swap).await == cur {
                 return (cur >= 0).then_some(cur);
             }
         }

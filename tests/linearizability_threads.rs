@@ -17,6 +17,7 @@ use ruo::sim::lin::check_interval;
 use ruo::sim::recorder::ThreadRecorder;
 use ruo::sim::spec::SeqSpec;
 use ruo::sim::ProcessId;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn exercise_maxreg<R: MaxRegister>(reg: &R, name: &str) {
     let rec = ThreadRecorder::new();
@@ -161,6 +162,19 @@ fn cas_retry_max_register_contended_mixed_writes_are_linearizable() {
     exercise_maxreg_contended(&CasRetryMaxRegister::new(), "CasRetryMaxRegister/contended");
 }
 
+#[test]
+fn aac_max_register_contended_mixed_writes_are_linearizable() {
+    exercise_maxreg_contended(&AacMaxRegister::new(1 << 12), "AacMaxRegister/contended");
+}
+
+#[test]
+fn unbalanced_aac_max_register_contended_mixed_writes_are_linearizable() {
+    exercise_maxreg_contended(
+        &AacMaxRegister::new_unbalanced(1 << 12),
+        "AacMaxRegister unbalanced/contended",
+    );
+}
+
 fn exercise_counter<C: Counter>(counter: &C, name: &str) {
     let rec = ThreadRecorder::new();
     let threads = 4;
@@ -247,6 +261,83 @@ fn farray_counter_contended_threads_are_linearizable() {
 #[test]
 fn aac_counter_threads_are_linearizable() {
     exercise_counter(&AacCounter::new(4, 1200), "AacCounter");
+}
+
+#[test]
+fn aac_counter_contended_threads_are_linearizable() {
+    exercise_counter_contended(&AacCounter::new(8, 8 * 400), "AacCounter/contended");
+}
+
+/// Spins until `ready`, yielding now and then so that a waiter sharing
+/// a hardware thread with the thread it waits for lets it run.
+fn wait_until(ready: impl Fn() -> bool) {
+    let mut spins = 0u32;
+    while !ready() {
+        spins = spins.wrapping_add(1);
+        if spins.is_multiple_of(64) {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
+        }
+    }
+}
+
+/// `rounds` lockstep rounds on `counter`: in each, processes 0 and 2
+/// increment at once, and once both increments have returned process 0
+/// reads the root. Returns the number of rounds whose read fell short
+/// of the increments completed.
+fn lockstep_rounds(counter: &AacCounter, rounds: u64) -> u64 {
+    // Rounds opened by process 0, and increments returned.
+    let opened = AtomicU64::new(0);
+    let returned = AtomicU64::new(0);
+    let mut short = 0;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for r in 1..=rounds {
+                wait_until(|| opened.load(Ordering::SeqCst) >= r);
+                counter.increment(ProcessId(2));
+                returned.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        for r in 1..=rounds {
+            opened.store(r, Ordering::SeqCst);
+            counter.increment(ProcessId(0));
+            returned.fetch_add(1, Ordering::SeqCst);
+            wait_until(|| returned.load(Ordering::SeqCst) == 2 * r);
+            if counter.read() < 2 * r {
+                short += 1;
+            }
+        }
+    });
+    short
+}
+
+/// Lockstep litmus for the AAC counter's internal nodes. Processes 0
+/// and 2 of a 4-process counter sit in different subtrees of the root:
+/// each stores into its own subtree's register (a switch of its
+/// child's AAC register) and then loads the other's to sum the two at
+/// the root. If both loads could miss the other's store, the
+/// store-buffering outcome that release stores and acquire loads
+/// allow, both would write a sum one short of the total, and a
+/// completed increment would be lost. A fresh counter every 1,000
+/// rounds replays the early switch patterns, where a register's write
+/// sets its switches deepest first.
+///
+/// The two increments overlap only on two hardware threads or more: on
+/// one, the threads take turns and the test cannot interleave them.
+#[test]
+fn aac_counter_lockstep_increments_in_sibling_subtrees_are_not_lost() {
+    const COUNTERS: u64 = 200;
+    const ROUNDS: u64 = 1_000;
+    let short: u64 = (0..COUNTERS)
+        .map(|_| lockstep_rounds(&AacCounter::new(4, 2 * ROUNDS), ROUNDS))
+        .sum();
+    assert_eq!(
+        short,
+        0,
+        "{short} of {} rounds read the root short of the completed increments",
+        COUNTERS * ROUNDS
+    );
 }
 
 #[test]

@@ -264,3 +264,27 @@ fn a_solo_run_inside_a_solo_run_panics_and_gives_back_the_memory() {
     assert_eq!((mem.steps(), mem.peek(o)), (2, 2));
     assert_slot_is_clear();
 }
+
+#[test]
+fn a_machine_built_inside_a_solo_run_panics_and_gives_back_the_memory() {
+    let mut mem = Memory::new();
+    let o = mem.alloc(0);
+    let body = Machine::new(async move {
+        access(Prim::Write(o, 1)).await;
+        // Built here, the new body does not suspend: its accesses apply
+        // themselves to the lent memory at once.
+        let inner = Machine::new(async move {
+            access(Prim::Write(o, 2)).await;
+            access(Prim::Read(o)).await
+        });
+        access(Prim::Read(o)).await + inner.steps() as Word
+    });
+    assert_eq!(
+        solo_panic(&mut mem, body),
+        "Machine::new called inside a solo run: the new body's accesses applied \
+         themselves to the solo run's memory"
+    );
+    // The outer write and the inner body's two accesses, then the panic.
+    assert_eq!((mem.steps(), mem.peek(o)), (3, 2));
+    assert_slot_is_clear();
+}
