@@ -6,10 +6,10 @@
 //!
 //! Run with `cargo run -p ruo-bench --bin aac_complexity`.
 
-use ruo_bench::{log2_ceil, run_solo, Table};
+use ruo_bench::{log2_ceil, Table};
 use ruo_core::counter::sim::{SimAacCounter, SimCounter, SimFArrayCounter};
 use ruo_core::maxreg::sim::{SimAacMaxRegister, SimMaxRegister};
-use ruo_sim::{Memory, ProcessId};
+use ruo_sim::{run_solo, Memory, ProcessId};
 
 fn main() {
     println!("# C-AAC — prior-work step complexities (measured)\n");

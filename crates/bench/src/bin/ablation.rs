@@ -19,13 +19,13 @@
 
 use std::sync::Arc;
 
-use ruo_bench::{run_solo, Table};
+use ruo_bench::Table;
 use ruo_core::maxreg::sim::{write_leaf, SimMaxRegister, SimTreeMaxRegister};
 use ruo_core::shape::AlgorithmATree;
 use ruo_sim::explore::{enumerate, ExploreOp};
 use ruo_sim::lin::check_interval;
 use ruo_sim::spec::SeqSpec;
-use ruo_sim::{Machine, Memory, ObjId, OpDesc, Prim, ProcessId, Word, NEG_INF};
+use ruo_sim::{run_solo, Machine, Memory, ObjId, OpDesc, Prim, ProcessId, Word, NEG_INF};
 
 /// The spec every explored history is checked against.
 const SPEC: SeqSpec = SeqSpec::MaxRegister { initial: 0 };

@@ -17,7 +17,9 @@
 //! Run with `cargo run --release -p ruo-bench --bin soak [seeds]`
 //! (default 2000 seeds per implementation), or `soak --quick` for the
 //! CI-sized run. Exits non-zero if any `violations` cell is non-zero,
-//! so CI can gate on it directly.
+//! so CI can gate on it directly. Standard output is deterministic: the
+//! default run is checked in as `docs/results/soak.txt`, and the engine
+//! wall clock goes to standard error.
 
 use ruo_bench::Table;
 use ruo_metrics::CheckerGauges;
@@ -169,7 +171,9 @@ fn main() {
         gauges.violations(),
         gauges.largest_history(),
     );
-    println!(
+    // On stderr: stdout is a deterministic table, diffed byte for byte
+    // against docs/results/soak.txt.
+    eprintln!(
         "Engine wall clock: {total_ms:.0} ms across {sweeps} sweeps \
          (per-sweep duration_ms is in each report)."
     );

@@ -11,13 +11,13 @@
 //!
 //! Run with `cargo run -p ruo-bench --bin t3_maxreg_tradeoff`.
 
-use ruo_bench::{run_solo, Table};
+use ruo_bench::Table;
 use ruo_core::maxreg::sim::{
     SimAacMaxRegister, SimCasRetryMaxRegister, SimFArrayMaxRegister, SimMaxRegister,
     SimTreeMaxRegister,
 };
 use ruo_lowerbound::essential::{run_essential, EssentialConfig};
-use ruo_sim::{Memory, ProcessId};
+use ruo_sim::{run_solo, Memory, ProcessId};
 
 fn predicted(k: usize, f_k: usize) -> f64 {
     let loglog = (k as f64).log2().log2().max(0.0);

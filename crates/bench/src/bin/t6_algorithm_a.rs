@@ -6,9 +6,9 @@
 //!
 //! Run with `cargo run -p ruo-bench --bin t6_algorithm_a`.
 
-use ruo_bench::{log2_ceil, run_solo, Table};
+use ruo_bench::{log2_ceil, Table};
 use ruo_core::maxreg::sim::{SimMaxRegister, SimTreeMaxRegister};
-use ruo_sim::{Memory, ProcessId};
+use ruo_sim::{run_solo, Memory, ProcessId};
 
 fn main() {
     println!("# T6 — Algorithm A (TreeMaxRegister) step complexity\n");

@@ -9,11 +9,6 @@ pub mod compare;
 pub mod complexity;
 pub mod doc;
 
-/// The shared solo driver, re-exported from [`ruo_sim`] (its canonical
-/// home since the scenario-engine refactor) so existing
-/// `ruo_bench::run_solo` callers keep working.
-pub use ruo_sim::run_solo;
-
 /// A minimal markdown table builder for the experiment binaries.
 #[derive(Clone, Debug)]
 pub struct Table {
@@ -114,7 +109,7 @@ mod tests {
 
     #[test]
     fn run_solo_counts_steps() {
-        use ruo_sim::{Machine, Memory, Prim, ProcessId};
+        use ruo_sim::{run_solo, Machine, Memory, Prim, ProcessId};
         let mut mem = Memory::new();
         let o = mem.alloc(7);
         let read = Machine::single(Prim::Read(o), |v| v);

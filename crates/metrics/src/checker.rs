@@ -74,9 +74,9 @@ impl CheckerGauges {
         self.largest.record(pid, ops as u64);
     }
 
-    /// Folds a whole sweep's totals in one call — the same add-by-`k`
-    /// idiom as [`crate::ExploreGauges::record`], for harnesses that
-    /// see per-sweep counters rather than individual histories.
+    /// Folds a whole sweep's totals in one call (add-by-`k` slot
+    /// updates), for harnesses that see per-sweep counters rather than
+    /// individual histories.
     /// `largest` is the operation count of the sweep's biggest history.
     pub fn record_sweep(
         &self,

@@ -46,7 +46,7 @@ pub enum HealthEvent {
 /// numbers the `metrics` endpoint reports.
 ///
 /// Shared by `n` recorder identities (one per worker thread, plus one
-/// for the acceptor). Mirrors [`crate::ExploreGauges`].
+/// for the acceptor). Mirrors [`crate::CheckerGauges`].
 ///
 /// ```
 /// use ruo_metrics::{HealthEvent, HealthGauges};

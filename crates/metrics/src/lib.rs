@@ -13,8 +13,6 @@
 //! * [`Histogram`] — fixed-boundary latency/size histogram with
 //!   wait-free recording and quantile estimates.
 //! * [`LatencyTracker`] — histogram + peak + best in one `observe`.
-//! * [`ExploreGauges`] — totals for bounded model-checking runs
-//!   (schedules, pruned branches, replay savings, peak DFS depth).
 //! * [`CheckerGauges`] — totals for linearizability-checker calls
 //!   (histories decided, operations, violations, largest history).
 //! * [`ProgressCertifier`] — per-process progress counters + a livelock
@@ -56,7 +54,6 @@
 
 mod backoff;
 mod checker;
-mod explore;
 mod gauge;
 mod health;
 mod histogram;
@@ -71,7 +68,6 @@ mod watermark;
 
 pub use backoff::BackoffPolicy;
 pub use checker::CheckerGauges;
-pub use explore::ExploreGauges;
 pub use gauge::ProgressGauge;
 pub use health::{HealthEvent, HealthGauges, HealthSnapshot};
 pub use histogram::{Histogram, HistogramSnapshot};
@@ -85,7 +81,6 @@ pub use registry::{
 pub use series::SeriesSampler;
 pub use shard::ShardGauges;
 pub use trace::{
-    chrome_trace, op_kind, trace_execution, KindStats, PrimCounts, StepStats, StepTrace,
-    TraceEvent, TracedOp,
+    chrome_trace, op_kind, trace_execution, KindStats, StepStats, StepTrace, TraceEvent, TracedOp,
 };
 pub use watermark::{LowWatermark, Watermark};

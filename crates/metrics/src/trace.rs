@@ -11,8 +11,8 @@
 //!   propagation depth) from the log and [`History`] alone.
 //! * **Threaded world** — the
 //!   [`stepcount`](ruo_sim::stepcount) counting layer tallies primitive
-//!   events per thread; [`PrimCounts`] adopts those tallies via
-//!   `From<OpCounts>` so both worlds aggregate into one
+//!   events per thread into the same [`OpCounts`] tally the sim world
+//!   classifies its events into, so both worlds aggregate into one
 //!   [`StepStats`] shape.
 //!
 //! On top sit two exporters: [`StepTrace::to_jsonl`] (a line-oriented
@@ -39,74 +39,6 @@ pub fn op_kind(desc: &OpDesc) -> &'static str {
         OpDesc::CounterRead => "counter_read",
         OpDesc::Update(_) => "update",
         OpDesc::Scan => "scan",
-    }
-}
-
-/// Primitive-event tallies: how many of an operation's (or execution's)
-/// steps were reads, writes, successful CASes and failed CASes.
-///
-/// The four tallies partition the steps, so
-/// [`total`](PrimCounts::total) *is* the step count.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PrimCounts {
-    /// `read` primitives.
-    pub reads: u64,
-    /// `write` primitives.
-    pub writes: u64,
-    /// CAS primitives that succeeded (installed their value).
-    pub cas_ok: u64,
-    /// CAS primitives that failed (value had moved).
-    pub cas_fail: u64,
-}
-
-impl PrimCounts {
-    /// An all-zero tally.
-    pub const fn new() -> Self {
-        PrimCounts {
-            reads: 0,
-            writes: 0,
-            cas_ok: 0,
-            cas_fail: 0,
-        }
-    }
-
-    /// Total primitive events — the step count.
-    pub fn total(&self) -> u64 {
-        self.reads + self.writes + self.cas_ok + self.cas_fail
-    }
-
-    /// Adds another tally into this one.
-    pub fn add(&mut self, other: &PrimCounts) {
-        self.reads += other.reads;
-        self.writes += other.writes;
-        self.cas_ok += other.cas_ok;
-        self.cas_fail += other.cas_fail;
-    }
-
-    /// Classifies one sim event into the matching tally.
-    pub fn add_event(&mut self, ev: &Event) {
-        if ev.prim.is_read() {
-            self.reads += 1;
-        } else if ev.prim.is_write() {
-            self.writes += 1;
-        } else if ev.cas_succeeded() {
-            self.cas_ok += 1;
-        } else {
-            self.cas_fail += 1;
-        }
-    }
-}
-
-impl From<OpCounts> for PrimCounts {
-    /// Adopts a threaded-world tally from the
-    /// [`stepcount`](ruo_sim::stepcount) counting layer.
-    fn from(c: OpCounts) -> Self {
-        PrimCounts {
-            reads: c.reads,
-            writes: c.writes,
-            cas_ok: c.cas_ok,
-            cas_fail: c.cas_fail,
-        }
     }
 }
 
@@ -140,7 +72,7 @@ impl KindStats {
 pub struct StepStats {
     kinds: Vec<(String, KindStats)>,
     /// Primitive-event breakdown over everything recorded.
-    pub prims: PrimCounts,
+    pub prims: OpCounts,
 }
 
 impl StepStats {
@@ -151,7 +83,7 @@ impl StepStats {
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty() && self.prims == PrimCounts::new()
+        self.kinds.is_empty() && self.prims == OpCounts::new()
     }
 
     /// Per-kind statistics, sorted by kind name.
@@ -192,7 +124,7 @@ impl StepStats {
 
     /// Records a per-operation primitive tally (also folded into
     /// [`prims`](StepStats::prims)).
-    pub fn record_prims(&mut self, counts: &PrimCounts) {
+    pub fn record_prims(&mut self, counts: &OpCounts) {
         self.prims.add(counts);
     }
 
@@ -293,7 +225,7 @@ pub struct TracedOp {
     /// Steps (shared-memory events) the op issued.
     pub steps: u64,
     /// Primitive breakdown of those steps.
-    pub prims: PrimCounts,
+    pub prims: OpCounts,
     /// Number of *distinct* base objects touched — for tree-structured
     /// objects this is the propagation depth of the operation.
     pub depth: usize,
@@ -331,20 +263,14 @@ pub fn trace_execution(log: &EventLog, history: &History) -> StepTrace {
         let end = (*start + op.steps).min(evs.len());
         let slice = &evs[*start..end];
         *start = end;
-        let mut prims = PrimCounts::new();
+        let mut prims = OpCounts::new();
         let mut objects = BTreeSet::new();
         let events: Vec<TraceEvent> = slice
             .iter()
             .map(|ev| {
                 objects.insert(ev.obj());
-                let te = TraceEvent::from_event(ev);
-                match te.kind {
-                    "read" => prims.reads += 1,
-                    "write" => prims.writes += 1,
-                    "cas_ok" => prims.cas_ok += 1,
-                    _ => prims.cas_fail += 1,
-                }
-                te
+                prims.add_event(ev);
+                TraceEvent::from_event(ev)
             })
             .collect();
         ops.push(TracedOp {
@@ -610,7 +536,7 @@ mod tests {
         let stats = trace.stats();
         assert_eq!(stats.max_steps("write_max"), Some(2));
         assert_eq!(stats.max_steps("read_max"), Some(1));
-        assert_eq!(stats.prims.total(), log.len() as u64);
+        assert_eq!(stats.prims.steps(), log.len() as u64);
         let wm = &stats.per_op()[stats
             .per_op()
             .iter()
@@ -627,7 +553,7 @@ mod tests {
         let mut a = StepStats::new();
         a.record_op("read_max", 1);
         a.record_op("write_max", 10);
-        a.record_prims(&PrimCounts {
+        a.record_prims(&OpCounts {
             reads: 5,
             writes: 3,
             cas_ok: 2,
@@ -636,7 +562,7 @@ mod tests {
         let mut b = StepStats::new();
         b.record_op("write_max", 4);
         b.record_op("scan", 7);
-        b.record_prims(&PrimCounts {
+        b.record_prims(&OpCounts {
             reads: 1,
             writes: 0,
             cas_ok: 0,
@@ -668,15 +594,18 @@ mod tests {
 
     #[test]
     fn op_counts_adopt_into_prim_counts() {
+        // A real thread's tally folds into the breakdown sim events do.
         let c = OpCounts {
             reads: 2,
             writes: 3,
             cas_ok: 4,
             cas_fail: 5,
         };
-        let p = PrimCounts::from(c);
-        assert_eq!(p.total(), 14);
-        assert_eq!(p.cas_fail, 5);
+        let mut s = StepStats::new();
+        s.record_prims(&c);
+        s.record_prims(&c);
+        assert_eq!(s.prims.steps(), 28);
+        assert_eq!(s.prims.cas_fail, 10);
     }
 
     #[test]

@@ -16,11 +16,10 @@ use std::sync::Arc;
 use ruo_core::counter::ShardedCounter;
 use ruo_core::Counter as _;
 use ruo_metrics::{
-    CheckerGauges, ExploreGauges, HealthEvent, HealthGauges, Histogram, LatencyTracker,
-    LowWatermark, MetricsRegistry, ProgressCertifier, ProgressGauge, SeriesSampler, ShardGauges,
+    CheckerGauges, HealthEvent, HealthGauges, Histogram, LatencyTracker, LowWatermark,
+    MetricsRegistry, ProgressCertifier, ProgressGauge, SeriesSampler, ShardGauges,
     TelemetrySnapshot, Watermark,
 };
-use ruo_sim::explore::ExploreStats;
 use ruo_sim::{ProcessId, SplitMix64};
 
 const WRITERS: usize = 8;
@@ -29,7 +28,6 @@ const OPS_PER_WRITER: u64 = 3_000;
 struct Families {
     health: Arc<HealthGauges>,
     checker: Arc<CheckerGauges>,
-    explore: Arc<ExploreGauges>,
     certifier: Arc<ProgressCertifier>,
     progress: Arc<ProgressGauge>,
     peak: Arc<Watermark>,
@@ -43,7 +41,6 @@ fn build() -> (Families, Arc<MetricsRegistry>) {
     let fam = Families {
         health: Arc::new(HealthGauges::new(WRITERS)),
         checker: Arc::new(CheckerGauges::new(WRITERS)),
-        explore: Arc::new(ExploreGauges::new(WRITERS)),
         certifier: Arc::new(ProgressCertifier::new(WRITERS, u64::MAX)),
         progress: Arc::new(ProgressGauge::new(WRITERS, WRITERS as u64 * OPS_PER_WRITER)),
         peak: Arc::new(Watermark::new(WRITERS)),
@@ -55,7 +52,6 @@ fn build() -> (Families, Arc<MetricsRegistry>) {
     let mut reg = MetricsRegistry::new();
     fam.health.register_telemetry(&mut reg, "health_");
     fam.checker.register_telemetry(&mut reg, "checker_");
-    fam.explore.register_telemetry(&mut reg, "explore_");
     fam.certifier.register_telemetry(&mut reg, "cert_");
     fam.progress.register_telemetry(&mut reg, "work_");
     fam.peak
@@ -73,29 +69,14 @@ fn writer(fam: &Families, t: usize, rng: &mut SplitMix64) {
     let pid = ProcessId(t);
     for i in 0..OPS_PER_WRITER {
         let v = 1 + rng.gen_below(5_000);
-        match i % 6 {
+        match i % 5 {
             0 => {
                 fam.health.bump(pid, HealthEvent::Served);
                 fam.health.record_queue_depth(pid, v % 64);
             }
             1 => fam.checker.record(pid, v as usize, v.is_multiple_of(7)),
-            2 => fam.explore.record(
-                pid,
-                &ExploreStats {
-                    schedules: 1,
-                    pruned_branches: (v % 3) as usize,
-                    executed_steps: v % 100,
-                    replay_steps_saved: v % 50,
-                    peak_depth: (v % 20) as usize,
-                    crash_branches: 0,
-                    reads: 0,
-                    writes: 0,
-                    cas_ok: 0,
-                    cas_fail: 0,
-                },
-            ),
-            3 => fam.certifier.record_completion(pid, v % 200),
-            4 => {
+            2 => fam.certifier.record_completion(pid, v % 200),
+            3 => {
                 fam.peak.record(pid, v);
                 fam.best.record(pid, v);
                 fam.hist.record(pid, v % 2_000);

@@ -20,9 +20,9 @@ use std::time::Instant;
 
 use ruo_metrics::{
     trace_execution, LatencyTracker, LowWatermark, MetricDesc, MetricKind, MetricsRegistry,
-    PrimCounts, ProgressCertifier, SeriesSampler, StepStats, StepTrace, Watermark,
+    ProgressCertifier, SeriesSampler, StepStats, StepTrace, Watermark,
 };
-use ruo_sim::explore::{explore, explore_parallel, ExploreConfig, ExploreOp};
+use ruo_sim::explore::{explore, ExploreConfig, ExploreOp};
 use ruo_sim::lin::{check_exact_k, check_interval_k, Violation};
 use ruo_sim::spec::SeqSpec;
 use ruo_sim::stepcount::CountingMem;
@@ -837,8 +837,8 @@ fn real_batch(
                         }
                     }
                     if let Some(st) = &mut local {
-                        let counts = PrimCounts::from(CountingMem::take_op_counts());
-                        st.record_op(real_op_kind(obj, is_read), counts.total());
+                        let counts = CountingMem::take_op_counts();
+                        st.record_op(real_op_kind(obj, is_read), counts.steps());
                         st.record_prims(&counts);
                     }
                     if let (Some(start), Some((lat, cert))) = (started, instruments) {
@@ -981,11 +981,10 @@ pub fn run_real(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, Engi
 pub struct ExploreParts {
     /// Returns a fresh memory and machine vector: a clone of the memory
     /// the object was built (and seeded) in once, and new machines on
-    /// that one object. The explorer calls it once per root branch and
-    /// again whenever a response leaves a machine's trail, so the call
-    /// is kept cheap. `Sync` so [`explore_parallel`] workers can each
-    /// call it.
-    pub setup: Box<dyn Fn() -> (Memory, Vec<Machine>) + Sync>,
+    /// that one object. The explorer calls it once to start and again
+    /// whenever a response leaves a machine's trail, so the call is
+    /// kept cheap.
+    pub setup: Box<dyn Fn() -> (Memory, Vec<Machine>)>,
     /// One descriptor per machine.
     pub ops: Vec<ExploreOp>,
     /// The checker's initial object value (the seed update, if any).
@@ -1061,7 +1060,7 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
         );
     }
     let scope = espec.ops.clone();
-    let setup: Box<dyn Fn() -> (Memory, Vec<Machine>) + Sync> = Box::new(move || {
+    let setup: Box<dyn Fn() -> (Memory, Vec<Machine>)> = Box::new(move || {
         let machines = scope
             .iter()
             .map(|op| {
@@ -1171,7 +1170,7 @@ fn explore_canonical_trace(parts: &ExploreParts, spec: &ScenarioSpec) -> StepTra
 /// With a `trace` section, the `steps` block aggregates per-op step
 /// counts over *every* explored schedule (the primitive breakdown comes
 /// from the search's forward-execution tallies, so incremental replay
-/// means `prims.total()` can undercut the per-op sums); `jsonl`/`chrome`
+/// means `prims.steps()` can undercut the per-op sums); `jsonl`/`chrome`
 /// exports carry the canonical sequential schedule of the scope.
 pub fn run_explore(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, EngineError> {
     let engine_started = Instant::now();
@@ -1192,32 +1191,15 @@ pub fn run_explore(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, E
     let ckind = resolve_checker(spec);
     let seq = seq_spec(spec, parts.initial);
     let k = spec.accuracy_k();
-    let verdict = |h: &History| check_with(ckind, h, &seq, k).is_ok();
     let mut steps = wants_steps(spec).then(StepStats::new);
-    let start = Instant::now();
-    let summary = if espec.workers > 1 {
-        // The parallel search needs a `Fn + Sync` checker; step
-        // aggregation moves behind a mutex (uncontended relative to the
-        // per-schedule search work).
-        let shared_steps = steps.take().map(Mutex::new);
-        let check = |h: &History| -> bool {
-            if let Some(m) = &shared_steps {
-                m.lock().expect("steps poisoned").record_history(h);
-            }
-            verdict(h)
-        };
-        let summary = explore_parallel(&*parts.setup, &parts.ops, &check, cfg, espec.workers);
-        steps = shared_steps.map(|m| m.into_inner().expect("steps poisoned"));
-        summary
-    } else {
-        let mut check = |h: &History| -> bool {
-            if let Some(acc) = &mut steps {
-                acc.record_history(h);
-            }
-            verdict(h)
-        };
-        explore(&*parts.setup, &parts.ops, &mut check, cfg)
+    let mut check = |h: &History| -> bool {
+        if let Some(acc) = &mut steps {
+            acc.record_history(h);
+        }
+        check_with(ckind, h, &seq, k).is_ok()
     };
+    let start = Instant::now();
+    let summary = explore(&*parts.setup, &parts.ops, &mut check, cfg);
     let seconds = start.elapsed().as_secs_f64();
 
     let mut report = ScenarioReport::new(spec, quick);
@@ -1226,7 +1208,6 @@ pub fn run_explore(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, E
         report.set("accuracy_k", a.k);
     }
     report.set("schedules", summary.schedules as u64);
-    report.set("workers", espec.workers as u64);
     report.set("truncated", summary.truncated as u64);
     report.set("violation", summary.violation.is_some() as u64);
     report.set("pruned_branches", summary.stats.pruned_branches as u64);
@@ -1236,12 +1217,7 @@ pub fn run_explore(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, E
     report.set("crash_branches", summary.stats.crash_branches as u64);
     report.set_metric("seconds", seconds);
     if let Some(mut acc) = steps {
-        acc.record_prims(&PrimCounts {
-            reads: summary.stats.reads,
-            writes: summary.stats.writes,
-            cas_ok: summary.stats.cas_ok,
-            cas_fail: summary.stats.cas_fail,
-        });
+        acc.record_prims(&summary.stats.prims);
         report.steps = Some(acc);
     }
     if let Some(tspec) = &spec.trace {
@@ -1381,29 +1357,12 @@ mod tests {
             max_schedules: 100_000,
             prune: true,
             max_crashes: 1,
-            workers: 1,
         });
         let r = run_explore(&spec, false).unwrap();
         assert!(r.ok, "notes: {:?}", r.notes);
         assert_eq!(r.checker.as_deref(), Some("interval"));
         assert!(r.counter("schedules").unwrap() > 1);
         assert!(r.counter("crash_branches").unwrap() > 0);
-        // The same scope searched by 4 workers visits the same node
-        // set: every counter the report carries must match.
-        spec.explore.as_mut().unwrap().workers = 4;
-        let p = run_explore(&spec, false).unwrap();
-        assert!(p.ok, "notes: {:?}", p.notes);
-        for key in [
-            "schedules",
-            "pruned_branches",
-            "executed_steps",
-            "replay_steps_saved",
-            "peak_depth",
-            "crash_branches",
-        ] {
-            assert_eq!(p.counter(key), r.counter(key), "{key}");
-        }
-        assert_eq!(p.counter("workers"), Some(4));
     }
 
     #[test]
@@ -1425,7 +1384,6 @@ mod tests {
             max_schedules: 10,
             prune: true,
             max_crashes: 0,
-            workers: 1,
         });
         assert!(matches!(
             run_explore(&spec, false),
@@ -1472,7 +1430,7 @@ mod tests {
         // Sim attribution is exact: the primitive breakdown partitions
         // exactly the steps the per-kind aggregates account for.
         let per_op_total: u64 = steps.per_op().iter().map(|(_, k)| k.total).sum();
-        assert_eq!(steps.prims.total(), per_op_total);
+        assert_eq!(steps.prims.steps(), per_op_total);
         // The JSONL stream declares its schema; the Chrome trace is
         // valid JSON in the trace_event object format.
         let head = std::fs::read_to_string(&jsonl).unwrap();
@@ -1510,7 +1468,7 @@ mod tests {
         assert_eq!(ops, 200, "every op of the instrumented batch counted");
         assert!(steps.max_steps("counter_increment").unwrap() >= 1);
         let per_op_total: u64 = steps.per_op().iter().map(|(_, k)| k.total).sum();
-        assert_eq!(steps.prims.total(), per_op_total);
+        assert_eq!(steps.prims.steps(), per_op_total);
         // Event-level export is a sim/explore capability.
         spec.trace = Some(TraceSpec {
             steps: true,
@@ -1545,7 +1503,6 @@ mod tests {
             max_schedules: 100_000,
             prune: true,
             max_crashes: 0,
-            workers: 1,
         });
         spec.trace = Some(trace_to(None, Some(&chrome)));
         let r = run_explore(&spec, false).unwrap();
@@ -1555,7 +1512,7 @@ mod tests {
         let ops: u64 = steps.per_op().iter().map(|(_, k)| k.ops).sum();
         assert!(ops > 2, "aggregate spans schedules, got {ops} ops");
         assert!(steps.max_steps("write_max").is_some());
-        assert!(steps.prims.total() > 0);
+        assert!(steps.prims.steps() > 0);
         let doc = Json::parse(&std::fs::read_to_string(&chrome).unwrap()).unwrap();
         let events = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         // Canonical schedule: the seed write, then the two scope ops,
@@ -1616,7 +1573,6 @@ mod tests {
             max_schedules: 10_000,
             prune: true,
             max_crashes: 0,
-            workers: 2,
         });
         explore.trace = Some(TraceSpec::default());
         for (spec, label) in [(sim, "sim"), (real, "real"), (explore, "explore")] {
@@ -1728,7 +1684,6 @@ mod tests {
             max_schedules: 10_000,
             prune: true,
             max_crashes: 0,
-            workers: 1,
         });
         spec.telemetry = Some(crate::spec::TelemetrySpec::default());
         assert!(matches!(

@@ -8,7 +8,8 @@
 //! layer their own presentation (tables, experiment JSON) on top of the
 //! counters instead of re-deriving them.
 
-use ruo_metrics::{Json, KindStats, PrimCounts, SeriesSampler, StepStats};
+use ruo_metrics::{Json, KindStats, SeriesSampler, StepStats};
+use ruo_sim::stepcount::OpCounts;
 
 use crate::registry::Family;
 use crate::spec::{EngineKind, ScenarioSpec, SpecError};
@@ -402,7 +403,7 @@ fn steps_from_json(v: &Json) -> Result<StepStats, SpecError> {
     let p = v
         .get("prims")
         .ok_or_else(|| SpecError("missing \"steps.prims\" object".into()))?;
-    stats.record_prims(&PrimCounts {
+    stats.record_prims(&OpCounts {
         reads: num(p, "reads")?,
         writes: num(p, "writes")?,
         cas_ok: num(p, "cas_ok")?,
@@ -455,7 +456,7 @@ mod tests {
         steps.record_op("write_max", 26);
         steps.record_op("write_max", 10);
         steps.record_op("read_max", 1);
-        steps.record_prims(&PrimCounts {
+        steps.record_prims(&OpCounts {
             reads: 20,
             writes: 10,
             cas_ok: 6,

@@ -235,9 +235,6 @@ pub struct ExploreSpec {
     pub prune: bool,
     /// Crash budget (0 = crash-free schedules only).
     pub max_crashes: usize,
-    /// Worker threads for the search (1 = the sequential explorer;
-    /// more partitions the root branches via `explore_parallel`).
-    pub workers: usize,
 }
 
 /// k-multiplicative accuracy parameters (ISSUE 9). Only meaningful for
@@ -396,6 +393,25 @@ fn err<T>(msg: impl Into<String>) -> Result<T, SpecError> {
     Err(SpecError(msg.into()))
 }
 
+/// Requires `v` to be an object whose keys are all in `known`, naming
+/// `section` in the error (the top level when empty). Every section is
+/// strict: a misspelt knob would otherwise fall back to its default and
+/// silently run a different scenario.
+fn check_keys(v: &Json, section: &str, known: &[&str]) -> Result<(), SpecError> {
+    let Some(obj) = v.as_obj() else {
+        return err(if section.is_empty() {
+            "top level must be an object".to_string()
+        } else {
+            format!("\"{section}\" must be an object")
+        });
+    };
+    match obj.iter().find(|(k, _)| !known.contains(&k.as_str())) {
+        None => Ok(()),
+        Some((k, _)) if section.is_empty() => err(format!("unknown key \"{k}\"")),
+        Some((k, _)) => err(format!("unknown key \"{k}\" in \"{section}\"")),
+    }
+}
+
 impl ScenarioSpec {
     /// A spec with the given identity and every knob at its default:
     /// crash-free random schedules, 100 seeds, 8 ops per process, 50%
@@ -501,13 +517,10 @@ impl ScenarioSpec {
     }
 
     /// Parses and validates a `"ruo-scenario-v1"` document. Unknown
-    /// keys are rejected (they are almost always typos in a knob name).
+    /// keys are rejected in every section (they are almost always typos
+    /// in a knob name).
     pub fn parse(text: &str) -> Result<Self, SpecError> {
         let doc = Json::parse(text).map_err(|e| SpecError(e.to_string()))?;
-        let obj = match doc.as_obj() {
-            Some(o) => o,
-            None => return err("top level must be an object"),
-        };
         const KNOWN: &[&str] = &[
             "schema",
             "name",
@@ -535,11 +548,7 @@ impl ScenarioSpec {
             "telemetry",
             "watchdog_secs",
         ];
-        for (k, _) in obj {
-            if !KNOWN.contains(&k.as_str()) {
-                return err(format!("unknown key \"{k}\""));
-            }
-        }
+        check_keys(&doc, "", KNOWN)?;
         match doc.get("schema").and_then(Json::as_str) {
             Some(SPEC_SCHEMA) => {}
             Some(other) => return err(format!("unsupported schema \"{other}\"")),
@@ -712,17 +721,22 @@ fn fault_to_json(f: &FaultSpec) -> Json {
 
 fn fault_from_json(v: &Json) -> Result<FaultSpec, SpecError> {
     match v.get("kind").and_then(Json::as_str) {
-        Some("random") => Ok(FaultSpec::Random {
-            crashes: req_u64(v, "crashes")? as usize,
-            max_after: req_u64(v, "max_after")? as usize,
-        }),
+        Some("random") => {
+            check_keys(v, "faults", &["kind", "crashes", "max_after"])?;
+            Ok(FaultSpec::Random {
+                crashes: req_u64(v, "crashes")? as usize,
+                max_after: req_u64(v, "max_after")? as usize,
+            })
+        }
         Some("explicit") => {
+            check_keys(v, "faults", &["kind", "crashes"])?;
             let arr = match v.get("crashes").and_then(Json::as_arr) {
                 Some(a) => a,
                 None => return err("explicit faults need a \"crashes\" array"),
             };
             let mut crashes = Vec::with_capacity(arr.len());
             for c in arr {
+                check_keys(c, "faults.crashes", &["pid", "after"])?;
                 crashes.push(CrashAt {
                     pid: req_u64(c, "pid")? as usize,
                     after: req_u64(c, "after")? as usize,
@@ -757,19 +771,28 @@ fn explore_to_json(e: &ExploreSpec) -> Json {
     o.push(("max_schedules".into(), Json::Num(e.max_schedules as u64)));
     o.push(("prune".into(), Json::Bool(e.prune)));
     o.push(("max_crashes".into(), Json::Num(e.max_crashes as u64)));
-    if e.workers != 1 {
-        o.push(("workers".into(), Json::Num(e.workers as u64)));
-    }
     Json::Obj(o)
 }
 
 fn explore_from_json(v: &Json, n: usize) -> Result<ExploreSpec, SpecError> {
+    check_keys(
+        v,
+        "explore",
+        &[
+            "seed_update",
+            "ops",
+            "max_schedules",
+            "prune",
+            "max_crashes",
+        ],
+    )?;
     let arr = match v.get("ops").and_then(Json::as_arr) {
         Some(a) => a,
         None => return err("\"explore.ops\" must be an array"),
     };
     let mut ops = Vec::with_capacity(arr.len());
     for op in arr {
+        check_keys(op, "explore.ops", &["pid", "kind", "value"])?;
         let pid = req_u64(op, "pid")? as usize;
         if pid >= n {
             return err(format!("explore op pid {pid} out of range for n = {n}"));
@@ -787,17 +810,12 @@ fn explore_from_json(v: &Json, n: usize) -> Result<ExploreSpec, SpecError> {
     if ops.len() > 64 {
         return err("the explorer supports at most 64 operations");
     }
-    let workers = opt_u64(v, "workers")?.unwrap_or(1) as usize;
-    if workers == 0 {
-        return err("\"explore.workers\" must be at least 1");
-    }
     Ok(ExploreSpec {
         seed_update: opt_u64(v, "seed_update")?,
         ops,
         max_schedules: req_u64(v, "max_schedules")? as usize,
         prune: opt_bool(v, "prune")?.unwrap_or(true),
         max_crashes: opt_u64(v, "max_crashes")?.unwrap_or(0) as usize,
-        workers,
     })
 }
 
@@ -821,18 +839,7 @@ fn trace_to_json(t: &TraceSpec) -> Json {
 }
 
 fn trace_from_json(v: &Json) -> Result<TraceSpec, SpecError> {
-    let obj = match v.as_obj() {
-        Some(o) => o,
-        None => return err("\"trace\" must be an object"),
-    };
-    // Strict like the top level: a typo'd trace knob silently disabling
-    // export is exactly the failure mode unknown-key rejection prevents.
-    const KNOWN: &[&str] = &["steps", "jsonl", "chrome"];
-    for (k, _) in obj {
-        if !KNOWN.contains(&k.as_str()) {
-            return err(format!("unknown key \"{k}\" in \"trace\""));
-        }
-    }
+    check_keys(v, "trace", &["steps", "jsonl", "chrome"])?;
     Ok(TraceSpec {
         steps: opt_bool(v, "steps")?.unwrap_or(true),
         jsonl: opt_str(v, "jsonl")?.map(str::to_string),
@@ -841,18 +848,7 @@ fn trace_from_json(v: &Json) -> Result<TraceSpec, SpecError> {
 }
 
 fn telemetry_from_json(v: &Json) -> Result<TelemetrySpec, SpecError> {
-    let obj = match v.as_obj() {
-        Some(o) => o,
-        None => return err("\"telemetry\" must be an object"),
-    };
-    // Strict like "trace": a typo'd knob silently dropping the sampled
-    // curves is exactly the failure mode unknown-key rejection prevents.
-    const KNOWN: &[&str] = &["capacity", "every"];
-    for (k, _) in obj {
-        if !KNOWN.contains(&k.as_str()) {
-            return err(format!("unknown key \"{k}\" in \"telemetry\""));
-        }
-    }
+    check_keys(v, "telemetry", &["capacity", "every"])?;
     let defaults = TelemetrySpec::default();
     let capacity = opt_u64(v, "capacity")?.unwrap_or(defaults.capacity as u64);
     if capacity == 0 {
@@ -869,18 +865,7 @@ fn telemetry_from_json(v: &Json) -> Result<TelemetrySpec, SpecError> {
 }
 
 fn accuracy_from_json(v: &Json) -> Result<AccuracySpec, SpecError> {
-    let obj = match v.as_obj() {
-        Some(o) => o,
-        None => return err("\"accuracy\" must be an object"),
-    };
-    // Strict like "trace": a typo'd knob silently running the exact
-    // checkers at k = 1 would invert the meaning of a passing verdict.
-    const KNOWN: &[&str] = &["k"];
-    for (k, _) in obj {
-        if !KNOWN.contains(&k.as_str()) {
-            return err(format!("unknown key \"{k}\" in \"accuracy\""));
-        }
-    }
+    check_keys(v, "accuracy", &["k"])?;
     let k = req_u64(v, "k")?;
     if k == 0 {
         return err("\"accuracy.k\" must be at least 1");
@@ -889,6 +874,7 @@ fn accuracy_from_json(v: &Json) -> Result<AccuracySpec, SpecError> {
 }
 
 fn real_from_json(v: &Json) -> Result<RealSpec, SpecError> {
+    check_keys(v, "real", &["threads", "ops_per_thread", "samples"])?;
     let threads = req_u64(v, "threads")? as usize;
     if threads == 0 {
         return err("\"real.threads\" must be at least 1");
@@ -949,7 +935,6 @@ mod tests {
             max_schedules: 100_000,
             prune: false,
             max_crashes: 1,
-            workers: 4,
         });
         spec.real = Some(RealSpec {
             threads: 4,
@@ -1047,6 +1032,66 @@ mod tests {
         assert!(ScenarioSpec::parse(&bad_family).is_err());
         let bad_schema = base.replace(SPEC_SCHEMA, "ruo-scenario-v0");
         assert!(ScenarioSpec::parse(&bad_schema).is_err());
+
+        // Every section is as strict as the top level, and the error
+        // names the section.
+        let mut spec = ScenarioSpec::new("y", Family::MaxReg, "tree", EngineKind::Explore, 2);
+        spec.faults = Some(FaultSpec::Explicit {
+            crashes: vec![CrashAt { pid: 1, after: 3 }],
+        });
+        spec.explore = Some(ExploreSpec {
+            seed_update: None,
+            ops: vec![ScenarioOp {
+                pid: 0,
+                kind: OpKind::Update,
+                value: 4,
+            }],
+            max_schedules: 10,
+            prune: true,
+            max_crashes: 1,
+        });
+        spec.real = Some(RealSpec {
+            threads: 2,
+            ops_per_thread: 10,
+            samples: 1,
+        });
+        let json = spec.to_json();
+        assert_eq!(ScenarioSpec::parse(&json).unwrap(), spec);
+        let mut random = spec.clone();
+        random.faults = Some(FaultSpec::Random {
+            crashes: 1,
+            max_after: 5,
+        });
+        let random = random.to_json();
+        for (text, key, typo, section) in [
+            (&json, "\"max_crashes\"", "\"max_crash\"", "explore"),
+            (
+                &json,
+                "\"max_crashes\"",
+                "\"workers\": 4, \"max_crashes\"",
+                "explore",
+            ),
+            (&json, "\"value\"", "\"val\"", "explore.ops"),
+            (&json, "\"crashes\"", "\"crash\": 1, \"crashes\"", "faults"),
+            (
+                &random,
+                "\"max_after\"",
+                "\"max_afer\": 9, \"max_after\"",
+                "faults",
+            ),
+            (
+                &json,
+                "\"after\"",
+                "\"afer\": 1, \"after\"",
+                "faults.crashes",
+            ),
+            (&json, "\"samples\"", "\"sample\": 1, \"samples\"", "real"),
+        ] {
+            let bad = text.replacen(key, typo, 1);
+            assert_ne!(&bad, text, "{typo}");
+            let e = ScenarioSpec::parse(&bad).unwrap_err();
+            assert!(e.0.contains(&format!("in \"{section}\"")), "{typo}: {e}");
+        }
     }
 
     #[test]

@@ -101,7 +101,6 @@ fn random_spec(rng: &mut SplitMix64) -> ScenarioSpec {
             max_schedules: 1 + rng.gen_index(1 << 20),
             prune: rng.gen_bool(0.5),
             max_crashes: rng.gen_index(3),
-            workers: 1 + rng.gen_index(8),
         });
     }
     if rng.gen_bool(0.4) {

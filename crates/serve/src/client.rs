@@ -29,8 +29,6 @@ pub struct ClientConfig {
     pub addr: SocketAddr,
     /// Socket read/write timeout per attempt.
     pub attempt_timeout: Duration,
-    /// Retry delay policy.
-    pub backoff: BackoffPolicy,
     /// Attempts before giving up (1 = no retries).
     pub max_attempts: u32,
     /// Client-side chaos wrapped around every outbound connection.
@@ -39,12 +37,11 @@ pub struct ClientConfig {
 
 impl ClientConfig {
     /// Defaults sized for tests and the swarm: 100 ms attempts, 6
-    /// attempts, 1–32 ms jittered backoff.
+    /// attempts.
     pub fn new(addr: SocketAddr) -> Self {
         ClientConfig {
             addr,
             attempt_timeout: Duration::from_millis(100),
-            backoff: BackoffPolicy::new(Duration::from_millis(1), Duration::from_millis(32), 0.25),
             max_attempts: 6,
             chaos: None,
         }
@@ -127,6 +124,8 @@ pub struct ScanResult {
 /// thread (the swarm spawns one per simulated user).
 pub struct Client {
     cfg: ClientConfig,
+    /// Retry delays: 1–32 ms, exponential, jittered by ±25 %.
+    backoff: BackoffPolicy,
     conn: Option<ChaosStream<TcpStream>>,
     carry: Vec<u8>,
     rng: SplitMix64,
@@ -154,6 +153,7 @@ impl Client {
         Client {
             rng: SplitMix64::new(0x5EED ^ client_id.wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             cfg,
+            backoff: BackoffPolicy::new(Duration::from_millis(1), Duration::from_millis(32), 0.25),
             conn: None,
             carry: Vec::new(),
             client_id,
@@ -266,7 +266,7 @@ impl Client {
         for attempt in 0..self.cfg.max_attempts {
             if attempt > 0 {
                 self.stats.retries += 1;
-                let delay = self.cfg.backoff.delay(attempt - 1, &mut self.rng);
+                let delay = self.backoff.delay(attempt - 1, &mut self.rng);
                 thread::sleep(delay);
             }
             match self.attempt(req) {

@@ -29,7 +29,7 @@
 //!   resends only after a second.
 //!
 //! A worker serving a connection notices the drain at its next read,
-//! within one `io_timeout`.
+//! within one `IO_TIMEOUT`.
 //!
 //! ## Degradation ladder
 //!
@@ -69,6 +69,17 @@ use crate::audit::{audit, AuditReport, DegradedRead, LoggedOp, ObjectLog};
 use crate::chaos::{ChaosStream, NetFaultPlan};
 use crate::proto::{ErrCode, Request, Response, MAX_LINE_BYTES};
 use crate::span::{spans_to_chrome_trace, spans_to_jsonl, RequestSpan, SpanRung};
+
+/// Idempotency tokens remembered (the dedup window).
+const DEDUP_WINDOW: usize = 4096;
+/// Per-socket read/write timeout.
+const IO_TIMEOUT: Duration = Duration::from_millis(50);
+/// Consecutive read timeouts before an idle connection is closed.
+const IDLE_POLLS: u32 = 40;
+/// Accuracy factor `k` of the degraded counter tier: a degraded read
+/// `v` against the true applied count `C` guarantees `C / k ≤ v ≤ C`,
+/// and the shutdown audit enforces that envelope.
+const ACCURACY_K: u64 = 4;
 
 /// One object to serve, by registry coordinates.
 #[derive(Debug, Clone)]
@@ -128,20 +139,8 @@ pub struct ServeConfig {
     /// Longest a connection may wait in the queue before its first
     /// request is answered `err deadline`.
     pub deadline: Duration,
-    /// Idempotency-token window size (tokens remembered).
-    pub dedup_window: usize,
-    /// Per-socket read/write timeout.
-    pub io_timeout: Duration,
-    /// Consecutive read timeouts before an idle connection is closed.
-    pub idle_polls: u32,
     /// Server-side chaos plan wrapped around every accepted socket.
     pub chaos: Option<NetFaultPlan>,
-    /// Accuracy factor `k` (`≥ 1`) of the degraded counter tier: a
-    /// degraded read `v` against the true applied count `C` guarantees
-    /// `C / k ≤ v ≤ C`. `1` makes the degraded tier exact (every
-    /// increment publishes); the shutdown audit enforces whatever is
-    /// configured here.
-    pub accuracy_k: u64,
     /// Record a [`RequestSpan`] per served request (returned in
     /// [`ServeSummary::spans`]). Off by default: the hot path then pays
     /// nothing beyond the tick stamps it already takes for the audit
@@ -156,11 +155,7 @@ impl Default for ServeConfig {
             queue_cap: 64,
             degrade_depth: 8,
             deadline: Duration::from_millis(250),
-            dedup_window: 4096,
-            io_timeout: Duration::from_millis(50),
-            idle_polls: 40,
             chaos: None,
-            accuracy_k: 4,
             spans: false,
         }
     }
@@ -213,7 +208,6 @@ struct ServedObject {
     name: String,
     family: Family,
     n: usize,
-    accuracy_k: u64,
     obj: RealObject,
     shadow: Shadow,
     log: Mutex<Vec<LoggedOp>>,
@@ -228,7 +222,7 @@ impl ServedObject {
             n: self.n,
             ops: self.log.into_inner().unwrap(),
             degraded: self.degraded.into_inner().unwrap(),
-            accuracy_k: self.accuracy_k,
+            accuracy_k: ACCURACY_K,
         }
     }
 }
@@ -373,9 +367,6 @@ impl Server {
         if defs.is_empty() {
             return Err(StartError::Config("no objects to serve".into()));
         }
-        if cfg.accuracy_k == 0 {
-            return Err(StartError::Config("accuracy_k must be >= 1".into()));
-        }
         let mut objects = Vec::with_capacity(defs.len());
         for def in defs {
             if objects.iter().any(|o: &ServedObject| o.name == def.name) {
@@ -396,7 +387,7 @@ impl Server {
                 })
                 .map_err(StartError::Build)?;
             let shadow = match def.family {
-                Family::Counter => Shadow::Counter(ApproxCounter::new(cfg.workers, cfg.accuracy_k)),
+                Family::Counter => Shadow::Counter(ApproxCounter::new(cfg.workers, ACCURACY_K)),
                 Family::MaxReg => Shadow::None,
                 Family::Snapshot => Shadow::Scan(Mutex::new(vec![0; cfg.workers])),
             };
@@ -404,7 +395,6 @@ impl Server {
                 name: def.name.clone(),
                 family: def.family,
                 n: cfg.workers,
-                accuracy_k: cfg.accuracy_k,
                 obj,
                 shadow,
                 log: Mutex::new(Vec::new()),
@@ -416,7 +406,6 @@ impl Server {
         let addr = listener.local_addr()?;
 
         let n_workers = cfg.workers;
-        let dedup_cap = cfg.dedup_window;
         // One gauge identity per worker plus the acceptor; the registry
         // reads each scalar with one root load.
         let gauges = Arc::new(HealthGauges::new(n_workers + 1));
@@ -426,7 +415,7 @@ impl Server {
             gauges,
             registry,
             spans: Mutex::new(Vec::new()),
-            dedup: Mutex::new(DedupWindow::new(dedup_cap)),
+            dedup: Mutex::new(DedupWindow::new(DEDUP_WINDOW)),
             cfg,
             objects,
             queue: Mutex::new(VecDeque::new()),
@@ -532,8 +521,8 @@ fn accept_loop(inner: &Inner, listener: TcpListener) {
         }
         let conn_id = inner.conn_ids.fetch_add(1, Ordering::Relaxed);
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(inner.cfg.io_timeout));
-        let _ = stream.set_write_timeout(Some(inner.cfg.io_timeout));
+        let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
+        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
         let depth = inner.queue_depth.load(Ordering::Relaxed);
         inner.gauges.record_queue_depth(pid, depth as u64 + 1);
         if depth >= inner.cfg.queue_cap {
@@ -694,7 +683,7 @@ fn serve_conn(inner: &Inner, pid: ProcessId, stream: &mut ChaosStream<TcpStream>
             }
             Err(e) if is_timeout(&e) => {
                 idle += 1;
-                if idle > inner.cfg.idle_polls {
+                if idle > IDLE_POLLS {
                     return; // idle connection reaped
                 }
                 continue;

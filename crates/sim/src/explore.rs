@@ -83,9 +83,8 @@
 //! lost-write bug is found automatically (see
 //! `tests/crash_exploration.rs` and EXPERIMENTS.md § W6).
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
 use crate::history::{History, OpOutput, OpRecord};
+use crate::stepcount::OpCounts;
 use crate::{Event, Machine, Memory, OpDesc, Prim, ProcessId, Word};
 
 /// Hard per-operation step cap: a machine exceeding this many steps in
@@ -167,18 +166,12 @@ pub struct ExploreStats {
     /// Crash branches taken: DFS nodes where an operation was crashed
     /// right after one of its events ([`ExploreConfig::max_crashes`]).
     pub crash_branches: usize,
-    /// `read` primitives among [`executed_steps`](ExploreStats::executed_steps).
+    /// The primitive kinds of [`executed_steps`](ExploreStats::executed_steps).
     ///
-    /// Like `executed_steps`, the primitive-kind tallies count forward
-    /// executions only and never decrement on backtrack, so
-    /// `reads + writes + cas_ok + cas_fail == executed_steps`.
-    pub reads: u64,
-    /// `write` primitives among executed steps.
-    pub writes: u64,
-    /// Successful CAS primitives among executed steps.
-    pub cas_ok: u64,
-    /// Failed CAS primitives among executed steps.
-    pub cas_fail: u64,
+    /// Like `executed_steps`, the tallies count forward executions only
+    /// and never decrement on backtrack, so
+    /// `prims.steps() == executed_steps`.
+    pub prims: OpCounts,
 }
 
 /// Summary of an exploration run.
@@ -229,25 +222,11 @@ fn independent(a: &StepInfo, b: &StepInfo) -> bool {
     commutes(a.ev.prim, b.ev.prim) && !(a.was_last && b.was_first) && !(b.was_last && a.was_first)
 }
 
-/// Cross-worker coordination for [`explore_parallel`]: the global
-/// schedule count (shared budget) and a stop flag raised on the first
-/// violation or on budget truncation. All accesses are `Relaxed` —
-/// the counters gate *work*, never memory visibility (each worker owns
-/// its memory and machines outright).
-struct SharedSearch {
-    schedules: AtomicUsize,
-    stop: AtomicBool,
-    truncated: AtomicBool,
-}
-
 struct Explorer<'a> {
     setup: &'a dyn Fn() -> (Memory, Vec<Machine>),
     ops: &'a [ExploreOp],
     check: &'a mut dyn FnMut(&History) -> bool,
     cfg: ExploreConfig,
-    /// Present only under [`explore_parallel`]: the shared budget and
-    /// stop flag. `None` keeps the sequential search byte-identical.
-    shared: Option<&'a SharedSearch>,
     /// The one memory being mutated and un-mutated in place.
     mem: Memory,
     /// Step count when exploration started (setups may pre-run seed
@@ -292,7 +271,6 @@ impl<'a> Explorer<'a> {
         ops: &'a [ExploreOp],
         check: &'a mut dyn FnMut(&History) -> bool,
         cfg: ExploreConfig,
-        shared: Option<&'a SharedSearch>,
     ) -> Self {
         let (mem, machines) = setup();
         assert_eq!(machines.len(), ops.len(), "setup/ops arity mismatch");
@@ -303,7 +281,6 @@ impl<'a> Explorer<'a> {
             ops,
             check,
             cfg,
-            shared,
             mem,
             base,
             machines,
@@ -344,15 +321,7 @@ impl<'a> Explorer<'a> {
         let ev = self.mem.apply(self.ops[idx].pid, prim);
         let resp = ev.resp;
         self.stats.executed_steps += 1;
-        if prim.is_read() {
-            self.stats.reads += 1;
-        } else if prim.is_write() {
-            self.stats.writes += 1;
-        } else if ev.cas_succeeded() {
-            self.stats.cas_ok += 1;
-        } else {
-            self.stats.cas_fail += 1;
-        }
+        self.stats.prims.add_event(&ev);
         let consumed = self.trails[idx].get(at).map(|&(_, r)| r);
         if consumed != Some(resp) {
             if consumed.is_some() {
@@ -420,20 +389,6 @@ impl<'a> Explorer<'a> {
         let refeeds = trail.len() as u64;
         self.stats.replay_steps_saved = self.stats.replay_steps_saved.saturating_sub(refeeds);
         self.machines[idx] = m;
-    }
-
-    /// Starts a root branch from fresh machines, so that what the branch
-    /// does never depends on the branches explored before it. That is
-    /// what lets [`explore_parallel`]'s workers, each with its own share
-    /// of the root branches, add up to a sequential run's stats.
-    fn fresh_machines(&mut self) {
-        if self.trails.iter().all(Vec::is_empty) {
-            return;
-        }
-        let (_, machines) = (self.setup)();
-        assert_eq!(machines.len(), self.ops.len(), "setup/ops arity mismatch");
-        self.machines = machines;
-        self.trails.iter_mut().for_each(Vec::clear);
     }
 
     /// The child's sleep set after executing `info`: every process asleep
@@ -533,36 +488,12 @@ impl<'a> Explorer<'a> {
             & !self.crashed
     }
 
-    /// Whether another worker already stopped the search (violation or
-    /// truncation elsewhere). Always `false` for sequential runs.
-    fn stopped(&self) -> bool {
-        self.shared.is_some_and(|s| s.stop.load(Ordering::Relaxed))
-    }
-
-    /// Whether the schedule budget is spent — against the shared global
-    /// count under [`explore_parallel`], the local count otherwise.
-    fn budget_exhausted(&self) -> bool {
-        let done = match self.shared {
-            Some(s) => s.schedules.load(Ordering::Relaxed),
-            None => self.schedules,
-        };
-        done >= self.cfg.max_schedules
-    }
-
-    fn mark_truncated(&mut self) {
-        self.truncated = true;
-        if let Some(s) = self.shared {
-            s.truncated.store(true, Ordering::Relaxed);
-            s.stop.store(true, Ordering::Relaxed);
-        }
-    }
-
     fn dfs(&mut self, sleep: u64) {
-        if self.violation.is_some() || self.truncated || self.stopped() {
+        if self.violation.is_some() || self.truncated {
             return;
         }
-        if self.budget_exhausted() {
-            self.mark_truncated();
+        if self.schedules >= self.cfg.max_schedules {
+            self.truncated = true;
             return;
         }
         let depth = self.prefix.len();
@@ -577,9 +508,6 @@ impl<'a> Explorer<'a> {
             // Complete schedule (every op done or crashed): build the
             // history and check it.
             self.schedules += 1;
-            if let Some(s) = self.shared {
-                s.schedules.fetch_add(1, Ordering::Relaxed);
-            }
             let history = self.build_history();
             if !(self.check)(&history) {
                 self.violation = Some(self.prefix.iter().map(|&i| self.ops[i].pid).collect());
@@ -587,9 +515,6 @@ impl<'a> Explorer<'a> {
                     .filter(|&i| self.crashed & (1 << i) != 0)
                     .map(|i| self.ops[i].pid)
                     .collect();
-                if let Some(s) = self.shared {
-                    s.stop.store(true, Ordering::Relaxed);
-                }
             }
             return;
         }
@@ -601,9 +526,6 @@ impl<'a> Explorer<'a> {
             if self.cfg.prune && asleep & (1 << idx) != 0 {
                 self.stats.pruned_branches += 1;
                 continue;
-            }
-            if depth == 0 {
-                self.fresh_machines();
             }
             let info = self.step_forward(idx);
             let child_sleep = if self.cfg.prune {
@@ -632,7 +554,7 @@ impl<'a> Explorer<'a> {
                 self.crashes_left += 1;
             }
             self.step_back(&info);
-            if self.violation.is_some() || self.truncated || self.stopped() {
+            if self.violation.is_some() || self.truncated {
                 break;
             }
             // Subsequent siblings may defer idx's step until something
@@ -642,102 +564,15 @@ impl<'a> Explorer<'a> {
         }
         self.explored.truncate(siblings);
     }
-
-    /// Runs the root level of the search, descending only into the
-    /// top-level branches whose rank in the root's runnable order is
-    /// `≡ worker (mod workers)` — the partition used by
-    /// [`explore_parallel`].
-    ///
-    /// Every worker first *precomputes* each root branch's first step
-    /// (executed against the pristine root state and immediately
-    /// undone, with the stats snapshot restored so the probe is free):
-    /// those [`StepInfo`]s are exactly the `explored` list the
-    /// sequential root loop would have accumulated, so an owned branch
-    /// at rank `k` starts with the same sleep set — earlier siblings
-    /// whose first steps are independent of its own — that the
-    /// sequential DFS gives it. Every owned branch then starts from fresh
-    /// machines, as in the sequential DFS, so it rebuilds machines at the
-    /// same nodes. Union over workers, the searches visit exactly the
-    /// sequential node set, so merged counters (schedules, pruned
-    /// branches, executed steps, replay savings, crash branches)
-    /// reproduce a sequential run field-for-field.
-    fn run_root_partition(&mut self, worker: usize, workers: usize) {
-        if self.stopped() {
-            return;
-        }
-        if self.budget_exhausted() {
-            self.mark_truncated();
-            return;
-        }
-        let runnable = self.runnable();
-        if runnable == 0 {
-            // Degenerate scope (every op zero-step): exactly one worker
-            // checks the single empty schedule.
-            if worker == 0 {
-                self.dfs(0);
-            }
-            return;
-        }
-        let saved = self.stats;
-        let infos: Vec<StepInfo> = (0..self.ops.len())
-            .filter(|&idx| runnable & (1 << idx) != 0)
-            .map(|idx| {
-                let info = self.step_forward(idx);
-                self.step_back(&info);
-                info
-            })
-            .collect();
-        self.stats = saved;
-        for (rank, idx) in infos.iter().map(|s| s.idx).enumerate() {
-            if rank % workers != worker {
-                continue;
-            }
-            self.fresh_machines();
-            let info = self.step_forward(idx);
-            debug_assert_eq!(
-                info.ev.prim, infos[rank].ev.prim,
-                "setup must be deterministic"
-            );
-            let child_sleep = if self.cfg.prune {
-                infos[..rank]
-                    .iter()
-                    .filter(|s| independent(s, &info))
-                    .fold(0u64, |m, s| m | 1 << s.idx)
-            } else {
-                0
-            };
-            self.dfs(child_sleep);
-            // Crash branch, exactly as in `dfs` (see the comment there).
-            if self.crashes_left > 0
-                && !info.was_last
-                && self.violation.is_none()
-                && !self.truncated
-                && !self.stopped()
-            {
-                self.crashes_left -= 1;
-                self.crashed |= 1 << idx;
-                self.stats.crash_branches += 1;
-                self.dfs(0);
-                self.crashed &= !(1 << idx);
-                self.crashes_left += 1;
-            }
-            self.step_back(&info);
-            if self.violation.is_some() || self.truncated || self.stopped() {
-                return;
-            }
-        }
-    }
 }
 
 /// Explores interleavings of one-shot operations under `cfg`.
 ///
 /// * `setup` — builds a fresh memory and machines; must be
-///   deterministic. It runs once to start the search, at most once more
-///   per root branch (each starts from fresh machines), and otherwise
-///   only when a step's response differs from the one its machine
-///   consumed at that position, when just that one machine is kept; so
-///   keep the call cheap. It may pre-run seed operations solo before
-///   returning:
+///   deterministic. It runs once to start the search, and again only
+///   when a step's response differs from the one its machine consumed
+///   at that position, when just that one machine is kept; so keep the
+///   call cheap. It may pre-run seed operations solo before returning:
 ///   exploration starts from whatever state `setup` leaves, and recorded
 ///   ticks are absolute step indices of that memory (its seed steps
 ///   come first).
@@ -765,7 +600,7 @@ pub fn explore(
         "explorer supports at most 64 operations, got {}",
         ops.len()
     );
-    let mut explorer = Explorer::new(setup, ops, check, cfg, None);
+    let mut explorer = Explorer::new(setup, ops, check, cfg);
     explorer.dfs(0);
     let mut stats = explorer.stats;
     stats.schedules = explorer.schedules;
@@ -774,113 +609,6 @@ pub fn explore(
         truncated: explorer.truncated,
         violation: explorer.violation,
         violation_crashed: explorer.violation_crashed,
-        stats,
-    }
-}
-
-/// Explores interleavings like [`explore`], but partitions the root
-/// branch frontier across `workers` OS threads (`std::thread::scope`).
-///
-/// Each worker builds its own memory and machines via `setup`, owns a
-/// per-worker sleep-set search over its share of the top-level
-/// branches (ranks `≡ worker (mod workers)` in the root's runnable
-/// order, each seeded with the sleep set the sequential search would
-/// give it and started from fresh machines), and the workers coordinate
-/// only through a shared schedule budget and a stop flag. The union of
-/// the workers' searches visits
-/// exactly the sequential node set, so the merged [`ExploreStats`]
-/// (fields summed, `peak_depth` maxed) reproduce a sequential
-/// [`explore`] of the same scope field-for-field — `tests` assert this
-/// and the W5 benchmark records it in `BENCH_explore.json`.
-///
-/// Differences from [`explore`]:
-///
-/// * `setup` and `check` must be `Sync` (`check` is `Fn`, not
-///   `FnMut` — aggregate across schedules with atomics or a mutex).
-/// * On truncation the shared budget may be overshot by up to
-///   `workers - 1` schedules (each in-flight worker can complete one
-///   before observing the stop flag).
-/// * With multiple violating schedules, *which* violation is reported
-///   depends on worker timing (the first found wins); whether one
-///   exists does not.
-///
-/// `workers == 0` is treated as `1`. See [`explore`] for the remaining
-/// parameter docs and panics.
-pub fn explore_parallel(
-    setup: &(dyn Fn() -> (Memory, Vec<Machine>) + Sync),
-    ops: &[ExploreOp],
-    check: &(dyn Fn(&History) -> bool + Sync),
-    cfg: ExploreConfig,
-    workers: usize,
-) -> ExploreSummary {
-    assert!(
-        ops.len() <= 64,
-        "explorer supports at most 64 operations, got {}",
-        ops.len()
-    );
-    let workers = workers.max(1);
-    let shared = SharedSearch {
-        schedules: AtomicUsize::new(0),
-        stop: AtomicBool::new(false),
-        truncated: AtomicBool::new(false),
-    };
-    struct WorkerResult {
-        schedules: usize,
-        violation: Option<Vec<ProcessId>>,
-        violation_crashed: Vec<ProcessId>,
-        stats: ExploreStats,
-    }
-    let results: Vec<WorkerResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let shared = &shared;
-                scope.spawn(move || {
-                    let mut local_check = |h: &History| check(h);
-                    let mut explorer =
-                        Explorer::new(setup, ops, &mut local_check, cfg, Some(shared));
-                    explorer.run_root_partition(w, workers);
-                    WorkerResult {
-                        schedules: explorer.schedules,
-                        violation: explorer.violation,
-                        violation_crashed: explorer.violation_crashed,
-                        stats: explorer.stats,
-                    }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("explore worker panicked"))
-            .collect()
-    });
-    let mut stats = ExploreStats::default();
-    let mut schedules = 0usize;
-    let mut violation = None;
-    let mut violation_crashed = Vec::new();
-    for r in results {
-        schedules += r.schedules;
-        stats.pruned_branches += r.stats.pruned_branches;
-        stats.executed_steps += r.stats.executed_steps;
-        stats.replay_steps_saved += r.stats.replay_steps_saved;
-        stats.peak_depth = stats.peak_depth.max(r.stats.peak_depth);
-        stats.crash_branches += r.stats.crash_branches;
-        stats.reads += r.stats.reads;
-        stats.writes += r.stats.writes;
-        stats.cas_ok += r.stats.cas_ok;
-        stats.cas_fail += r.stats.cas_fail;
-        if violation.is_none() {
-            if let Some(v) = r.violation {
-                violation = Some(v);
-                violation_crashed = r.violation_crashed;
-            }
-        }
-    }
-    stats.schedules = schedules;
-    ExploreSummary {
-        schedules,
-        truncated: shared.truncated.load(Ordering::Relaxed),
-        violation,
-        violation_crashed,
         stats,
     }
 }
@@ -1720,8 +1448,8 @@ mod tests {
     fn machines_are_kept_while_their_responses_match() {
         // Writers on disjoint cells and a reader of a cell nobody
         // writes: every interleaving feeds every operation the same
-        // responses, so no machine is ever rebuilt. `setup` runs once
-        // for the root and at most once more per root branch.
+        // responses, so no machine is ever rebuilt: `setup` runs once,
+        // for the root.
         use std::cell::Cell;
         let calls = Cell::new(0usize);
         let setup = || {
@@ -1750,12 +1478,7 @@ mod tests {
         // 10! / (3!·3!·3!·1!) interleavings of three 3-step writes and a
         // read.
         assert_eq!(summary.schedules, 16_800);
-        let root_branches = ops.len();
-        assert!(
-            calls.get() <= 1 + root_branches,
-            "{} setup calls for {root_branches} root branches",
-            calls.get()
-        );
+        assert_eq!(calls.get(), 1, "setup calls");
     }
 
     #[test]
@@ -1776,134 +1499,15 @@ mod tests {
     fn stats_prim_kinds_partition_executed_steps() {
         let (setup, ops) = counter_setup(3);
         let summary = enumerate(&setup, &ops, &mut |_| true, 200_000);
-        let s = &summary.stats;
+        let s = &summary.stats.prims;
         assert_eq!(
-            s.reads + s.writes + s.cas_ok + s.cas_fail,
-            s.executed_steps,
+            s.steps(),
+            summary.stats.executed_steps,
             "prim-kind tallies must partition executed_steps"
         );
         // The read-CAS increment loop issues reads and CASes, and with 3
         // contending processes some interleavings must fail a CAS.
         assert!(s.reads > 0 && s.cas_ok > 0 && s.cas_fail > 0);
         assert_eq!(s.writes, 0, "incr uses no write primitive");
-    }
-
-    /// Asserts two explorations did exactly the same work, field by
-    /// field (parallel merges must reproduce the sequential counters).
-    fn assert_stats_eq(a: &ExploreStats, b: &ExploreStats, ctx: &str) {
-        assert_eq!(a.schedules, b.schedules, "{ctx}: schedules");
-        assert_eq!(
-            a.pruned_branches, b.pruned_branches,
-            "{ctx}: pruned_branches"
-        );
-        assert_eq!(a.executed_steps, b.executed_steps, "{ctx}: executed_steps");
-        assert_eq!(
-            a.replay_steps_saved, b.replay_steps_saved,
-            "{ctx}: replay_steps_saved"
-        );
-        assert_eq!(a.peak_depth, b.peak_depth, "{ctx}: peak_depth");
-        assert_eq!(a.crash_branches, b.crash_branches, "{ctx}: crash_branches");
-        assert_eq!(a.reads, b.reads, "{ctx}: reads");
-        assert_eq!(a.writes, b.writes, "{ctx}: writes");
-        assert_eq!(a.cas_ok, b.cas_ok, "{ctx}: cas_ok");
-        assert_eq!(a.cas_fail, b.cas_fail, "{ctx}: cas_fail");
-    }
-
-    #[test]
-    fn parallel_explorer_reproduces_sequential_counts() {
-        // Across prune × crash-budget × worker-count, the merged
-        // parallel stats must equal the sequential run field for field:
-        // the root partition visits exactly the sequential node set.
-        let (setup, ops) = counter_setup(3);
-        for prune in [false, true] {
-            for max_crashes in [0, 1] {
-                let cfg = ExploreConfig {
-                    max_schedules: 1_000_000,
-                    prune,
-                    max_crashes,
-                };
-                let sequential = explore(&setup, &ops, &mut |_| true, cfg);
-                assert!(!sequential.truncated);
-                for workers in [1, 2, 4] {
-                    let parallel = explore_parallel(&setup, &ops, &|_| true, cfg, workers);
-                    let ctx = format!("prune={prune} max_crashes={max_crashes} workers={workers}");
-                    assert!(!parallel.truncated, "{ctx}: truncated");
-                    assert!(parallel.violation.is_none(), "{ctx}: violation");
-                    assert_eq!(parallel.schedules, sequential.schedules, "{ctx}");
-                    assert_stats_eq(&parallel.stats, &sequential.stats, &ctx);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_explorer_finds_violations() {
-        // Same dirty-read scenario as `pruning_reaches_violating_schedules`,
-        // but searched in parallel: a transient overcount of 2 must still
-        // be found regardless of which worker owns the violating branch.
-        let setup = || {
-            let mut mem = Memory::new();
-            let o = mem.alloc(0);
-            let machines = vec![Machine::new(sloppy_double_incr(o)), reader(o)];
-            (mem, machines)
-        };
-        let ops = vec![
-            ExploreOp {
-                pid: ProcessId(0),
-                desc: OpDesc::CounterIncrement,
-                returns_value: false,
-            },
-            ExploreOp {
-                pid: ProcessId(1),
-                desc: OpDesc::CounterRead,
-                returns_value: true,
-            },
-        ];
-        let check = |h: &History| h.ops().iter().all(|o| o.output != Some(OpOutput::Value(2)));
-        for prune in [false, true] {
-            for workers in [1, 2, 4] {
-                let summary = explore_parallel(
-                    &setup,
-                    &ops,
-                    &check,
-                    ExploreConfig {
-                        max_schedules: 10_000,
-                        prune,
-                        max_crashes: 0,
-                    },
-                    workers,
-                );
-                assert!(
-                    summary.violation.is_some(),
-                    "prune={prune} workers={workers}: dirty read not found"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_explorer_respects_the_shared_budget() {
-        let (setup, ops) = counter_setup(3);
-        let workers = 4;
-        let budget = 5;
-        let summary = explore_parallel(
-            &setup,
-            &ops,
-            &|_| true,
-            ExploreConfig {
-                max_schedules: budget,
-                prune: false,
-                max_crashes: 0,
-            },
-            workers,
-        );
-        assert!(summary.truncated);
-        // The budget is shared; each in-flight worker may complete at
-        // most one extra schedule before it observes the stop flag.
-        assert!(
-            summary.schedules >= budget && summary.schedules < budget + workers,
-            "schedules={} budget={budget} workers={workers}",
-            summary.schedules
-        );
     }
 }

@@ -43,6 +43,8 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 
+use crate::Event;
+
 /// Process-wide switch; `Relaxed` loads on the hot path.
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -51,13 +53,15 @@ thread_local! {
     static OP_COUNTS: Cell<OpCounts> = const { Cell::new(OpCounts::new()) };
 }
 
-/// Per-operation primitive-event tally, classified like the simulator's
-/// events.
+/// Primitive-event tally, classified like the simulator's events: of
+/// one real operation, one simulated operation or execution, or an
+/// explorer's forward steps. The four tallies partition the steps, so
+/// [`steps`](OpCounts::steps) *is* the step count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpCounts {
-    /// Atomic loads.
+    /// Reads (atomic loads).
     pub reads: u64,
-    /// Atomic stores.
+    /// Writes (atomic stores).
     pub writes: u64,
     /// Successful CAS events. Hardware read-modify-writes that cannot
     /// fail (`fetch_add`) are counted here too: they are one primitive
@@ -81,6 +85,27 @@ impl OpCounts {
     /// Total shared-memory events — the paper's step count.
     pub fn steps(&self) -> u64 {
         self.reads + self.writes + self.cas_ok + self.cas_fail
+    }
+
+    /// Adds another tally into this one.
+    pub fn add(&mut self, other: &OpCounts) {
+        self.reads += other.reads;
+        self.writes += other.writes;
+        self.cas_ok += other.cas_ok;
+        self.cas_fail += other.cas_fail;
+    }
+
+    /// Classifies one simulator event into the matching tally.
+    pub fn add_event(&mut self, ev: &Event) {
+        if ev.prim.is_read() {
+            self.reads += 1;
+        } else if ev.prim.is_write() {
+            self.writes += 1;
+        } else if ev.cas_succeeded() {
+            self.cas_ok += 1;
+        } else {
+            self.cas_fail += 1;
+        }
     }
 }
 

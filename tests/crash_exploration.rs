@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use ruo::core::maxreg::sim::{write_leaf, SimMaxRegister, SimTreeMaxRegister};
 use ruo::core::shape::AlgorithmATree;
-use ruo::metrics::ExploreGauges;
 use ruo::scenario::{
     explore_parts, EngineKind, ExploreSpec, Family, OpKind, ScenarioOp, ScenarioSpec,
 };
@@ -77,7 +76,6 @@ fn double_cas_survives_every_one_crash_schedule_at_n4() {
         max_schedules: 2_000_000,
         prune: true,
         max_crashes: 1,
-        workers: 1,
     });
     let parts = explore_parts(&spec).unwrap();
     assert_eq!(parts.initial, 3, "the seed update is the checker's initial");
@@ -120,11 +118,6 @@ fn double_cas_survives_every_one_crash_schedule_at_n4() {
         summary.stats.crash_branches > 0 && crashed_histories > 0,
         "crash branches must actually be explored"
     );
-
-    // The crash exploration flows into the metrics layer like any run.
-    let gauges = ExploreGauges::new(1);
-    gauges.record(ProcessId(0), &summary.stats);
-    assert_eq!(gauges.crash_branches(), summary.stats.crash_branches as u64);
     println!(
         "N=4 one-crash proof: {} schedules ({} crash branches, {} with a pending write)",
         summary.schedules, summary.stats.crash_branches, crashed_histories

@@ -15,7 +15,6 @@ use std::sync::Arc;
 
 use ruo::core::maxreg::sim::{write_leaf, SimMaxRegister, SimTreeMaxRegister};
 use ruo::core::shape::AlgorithmATree;
-use ruo::metrics::ExploreGauges;
 use ruo::sim::explore::{assert_all_schedules_pass, enumerate, explore, ExploreConfig, ExploreOp};
 use ruo::sim::lin::{check_exact, check_interval};
 use ruo::sim::spec::SeqSpec;
@@ -313,18 +312,10 @@ fn scaled_scope_three_writers_one_reader_fast_path() {
         "incremental replay must save more than it executes at this depth"
     );
 
-    // Report both runs through the ruo-metrics exploration gauges.
-    let gauges = ExploreGauges::new(2);
-    gauges.record(ProcessId(0), &full.stats);
-    gauges.record(ProcessId(1), &pruned.stats);
-    assert_eq!(
-        gauges.schedules(),
-        (full.schedules + pruned.schedules) as u64
-    );
-    assert!(gauges.peak_depth() > 0);
+    assert!(pruned.stats.peak_depth > 0);
     println!(
-        "scaled scope: {} full schedules, {} pruned schedules, gauges: {:?}",
-        full.schedules, pruned.schedules, gauges
+        "scaled scope: {} full schedules, {} pruned schedules",
+        full.schedules, pruned.schedules
     );
 }
 
