@@ -106,15 +106,4 @@ mod tests {
         assert_eq!(log2_ceil(1024), 10);
         assert_eq!(log2_ceil(1025), 11);
     }
-
-    #[test]
-    fn run_solo_counts_steps() {
-        use ruo_sim::{run_solo, Machine, Memory, Prim, ProcessId};
-        let mut mem = Memory::new();
-        let o = mem.alloc(7);
-        let read = Machine::single(Prim::Read(o), |v| v);
-        let (v, steps) = run_solo(&mut mem, ProcessId(0), read);
-        assert_eq!(v, 7);
-        assert_eq!(steps, 1);
-    }
 }

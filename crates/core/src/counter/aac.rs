@@ -19,6 +19,9 @@
 //! Both faces run one body over [`Cells`]: [`AacCounter`] on real cells
 //! (a word per leaf, packed one-byte switches per internal node) and
 //! [`SimAacCounter`] on simulator cells, so both take the same steps.
+//! The body reaches each node's table through a `Backend`: a real
+//! operation views all of them with the one [`Tally`] it started with,
+//! so it reads the counting switch once, not once per node.
 //! Every internal node's register has the one [`AacShape`] of capacity
 //! `M + 1`; only its switches are its own. An incrementer stores into
 //! its own subtree's registers and then loads its sibling's, so every
@@ -27,16 +30,14 @@
 //! miss the other's switch and both write a sum short of the total.
 
 use std::fmt;
-use std::sync::atomic::AtomicU8;
 use std::sync::Arc;
 
-use ruo_sim::stepcount::CountingI64;
+use ruo_sim::stepcount::Tally;
 use ruo_sim::{Machine, Memory, ObjId, ProcessId, Word};
 
 use super::sim::SimCounter;
-use crate::cells::{real_bytes, real_cells, run, Cells};
+use crate::cells::{real_bytes, real_cells, run, Backend, Bytes, Cells, Sim, Words};
 use crate::maxreg::aac::{aac_read, aac_write, AacShape};
-use crate::pad::CachePadded;
 use crate::shape::TreeShape;
 use crate::traits::Counter;
 
@@ -62,7 +63,7 @@ struct AacTree<L: ?Sized, S: ?Sized> {
     reg: AacShape,
 }
 
-impl<L: Cells + ?Sized, S: Cells + ?Sized> AacTree<L, S> {
+impl<L: ?Sized, S: ?Sized> AacTree<L, S> {
     /// Lays out the tree for `n` processes and at most `max_increments`
     /// increments; `alloc` makes a node's cells from its switch count,
     /// `None` for a leaf.
@@ -89,12 +90,12 @@ impl<L: Cells + ?Sized, S: Cells + ?Sized> AacTree<L, S> {
     }
 
     /// The count below `child`: `0` for a missing child, a leaf's cell,
-    /// or an internal node's max register.
-    async fn count(&self, child: Option<usize>) -> u64 {
+    /// or an internal node's max register. `b` reaches each node's cells.
+    async fn count<B: Backend<L> + Backend<S>>(&self, b: B, child: Option<usize>) -> u64 {
         match child.map(|i| &self.cells[i]) {
             None => 0,
-            Some(NodeCells::Leaf(cell)) => cell.load(0).await as u64,
-            Some(NodeCells::Switches(switches)) => aac_read(&**switches, &self.reg).await,
+            Some(NodeCells::Leaf(cell)) => b.view(&**cell).load(0).await as u64,
+            Some(NodeCells::Switches(switches)) => aac_read(&b.view(&**switches), &self.reg).await,
         }
     }
 
@@ -105,20 +106,21 @@ impl<L: Cells + ?Sized, S: Cells + ?Sized> AacTree<L, S> {
     /// # Panics
     ///
     /// Panics if a sum exceeds the restricted-use bound.
-    async fn increment(&self, p: usize) {
+    async fn increment<B: Backend<L> + Backend<S>>(&self, b: B, p: usize) {
         let mut node = self.leaves[p];
         let NodeCells::Leaf(own) = &self.cells[node] else {
             unreachable!("a process owns a leaf")
         };
+        let own = b.view(&**own);
         let c = own.load(0).await;
         own.store(0, c + 1).await;
         while let Some(parent) = self.shape.parent(node) {
             let info = self.shape.node(parent);
-            let sum = self.count(info.left).await + self.count(info.right).await;
+            let sum = self.count(b, info.left).await + self.count(b, info.right).await;
             let NodeCells::Switches(switches) = &self.cells[parent] else {
                 unreachable!("a parent is an internal node")
             };
-            aac_write(&**switches, &self.reg, sum).await;
+            aac_write(&b.view(&**switches), &self.reg, sum).await;
             node = parent;
         }
     }
@@ -139,7 +141,7 @@ impl<L: Cells + ?Sized, S: Cells + ?Sized> AacTree<L, S> {
 /// assert_eq!(counter.read(), 2);
 /// ```
 pub struct AacCounter {
-    tree: AacTree<[CachePadded<CountingI64>], [AtomicU8]>,
+    tree: AacTree<Words, Bytes>,
 }
 
 impl fmt::Debug for AacCounter {
@@ -184,11 +186,11 @@ impl Counter for AacCounter {
     /// Panics if the restricted-use bound is exceeded (an internal
     /// `WriteMax` would overflow its register).
     fn increment(&self, pid: ProcessId) {
-        run(self.tree.increment(pid.index()));
+        run(self.tree.increment(Tally::start(), pid.index()));
     }
 
     fn read(&self) -> u64 {
-        run(self.tree.count(Some(self.tree.root)))
+        run(self.tree.count(Tally::start(), Some(self.tree.root)))
     }
 }
 
@@ -230,14 +232,14 @@ impl SimCounter for SimAacCounter {
     fn increment(&self, pid: ProcessId) -> Machine {
         let tree = Arc::clone(&self.tree);
         Machine::new(async move {
-            tree.increment(pid.index()).await;
+            tree.increment(Sim, pid.index()).await;
             0
         })
     }
 
     fn read(&self, _pid: ProcessId) -> Machine {
         let tree = Arc::clone(&self.tree);
-        Machine::new(async move { tree.count(Some(tree.root)).await as Word })
+        Machine::new(async move { tree.count(Sim, Some(tree.root)).await as Word })
     }
 }
 

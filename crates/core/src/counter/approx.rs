@@ -36,13 +36,11 @@ use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ruo_sim::stepcount::CountingI64;
 use ruo_sim::{Machine, Memory, ObjId, ProcessId};
 
 use super::sharded::{bump, collect_sum};
 use super::sim::SimCounter;
-use crate::cells::{real_cells, run, Cells};
-use crate::pad::CachePadded;
+use crate::cells::{real_cells, run, Cells, Real, Words};
 use crate::traits::Counter;
 
 /// Whether a published stripe `p` has drifted too far behind the exact
@@ -87,7 +85,7 @@ async fn increment<C: Cells + ?Sized>(cells: &C, n: usize, i: usize, k: u64) {
 pub struct ApproxCounter {
     /// `N` exact per-process counts, then `N` published stripes (the
     /// only cells reads touch); each is written only by its process.
-    cells: Box<[CachePadded<CountingI64>]>,
+    cells: Box<Words>,
     k: u64,
 }
 
@@ -132,7 +130,7 @@ impl ApproxCounter {
     /// used by audits and tests, *not* part of the approximate read
     /// path.
     pub fn exact(&self) -> u64 {
-        run(collect_sum(&*self.cells, 0..self.n())) as u64
+        run(collect_sum(&Real::new(&*self.cells), 0..self.n())) as u64
     }
 
     /// Published stripe `i` (for tests and gauges).
@@ -141,20 +139,25 @@ impl ApproxCounter {
     ///
     /// Panics if `i >= n`.
     pub fn published(&self, i: usize) -> u64 {
-        self.cells[self.n() + i].load(Ordering::Acquire) as u64
+        Real::new(&*self.cells).load_with(self.n() + i, Ordering::Acquire) as u64
     }
 }
 
 impl Counter for ApproxCounter {
     fn increment(&self, pid: ProcessId) {
-        run(increment(&*self.cells, self.n(), pid.index(), self.k));
+        run(increment(
+            &Real::new(&*self.cells),
+            self.n(),
+            pid.index(),
+            self.k,
+        ));
     }
 
     /// One collect of the published stripes; the result `v` satisfies
     /// `v ≤ C ≤ k·v` for the true count `C` (module docs).
     fn read(&self) -> u64 {
         let n = self.n();
-        run(collect_sum(&*self.cells, n..2 * n)) as u64
+        run(collect_sum(&Real::new(&*self.cells), n..2 * n)) as u64
     }
 }
 

@@ -7,9 +7,9 @@
 //! cost of staying within the model.
 
 use std::fmt;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use ruo_sim::stepcount::CountingU64;
+use ruo_sim::stepcount::Tally;
 use ruo_sim::ProcessId;
 
 use crate::pad::CachePadded;
@@ -30,7 +30,7 @@ use crate::traits::Counter;
 pub struct FetchAddCounter {
     /// Padded so the counter never false-shares with neighbouring
     /// allocations in the embedding structure.
-    cell: CachePadded<CountingU64>,
+    cell: CachePadded<AtomicU64>,
 }
 
 impl fmt::Debug for FetchAddCounter {
@@ -53,13 +53,15 @@ impl Counter for FetchAddCounter {
         // Relaxed: the RMW still participates in the cell's total
         // modification order, which alone linearizes increments; the
         // counter publishes nothing but its own value (DESIGN.md
-        // § Memory orderings).
+        // § Memory orderings). The RMW counts as a successful CAS.
+        Tally::start().cas(true);
         self.cell.fetch_add(1, Ordering::Relaxed);
     }
 
     fn read(&self) -> u64 {
         // Acquire: reads linearize at the load and see every increment
         // that happens-before them.
+        Tally::start().read();
         self.cell.load(Ordering::Acquire)
     }
 }
@@ -67,7 +69,20 @@ impl Counter for FetchAddCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cells::counted;
+    use ruo_sim::stepcount::OpCounts;
     use std::sync::Arc;
+
+    #[test]
+    fn increment_and_read_tallies_are_pinned() {
+        let c = FetchAddCounter::new();
+        let (_, increment) = counted(|| c.increment(ProcessId(0)));
+        let (v, read) = counted(|| c.read());
+        assert_eq!(v, 1);
+        let none = OpCounts::new();
+        assert_eq!(increment, OpCounts { cas_ok: 1, ..none });
+        assert_eq!(read, OpCounts { reads: 1, ..none });
+    }
 
     #[test]
     fn counts_increments() {

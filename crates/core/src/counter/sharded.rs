@@ -31,12 +31,10 @@ use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ruo_sim::stepcount::CountingI64;
 use ruo_sim::{Machine, Memory, ObjId, ProcessId, Word};
 
 use super::sim::SimCounter;
-use crate::cells::{real_cells, run, Cells};
-use crate::pad::CachePadded;
+use crate::cells::{real_cells, run, Cells, Real, Words};
 use crate::traits::Counter;
 
 /// Adds one to the single-writer stripe `i` — a read of our own last
@@ -73,7 +71,7 @@ pub(super) async fn collect_sum<C: Cells + ?Sized>(cells: &C, range: Range<usize
 pub struct ShardedCounter {
     /// One padded cell per process; stripe `i` is written only by
     /// process `i` (see [`crate::pad`] for why each owns a line pair).
-    stripes: Box<[CachePadded<CountingI64>]>,
+    stripes: Box<Words>,
 }
 
 impl fmt::Debug for ShardedCounter {
@@ -110,28 +108,28 @@ impl ShardedCounter {
     ///
     /// Panics if `i >= n`.
     pub fn stripe(&self, i: usize) -> u64 {
-        self.stripes[i].load(Ordering::Acquire) as u64
+        Real::new(&*self.stripes).load_with(i, Ordering::Acquire) as u64
     }
 
     /// One collect of all stripes, in index order — the raw material of
     /// the metrics-side imbalance gauges.
     pub fn stripe_counts(&self) -> Vec<u64> {
-        self.stripes
-            .iter()
-            .map(|s| s.load(Ordering::SeqCst) as u64)
+        let stripes = Real::new(&*self.stripes);
+        (0..self.n())
+            .map(|i| stripes.load_with(i, Ordering::SeqCst) as u64)
             .collect()
     }
 }
 
 impl Counter for ShardedCounter {
     fn increment(&self, pid: ProcessId) {
-        run(bump(&*self.stripes, pid.index()));
+        run(bump(&Real::new(&*self.stripes), pid.index()));
     }
 
     fn read(&self) -> u64 {
         // One collect; no double-collect needed — monotone single-writer
         // stripes make a single pass linearizable (module docs).
-        run(collect_sum(&*self.stripes, 0..self.n())) as u64
+        run(collect_sum(&Real::new(&*self.stripes), 0..self.n())) as u64
     }
 }
 

@@ -28,11 +28,9 @@ use std::marker::PhantomData;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ruo_sim::stepcount::CountingI64;
 use ruo_sim::{Machine, Memory, ObjId, Prim, ProcessId, Word};
 
-use crate::cells::{real_cells, run, Cells};
-use crate::pad::CachePadded;
+use crate::cells::{real_cells, run, Cells, Real, Words};
 use crate::shape::{PathNode, TreeShape, NO_CHILD};
 
 /// An associative aggregation with an identity, under which per-slot
@@ -213,7 +211,7 @@ fn advance<A: Aggregation>(old: Word, new: Word) -> Word {
 pub struct FArray<A: Aggregation> {
     layout: Layout,
     /// Padded cells: one cache-line pair per node (see [`crate::pad`]).
-    cells: Box<[CachePadded<CountingI64>]>,
+    cells: Box<Words>,
     _agg: PhantomData<A>,
 }
 
@@ -250,12 +248,12 @@ impl<A: Aggregation> FArray<A> {
     pub fn read(&self) -> Word {
         // Acquire: the read linearizes at this load; covering writes are
         // at-least-Release CASes and node values are monotone.
-        self.cells[self.layout.root].load(Ordering::Acquire)
+        Real::new(&*self.cells).load_with(self.layout.root, Ordering::Acquire)
     }
 
     /// Reads `pid`'s own slot.
     pub fn slot(&self, pid: ProcessId) -> Word {
-        self.cells[self.layout.leaves[pid.index()]].load(Ordering::Acquire)
+        Real::new(&*self.cells).load_with(self.layout.leaves[pid.index()], Ordering::Acquire)
     }
 
     /// Merges `value` into `pid`'s slot (`slot ← f(slot, value)`) and
@@ -296,7 +294,7 @@ impl<A: Aggregation> FArray<A> {
     fn run_merge(&self, pid: ProcessId, f: impl FnOnce(Word) -> Word) -> Word {
         let i = pid.index();
         let (leaf, path) = (self.layout.leaves[i], &self.layout.paths[i]);
-        run(merge::<A, _>(&*self.cells, leaf, path, f))
+        run(merge::<A, _>(&Real::new(&*self.cells), leaf, path, f))
     }
 }
 

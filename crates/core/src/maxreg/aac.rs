@@ -24,13 +24,12 @@
 //! `SeqCst`, like every real cell's (DESIGN.md § Memory orderings).
 
 use std::fmt;
-use std::sync::atomic::AtomicU8;
 use std::sync::Arc;
 
 use ruo_sim::{Machine, Memory, ObjId, ProcessId, Word};
 
 use super::sim::SimMaxRegister;
-use crate::cells::{real_bytes, run, Cells};
+use crate::cells::{real_bytes, run, Bytes, Cells, Real};
 use crate::traits::MaxRegister;
 
 /// Hard cap on the register capacity.
@@ -261,7 +260,7 @@ impl AacShape {
 /// ```
 pub struct AacMaxRegister {
     shape: AacShape,
-    switches: Box<[AtomicU8]>,
+    switches: Box<Bytes>,
 }
 
 impl fmt::Debug for AacMaxRegister {
@@ -427,7 +426,7 @@ impl AacMaxRegister {
                 capacity: self.shape.capacity(),
             });
         }
-        run(aac_write(&*self.switches, &self.shape, v));
+        run(aac_write(&Real::new(&*self.switches), &self.shape, v));
         Ok(())
     }
 }
@@ -444,7 +443,7 @@ impl MaxRegister for AacMaxRegister {
     }
 
     fn read_max(&self) -> u64 {
-        run(aac_read(&*self.switches, &self.shape))
+        run(aac_read(&Real::new(&*self.switches), &self.shape))
     }
 }
 

@@ -31,14 +31,13 @@
 //! they take the same steps.
 
 use std::fmt;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicI64, Ordering};
 
-use ruo_sim::stepcount::CountingI64;
 use ruo_sim::{access, Machine, Memory, ObjId, Prim, ProcessId, Word};
 
 use super::cas_retry::raise;
 use super::sim::SimMaxRegister;
-use crate::cells::run;
+use crate::cells::{run, Real};
 use crate::pad::CachePadded;
 use crate::traits::MaxRegister;
 use crate::value::MAX_VALUE;
@@ -95,7 +94,7 @@ fn decode(code: u64, k: u64) -> u64 {
 /// ```
 pub struct ApproxMaxRegister {
     /// The bucket-code cell; `0` = nothing written.
-    cell: [CachePadded<CountingI64>; 1],
+    cell: [CachePadded<AtomicI64>; 1],
     k: u64,
 }
 
@@ -136,11 +135,18 @@ impl MaxRegister for ApproxMaxRegister {
         assert!(v <= MAX_VALUE, "value {v} exceeds MAX_VALUE");
         // A covering code already in the cell placed the true maximum in
         // our bucket or above, so `raise` returning on it is sound.
-        run(raise(&self.cell[..], 0, encode(v, self.k) as Word));
+        run(raise(
+            &Real::new(&self.cell[..]),
+            0,
+            encode(v, self.k) as Word,
+        ));
     }
 
     fn read_max(&self) -> u64 {
-        decode(self.cell[0].load(Ordering::Acquire) as u64, self.k)
+        decode(
+            Real::new(&self.cell[..]).load_with(0, Ordering::Acquire) as u64,
+            self.k,
+        )
     }
 }
 

@@ -16,13 +16,12 @@
 //! the same body.
 
 use std::fmt;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicI64, Ordering};
 
-use ruo_sim::stepcount::CountingI64;
 use ruo_sim::{Machine, Memory, ObjId, Prim, ProcessId, Word};
 
 use super::sim::SimMaxRegister;
-use crate::cells::{run, Cells};
+use crate::cells::{run, Cells, Real};
 use crate::pad::CachePadded;
 use crate::traits::MaxRegister;
 use crate::value::to_word;
@@ -62,13 +61,16 @@ pub(crate) async fn raise<C: Cells + ?Sized>(cells: &C, cell: usize, v: Word) {
 pub struct CasRetryMaxRegister {
     /// One cell, padded so the register never false-shares with
     /// whatever the embedding structure allocates next to it.
-    cell: [CachePadded<CountingI64>; 1],
+    cell: [CachePadded<AtomicI64>; 1],
 }
 
 impl fmt::Debug for CasRetryMaxRegister {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CasRetryMaxRegister")
-            .field("value", &self.cell[0].load(Ordering::Relaxed))
+            .field(
+                "value",
+                &Real::new(&self.cell[..]).load_with(0, Ordering::Relaxed),
+            )
             .finish()
     }
 }
@@ -85,13 +87,13 @@ impl MaxRegister for CasRetryMaxRegister {
     ///
     /// Panics if `v` exceeds [`MAX_VALUE`](crate::value::MAX_VALUE).
     fn write_max(&self, _pid: ProcessId, v: u64) {
-        run(raise(&self.cell[..], 0, to_word(v)));
+        run(raise(&Real::new(&self.cell[..]), 0, to_word(v)));
     }
 
     fn read_max(&self) -> u64 {
         // One load of a single cell: Acquire orders the write it reads
         // before our completion (DESIGN.md § Memory orderings).
-        self.cell[0].load(Ordering::Acquire) as u64
+        Real::new(&self.cell[..]).load_with(0, Ordering::Acquire) as u64
     }
 }
 

@@ -24,12 +24,10 @@
 use std::fmt;
 use std::sync::atomic::Ordering;
 
-use ruo_sim::stepcount::CountingI64;
 use ruo_sim::ProcessId;
 
-use crate::cells::{real_cells, run};
+use crate::cells::{real_cells, run, Cells, Real, Words};
 use crate::farray::{climb, Max};
-use crate::pad::CachePadded;
 use crate::shape::{AlgorithmATree, PathNode};
 use crate::traits::MaxRegister;
 use crate::value::{from_word, to_word};
@@ -109,7 +107,7 @@ pub struct TreeMaxRegister {
     /// One padded cell per tree node: neighbouring nodes never share a
     /// cache-line pair, so a CAS on one node does not invalidate its
     /// arena neighbours under every other core (see [`crate::pad`]).
-    cells: Box<[CachePadded<CountingI64>]>,
+    cells: Box<Words>,
     /// Per-level elimination filter (opt-in via
     /// [`with_elimination`](TreeMaxRegister::with_elimination)): when the
     /// root check misses, scan the leaf-to-root path top-down and stop a
@@ -187,17 +185,17 @@ impl TreeMaxRegister {
 
     /// The paper's `Propagate(n)` over the precomputed leaf-to-root
     /// path.
-    fn propagate(&self, leaf: usize) {
-        self.propagate_path(self.tree.path_for(leaf));
+    fn propagate(&self, cells: &Real<'_, Words>, leaf: usize) {
+        propagate_path(cells, self.tree.path_for(leaf));
     }
+}
 
-    /// `Propagate` over an explicit (suffix of a) bottom-up path — the
-    /// whole path for a normal write, or only the levels above a
-    /// dominating node for the elimination filter. This is the f-array's
-    /// double-CAS climb under `max`, whose identity is `-∞`.
-    fn propagate_path(&self, path: &[PathNode]) {
-        run(climb::<Max, _>(&*self.cells, path));
-    }
+/// `Propagate` over an explicit (suffix of a) bottom-up path — the
+/// whole path for a normal write, or only the levels above a dominating
+/// node for the elimination filter. This is the f-array's double-CAS
+/// climb under `max`, whose identity is `-∞`.
+fn propagate_path(cells: &Real<'_, Words>, path: &[PathNode]) {
+    run(climb::<Max, _>(cells, path));
 }
 
 impl MaxRegister for TreeMaxRegister {
@@ -206,6 +204,7 @@ impl MaxRegister for TreeMaxRegister {
             return; // a fresh register already reads 0
         }
         let w = to_word(v);
+        let cells = Real::new(&*self.cells);
         // O(1) dominated-write fast path: if the root already carries a
         // value ≥ v, some WriteMax(v') with v' ≥ v has fully propagated,
         // and the root is monotone — every later ReadMax returns ≥ v.
@@ -213,7 +212,7 @@ impl MaxRegister for TreeMaxRegister {
         // This is sound precisely BECAUSE it reads the root, unlike the
         // paper's leaf-based early return (see DESIGN.md § Deviations
         // and § Dominated-write fast path).
-        if w <= self.cells[self.tree.root()].load(Ordering::Acquire) {
+        if w <= cells.load_with(self.tree.root(), Ordering::Acquire) {
             return;
         }
         let leaf = self.tree.leaf_for(pid.index(), v);
@@ -228,8 +227,8 @@ impl MaxRegister for TreeMaxRegister {
             let path = self.tree.path_for(leaf);
             if path.len() > 1 {
                 for j in (0..path.len() - 1).rev() {
-                    if w <= self.cells[path[j].node as usize].load(Ordering::Acquire) {
-                        self.propagate_path(&path[j + 1..]);
+                    if w <= cells.load_with(path[j].node as usize, Ordering::Acquire) {
+                        propagate_path(&cells, &path[j + 1..]);
                         return;
                     }
                 }
@@ -238,7 +237,7 @@ impl MaxRegister for TreeMaxRegister {
         // Relaxed is enough here: for a TR (single-writer) leaf this
         // reads our own last store, and for a TL leaf the branch below
         // never returns early, so nothing is concluded from the value.
-        let old = self.cells[leaf].load(Ordering::Relaxed);
+        let old = cells.load_with(leaf, Ordering::Relaxed);
         if w <= old {
             // The paper's pseudo-code returns here unconditionally, but
             // that is unsound for shared TL value-leaves: the process
@@ -250,18 +249,19 @@ impl MaxRegister for TreeMaxRegister {
             // own earlier (completed, hence fully propagated) write
             // already covers us and returning is safe.
             if (v as u128) < self.n() as u128 {
-                self.propagate(leaf);
+                self.propagate(&cells, leaf);
             }
             return;
         }
         // TL value-leaves only ever receive the single value `v`; TR
         // process-leaves are single-writer. Either way a plain store of a
-        // strictly larger value is safe. SeqCst: the store must be
-        // ordered before the sibling reads in `propagate` (both ours and
-        // helpers'); Release would allow the store-buffering reordering
-        // that loses the write (DESIGN.md § Memory orderings).
-        self.cells[leaf].store(w, Ordering::SeqCst);
-        self.propagate(leaf);
+        // strictly larger value is safe. SeqCst, as every view store is:
+        // the store must be ordered before the sibling reads in
+        // `propagate` (both ours and helpers'); Release would allow the
+        // store-buffering reordering that loses the write (DESIGN.md
+        // § Memory orderings).
+        run(cells.store(leaf, w));
+        self.propagate(&cells, leaf);
     }
 
     fn read_max(&self) -> u64 {
@@ -270,7 +270,7 @@ impl MaxRegister for TreeMaxRegister {
         // monotone, and Acquire synchronizes with the covering write —
         // SeqCst adds nothing a reader can observe (DESIGN.md § Memory
         // orderings).
-        from_word(self.cells[self.tree.root()].load(Ordering::Acquire))
+        from_word(Real::new(&*self.cells).load_with(self.tree.root(), Ordering::Acquire))
     }
 }
 

@@ -18,12 +18,10 @@
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
-use ruo_sim::stepcount::CountingI64;
 use ruo_sim::{Machine, Memory, ObjId, ProcessId, Word};
 
 use super::sim::SimSnapshot;
-use crate::cells::{real_cells, run, Cells};
-use crate::pad::CachePadded;
+use crate::cells::{real_cells, run, Cells, Real, Words};
 use crate::traits::Snapshot;
 
 /// Largest storable segment value: the packed word spends 32 bits on the
@@ -96,7 +94,7 @@ pub(crate) async fn double_collect<C: Cells + ?Sized>(
 /// assert_eq!(snap.scan(), vec![0, 42, 0]);
 /// ```
 pub struct DoubleCollectSnapshot {
-    segments: Box<[CachePadded<CountingI64>]>,
+    segments: Box<Words>,
 }
 
 impl fmt::Debug for DoubleCollectSnapshot {
@@ -133,7 +131,11 @@ impl DoubleCollectSnapshot {
     /// Panics if `max_attempts == 0`.
     pub fn try_scan(&self, max_attempts: usize) -> Option<Vec<u64>> {
         assert!(max_attempts >= 1, "at least one attempt required");
-        run(double_collect(&*self.segments, self.n(), max_attempts))
+        run(double_collect(
+            &Real::new(&*self.segments),
+            self.n(),
+            max_attempts,
+        ))
     }
 }
 
@@ -148,7 +150,7 @@ impl Snapshot for DoubleCollectSnapshot {
     /// range.
     fn update(&self, pid: ProcessId, v: u64) {
         let v = check_value(v);
-        run(update(&*self.segments, pid.index(), |_| v));
+        run(update(&Real::new(&*self.segments), pid.index(), |_| v));
     }
 
     fn scan(&self) -> Vec<u64> {

@@ -20,7 +20,7 @@ use std::fmt;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 
-use ruo_sim::stepcount;
+use ruo_sim::stepcount::Tally;
 use ruo_sim::ProcessId;
 
 use crate::traits::Snapshot;
@@ -167,9 +167,9 @@ impl PathCopySnapshot {
     /// Pins the current version: a consistent, immutable view of all
     /// segments, obtained with a single atomic load.
     pub fn view(&self) -> SnapshotView<'_> {
-        // Pointer cells fall outside `CountingU64`; count the primitive
-        // by hand so scans still cost their one shared-memory step.
-        stepcount::count_read();
+        // Pointer cells are no word table; count the primitive by hand
+        // so scans still cost their one shared-memory step.
+        Tally::start().read();
         SnapshotView {
             root: self.root.load(Ordering::SeqCst),
             n: self.n,
@@ -200,7 +200,8 @@ impl Snapshot for PathCopySnapshot {
         assert!(pid.index() < self.n, "process out of range");
         // Shared RMW on the update ticket — one step (counted as a
         // successful CAS, the convention for fetch_add).
-        stepcount::count_cas(true);
+        let tally = Tally::start();
+        tally.cas(true);
         let used = self.updates.fetch_add(1, Ordering::Relaxed);
         assert!(
             used < self.max_updates,
@@ -208,7 +209,7 @@ impl Snapshot for PathCopySnapshot {
             self.max_updates
         );
         loop {
-            stepcount::count_read();
+            tally.read();
             let cur = self.root.load(Ordering::SeqCst);
             // SAFETY: `cur` came from the root pointer and nodes live
             // until `Drop`.
@@ -217,7 +218,7 @@ impl Snapshot for PathCopySnapshot {
                 .root
                 .compare_exchange(cur, new as *mut Node, Ordering::SeqCst, Ordering::SeqCst)
                 .is_ok();
-            stepcount::count_cas(swapped);
+            tally.cas(swapped);
             if swapped {
                 return;
             }
@@ -334,7 +335,28 @@ unsafe fn collect_leaves(node: *const Node, out: &mut Vec<u64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cells::counted;
+    use ruo_sim::stepcount::OpCounts;
     use std::sync::Arc;
+
+    #[test]
+    fn update_and_scan_tallies_are_pinned() {
+        let s = PathCopySnapshot::new(4, 10);
+        // The ticket's fetch_add, the root read and the root CAS.
+        let (_, update) = counted(|| s.update(ProcessId(1), 5));
+        let (view, scan) = counted(|| s.scan());
+        assert_eq!(view, vec![0, 5, 0, 0]);
+        let none = OpCounts::new();
+        assert_eq!(
+            update,
+            OpCounts {
+                reads: 1,
+                cas_ok: 2,
+                ..none
+            }
+        );
+        assert_eq!(scan, OpCounts { reads: 1, ..none });
+    }
 
     #[test]
     fn fresh_snapshot_is_all_zero() {

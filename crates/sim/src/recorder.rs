@@ -95,6 +95,8 @@ impl ThreadRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stepcount::Tally;
+    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn records_intervals_in_order() {
@@ -140,15 +142,19 @@ mod tests {
     fn counting_layer_flushes_steps_into_records() {
         let _g = crate::stepcount::test_lock();
         let rec = ThreadRecorder::new();
-        let cell = crate::stepcount::CountingU64::new(0);
+        let cell = AtomicU64::new(0);
         CountingMem::enable();
         rec.record(ProcessId(0), OpDesc::CounterIncrement, || {
+            let tally = Tally::start();
+            tally.read();
             let v = cell.load(Ordering::SeqCst);
+            tally.write();
             cell.store(v + 1, Ordering::SeqCst);
             OpOutput::Unit
         });
         CountingMem::disable();
         rec.record(ProcessId(0), OpDesc::CounterRead, || {
+            Tally::start().read();
             OpOutput::Value(cell.load(Ordering::SeqCst) as i64)
         });
         let h = rec.history();

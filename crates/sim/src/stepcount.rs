@@ -1,38 +1,42 @@
 //! Step counting for the *real-atomics* world.
 //!
 //! The simulator counts steps exactly: every [`crate::Memory::apply`]
-//! logs one event, and histories carry per-op
-//! step counts natively. Real threads have no such seam — so the core
-//! implementations store their shared state in [`CountingU64`] /
-//! [`CountingI64`] instead of bare `AtomicU64` / `AtomicI64`. Each
-//! wrapper method forwards to the underlying atomic with the caller's
-//! ordering and, *when counting is enabled*, bumps a thread-local
-//! per-operation tally ([`OpCounts`]) classified the same way the sim
+//! is one event, and histories carry per-op step counts natively. Real
+//! threads have no such seam, so a real operation counts its own
+//! accesses: it reads the process-wide switch once, when it starts, into
+//! a [`Tally`], and reports each shared-memory access to it. When the
+//! switch was on, the tally adds the access to a thread-local
+//! per-operation [`OpCounts`], classified the same way the sim
 //! classifies its events: read, write, CAS-success, CAS-failure.
 //!
-//! Cost when disabled (the default): one `Relaxed` load of a process-wide
-//! flag and a predictable branch per shared-memory access — no shared
-//! writes, no fences. Timed throughput batches run with counting
-//! disabled, so the wrapper is invisible to W4-style measurements.
+//! Cost when disabled (the default): one `Relaxed` load of the switch
+//! per operation, and per access a branch on a value the operation
+//! already holds, which the compiler can hoist out of a loop. An
+//! `N`-cell collect therefore pays one flag load, not `N`. A load per
+//! access was far from free: when every access loaded the flag, the
+//! sharded counter's 64-stripe collect in perfbench's `objects`
+//! workload took 69 ns traced, against 31 ns with one load per
+//! operation (medians of eight seeds, EXPERIMENTS.md § W4). A one-load
+//! read still pays one flag load beside its access.
 //!
 //! Enabling is process-wide ([`CountingMem::enable`]); the tallies are
 //! thread-local, so concurrent operations never contend on them. A
 //! harness brackets each high-level operation with
 //! [`CountingMem::begin_op`] / [`CountingMem::take_op_counts`] on the
-//! thread that runs it.
-//!
-//! Implementations whose shared state is not a plain integer cell (e.g.
-//! pointer-swinging snapshots) count their primitive events manually via
-//! [`count_read`] / [`count_write`] / [`count_cas`].
+//! thread that runs it; an operation that starts while counting is off
+//! is not counted, even if counting is turned on before it ends.
 //!
 //! ```
-//! use ruo_sim::stepcount::{CountingMem, CountingU64};
-//! use std::sync::atomic::Ordering;
+//! use ruo_sim::stepcount::{CountingMem, Tally};
+//! use std::sync::atomic::{AtomicU64, Ordering};
 //!
-//! let cell = CountingU64::new(0);
+//! let cell = AtomicU64::new(0);
 //! CountingMem::enable();
 //! CountingMem::begin_op();
+//! let tally = Tally::start();
+//! tally.write();
 //! cell.store(7, Ordering::SeqCst);
+//! tally.read();
 //! assert_eq!(cell.load(Ordering::SeqCst), 7);
 //! let counts = CountingMem::take_op_counts();
 //! CountingMem::disable();
@@ -41,11 +45,12 @@
 //! ```
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use crate::Event;
 
-/// Process-wide switch; `Relaxed` loads on the hot path.
+/// The process-wide switch; an operation loads it once, `Relaxed`, into
+/// its [`Tally`].
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 thread_local! {
@@ -145,143 +150,62 @@ impl CountingMem {
     }
 }
 
-#[inline]
-fn bump(f: impl FnOnce(&mut OpCounts)) {
-    if ENABLED.load(Ordering::Relaxed) {
-        OP_COUNTS.with(|c| {
-            let mut counts = c.get();
-            f(&mut counts);
-            c.set(counts);
-        });
-    }
-}
-
-/// Counts one read event (for manually instrumented implementations).
-#[inline]
-pub fn count_read() {
-    bump(|c| c.reads += 1);
-}
-
-/// Counts one write event (for manually instrumented implementations).
-#[inline]
-pub fn count_write() {
-    bump(|c| c.writes += 1);
-}
-
-/// Counts one CAS event (for manually instrumented implementations).
-#[inline]
-pub fn count_cas(ok: bool) {
-    bump(|c| {
-        if ok {
-            c.cas_ok += 1;
-        } else {
-            c.cas_fail += 1;
-        }
-    });
-}
-
-/// An `AtomicU64` that counts its accesses into the thread-local
-/// per-operation tally when [`CountingMem`] is enabled.
+/// The counting switch as one operation read it when it started.
 ///
-/// Method-for-method compatible with the `AtomicU64` surface the core
-/// implementations use; orderings pass straight through.
-#[derive(Debug, Default)]
-pub struct CountingU64 {
-    inner: AtomicU64,
+/// A real operation makes its tally first ([`Tally::start`], the one
+/// load of the switch) and reports each of its accesses to it; the
+/// tally adds the access to this thread's [`OpCounts`] when counting
+/// was on, and does nothing otherwise. Nothing else decides whether a
+/// real access counts.
+#[derive(Clone, Copy, Debug)]
+pub struct Tally {
+    on: bool,
 }
 
-impl CountingU64 {
-    /// A new cell holding `v`.
-    pub const fn new(v: u64) -> Self {
-        CountingU64 {
-            inner: AtomicU64::new(v),
+impl Tally {
+    /// Reads the switch, for an operation that starts now.
+    #[inline]
+    pub fn start() -> Tally {
+        Tally {
+            on: CountingMem::is_enabled(),
         }
     }
 
-    /// Counted [`AtomicU64::load`].
     #[inline]
-    pub fn load(&self, order: Ordering) -> u64 {
-        count_read();
-        self.inner.load(order)
-    }
-
-    /// Counted [`AtomicU64::store`].
-    #[inline]
-    pub fn store(&self, v: u64, order: Ordering) {
-        count_write();
-        self.inner.store(v, order);
-    }
-
-    /// Counted [`AtomicU64::compare_exchange`].
-    #[inline]
-    pub fn compare_exchange(
-        &self,
-        current: u64,
-        new: u64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<u64, u64> {
-        let r = self.inner.compare_exchange(current, new, success, failure);
-        count_cas(r.is_ok());
-        r
-    }
-
-    /// Counted [`AtomicU64::fetch_add`] (tallied as a successful RMW).
-    #[inline]
-    pub fn fetch_add(&self, v: u64, order: Ordering) -> u64 {
-        count_cas(true);
-        self.inner.fetch_add(v, order)
-    }
-}
-
-/// An `AtomicI64` that counts its accesses into the thread-local
-/// per-operation tally when [`CountingMem`] is enabled.
-#[derive(Debug, Default)]
-pub struct CountingI64 {
-    inner: AtomicI64,
-}
-
-impl CountingI64 {
-    /// A new cell holding `v`.
-    pub const fn new(v: i64) -> Self {
-        CountingI64 {
-            inner: AtomicI64::new(v),
+    fn bump(self, f: impl FnOnce(&mut OpCounts)) {
+        if self.on {
+            OP_COUNTS.with(|c| {
+                let mut counts = c.get();
+                f(&mut counts);
+                c.set(counts);
+            });
         }
     }
 
-    /// Counted [`AtomicI64::load`].
+    /// Counts one read.
     #[inline]
-    pub fn load(&self, order: Ordering) -> i64 {
-        count_read();
-        self.inner.load(order)
+    pub fn read(self) {
+        self.bump(|c| c.reads += 1);
     }
 
-    /// Counted [`AtomicI64::store`].
+    /// Counts one write.
     #[inline]
-    pub fn store(&self, v: i64, order: Ordering) {
-        count_write();
-        self.inner.store(v, order);
+    pub fn write(self) {
+        self.bump(|c| c.writes += 1);
     }
 
-    /// Counted [`AtomicI64::compare_exchange`].
+    /// Counts one CAS, successful or not. A read-modify-write that
+    /// cannot fail (`fetch_add`) counts as a successful CAS: it is one
+    /// primitive event that always mutates.
     #[inline]
-    pub fn compare_exchange(
-        &self,
-        current: i64,
-        new: i64,
-        success: Ordering,
-        failure: Ordering,
-    ) -> Result<i64, i64> {
-        let r = self.inner.compare_exchange(current, new, success, failure);
-        count_cas(r.is_ok());
-        r
-    }
-
-    /// Counted [`AtomicI64::fetch_add`] (tallied as a successful RMW).
-    #[inline]
-    pub fn fetch_add(&self, v: i64, order: Ordering) -> i64 {
-        count_cas(true);
-        self.inner.fetch_add(v, order)
+    pub fn cas(self, ok: bool) {
+        self.bump(|c| {
+            if ok {
+                c.cas_ok += 1;
+            } else {
+                c.cas_fail += 1;
+            }
+        });
     }
 }
 
@@ -310,26 +234,37 @@ mod tests {
     #[test]
     fn disabled_counting_tallies_nothing() {
         let _g = test_lock();
-        let cell = CountingU64::new(0);
         CountingMem::begin_op();
-        cell.store(1, Ordering::SeqCst);
-        let _ = cell.load(Ordering::SeqCst);
+        let tally = Tally::start();
+        tally.write();
+        tally.read();
         assert_eq!(CountingMem::take_op_counts(), OpCounts::new());
+    }
+
+    #[test]
+    fn an_operation_reads_the_switch_once() {
+        let _g = test_lock();
+        CountingMem::begin_op();
+        let before = Tally::start();
+        CountingMem::enable();
+        let during = Tally::start();
+        CountingMem::disable();
+        before.read();
+        during.read();
+        during.cas(false);
+        let counts = CountingMem::take_op_counts();
+        assert_eq!((counts.reads, counts.cas_fail, counts.steps()), (1, 1, 2));
     }
 
     #[test]
     fn every_event_kind_is_classified() {
         let counts = with_counting(|| {
-            let cell = CountingU64::new(0);
-            cell.store(5, Ordering::SeqCst);
-            let _ = cell.load(Ordering::Acquire);
-            assert!(cell
-                .compare_exchange(5, 6, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok());
-            assert!(cell
-                .compare_exchange(5, 7, Ordering::AcqRel, Ordering::Acquire)
-                .is_err());
-            cell.fetch_add(1, Ordering::Relaxed);
+            let tally = Tally::start();
+            tally.write();
+            tally.read();
+            tally.cas(true);
+            tally.cas(false);
+            tally.cas(true); // a fetch_add
             CountingMem::take_op_counts()
         });
         assert_eq!(counts.reads, 1);
@@ -342,8 +277,7 @@ mod tests {
     #[test]
     fn take_resets_the_tally() {
         let counts = with_counting(|| {
-            let cell = CountingI64::new(-3);
-            let _ = cell.load(Ordering::SeqCst);
+            Tally::start().read();
             let first = CountingMem::take_op_counts();
             assert_eq!(first.steps(), 1);
             CountingMem::take_op_counts()
@@ -354,14 +288,13 @@ mod tests {
     #[test]
     fn counts_are_thread_local() {
         let counts = with_counting(|| {
-            let cell = std::sync::Arc::new(CountingI64::new(0));
             std::thread::scope(|s| {
                 for _ in 0..4 {
-                    let cell = std::sync::Arc::clone(&cell);
-                    s.spawn(move || {
+                    s.spawn(|| {
                         CountingMem::begin_op();
+                        let tally = Tally::start();
                         for _ in 0..100 {
-                            cell.fetch_add(1, Ordering::SeqCst);
+                            tally.cas(true);
                         }
                         assert_eq!(CountingMem::take_op_counts().cas_ok, 100);
                     });

@@ -11,12 +11,13 @@
 //!
 //! Faces derived from one algorithm body must agree further: on the
 //! same operation stream they return the same outputs and take the same
-//! steps, operation by operation.
+//! steps, operation by operation, down to the kind of each step (reads,
+//! writes, successful and failed CASes).
 
 use std::sync::Arc;
 
 use ruo::scenario::{registry, BuildParams, Family, ImplEntry, RealObject, SimObject};
-use ruo::sim::stepcount::CountingMem;
+use ruo::sim::stepcount::{CountingMem, OpCounts};
 use ruo::sim::{run_solo, Memory, ProcessId, SplitMix64};
 
 use ruo::core::maxreg::sim::{SimMaxRegister, SimTreeMaxRegister};
@@ -281,9 +282,9 @@ const DERIVED: [&str; 10] = [
     "snapshot/double_collect",
 ];
 
-/// One operation on a real face: its output (empty for updates) and its
-/// counted shared-memory steps.
-fn real_op(obj: &RealObject, pid: ProcessId, update: bool, v: u64) -> (Vec<u64>, u64) {
+/// One operation on a real face: its output (empty for updates) and the
+/// tally of its shared-memory steps.
+fn real_op(obj: &RealObject, pid: ProcessId, update: bool, v: u64) -> (Vec<u64>, OpCounts) {
     CountingMem::begin_op();
     let out = match (obj, update) {
         (RealObject::MaxReg(r), true) => {
@@ -302,18 +303,20 @@ fn real_op(obj: &RealObject, pid: ProcessId, update: bool, v: u64) -> (Vec<u64>,
         }
         (RealObject::Snapshot(s), false) => s.scan(),
     };
-    (out, CountingMem::take_op_counts().steps())
+    (out, CountingMem::take_op_counts())
 }
 
-/// The same operation on a sim face, run solo: its output and steps.
+/// The same operation on a sim face, run solo event by event: its
+/// output and its events, classified as the real tally classifies
+/// accesses.
 fn sim_op(
     mem: &mut Memory,
     obj: &SimObject,
     pid: ProcessId,
     update: bool,
     v: u64,
-) -> (Vec<u64>, u64) {
-    let machine = match (obj, update) {
+) -> (Vec<u64>, OpCounts) {
+    let mut machine = match (obj, update) {
         (SimObject::MaxReg(r), true) => r.write_max(pid, v),
         (SimObject::MaxReg(r), false) => r.read_max(pid),
         (SimObject::Counter(c), true) => c.increment(pid),
@@ -321,13 +324,19 @@ fn sim_op(
         (SimObject::Snapshot(s), true) => s.update(pid, v),
         (SimObject::Snapshot(s), false) => s.scan(pid),
     };
-    let (result, steps) = run_solo(mem, pid, machine);
+    let mut counts = OpCounts::new();
+    while let Some(prim) = machine.enabled() {
+        let ev = mem.apply(pid, prim);
+        counts.add_event(&ev);
+        machine.feed(ev.resp);
+    }
+    let result = machine.result().expect("a solo run completes");
     let out = match (obj, update) {
         (_, true) => vec![],
         (SimObject::Snapshot(s), false) => s.take_scan_result(result),
         (_, false) => vec![result as u64],
     };
-    (out, steps as u64)
+    (out, counts)
 }
 
 #[test]
@@ -367,10 +376,10 @@ fn derived_faces_agree_step_for_step() {
                 let pid = ProcessId(rng.gen_index(p.n));
                 let update = rng.gen_bool(0.6);
                 let v = rng.gen_below(p.capacity);
-                let (real_out, real_steps) = real_op(&real, pid, update, v);
-                let (sim_out, sim_steps) = sim_op(&mut mem, &sim, pid, update, v);
+                let (real_out, real_counts) = real_op(&real, pid, update, v);
+                let (sim_out, sim_counts) = sim_op(&mut mem, &sim, pid, update, v);
                 assert_eq!(real_out, sim_out, "{name} op {op} ({p:?})");
-                assert_eq!(real_steps, sim_steps, "{name} op {op} steps ({p:?})");
+                assert_eq!(real_counts, sim_counts, "{name} op {op} tallies ({p:?})");
             }
         }
         swept.push(name);
