@@ -93,3 +93,18 @@ pub type Word = i64;
 
 /// The `-∞` sentinel used as the initial value of max-register tree nodes.
 pub const NEG_INF: Word = i64::MIN;
+
+#[cfg(test)]
+mod tests {
+    use super::{run_solo, Machine, Memory, Prim, ProcessId};
+
+    #[test]
+    fn run_solo_counts_steps() {
+        let mut mem = Memory::new();
+        let o = mem.alloc(7);
+        let read = Machine::single(Prim::Read(o), |v| v);
+        let (v, steps) = run_solo(&mut mem, ProcessId(0), read);
+        assert_eq!(v, 7);
+        assert_eq!(steps, 1);
+    }
+}

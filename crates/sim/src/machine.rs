@@ -483,9 +483,6 @@ mod tests {
         assert!(m.feed(mem.apply(ProcessId(0), m.enabled().unwrap()).resp));
         assert_eq!((m.result(), m.steps()), (Some(10), 1));
         assert_eq!(mem.peek(o), 4);
-        // Run solo, a one-access machine is answered in one step.
-        let read = Machine::single(Prim::Read(o), |v| v + 3);
-        assert_eq!(run_solo(&mut mem, ProcessId(0), read), (7, 1));
     }
 
     #[test]
