@@ -22,16 +22,17 @@
 //!
 //! A leaf no rule matches is *unclassified*: it is listed in the report
 //! and never blocks, and the sentry test over the checked-in baselines
-//! keeps that list empty. The schema tag and the environment block
-//! ([`crate::doc::ENV_KEYS`]) are never paired — a laptop baseline and a
-//! CI run legitimately differ there. Paths present on only one side are
-//! listed and never block.
+//! keeps that list empty. The schema tag, the environment block
+//! ([`crate::doc::ENV_KEYS`]) and the run stamp ([`crate::doc::RUN_KEY`])
+//! are never paired — a laptop baseline and a CI run legitimately differ
+//! there; the report prints both stamps. Paths present on only one side
+//! are listed and never block.
 
 use std::collections::BTreeMap;
 
 use ruo_metrics::Json;
 
-use crate::doc::{row_label, ENV_KEYS, IDENTITY_KEYS};
+use crate::doc::{row_label, ENV_KEYS, IDENTITY_KEYS, RUN_KEY};
 
 /// How the sentry judges one metric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -201,6 +202,9 @@ impl Delta {
 pub struct Comparison {
     /// The shared schema tag.
     pub schema: String,
+    /// Each side's run stamp as compact JSON, `unstamped` when it has
+    /// none: baseline, then current.
+    pub runs: [String; 2],
     /// Every paired leaf.
     pub deltas: Vec<Delta>,
     /// Paths only the baseline has.
@@ -241,6 +245,10 @@ impl Comparison {
             count(Class::Informational),
             self.unclassified().len(),
             blocking.len(),
+        );
+        out += &format!(
+            "baseline run: {}\ncurrent run: {}\n",
+            self.runs[0], self.runs[1]
         );
         for d in &blocking {
             let why = match d.class {
@@ -287,7 +295,9 @@ fn flatten_into(path: &str, metric: &str, v: &Json, out: &mut Flat) {
     let leaf = match v {
         Json::Obj(pairs) => {
             for (k, child) in pairs {
-                if path.is_empty() && (k == "schema" || ENV_KEYS.contains(&k.as_str())) {
+                if path.is_empty()
+                    && (k == "schema" || k == RUN_KEY || ENV_KEYS.contains(&k.as_str()))
+                {
                     continue;
                 }
                 // Identity fields already label the row's path.
@@ -325,24 +335,26 @@ fn flatten_into(path: &str, metric: &str, v: &Json, out: &mut Flat) {
     out.insert(path.to_string(), (metric.to_string(), leaf));
 }
 
-fn parse_doc(what: &str, text: &str) -> Result<(String, Flat), String> {
+/// A parsed document: its schema tag, its run stamp and its leaves.
+fn parse_doc(what: &str, text: &str) -> Result<(String, String, Flat), String> {
     let doc = Json::parse(text).map_err(|e| format!("{what}: {e}"))?;
     let schema = doc
         .get("schema")
         .and_then(Json::as_str)
         .ok_or_else(|| format!("{what}: no top-level \"schema\" tag"))?
         .to_string();
+    let run = doc.get(RUN_KEY).map_or("unstamped".into(), Json::compact);
     let mut flat = BTreeMap::new();
     flatten_into("", "", &doc, &mut flat);
-    Ok((schema, flat))
+    Ok((schema, run, flat))
 }
 
 /// Diffs two bench documents (JSON text). Errors on malformed JSON, a
 /// missing schema tag, or mismatched schemas — comparing a throughput
 /// file against a soak file is a usage error, not a pass.
 pub fn compare(baseline: &str, current: &str) -> Result<Comparison, String> {
-    let (schema_b, flat_b) = parse_doc("baseline", baseline)?;
-    let (schema_c, flat_c) = parse_doc("current", current)?;
+    let (schema_b, run_b, flat_b) = parse_doc("baseline", baseline)?;
+    let (schema_c, run_c, flat_c) = parse_doc("current", current)?;
     if schema_b != schema_c {
         return Err(format!(
             "schema mismatch: baseline {schema_b:?} vs current {schema_c:?}"
@@ -369,6 +381,7 @@ pub fn compare(baseline: &str, current: &str) -> Result<Comparison, String> {
         .collect();
     Ok(Comparison {
         schema: schema_b,
+        runs: [run_b, run_c],
         deltas,
         only_baseline,
         only_current,
@@ -409,6 +422,38 @@ mod tests {
         assert!(c.unclassified().is_empty(), "{}", c.report());
         // quick is environment metadata, never paired.
         assert!(c.deltas.iter().all(|d| d.path != "quick"));
+    }
+
+    #[test]
+    fn run_stamps_are_printed_never_paired() {
+        let stamp =
+            r#""run": {"commit": "0123abc", "dirty": true, "argv": ["approx", "--seed", "7"]},"#;
+        let stamped = BASE.replacen("\"shapes_ok\"", &format!("{stamp} \"shapes_ok\""), 1);
+        let restamped = stamped
+            .replace("0123abc", "4567def")
+            .replace("\"dirty\": true", "\"dirty\": false");
+        for (base, cur) in [(BASE, &stamped), (&stamped, &restamped)] {
+            let c = compare(base, cur).unwrap();
+            assert!(
+                c.only_baseline.is_empty() && c.only_current.is_empty(),
+                "{}",
+                c.report()
+            );
+            assert!(
+                c.deltas.iter().all(|d| !d.path.starts_with("run")),
+                "{}",
+                c.report()
+            );
+            assert!(c.blocking().is_empty(), "{}", c.report());
+        }
+        let report = compare(BASE, &stamped).unwrap().report();
+        assert!(report.contains("baseline run: unstamped\n"), "{report}");
+        assert!(
+            report.contains(
+                r#"current run: {"commit":"0123abc","dirty":true,"argv":["approx","--seed","7"]}"#
+            ),
+            "{report}"
+        );
     }
 
     #[test]

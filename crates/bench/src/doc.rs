@@ -3,13 +3,15 @@
 //!
 //! A document is one JSON object: a `"schema"` tag, the environment
 //! block ([`ENV_KEYS`]: `quick`, `available_parallelism`, `contended`),
-//! then the bench's own fields in insertion order. Arrays of row objects
-//! are keyed by identity: every row carries at least one of
-//! [`IDENTITY_KEYS`], and no two rows of one array share a label, so
-//! [`crate::compare`] pairs rows across runs by what they measure, never
-//! by position. Documents are written only through [`Json::pretty`].
+//! the [`RUN_KEY`] stamp naming the run that wrote it, then the bench's
+//! own fields in insertion order. Arrays of row objects are keyed by
+//! identity: every row carries at least one of [`IDENTITY_KEYS`], and no
+//! two rows of one array share a label, so [`crate::compare`] pairs rows
+//! across runs by what they measure, never by position. Documents are
+//! written only through [`Json::pretty`].
 
 use std::collections::BTreeSet;
+use std::process::Command;
 
 use ruo_metrics::Json;
 
@@ -17,6 +19,12 @@ use ruo_metrics::Json;
 /// A baseline and a fresh run legitimately differ here, so the sentry
 /// never compares these fields.
 pub const ENV_KEYS: [&str; 3] = ["quick", "available_parallelism", "contended"];
+
+/// The run stamp every document carries after its environment block:
+/// the commit (`"unknown"` without git), whether tracked files differed
+/// from it, and the command line, whose flags carry any seeds. Like the
+/// environment, the sentry prints it and never compares it.
+pub const RUN_KEY: &str = "run";
 
 /// Row fields that identify a row rather than measure it, in the order
 /// they appear in a row's label.
@@ -47,6 +55,28 @@ pub fn row_label(pairs: &[(String, Json)]) -> Option<String> {
     (!parts.is_empty()).then(|| parts.join(","))
 }
 
+/// The [`RUN_KEY`] stamp of this process.
+fn run_stamp() -> Json {
+    let git = |args: &[&str]| {
+        let out = Command::new("git").args(args).output().ok()?;
+        out.status
+            .success()
+            .then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+    };
+    let head = git(&["rev-parse", "HEAD"]);
+    let status = git(&["status", "--porcelain", "--untracked-files=no"]);
+    let (commit, dirty) = match (head, status) {
+        (Some(head), Some(status)) => (Json::from(head), Json::from(!status.is_empty())),
+        _ => (Json::from("unknown"), Json::from("unknown")),
+    };
+    let argv = std::env::args().map(Json::from).collect();
+    Json::obj([
+        ("commit", commit),
+        ("dirty", dirty),
+        ("argv", Json::Arr(argv)),
+    ])
+}
+
 /// A bench document under construction.
 #[derive(Clone, Debug)]
 pub struct BenchDoc {
@@ -54,10 +84,11 @@ pub struct BenchDoc {
 }
 
 impl BenchDoc {
-    /// Starts a document: the schema tag and the environment block.
-    /// `contended` is true only when the machine has more than one
-    /// hardware thread — a one-core run interleaves by preemption, and
-    /// its multi-thread rows must never be read as parallel contention.
+    /// Starts a document: the schema tag, the environment block and the
+    /// run stamp. `contended` is true only when the machine has more
+    /// than one hardware thread — a one-core run interleaves by
+    /// preemption, and its multi-thread rows must never be read as
+    /// parallel contention.
     pub fn new(schema: &str, quick: bool) -> Self {
         let parallelism = available_parallelism();
         BenchDoc {
@@ -66,6 +97,7 @@ impl BenchDoc {
                 (ENV_KEYS[0].into(), Json::from(quick)),
                 (ENV_KEYS[1].into(), Json::from(parallelism)),
                 (ENV_KEYS[2].into(), Json::from(parallelism > 1)),
+                (RUN_KEY.into(), run_stamp()),
             ],
         }
     }
@@ -158,10 +190,16 @@ mod tests {
                 "quick",
                 "available_parallelism",
                 "contended",
+                "run",
                 "rows"
             ]
         );
         assert_eq!(doc.get("quick"), Some(&Json::Bool(true)));
+        let run = doc.get("run").unwrap();
+        assert!(run.get("commit").and_then(Json::as_str).is_some());
+        assert!(run.get("dirty").is_some());
+        let argv = run.get("argv").and_then(Json::as_arr).unwrap();
+        assert_eq!(argv.len(), std::env::args().count());
         let par = doc
             .get("available_parallelism")
             .and_then(Json::as_u64)

@@ -37,49 +37,37 @@ pub fn depth_bound(v: usize) -> usize {
     2 * group_of(v) + 1
 }
 
-/// Builds a B1 tree with `leaf_count ≥ 1` leaves into `shape`, returning
-/// the subtree root and the leaves in value order (leaf `i` of the
-/// returned vector is the `(i + 1)`-th leaf of the tree).
-pub(crate) fn build_b1(shape: &mut TreeShape, leaf_count: usize) -> (NodeIdx, Vec<NodeIdx>) {
+/// Builds a B1 tree with `leaf_count ≥ 1` leaves into `shape`, appends
+/// its leaves to `leaves` in value order (the tree's `v`-th leaf comes
+/// `v − 1` places after its first), and returns the subtree root.
+pub(crate) fn build_b1(
+    shape: &mut TreeShape,
+    leaf_count: usize,
+    leaves: &mut Vec<NodeIdx>,
+) -> NodeIdx {
     assert!(leaf_count >= 1);
-    // Split leaves into groups of sizes 1, 2, 4, ... (last group partial).
-    let mut groups = Vec::new();
-    let mut remaining = leaf_count;
-    let mut g = 0usize;
-    while remaining > 0 {
-        let size = group_size(g).min(remaining);
-        groups.push(size);
-        remaining -= size;
-        g += 1;
+    // Groups of 1, 2, 4, ... leaves (the last one cut at `leaf_count`),
+    // each a complete subtree; group `g` holds leaves `2^g ..= 2^(g+1) − 1`.
+    let groups = group_of(leaf_count) + 1;
+    let mut roots = [0; usize::BITS as usize];
+    for (g, root) in roots[..groups].iter_mut().enumerate() {
+        let size = group_size(g).min(leaf_count + 1 - group_size(g));
+        *root = shape.build_complete(size, leaves);
     }
-
-    let mut leaves = Vec::with_capacity(leaf_count);
-    // Build the spine top-down. Each spine node's left child is its
-    // group's complete subtree; its right child is the next spine node.
-    // The deepest group needs no spine node of its own: its subtree root
-    // *is* the previous spine node's right child.
-    let mut spine_nodes = Vec::new();
-    let mut group_roots = Vec::new();
-    for &size in &groups {
-        let (root, group_leaves) = shape.build_complete(size);
-        group_roots.push(root);
-        leaves.extend(group_leaves);
+    // The spine follows the groups in the arena. Spine node `i` hangs
+    // group `i` off its left and the next spine node off its right; the
+    // deepest group needs no spine node of its own, its subtree root
+    // *is* the last spine node's right child.
+    let spine = shape.len();
+    for _ in 1..groups {
+        shape.add_node();
     }
-    if groups.len() == 1 {
-        return (group_roots[0], leaves);
+    let mut right = roots[groups - 1];
+    for i in (0..groups - 1).rev() {
+        shape.set_children(spine + i, Some(roots[i]), Some(right));
+        right = spine + i;
     }
-    for _ in 0..groups.len() - 1 {
-        spine_nodes.push(shape.add_node());
-    }
-    for (i, &spine) in spine_nodes.iter().enumerate() {
-        let right = if i + 1 < spine_nodes.len() {
-            spine_nodes[i + 1]
-        } else {
-            group_roots[groups.len() - 1]
-        };
-        shape.set_children(spine, Some(group_roots[i]), Some(right));
-    }
-    (spine_nodes[0], leaves)
+    right
 }
 
 #[cfg(test)]
@@ -87,9 +75,9 @@ mod tests {
     use super::*;
 
     fn built(leaf_count: usize) -> (TreeShape, NodeIdx, Vec<NodeIdx>) {
-        let mut shape = TreeShape::new();
-        let (root, leaves) = build_b1(&mut shape, leaf_count);
-        shape.fix_depths(root);
+        let mut shape = TreeShape::default();
+        let mut leaves = Vec::new();
+        let root = build_b1(&mut shape, leaf_count, &mut leaves);
         (shape, root, leaves)
     }
 
@@ -120,7 +108,7 @@ mod tests {
         let (shape, _, leaves) = built(1000);
         for (i, &l) in leaves.iter().enumerate() {
             let v = i + 1;
-            let d = shape.node(l).depth;
+            let d = shape.ancestors(l).len();
             assert!(
                 d <= depth_bound(v),
                 "leaf {v} at depth {d} > bound {}",
@@ -135,7 +123,7 @@ mod tests {
         // the whole point of the B1 shape.
         for k in [1usize, 2, 10, 1 << 16] {
             let (shape, _, leaves) = built(k);
-            assert!(shape.node(leaves[0]).depth <= 1, "k={k}");
+            assert!(shape.ancestors(leaves[0]).len() <= 1, "k={k}");
         }
     }
 
@@ -143,8 +131,8 @@ mod tests {
     fn depth_grows_with_value() {
         let (shape, _, leaves) = built(512);
         // Depth of leaf 2^g is about 2g; check rough growth.
-        let d1 = shape.node(leaves[0]).depth;
-        let d511 = shape.node(leaves[510]).depth;
+        let d1 = shape.ancestors(leaves[0]).len();
+        let d511 = shape.ancestors(leaves[510]).len();
         assert!(d1 < d511);
         assert!(d511 <= depth_bound(511));
     }

@@ -74,8 +74,9 @@ impl<L: ?Sized, S: ?Sized> AacTree<L, S> {
     ) -> Self {
         assert!(n >= 1, "at least one process required");
         assert!(max_increments >= 1, "bound must be positive");
-        let mut shape = TreeShape::new();
-        let (root, leaves) = shape.build_complete(n);
+        let mut shape = TreeShape::with_capacity(2 * n - 1);
+        let mut leaves = Vec::with_capacity(n);
+        let root = shape.build_complete(n, &mut leaves);
         let reg = AacShape::new(max_increments + 1);
         let cells = (0..shape.len())
             .map(|idx| alloc((!shape.node(idx).is_leaf()).then_some(reg.switch_count())))

@@ -22,6 +22,10 @@
 //! [`SimFArray`] on simulator cells, so both faces take the same steps.
 //! [`TreeMaxRegister`](crate::maxreg::TreeMaxRegister) climbs with the
 //! same body.
+//!
+//! Both faces climb a slice of one [`PathTable`], which holds every
+//! slot's leaf-to-root path in one allocation, so building an f-array
+//! takes the same five allocations at any `N`.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -31,7 +35,7 @@ use std::sync::Arc;
 use ruo_sim::{Machine, Memory, ObjId, Prim, ProcessId, Word};
 
 use crate::cells::{real_cells, run, Cells, Real, Words};
-use crate::shape::{PathNode, TreeShape, NO_CHILD};
+use crate::shape::{PathNode, PathTable, TreeShape, NO_CHILD};
 
 /// An associative aggregation with an identity, under which per-slot
 /// updates drive every tree node **monotonically** (this is what makes
@@ -157,24 +161,20 @@ async fn merge<A: Aggregation, C: Cells + ?Sized>(
 struct Layout {
     root: usize,
     leaves: Vec<usize>,
-    paths: Vec<Box<[PathNode]>>,
+    paths: PathTable,
     cells: usize,
 }
 
 impl Layout {
     fn complete(n: usize) -> Layout {
         assert!(n >= 1, "at least one slot required");
-        let mut shape = TreeShape::new();
-        let (root, leaves) = shape.build_complete(n);
-        shape.fix_depths(root);
-        let paths = leaves
-            .iter()
-            .map(|&leaf| shape.propagation_path(leaf))
-            .collect();
+        let mut shape = TreeShape::with_capacity(2 * n - 1);
+        let mut leaves = Vec::with_capacity(n);
+        let root = shape.build_complete(n, &mut leaves);
         Layout {
             root,
+            paths: PathTable::new(&shape, leaves.iter().copied()),
             leaves,
-            paths,
             cells: shape.len(),
         }
     }
@@ -293,7 +293,7 @@ impl<A: Aggregation> FArray<A> {
 
     fn run_merge(&self, pid: ProcessId, f: impl FnOnce(Word) -> Word) -> Word {
         let i = pid.index();
-        let (leaf, path) = (self.layout.leaves[i], &self.layout.paths[i]);
+        let (leaf, path) = (self.layout.leaves[i], self.layout.paths.path(i));
         run(merge::<A, _>(&Real::new(&*self.cells), leaf, path, f))
     }
 }
@@ -363,7 +363,7 @@ impl<A: Aggregation> SimFArray<A> {
         let (layout, cells) = (Arc::clone(&self.layout), Arc::clone(&self.cells));
         Machine::new(async move {
             let i = pid.index();
-            merge::<A, _>(&*cells, layout.leaves[i], &layout.paths[i], f).await;
+            merge::<A, _>(&*cells, layout.leaves[i], layout.paths.path(i), f).await;
             0
         })
     }

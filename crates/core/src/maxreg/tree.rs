@@ -17,9 +17,9 @@
 //! early return (which is unsound on shared value-leaves — see
 //! `DESIGN.md` § Deviations), the root check observes a fully
 //! propagated covering write, so returning is linearizable. Leaf-to-root
-//! paths are precomputed at construction and each node sits on its own
-//! padded cache-line pair, keeping the contended propagation loop free
-//! of allocation and false sharing.
+//! paths are precomputed in one allocation (a [`crate::shape::PathTable`])
+//! and each node sits on its own padded cache-line pair, keeping the
+//! contended propagation loop free of allocation and false sharing.
 
 use std::fmt;
 use std::sync::atomic::Ordering;

@@ -5,8 +5,13 @@
 //! Both the real-atomics and the simulator implementations of the tree
 //! algorithms (Algorithm A's max register, the f-array counter) share
 //! these shapes; only the cell storage differs.
+//!
+//! A static tree's leaf-to-root paths never change, so one [`PathTable`]
+//! holds them all, end to end in one allocation, and building a tree
+//! takes the same few allocations at any size.
 
 use std::fmt;
+use std::iter::successors;
 
 use crate::b1tree;
 
@@ -17,10 +22,10 @@ pub type NodeIdx = usize;
 pub const NO_CHILD: u32 = u32::MAX;
 
 /// One precomputed step of a leaf-to-root propagation path: an ancestor
-/// node with both child links resolved inline, so the hot propagation
-/// loops of the real-atomics implementations follow a flat slice instead
-/// of chasing `Option<usize>` parent pointers (and allocating a fresh
-/// `Vec` per write, as [`TreeShape::ancestors`] does).
+/// node with both child links resolved inline, so the propagation loops
+/// follow a flat slice of a [`PathTable`] instead of chasing
+/// `Option<usize>` parent pointers (and allocating a fresh `Vec` per
+/// write, as [`TreeShape::ancestors`] does).
 ///
 /// Indices are `u32` to keep a step at 12 bytes; [`NO_CHILD`] marks an
 /// absent child. Tree arenas are bounded far below `u32::MAX` nodes.
@@ -43,8 +48,6 @@ pub struct NodeInfo {
     pub left: Option<NodeIdx>,
     /// Right child.
     pub right: Option<NodeIdx>,
-    /// Distance from the root (root has depth 0).
-    pub depth: usize,
 }
 
 impl NodeInfo {
@@ -61,8 +64,11 @@ pub struct TreeShape {
 }
 
 impl TreeShape {
-    pub(crate) fn new() -> Self {
-        Self::default()
+    /// An empty arena with room for `nodes` nodes.
+    pub(crate) fn with_capacity(nodes: usize) -> Self {
+        TreeShape {
+            nodes: Vec::with_capacity(nodes),
+        }
     }
 
     pub(crate) fn add_node(&mut self) -> NodeIdx {
@@ -70,7 +76,6 @@ impl TreeShape {
             parent: None,
             left: None,
             right: None,
-            depth: 0,
         });
         self.nodes.len() - 1
     }
@@ -88,20 +93,6 @@ impl TreeShape {
         }
         if let Some(r) = right {
             self.nodes[r].parent = Some(parent);
-        }
-    }
-
-    /// Recomputes all depths from `root`. Call once after construction.
-    pub(crate) fn fix_depths(&mut self, root: NodeIdx) {
-        let mut stack = vec![(root, 0usize)];
-        while let Some((n, d)) = stack.pop() {
-            self.nodes[n].depth = d;
-            if let Some(l) = self.nodes[n].left {
-                stack.push((l, d + 1));
-            }
-            if let Some(r) = self.nodes[n].right {
-                stack.push((r, d + 1));
-            }
         }
     }
 
@@ -128,49 +119,78 @@ impl TreeShape {
     /// The nodes on the path from `idx` (exclusive) up to and including
     /// the root, in bottom-up order.
     pub fn ancestors(&self, idx: NodeIdx) -> Vec<NodeIdx> {
-        let mut path = Vec::new();
-        let mut cur = idx;
-        while let Some(p) = self.nodes[cur].parent {
-            path.push(p);
-            cur = p;
-        }
-        path
+        successors(self.parent(idx), |&p| self.parent(p)).collect()
     }
 
-    /// The propagation path from `idx` (exclusive) up to and including
-    /// the root, with each ancestor's child links inlined — the
-    /// allocation-free-iterable form of [`ancestors`](TreeShape::ancestors),
-    /// computed once at construction time by the tree implementations.
-    pub fn propagation_path(&self, idx: NodeIdx) -> Box<[PathNode]> {
-        assert!(self.nodes.len() < u32::MAX as usize, "arena too large");
-        self.ancestors(idx)
-            .into_iter()
-            .map(|n| {
-                let info = &self.nodes[n];
-                PathNode {
-                    node: n as u32,
-                    left: info.left.map_or(NO_CHILD, |i| i as u32),
-                    right: info.right.map_or(NO_CHILD, |i| i as u32),
-                }
-            })
-            .collect()
-    }
-
-    /// Builds a complete binary tree with `k ≥ 1` leaves; returns the
-    /// subtree root and the leaves in left-to-right order.
-    pub(crate) fn build_complete(&mut self, k: usize) -> (NodeIdx, Vec<NodeIdx>) {
+    /// Builds a complete binary tree with `k ≥ 1` leaves (`2k − 1`
+    /// nodes), appends its leaves to `leaves` in left-to-right order, and
+    /// returns the subtree root.
+    pub(crate) fn build_complete(&mut self, k: usize, leaves: &mut Vec<NodeIdx>) -> NodeIdx {
         assert!(k >= 1);
         if k == 1 {
             let leaf = self.add_node();
-            return (leaf, vec![leaf]);
+            leaves.push(leaf);
+            return leaf;
         }
         let left_count = k.div_ceil(2);
-        let (l, mut leaves) = self.build_complete(left_count);
-        let (r, right_leaves) = self.build_complete(k - left_count);
-        leaves.extend(right_leaves);
+        let l = self.build_complete(left_count, leaves);
+        let r = self.build_complete(k - left_count, leaves);
         let n = self.add_node();
         self.set_children(n, Some(l), Some(r));
-        (n, leaves)
+        n
+    }
+}
+
+/// Every leaf's propagation path, end to end in one allocation. Keyed
+/// by node (Algorithm A) or by slot (the f-array): a leaf's path is its
+/// ancestors, bottom-up, with their child links inlined; any other key's
+/// path is empty.
+#[derive(Clone, Debug)]
+pub struct PathTable {
+    /// Sized to the sum of the leaf depths.
+    steps: Vec<PathNode>,
+    /// `steps[starts[k]..starts[k + 1]]` is key `k`'s path.
+    starts: Vec<u32>,
+}
+
+impl PathTable {
+    /// The paths of `keys`, in order: one walk up each leaf's parent
+    /// links sizes the table, and one fills it.
+    pub(crate) fn new(
+        shape: &TreeShape,
+        keys: impl ExactSizeIterator<Item = NodeIdx> + Clone,
+    ) -> Self {
+        let path = |k: NodeIdx| {
+            let first = shape.node(k).is_leaf().then(|| shape.parent(k)).flatten();
+            successors(first, |&p| shape.parent(p))
+        };
+        let len: usize = keys.clone().map(|k| path(k).count()).sum();
+        assert!(
+            shape.len().max(len) < NO_CHILD as usize,
+            "tree too large for u32 indices"
+        );
+        let link = |child: Option<NodeIdx>| child.map_or(NO_CHILD, |i| i as u32);
+        let mut steps = Vec::with_capacity(len);
+        let mut starts = Vec::with_capacity(keys.len() + 1);
+        starts.push(0);
+        for key in keys {
+            steps.extend(path(key).map(|p| {
+                let info = shape.node(p);
+                PathNode {
+                    node: p as u32,
+                    left: link(info.left),
+                    right: link(info.right),
+                }
+            }));
+            starts.push(steps.len() as u32);
+        }
+        PathTable { steps, starts }
+    }
+
+    /// Key `k`'s path: bottom-up, ending at the root.
+    #[inline]
+    pub fn path(&self, k: usize) -> &[PathNode] {
+        &self.steps[self.starts[k] as usize..self.starts[k + 1] as usize]
     }
 }
 
@@ -186,9 +206,9 @@ pub struct AlgorithmATree {
     value_leaves: Vec<NodeIdx>,
     /// `process_leaves[i]` is the leaf owned by process `i`.
     process_leaves: Vec<NodeIdx>,
-    /// Precomputed leaf-to-root propagation paths, indexed by node;
-    /// empty at internal nodes. `WriteMax` never recomputes its path.
-    paths: Vec<Box<[PathNode]>>,
+    /// Leaf-to-root propagation paths, keyed by node; empty at internal
+    /// nodes. `WriteMax` never recomputes its path.
+    paths: PathTable,
     n: usize,
 }
 
@@ -209,26 +229,16 @@ impl AlgorithmATree {
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
         assert!(n >= 1, "at least one process required");
-        let mut shape = TreeShape::new();
+        // The root, a B1 tree with N − 1 leaves (none for N = 1) and a
+        // complete tree with N: 1 + (2N − 3) + (2N − 1) nodes.
+        let mut shape = TreeShape::with_capacity((4 * n - 3).max(2));
         let root = shape.add_node();
-        let (value_leaves, tl_root) = if n >= 2 {
-            let (tl_root, leaves) = b1tree::build_b1(&mut shape, n - 1);
-            (leaves, Some(tl_root))
-        } else {
-            (Vec::new(), None)
-        };
-        let (tr_root, process_leaves) = shape.build_complete(n);
+        let mut value_leaves = Vec::with_capacity(n - 1);
+        let tl_root = (n >= 2).then(|| b1tree::build_b1(&mut shape, n - 1, &mut value_leaves));
+        let mut process_leaves = Vec::with_capacity(n);
+        let tr_root = shape.build_complete(n, &mut process_leaves);
         shape.set_children(root, tl_root, Some(tr_root));
-        shape.fix_depths(root);
-        let paths = (0..shape.len())
-            .map(|idx| {
-                if shape.node(idx).is_leaf() {
-                    shape.propagation_path(idx)
-                } else {
-                    Box::default()
-                }
-            })
-            .collect();
+        let paths = PathTable::new(&shape, 0..shape.len());
         AlgorithmATree {
             shape,
             root,
@@ -276,13 +286,13 @@ impl AlgorithmATree {
     /// tree's leaves.
     #[inline]
     pub fn path_for(&self, leaf: NodeIdx) -> &[PathNode] {
-        &self.paths[leaf]
+        self.paths.path(leaf)
     }
 
-    /// Depth of the leaf used by `WriteMax(v)` from `pid` — proportional
-    /// to the operation's step count.
+    /// Depth of the leaf used by `WriteMax(v)` from `pid` (its path's
+    /// length) — proportional to the operation's step count.
     pub fn write_depth(&self, pid: usize, v: u64) -> usize {
-        self.shape.node(self.leaf_for(pid, v)).depth
+        self.path_for(self.leaf_for(pid, v)).len()
     }
 
     /// Renders the tree as ASCII art (used to regenerate Figure 4).
@@ -326,14 +336,104 @@ impl AlgorithmATree {
 mod tests {
     use super::*;
 
+    /// A complete tree with `k` leaves: `(shape, root, leaves)`.
+    fn complete(k: usize) -> (TreeShape, NodeIdx, Vec<NodeIdx>) {
+        let mut shape = TreeShape::default();
+        let mut leaves = Vec::new();
+        let root = shape.build_complete(k, &mut leaves);
+        (shape, root, leaves)
+    }
+
+    /// The leaves below `idx`, left to right.
+    fn leaves_in_order(shape: &TreeShape, idx: NodeIdx, out: &mut Vec<NodeIdx>) {
+        let info = shape.node(idx);
+        if info.is_leaf() {
+            out.push(idx);
+        }
+        for child in [info.left, info.right].into_iter().flatten() {
+            leaves_in_order(shape, child, out);
+        }
+    }
+
+    /// Checks `table`, keyed by `keys`, against `shape`'s parent links:
+    /// a leaf's path is its ancestors node for node with their child
+    /// links, any other key's path is empty, every path lies inside the
+    /// one table, and the table holds exactly the leaf depths.
+    fn check_table(shape: &TreeShape, table: &PathTable, keys: &[NodeIdx]) {
+        let whole = table.steps.as_ptr_range();
+        let mut depths = 0;
+        for (k, &key) in keys.iter().enumerate() {
+            let path = table.path(k);
+            let span = path.as_ptr_range();
+            assert!(
+                whole.start <= span.start && span.end <= whole.end,
+                "key {key}: path outside the table"
+            );
+            if !shape.node(key).is_leaf() {
+                assert!(path.is_empty(), "internal node {key} has a path");
+                continue;
+            }
+            let ancestors = shape.ancestors(key);
+            assert_eq!(path.len(), ancestors.len(), "leaf {key}");
+            for (step, &a) in path.iter().zip(&ancestors) {
+                let info = shape.node(a);
+                let link = |c: Option<NodeIdx>| c.map_or(NO_CHILD, |i| i as u32);
+                let want = PathNode {
+                    node: a as u32,
+                    left: link(info.left),
+                    right: link(info.right),
+                };
+                assert_eq!(*step, want, "leaf {key}");
+            }
+            depths += path.len();
+        }
+        assert_eq!(table.steps.len(), depths);
+    }
+
+    #[test]
+    fn path_tables_match_ancestors() {
+        for k in 1..=130 {
+            let (shape, root, leaves) = complete(k);
+            assert_eq!(shape.len(), 2 * k - 1, "k={k}");
+            let mut in_order = Vec::new();
+            leaves_in_order(&shape, root, &mut in_order);
+            assert_eq!(leaves, in_order, "k={k}");
+            // Keyed by slot, as the f-array keys it, and by node.
+            check_table(
+                &shape,
+                &PathTable::new(&shape, leaves.iter().copied()),
+                &leaves,
+            );
+            let nodes: Vec<NodeIdx> = (0..shape.len()).collect();
+            check_table(&shape, &PathTable::new(&shape, 0..shape.len()), &nodes);
+        }
+        for n in 1..=130 {
+            let t = AlgorithmATree::new(n);
+            assert_eq!(t.shape.len(), (4 * n - 3).max(2), "n={n}");
+            let mut in_order = Vec::new();
+            leaves_in_order(&t.shape, t.root, &mut in_order);
+            let leaves: Vec<NodeIdx> = t
+                .value_leaves
+                .iter()
+                .chain(&t.process_leaves)
+                .copied()
+                .collect();
+            assert_eq!(leaves, in_order, "n={n}: B1 leaves, then TR leaves");
+            let nodes: Vec<NodeIdx> = (0..t.shape.len()).collect();
+            check_table(&t.shape, &t.paths, &nodes);
+        }
+    }
+
     #[test]
     fn complete_tree_has_logarithmic_depth() {
         for k in 1..=64usize {
-            let mut shape = TreeShape::new();
-            let (root, leaves) = shape.build_complete(k);
-            shape.fix_depths(root);
+            let (shape, _, leaves) = complete(k);
             assert_eq!(leaves.len(), k);
-            let max_depth = leaves.iter().map(|&l| shape.node(l).depth).max().unwrap();
+            let max_depth = leaves
+                .iter()
+                .map(|&l| shape.ancestors(l).len())
+                .max()
+                .unwrap();
             let bound = (k as f64).log2().ceil() as usize;
             assert!(max_depth <= bound, "k={k}: depth {max_depth} > {bound}");
         }
@@ -341,9 +441,7 @@ mod tests {
 
     #[test]
     fn complete_tree_leaves_are_leaves() {
-        let mut shape = TreeShape::new();
-        let (root, leaves) = shape.build_complete(10);
-        shape.fix_depths(root);
+        let (shape, root, leaves) = complete(10);
         for &l in &leaves {
             assert!(shape.node(l).is_leaf());
         }
@@ -353,31 +451,10 @@ mod tests {
 
     #[test]
     fn ancestors_lead_to_root() {
-        let mut shape = TreeShape::new();
-        let (root, leaves) = shape.build_complete(8);
-        shape.fix_depths(root);
+        let (shape, root, leaves) = complete(8);
         let path = shape.ancestors(leaves[3]);
         assert_eq!(*path.last().unwrap(), root);
-        assert_eq!(path.len(), shape.node(leaves[3]).depth);
-    }
-
-    #[test]
-    fn propagation_path_matches_ancestors() {
-        let mut shape = TreeShape::new();
-        let (root, leaves) = shape.build_complete(9);
-        shape.fix_depths(root);
-        for &leaf in &leaves {
-            let path = shape.propagation_path(leaf);
-            let ancestors = shape.ancestors(leaf);
-            assert_eq!(path.len(), ancestors.len());
-            for (step, &a) in path.iter().zip(&ancestors) {
-                assert_eq!(step.node as usize, a);
-                let info = shape.node(a);
-                assert_eq!(step.left, info.left.map_or(NO_CHILD, |i| i as u32));
-                assert_eq!(step.right, info.right.map_or(NO_CHILD, |i| i as u32));
-            }
-            assert_eq!(path.last().unwrap().node as usize, root);
-        }
+        assert_eq!(path.len(), 3);
     }
 
     #[test]
@@ -387,7 +464,7 @@ mod tests {
             let path = t.path_for(leaf);
             assert!(!path.is_empty());
             assert_eq!(path.last().unwrap().node as usize, t.root());
-            assert_eq!(path.len(), t.shape.node(leaf).depth);
+            assert_eq!(path.len(), t.shape.ancestors(leaf).len());
         }
         // Internal nodes carry no path.
         assert!(t.path_for(t.root()).is_empty());
@@ -404,7 +481,7 @@ mod tests {
         let depths: Vec<usize> = t
             .process_leaves
             .iter()
-            .map(|&l| t.shape.node(l).depth)
+            .map(|&l| t.shape.ancestors(l).len())
             .collect();
         assert!(depths.iter().all(|&d| d == depths[0]));
         assert_eq!(depths[0], 3); // root -> TR root -> internal -> leaf
