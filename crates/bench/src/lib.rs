@@ -5,6 +5,8 @@
 //! machine-readable result is a [`doc::BenchDoc`], and
 //! [`compare`] is the sentry that diffs two of them.
 
+#![forbid(unsafe_code)]
+
 pub mod compare;
 pub mod complexity;
 pub mod doc;

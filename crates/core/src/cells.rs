@@ -12,7 +12,7 @@
 //! a [`Machine::single`](ruo_sim::Machine::single) of the load, which
 //! allocates nothing.
 //!
-//! A real table ([`Words`], [`Bytes`]) holds plain atomics and is no
+//! A real table ([`Words`], [`Packed`], [`Bytes`]) holds plain atomics and is no
 //! [`Cells`] itself: an operation reaches it through a [`Real`] view,
 //! made when the operation starts, which reads the counting switch once
 //! ([`Tally::start`]) and counts every access of the operation into
@@ -78,6 +78,30 @@ impl<C: Cells + ?Sized> Cells for &C {
 /// A real word table: each cell on its own cache-line pair.
 pub type Words = [CachePadded<AtomicI64>];
 
+/// A real word table packed: the snapshots' record arenas, which
+/// padding would spread over 128 bytes a word.
+pub type Packed = [AtomicI64];
+
+/// A word cell of a real table, padded or packed.
+pub trait WordCell {
+    /// The cell's atomic word.
+    fn word(&self) -> &AtomicI64;
+}
+
+impl WordCell for AtomicI64 {
+    #[inline]
+    fn word(&self) -> &AtomicI64 {
+        self
+    }
+}
+
+impl WordCell for CachePadded<AtomicI64> {
+    #[inline]
+    fn word(&self) -> &AtomicI64 {
+        self
+    }
+}
+
 /// A real one-byte table, packed: the AAC objects' switches.
 pub type Bytes = [AtomicU8];
 
@@ -102,20 +126,20 @@ impl<'a, T: ?Sized> Real<'a, T> {
     }
 }
 
-impl Real<'_, Words> {
+impl<W: WordCell> Real<'_, [W]> {
     /// A counted load of `cell` with `order`: the one-load reads and the
     /// checks outside a body, whose orderings are their own.
     #[inline]
     pub fn load_with(&self, cell: usize, order: Ordering) -> Word {
         self.tally.read();
-        self.table[cell].load(order)
+        self.table[cell].word().load(order)
     }
 }
 
-/// Real word cells. Every access is `SeqCst` (a failed CAS `Acquire`):
-/// the slot stores and sibling loads of a climb form the
-/// store-buffering pattern of DESIGN.md § Memory orderings.
-impl Cells for Real<'_, Words> {
+/// Real word cells, padded or packed. Every access is `SeqCst` (a
+/// failed CAS `Acquire`): the slot stores and sibling loads of a climb
+/// form the store-buffering pattern of DESIGN.md § Memory orderings.
+impl<W: WordCell> Cells for Real<'_, [W]> {
     type Access = Ready<Word>;
 
     #[inline]
@@ -126,14 +150,18 @@ impl Cells for Real<'_, Words> {
     #[inline]
     fn store(&self, cell: usize, value: Word) -> Ready<Word> {
         self.tally.write();
-        self.table[cell].store(value, Ordering::SeqCst);
+        self.table[cell].word().store(value, Ordering::SeqCst);
         ready(0)
     }
 
     #[inline]
     fn cas(&self, cell: usize, expected: Word, new: Word) -> Ready<Word> {
-        let r =
-            self.table[cell].compare_exchange(expected, new, Ordering::SeqCst, Ordering::Acquire);
+        let r = self.table[cell].word().compare_exchange(
+            expected,
+            new,
+            Ordering::SeqCst,
+            Ordering::Acquire,
+        );
         self.tally.cas(r.is_ok());
         let (Ok(witness) | Err(witness)) = r;
         ready(witness)

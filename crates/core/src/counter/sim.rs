@@ -4,20 +4,17 @@
 //! the Lemma 1 adversary in `ruo-lowerbound` drives these machines one
 //! enabled event at a time.
 //!
-//! The f-array, sharded, approximate and AAC counters derive their
-//! machines from the bodies they ship with ([`crate::cells`]) and live
-//! beside them. Below are two counters that exist only in the
-//! simulator: the CAS loop and Corollary 1's snapshot counter.
+//! Every counter but the CAS loop below derives its machines from the
+//! body it ships with ([`crate::cells`]) and lives beside it; Corollary
+//! 1's snapshot counter lives in [`crate::reduction`].
 
-use std::sync::Arc;
-
-use ruo_sim::{Machine, Memory, ObjId, Prim, ProcessId, Word};
+use ruo_sim::{Machine, Memory, ObjId, Prim, ProcessId};
 
 pub use super::aac::SimAacCounter;
 pub use super::farray::SimFArrayCounter;
 pub use super::sharded::SimShardedCounter;
 use crate::cells::Cells;
-use crate::snapshot::double_collect;
+pub use crate::reduction::SimSnapshotCounter;
 
 /// A counter whose operations are simulator step machines.
 pub trait SimCounter: Send + Sync {
@@ -80,64 +77,10 @@ impl SimCounter for SimCasLoopCounter {
     }
 }
 
-/// Corollary 1's reduction as step machines: a counter whose
-/// `CounterIncrement` is a single snapshot `Update` (2 steps — the
-/// process knows its own count) and whose `CounterRead` is a
-/// double-collect `Scan` summed (`Ω(N)` steps, obstruction-free), on
-/// the double-collect snapshot's own bodies.
-///
-/// This is the *opposite* end of Theorem 1's tradeoff from the f-array:
-/// `O(1)` updates bought with linear reads — and the vehicle by which
-/// the paper transports the counter lower bound to snapshots.
-#[derive(Debug)]
-pub struct SimSnapshotCounter {
-    /// Per-process segments packing `(seq << 32) | count`.
-    segments: Arc<[ObjId]>,
-}
-
-impl SimSnapshotCounter {
-    /// Allocates `n` zeroed segments in `mem`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0`.
-    pub fn new(mem: &mut Memory, n: usize) -> Self {
-        assert!(n >= 1);
-        SimSnapshotCounter {
-            segments: mem.alloc_n(n, 0).into(),
-        }
-    }
-}
-
-impl SimCounter for SimSnapshotCounter {
-    fn n(&self) -> usize {
-        self.segments.len()
-    }
-
-    fn increment(&self, pid: ProcessId) -> Machine {
-        // Single-writer segment: one snapshot Update of our own count.
-        let segments = Arc::clone(&self.segments);
-        Machine::new(async move {
-            double_collect::update(&*segments, pid.index(), |count| count + 1).await;
-            0
-        })
-    }
-
-    fn read(&self, _pid: ProcessId) -> Machine {
-        let segments = Arc::clone(&self.segments);
-        Machine::new(async move {
-            let view = double_collect::double_collect(&*segments, segments.len(), usize::MAX)
-                .await
-                .expect("an unbounded scan returns");
-            view.iter().sum::<u64>() as Word
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruo_sim::run_solo;
+    use ruo_sim::{run_solo, Word};
 
     #[test]
     fn farray_read_is_one_step() {

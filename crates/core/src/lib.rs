@@ -16,8 +16,8 @@
 //!   hardware baselines.
 //! * **Snapshots** — [`snapshot::DoubleCollectSnapshot`] (obstruction-free),
 //!   [`snapshot::AfekSnapshot`] (wait-free with helping), and
-//!   [`snapshot::PathCopySnapshot`] (restricted-use, `O(1)` consistent
-//!   view acquisition).
+//!   [`snapshot::PathCopySnapshot`] (restricted-use, one read pins a
+//!   consistent view).
 //!
 //! Every object has two faces: a real concurrent implementation on
 //! `std::sync::atomic` (this crate's public structs), and a step machine
@@ -28,8 +28,9 @@
 //! over [`cells::Cells`], polled once on real cells and stepped one
 //! access at a time on simulator cells. The f-array
 //! ([`farray::FArray`]) and its counter and max register, Algorithm A's
-//! real climb, the sharded, approximate and double-collect objects, the
-//! CAS cell, and the AAC register and counter are written that way.
+//! real climb, the sharded, approximate and snapshot counters, the
+//! three snapshots, the CAS cell, and the AAC register and counter are
+//! written that way, with no pointer and no `unsafe`.
 //!
 //! The one simulator face still written apart from the real code is
 //! Algorithm A's: its always-double-CAS climb pins the benchmark's W5
@@ -48,6 +49,7 @@
 //! assert_eq!(reg.read_max(), 17);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod accuracy;

@@ -5,109 +5,150 @@
 //! read the counter, a process performs a single `Scan` operation and
 //! returns the sum of all components." — Section 3.
 //!
-//! Each process knows its own count (its segment is single-writer), so
-//! the increment needs no scan: a process-local counter feeds the
-//! `Update` operand. This adapter is how the snapshot lower bound is
-//! transported to counters (and how the test suite cross-checks snapshot
-//! implementations against counter semantics).
+//! Both faces run the double-collect snapshot's bodies: an increment is
+//! one `Update` of the caller's own segment (a read and a write; the
+//! segment is single-writer), a read one `Scan`, summed. This is how the
+//! snapshot lower bound is transported to counters: `O(1)` increments
+//! bought with linear reads, the f-array's opposite end of Theorem 1's
+//! tradeoff.
 
-use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use ruo_sim::ProcessId;
+use ruo_sim::{Machine, Memory, ObjId, ProcessId, Word};
 
-use crate::traits::{Counter, Snapshot};
+use crate::cells::{real_cells, run, Cells, Real, Words};
+use crate::counter::sim::SimCounter;
+use crate::snapshot::double_collect::{double_collect, update};
+use crate::traits::Counter;
 
-/// A [`Counter`] built from any [`Snapshot`] per Corollary 1.
+/// `CounterIncrement` of `pid`: one `Update` of its own segment.
+async fn increment<C: Cells + ?Sized>(cells: &C, pid: ProcessId) {
+    update(cells, pid.index(), |count| count + 1).await;
+}
+
+/// `CounterRead`: one double-collect `Scan`, summed.
+async fn read<C: Cells + ?Sized>(cells: &C, n: usize) -> u64 {
+    let view = double_collect(cells, n, usize::MAX).await;
+    view.expect("an unbounded scan returns").iter().sum()
+}
+
+/// Corollary 1's counter: 2-step increments, `2N`-step reads solo,
+/// obstruction-free.
 ///
 /// ```
-/// use ruo_core::reduction::CounterFromSnapshot;
-/// use ruo_core::snapshot::DoubleCollectSnapshot;
+/// use ruo_core::reduction::SnapshotCounter;
 /// use ruo_core::Counter;
 /// use ruo_sim::ProcessId;
 ///
-/// let counter = CounterFromSnapshot::new(DoubleCollectSnapshot::new(4));
+/// let counter = SnapshotCounter::new(4);
 /// counter.increment(ProcessId(0));
 /// counter.increment(ProcessId(2));
 /// assert_eq!(counter.read(), 2);
 /// ```
-pub struct CounterFromSnapshot<S> {
-    snapshot: S,
-    /// Process-local increment counts (each slot written only by its
-    /// owner — this is the process's private state, not shared memory).
-    local: Box<[AtomicU64]>,
+#[derive(Debug)]
+pub struct SnapshotCounter {
+    /// Per-process segments packing `(seq << 32) | count`.
+    segments: Box<Words>,
 }
 
-impl<S: Snapshot> fmt::Debug for CounterFromSnapshot<S> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CounterFromSnapshot")
-            .field("n", &self.snapshot.n())
-            .finish()
+impl SnapshotCounter {
+    /// A counter at zero for `n` processes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(n: usize) -> Self {
+        assert!(n >= 1, "at least one segment required");
+        SnapshotCounter {
+            segments: real_cells(n, 0),
+        }
     }
 }
 
-impl<S: Snapshot> CounterFromSnapshot<S> {
-    /// Wraps a snapshot as a counter.
-    pub fn new(snapshot: S) -> Self {
-        let local = (0..snapshot.n()).map(|_| AtomicU64::new(0)).collect();
-        CounterFromSnapshot { snapshot, local }
-    }
-
-    /// The underlying snapshot.
-    pub fn snapshot(&self) -> &S {
-        &self.snapshot
-    }
-}
-
-impl<S: Snapshot> Counter for CounterFromSnapshot<S> {
+impl Counter for SnapshotCounter {
     fn increment(&self, pid: ProcessId) {
-        let c = self.local[pid.index()].fetch_add(1, Ordering::Relaxed) + 1;
-        self.snapshot.update(pid, c);
+        run(increment(&Real::new(&*self.segments), pid));
     }
 
     fn read(&self) -> u64 {
-        self.snapshot.scan().iter().sum()
+        run(read(&Real::new(&*self.segments), self.segments.len()))
+    }
+}
+
+/// Corollary 1's counter as step machines, on the same bodies.
+#[derive(Debug)]
+pub struct SimSnapshotCounter {
+    /// Per-process segments packing `(seq << 32) | count`.
+    pub(crate) segments: Arc<[ObjId]>,
+}
+
+impl SimSnapshotCounter {
+    /// Allocates `n` zeroed segments in `mem`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(mem: &mut Memory, n: usize) -> Self {
+        assert!(n >= 1, "at least one segment required");
+        SimSnapshotCounter {
+            segments: mem.alloc_n(n, 0).into(),
+        }
+    }
+}
+
+impl SimCounter for SimSnapshotCounter {
+    fn n(&self) -> usize {
+        self.segments.len()
+    }
+
+    fn increment(&self, pid: ProcessId) -> Machine {
+        let segments = Arc::clone(&self.segments);
+        Machine::new(async move {
+            increment(&*segments, pid).await;
+            0
+        })
+    }
+
+    fn read(&self, _pid: ProcessId) -> Machine {
+        let segments = Arc::clone(&self.segments);
+        Machine::new(async move { read(&*segments, segments.len()).await as Word })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::{AfekSnapshot, DoubleCollectSnapshot, PathCopySnapshot};
-    use std::sync::Arc;
+    use crate::cells::counted;
+    use ruo_sim::stepcount::OpCounts;
 
     #[test]
     fn counts_via_double_collect() {
-        let c = CounterFromSnapshot::new(DoubleCollectSnapshot::new(3));
+        let c = SnapshotCounter::new(3);
         for i in 0..6usize {
             c.increment(ProcessId(i % 3));
         }
         assert_eq!(c.read(), 6);
-    }
-
-    #[test]
-    fn counts_via_afek() {
-        let c = CounterFromSnapshot::new(AfekSnapshot::new(2));
-        c.increment(ProcessId(0));
-        c.increment(ProcessId(1));
-        c.increment(ProcessId(1));
-        assert_eq!(c.read(), 3);
-    }
-
-    #[test]
-    fn counts_via_path_copy() {
-        let c = CounterFromSnapshot::new(PathCopySnapshot::new(2, 100));
-        for _ in 0..5 {
-            c.increment(ProcessId(1));
-        }
-        assert_eq!(c.read(), 5);
+        // An increment is one Update: a read and a write of its segment.
+        let (_, steps) = counted(|| c.increment(ProcessId(1)));
+        let none = OpCounts::new();
+        assert_eq!(
+            steps,
+            OpCounts {
+                reads: 1,
+                writes: 1,
+                ..none
+            }
+        );
+        // A quiet read is one clean double collect.
+        let (v, steps) = counted(|| c.read());
+        assert_eq!((v, steps), (7, OpCounts { reads: 6, ..none }));
     }
 
     #[test]
     fn concurrent_reduction_counts_exactly() {
         let n = 4;
         let per = 200u64;
-        let c = Arc::new(CounterFromSnapshot::new(AfekSnapshot::new(n)));
+        let c = Arc::new(SnapshotCounter::new(n));
         let handles: Vec<_> = (0..n)
             .map(|i| {
                 let c = Arc::clone(&c);

@@ -16,7 +16,8 @@
 //! on simulator cells.
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::ops::Range;
+use std::sync::Arc;
 
 use ruo_sim::{Machine, Memory, ObjId, ProcessId, Word};
 
@@ -54,11 +55,11 @@ fn check_value(v: u64) -> u32 {
     v as u32
 }
 
-/// One collect: segments `0..n`, in order.
-async fn collect<C: Cells + ?Sized>(cells: &C, n: usize) -> Vec<Word> {
-    let mut words = Vec::with_capacity(n);
-    for i in 0..n {
-        words.push(cells.load(i).await);
+/// One collect: the cells of `range`, in order.
+pub(super) async fn collect<C: Cells + ?Sized>(cells: &C, range: Range<usize>) -> Vec<Word> {
+    let mut words = Vec::with_capacity(range.len());
+    for cell in range {
+        words.push(cells.load(cell).await);
     }
     words
 }
@@ -71,9 +72,9 @@ pub(crate) async fn double_collect<C: Cells + ?Sized>(
     n: usize,
     max_attempts: usize,
 ) -> Option<Vec<u64>> {
-    let mut prev = collect(cells, n).await;
+    let mut prev = collect(cells, 0..n).await;
     for _ in 0..max_attempts {
-        let cur = collect(cells, n).await;
+        let cur = collect(cells, 0..n).await;
         if prev == cur {
             return Some(cur.into_iter().map(|w| unpack(w).1 as u64).collect());
         }
@@ -165,7 +166,6 @@ impl Snapshot for DoubleCollectSnapshot {
 #[derive(Debug)]
 pub struct SimDoubleCollectSnapshot {
     pub(super) segments: Arc<[ObjId]>,
-    results: Arc<Mutex<Vec<Vec<u64>>>>,
 }
 
 impl SimDoubleCollectSnapshot {
@@ -178,16 +178,11 @@ impl SimDoubleCollectSnapshot {
         assert!(n >= 1, "at least one segment required");
         SimDoubleCollectSnapshot {
             segments: mem.alloc_n(n, 0).into(),
-            results: Arc::new(Mutex::new(Vec::new())),
         }
     }
 }
 
 impl SimSnapshot for SimDoubleCollectSnapshot {
-    fn n(&self) -> usize {
-        self.segments.len()
-    }
-
     /// # Panics
     ///
     /// Panics if `v` exceeds [`MAX_SEGMENT_VALUE`].
@@ -201,30 +196,19 @@ impl SimSnapshot for SimDoubleCollectSnapshot {
 
     fn scan(&self, _pid: ProcessId) -> Machine {
         let segments = Arc::clone(&self.segments);
-        let results = Arc::clone(&self.results);
-        Machine::new(async move {
+        Machine::vector(async move {
             let cut = double_collect(&*segments, segments.len(), usize::MAX).await;
-            let mut table = results
-                .lock()
-                .expect("no scan panics holding the results table");
-            table.push(cut.expect("an unbounded scan returns"));
-            table.len() as Word - 1
+            let cut = cut.expect("an unbounded scan returns");
+            cut.into_iter().map(|v| v as Word).collect()
         })
-    }
-
-    fn take_scan_result(&self, token: Word) -> Vec<u64> {
-        self.results
-            .lock()
-            .expect("no scan panics holding the results table")[token as usize]
-            .clone()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::testing::explore_two_updaters_and_a_scanner;
     use std::sync::atomic::Ordering;
-    use std::sync::Arc;
 
     #[test]
     fn fresh_snapshot_is_all_zero() {
@@ -308,6 +292,27 @@ mod tests {
     #[should_panic(expected = "at least one attempt")]
     fn try_scan_rejects_zero_attempts() {
         let _ = DoubleCollectSnapshot::new(1).try_scan(0);
+    }
+
+    /// The planted bug: a scan that trusts a single collect.
+    async fn single_collect<C: Cells + ?Sized>(cells: &C, n: usize) -> Vec<Word> {
+        let words = collect(cells, 0..n).await;
+        words.into_iter().map(|w| unpack(w).1 as Word).collect()
+    }
+
+    #[test]
+    fn explorer_catches_a_single_collect_scan() {
+        let build = |mem: &mut Memory, n| SimDoubleCollectSnapshot::new(mem, n);
+        let single = |s: &SimDoubleCollectSnapshot| {
+            let segments = Arc::clone(&s.segments);
+            Machine::vector(async move { single_collect(&*segments, segments.len()).await })
+        };
+        let (violated, _) = explore_two_updaters_and_a_scanner(build, single);
+        assert!(violated, "a single collect must be caught");
+        let shipped = |s: &SimDoubleCollectSnapshot| s.scan(ProcessId(2));
+        let (violated, schedules) = explore_two_updaters_and_a_scanner(build, shipped);
+        assert!(!violated, "the shipped scan has no violation");
+        assert!(schedules > 1);
     }
 
     #[test]

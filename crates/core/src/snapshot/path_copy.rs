@@ -1,44 +1,132 @@
-//! A restricted-use path-copying snapshot: `O(1)` consistent-view
-//! acquisition, `O(log N)` uncontended updates.
+//! A restricted-use path-copying snapshot: one read pins a consistent
+//! view, `O(log N)` uncontended updates.
 //!
-//! The segments are the leaves of an immutable complete binary tree; the
-//! root pointer is the only mutable cell. `Update` path-copies from the
-//! caller's leaf to a fresh root (sharing all untouched subtrees) and
-//! CASes the root pointer; `Scan` loads the root — one step — and walks
-//! the *immutable* tree at leisure. This is the pointer-based analogue
-//! of Jayanti's f-array, sitting at the `O(1)`-read end of Corollary 1's
-//! tradeoff.
-//!
-//! **Restricted use**: nodes are never freed while the snapshot lives
-//! (old versions may still be referenced by in-flight scans), so memory
-//! grows by `O(log N)` nodes per update. The paper's setting — at most
-//! polynomially many updates — is exactly the regime where this is
-//! acceptable; construction takes an explicit `max_updates` bound and
-//! refuses to exceed it.
+//! The segments are the leaves of an immutable binary tree whose root
+//! record's index sits in the root cell. `Update` copies the path to the
+//! caller's leaf into its own [`Arena`] slice, sharing every untouched
+//! subtree, and CASes the root to the copy; `Scan` reads the root, one
+//! step, and copies that version out in `O(N)` reads. It is the f-array
+//! of arXiv 1407.6153 copying paths instead of refreshing nodes, at the
+//! `O(1)`-read end of Corollary 1's tradeoff. A record is one word: a
+//! leaf's value, or an internal node's two child indices (left in the
+//! high half); in-flight scans may read any old version, so records live
+//! as long as the snapshot, and construction takes a `max_updates` bound.
 
 use std::fmt;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Arc;
 
-use ruo_sim::stepcount::Tally;
-use ruo_sim::ProcessId;
+use ruo_sim::{Machine, Memory, ObjId, ProcessId, Word};
 
+use super::sim::SimSnapshot;
+use super::{Arena, TICKET};
+use crate::cells::{run, Cells, Packed, Real};
 use crate::traits::Snapshot;
 
-struct Node {
-    /// Null for leaves.
-    left: *const Node,
-    /// Null for leaves.
-    right: *const Node,
-    /// Number of leaves in the left subtree (navigation).
-    left_leaves: usize,
-    /// Leaf payload (unused on internal nodes).
-    value: u64,
-    /// Intrusive allocation-registry link (see `alloc_head`).
-    next_alloc: AtomicPtr<Node>,
+/// The cell holding the current root's record index.
+const ROOT: usize = 1;
+
+/// An internal node's word: its children's record indices.
+fn pack(left: usize, right: usize) -> Word {
+    ((left as u64) << 32 | right as u64) as Word
 }
 
-/// Lock-free restricted-use snapshot with `O(1)` view acquisition.
+fn unpack(node: Word) -> (usize, usize) {
+    let node = node as u64;
+    ((node >> 32) as usize, node as u32 as usize)
+}
+
+/// The ticket, the root and the initial tree's `2n − 1` records, then
+/// one path per update.
+fn arena(n: usize, max_updates: u64) -> Arena {
+    let depth = n.next_power_of_two().trailing_zeros() as usize;
+    Arena::new(n, max_updates, ROOT + 2 * n, depth + 1)
+}
+
+/// The fixed cells: the ticket at 0, the root, and the zeroed tree.
+fn fixed(n: usize) -> Vec<Word> {
+    /// Appends a zeroed subtree of `k` leaves and returns its root.
+    fn subtree(words: &mut Vec<Word>, k: usize) -> usize {
+        let word = if k == 1 {
+            0
+        } else {
+            let half = k.div_ceil(2);
+            let left = subtree(words, half);
+            pack(left, subtree(words, k - half))
+        };
+        words.push(word);
+        words.len() - 1
+    }
+    let mut words = vec![0, 0];
+    words[ROOT] = subtree(&mut words, n) as Word;
+    words
+}
+
+/// `Update` of leaf `i` to `v`: take a slice, copy the path to leaf `i`
+/// into it top down (per level one read of the old node and one write
+/// of its copy), write the leaf, and CAS the root to the copy. A failed
+/// CAS witnesses the new root; the retry copies its path into the same
+/// slice, which nothing can reach yet.
+async fn update<C: Cells + ?Sized>(cells: &C, arena: Arena, i: usize, v: u64) {
+    let slice = arena.take(cells).await;
+    let mut root = cells.load(ROOT).await;
+    loop {
+        let (mut node, mut count, mut i) = (root as usize, arena.n, i);
+        let mut at = slice;
+        while count > 1 {
+            let (left, right) = unpack(cells.load(node).await);
+            let half = count.div_ceil(2);
+            let copy = if i < half {
+                (node, count) = (left, half);
+                pack(at + 1, right)
+            } else {
+                (node, count, i) = (right, count - half, i - half);
+                pack(left, at + 1)
+            };
+            cells.store(at, copy).await;
+            at += 1;
+        }
+        cells.store(at, v as Word).await;
+        let witness = cells.cas(ROOT, root, slice as Word).await;
+        if witness == root {
+            return;
+        }
+        root = witness;
+    }
+}
+
+/// Copies the `n` leaves of the version rooted at `root` out, left to
+/// right, one read per record (`2n − 1`). Right subtrees wait on a stack
+/// of one per level, and 32-bit indices bound the levels by 32.
+async fn copy_out<C: Cells + ?Sized>(cells: &C, n: usize, root: usize) -> Vec<Word> {
+    let mut out = Vec::with_capacity(n);
+    let (mut pending, mut waiting) = ([(0, 0); 32], 0);
+    let (mut node, mut count) = (root, n);
+    loop {
+        let word = cells.load(node).await;
+        if count > 1 {
+            let (left, right) = unpack(word);
+            let half = count.div_ceil(2);
+            pending[waiting] = (right, count - half);
+            (node, count, waiting) = (left, half, waiting + 1);
+        } else {
+            out.push(word);
+            if waiting == 0 {
+                return out;
+            }
+            waiting -= 1;
+            (node, count) = pending[waiting];
+        }
+    }
+}
+
+/// `Scan`: one read of the root pins a version; `2n − 1` copy it out.
+async fn scan<C: Cells + ?Sized>(cells: &C, n: usize) -> Vec<Word> {
+    let root = cells.load(ROOT).await;
+    copy_out(cells, n, root as usize).await
+}
+
+/// Lock-free restricted-use snapshot: one read pins a consistent view.
 ///
 /// ```
 /// use ruo_core::snapshot::PathCopySnapshot;
@@ -52,29 +140,15 @@ struct Node {
 /// assert_eq!(snap.scan(), vec![0, 5, 0, 0]);
 /// ```
 pub struct PathCopySnapshot {
-    root: AtomicPtr<Node>,
-    /// Head of the intrusive list of every node ever allocated; freed in
-    /// `Drop`.
-    alloc_head: AtomicPtr<Node>,
-    updates: AtomicU64,
-    max_updates: u64,
-    n: usize,
+    cells: Box<Packed>,
+    arena: Arena,
 }
-
-// SAFETY: all reachable `Node`s are immutable after publication and are
-// only freed in `Drop` (which takes `&mut self`); the mutable state is
-// confined to atomics.
-unsafe impl Send for PathCopySnapshot {}
-// SAFETY: same reasoning — shared access only ever reads immutable nodes
-// or uses atomic operations.
-unsafe impl Sync for PathCopySnapshot {}
 
 impl fmt::Debug for PathCopySnapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("PathCopySnapshot")
-            .field("n", &self.n)
-            .field("updates", &self.updates.load(Ordering::Relaxed))
-            .field("max_updates", &self.max_updates)
+            .field("arena", &self.arena)
+            .field("updates", &self.updates())
             .finish()
     }
 }
@@ -87,144 +161,44 @@ impl PathCopySnapshot {
     ///
     /// Panics if `n == 0` or `max_updates == 0`.
     pub fn new(n: usize, max_updates: u64) -> Self {
-        assert!(n >= 1, "at least one segment required");
-        assert!(max_updates >= 1, "update bound must be positive");
-        let snap = PathCopySnapshot {
-            root: AtomicPtr::new(ptr::null_mut()),
-            alloc_head: AtomicPtr::new(ptr::null_mut()),
-            updates: AtomicU64::new(0),
-            max_updates,
-            n,
-        };
-        let root = snap.build_zeroed(n);
-        snap.root.store(root as *mut Node, Ordering::SeqCst);
-        snap
-    }
-
-    /// Allocates a node and links it into the allocation registry so
-    /// `Drop` can free it.
-    fn alloc(
-        &self,
-        left: *const Node,
-        right: *const Node,
-        left_leaves: usize,
-        value: u64,
-    ) -> *const Node {
-        let node = Box::into_raw(Box::new(Node {
-            left,
-            right,
-            left_leaves,
-            value,
-            next_alloc: AtomicPtr::new(ptr::null_mut()),
-        }));
-        let mut head = self.alloc_head.load(Ordering::Relaxed);
-        loop {
-            // SAFETY: `node` is unpublished — we hold the only pointer.
-            unsafe { (*node).next_alloc.store(head, Ordering::Relaxed) };
-            match self.alloc_head.compare_exchange_weak(
-                head,
-                node,
-                Ordering::Release,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return node,
-                Err(actual) => head = actual,
-            }
-        }
-    }
-
-    fn build_zeroed(&self, k: usize) -> *const Node {
-        if k == 1 {
-            return self.alloc(ptr::null(), ptr::null(), 0, 0);
-        }
-        let left_count = k.div_ceil(2);
-        let left = self.build_zeroed(left_count);
-        let right = self.build_zeroed(k - left_count);
-        self.alloc(left, right, left_count, 0)
-    }
-
-    /// Path-copies `root`, setting leaf `idx` (within a subtree of
-    /// `count` leaves) to `v`.
-    ///
-    /// # Safety
-    ///
-    /// `node` must point to a live node of this snapshot.
-    unsafe fn copy_path(&self, node: *const Node, count: usize, idx: usize, v: u64) -> *const Node {
-        let cur = &*node;
-        if count == 1 {
-            return self.alloc(ptr::null(), ptr::null(), 0, v);
-        }
-        if idx < cur.left_leaves {
-            let new_left = self.copy_path(cur.left, cur.left_leaves, idx, v);
-            self.alloc(new_left, cur.right, cur.left_leaves, 0)
-        } else {
-            let new_right =
-                self.copy_path(cur.right, count - cur.left_leaves, idx - cur.left_leaves, v);
-            self.alloc(cur.left, new_right, cur.left_leaves, 0)
+        let arena = arena(n, max_updates);
+        PathCopySnapshot {
+            cells: arena.words(fixed(n)).map(AtomicI64::new).collect(),
+            arena,
         }
     }
 
     /// Pins the current version: a consistent, immutable view of all
-    /// segments, obtained with a single atomic load.
+    /// segments, obtained with a single read.
     pub fn view(&self) -> SnapshotView<'_> {
-        // Pointer cells are no word table; count the primitive by hand
-        // so scans still cost their one shared-memory step.
-        Tally::start().read();
+        let cells = Real::new(&*self.cells);
+        let root = run(cells.load(ROOT)) as usize;
         SnapshotView {
-            root: self.root.load(Ordering::SeqCst),
-            n: self.n,
-            _snap: std::marker::PhantomData,
+            cells,
+            root,
+            n: self.arena.n,
         }
     }
 
-    /// Number of updates performed so far.
+    /// Number of updates that have taken a slice so far.
     pub fn updates(&self) -> u64 {
-        self.updates.load(Ordering::Relaxed)
+        self.cells[TICKET].load(Ordering::Relaxed) as u64
     }
 
     /// The restricted-use bound.
     pub fn max_updates(&self) -> u64 {
-        self.max_updates
+        self.arena.bound
     }
 }
 
 impl Snapshot for PathCopySnapshot {
     fn n(&self) -> usize {
-        self.n
+        self.arena.n
     }
 
-    /// # Panics
-    ///
-    /// Panics if the restricted-use update bound is exceeded.
     fn update(&self, pid: ProcessId, v: u64) {
-        assert!(pid.index() < self.n, "process out of range");
-        // Shared RMW on the update ticket — one step (counted as a
-        // successful CAS, the convention for fetch_add).
-        let tally = Tally::start();
-        tally.cas(true);
-        let used = self.updates.fetch_add(1, Ordering::Relaxed);
-        assert!(
-            used < self.max_updates,
-            "restricted-use bound of {} updates exceeded",
-            self.max_updates
-        );
-        loop {
-            tally.read();
-            let cur = self.root.load(Ordering::SeqCst);
-            // SAFETY: `cur` came from the root pointer and nodes live
-            // until `Drop`.
-            let new = unsafe { self.copy_path(cur, self.n, pid.index(), v) };
-            let swapped = self
-                .root
-                .compare_exchange(cur, new as *mut Node, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok();
-            tally.cas(swapped);
-            if swapped {
-                return;
-            }
-            // Lost the race; the abandoned path stays in the registry and
-            // is reclaimed at drop. Retry against the new root.
-        }
+        assert!(pid.index() < self.arena.n, "process out of range");
+        run(update(&Real::new(&*self.cells), self.arena, pid.index(), v));
     }
 
     fn scan(&self) -> Vec<u64> {
@@ -232,36 +206,17 @@ impl Snapshot for PathCopySnapshot {
     }
 }
 
-impl Drop for PathCopySnapshot {
-    fn drop(&mut self) {
-        let mut cur = self.alloc_head.load(Ordering::Relaxed);
-        while !cur.is_null() {
-            // SAFETY: every node was allocated by `alloc` via
-            // `Box::into_raw` and appears exactly once in this list; we
-            // have `&mut self`, so no readers remain.
-            let boxed = unsafe { Box::from_raw(cur) };
-            cur = boxed.next_alloc.load(Ordering::Relaxed);
-        }
-    }
-}
-
 /// A consistent, immutable view of a [`PathCopySnapshot`] version.
 ///
-/// Obtained in `O(1)`; individual segments are read in `O(log N)` and
+/// Obtained in one read; individual segments are read in `O(log N)` and
 /// the whole vector in `O(N)`. The view stays valid (and frozen) for the
 /// lifetime of the snapshot borrow, no matter how many updates happen
-/// concurrently.
+/// concurrently. It counts its reads into the operation that pinned it.
 pub struct SnapshotView<'a> {
-    root: *const Node,
+    cells: Real<'a, Packed>,
+    root: usize,
     n: usize,
-    _snap: std::marker::PhantomData<&'a PathCopySnapshot>,
 }
-
-// SAFETY: a view only reads immutable nodes kept alive by the snapshot
-// borrow.
-unsafe impl Send for SnapshotView<'_> {}
-// SAFETY: same — all access is read-only.
-unsafe impl Sync for SnapshotView<'_> {}
 
 impl fmt::Debug for SnapshotView<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -272,16 +227,6 @@ impl fmt::Debug for SnapshotView<'_> {
 }
 
 impl SnapshotView<'_> {
-    /// Number of segments.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Whether the view has no segments (never true: `n ≥ 1`).
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
     /// Reads segment `idx` from this frozen version (`O(log N)`).
     ///
     /// # Panics
@@ -289,46 +234,60 @@ impl SnapshotView<'_> {
     /// Panics if `idx` is out of range.
     pub fn get(&self, idx: usize) -> u64 {
         assert!(idx < self.n, "segment {idx} out of range");
-        let mut node = self.root;
-        let mut count = self.n;
-        let mut idx = idx;
+        let (mut node, mut count, mut idx) = (self.root, self.n, idx);
         loop {
-            // SAFETY: nodes live until the snapshot drops, and the view
-            // borrows the snapshot.
-            let cur = unsafe { &*node };
+            let word = self.cells.load_with(node, Ordering::SeqCst);
             if count == 1 {
-                return cur.value;
+                return word as u64;
             }
-            if idx < cur.left_leaves {
-                node = cur.left;
-                count = cur.left_leaves;
+            let (left, right) = unpack(word);
+            let half = count.div_ceil(2);
+            if idx < half {
+                (node, count) = (left, half);
             } else {
-                idx -= cur.left_leaves;
-                count -= cur.left_leaves;
-                node = cur.right;
+                (node, count, idx) = (right, count - half, idx - half);
             }
         }
     }
 
     /// Copies every segment out of this frozen version (`O(N)`).
     pub fn to_vec(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.n);
-        // SAFETY: as in `get`.
-        unsafe { collect_leaves(self.root, &mut out) };
-        out
+        let words = run(copy_out(&self.cells, self.n, self.root));
+        words.into_iter().map(|w| w as u64).collect()
     }
 }
 
-/// # Safety
-///
-/// `node` must point to a live node tree.
-unsafe fn collect_leaves(node: *const Node, out: &mut Vec<u64>) {
-    let cur = &*node;
-    if cur.left.is_null() {
-        out.push(cur.value);
-    } else {
-        collect_leaves(cur.left, out);
-        collect_leaves(cur.right, out);
+/// The path-copying snapshot as step machines, on the same bodies: a
+/// solo scan takes `2N` reads, a solo update `2⌈log₂ N⌉ + 5` at most.
+#[derive(Debug)]
+pub struct SimPathCopySnapshot {
+    cells: Arc<[ObjId]>,
+    arena: Arena,
+}
+
+impl SimPathCopySnapshot {
+    /// [`PathCopySnapshot::new`]'s snapshot, allocated in `mem`.
+    pub fn new(mem: &mut Memory, n: usize, max_updates: u64) -> Self {
+        let arena = arena(n, max_updates);
+        SimPathCopySnapshot {
+            cells: arena.words(fixed(n)).map(|w| mem.alloc(w)).collect(),
+            arena,
+        }
+    }
+}
+
+impl SimSnapshot for SimPathCopySnapshot {
+    fn update(&self, pid: ProcessId, v: u64) -> Machine {
+        let (cells, arena) = (Arc::clone(&self.cells), self.arena);
+        Machine::new(async move {
+            update(&*cells, arena, pid.index(), v).await;
+            0
+        })
+    }
+
+    fn scan(&self, _pid: ProcessId) -> Machine {
+        let (cells, n) = (Arc::clone(&self.cells), self.arena.n);
+        Machine::vector(async move { scan(&*cells, n).await })
     }
 }
 
@@ -342,20 +301,30 @@ mod tests {
     #[test]
     fn update_and_scan_tallies_are_pinned() {
         let s = PathCopySnapshot::new(4, 10);
-        // The ticket's fetch_add, the root read and the root CAS.
+        // The ticket's read and CAS, the root read, per level of the
+        // two a read of the old node and a write of its copy, the leaf
+        // write, and the root CAS.
         let (_, update) = counted(|| s.update(ProcessId(1), 5));
+        // The root read and the seven records of the version.
         let (view, scan) = counted(|| s.scan());
         assert_eq!(view, vec![0, 5, 0, 0]);
         let none = OpCounts::new();
         assert_eq!(
             update,
             OpCounts {
-                reads: 1,
+                reads: 4,
+                writes: 3,
                 cas_ok: 2,
                 ..none
             }
         );
-        assert_eq!(scan, OpCounts { reads: 1, ..none });
+        assert_eq!(scan, OpCounts { reads: 8, ..none });
+        // Pinning a view is one read; a segment is a walk down to it,
+        // counted into the operation that pinned the view.
+        let (_, pin) = counted(|| s.view());
+        assert_eq!(pin, OpCounts { reads: 1, ..none });
+        let (v, get) = counted(|| s.view().get(1));
+        assert_eq!((v, get), (5, OpCounts { reads: 4, ..none }));
     }
 
     #[test]
@@ -395,6 +364,7 @@ mod tests {
         s.update(ProcessId(1), 1);
         let r = std::panic::catch_unwind(|| s.update(ProcessId(0), 2));
         assert!(r.is_err());
+        assert_eq!(s.updates(), 2, "a refused update takes no ticket");
     }
 
     #[test]
@@ -407,6 +377,8 @@ mod tests {
 
     #[test]
     fn concurrent_updates_all_land() {
+        // The bound is exact: an update that retried into a new slice
+        // would run out of tickets.
         let n = 8;
         let per = 50u64;
         let s = Arc::new(PathCopySnapshot::new(n, n as u64 * per));

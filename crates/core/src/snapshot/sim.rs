@@ -1,39 +1,29 @@
 //! Simulator step machines for snapshots.
 //!
-//! Only the double-collect snapshot is simulated: it is the snapshot
-//! whose step behaviour the Theorem 1 / Corollary 1 experiments need
-//! (an `O(1)`-update snapshot whose scans an adversary can stretch), and
-//! it fits the model's single-word base objects. The Afek and
-//! path-copying snapshots rely on wide registers / pointers and exist as
-//! real-atomics implementations only (see `DESIGN.md`).
+//! Every snapshot's simulator face runs the bodies its real face ships
+//! with, on simulator cells, and keeps its state in
+//! [`Memory`](ruo_sim::Memory) only: the explorer clones a scope's
+//! memory and rebuilds its machines from the one face.
 
-use ruo_sim::{Machine, ProcessId, Word};
+use ruo_sim::{Machine, ProcessId};
 
+pub use super::afek::SimAfekSnapshot;
 pub use super::double_collect::SimDoubleCollectSnapshot;
+pub use super::path_copy::SimPathCopySnapshot;
 
 /// A snapshot whose operations are simulator step machines.
-///
-/// Scan machines return a *token*; exchange it for the scanned vector
-/// with [`take_scan_result`](SimSnapshot::take_scan_result) (the
-/// executor's `OpSpec::vector` does this automatically).
 pub trait SimSnapshot: Send + Sync {
-    /// Number of segments.
-    fn n(&self) -> usize;
-
     /// An `Update(v)` of `pid`'s segment as a step machine.
     fn update(&self, pid: ProcessId, v: u64) -> Machine;
 
-    /// A `Scan` as a step machine; the machine's result is a token.
+    /// A `Scan` as a [`Machine::vector`]: its output is the vector.
     fn scan(&self, pid: ProcessId) -> Machine;
-
-    /// Exchanges a scan machine's token for the scanned vector.
-    fn take_scan_result(&self, token: Word) -> Vec<u64>;
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ruo_sim::{run_solo, Memory};
+    use ruo_sim::{run_solo, run_solo_vector, Memory, Word};
 
     fn unpack_val(word: Word) -> u64 {
         (word as u64) & 0xFFFF_FFFF
@@ -52,9 +42,9 @@ mod tests {
         let mut mem = Memory::new();
         let n = 4;
         let s = SimDoubleCollectSnapshot::new(&mut mem, n);
-        let (token, steps) = run_solo(&mut mem, ProcessId(0), s.scan(ProcessId(0)));
+        let (cut, steps) = run_solo_vector(&mut mem, ProcessId(0), s.scan(ProcessId(0)));
         assert_eq!(steps, 2 * n);
-        assert_eq!(s.take_scan_result(token), vec![0; n]);
+        assert_eq!(cut, vec![0; n]);
     }
 
     #[test]
@@ -63,8 +53,8 @@ mod tests {
         let s = SimDoubleCollectSnapshot::new(&mut mem, 3);
         run_solo(&mut mem, ProcessId(1), s.update(ProcessId(1), 5));
         run_solo(&mut mem, ProcessId(2), s.update(ProcessId(2), 7));
-        let (token, _) = run_solo(&mut mem, ProcessId(0), s.scan(ProcessId(0)));
-        assert_eq!(s.take_scan_result(token), vec![0, 5, 7]);
+        let (cut, _) = run_solo_vector(&mut mem, ProcessId(0), s.scan(ProcessId(0)));
+        assert_eq!(cut, vec![0, 5, 7]);
     }
 
     #[test]
@@ -83,9 +73,9 @@ mod tests {
         // Now p1 updates segment 1, invalidating the first collect.
         run_solo(&mut mem, ProcessId(1), s.update(ProcessId(1), 3));
         // Let the scan finish.
-        let (token, steps) = run_solo(&mut mem, ProcessId(0), scan);
+        let (cut, steps) = run_solo_vector(&mut mem, ProcessId(0), scan);
         assert!(steps > 4, "scan should have retried");
-        assert_eq!(s.take_scan_result(token), vec![0, 3]);
+        assert_eq!(cut, vec![0, 3]);
     }
 
     #[test]

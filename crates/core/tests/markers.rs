@@ -1,11 +1,11 @@
 //! Marker-trait guarantees (C-SEND-SYNC): every shared object must be
 //! usable across threads, and the guarantees must not regress silently
-//! when internals change (several types manage raw pointers by hand).
+//! when internals change.
 
 use ruo_core::counter::{AacCounter, FArrayCounter, FetchAddCounter};
 use ruo_core::farray::{FArray, Max, Min, Sum};
 use ruo_core::maxreg::{AacMaxRegister, CasRetryMaxRegister, LockMaxRegister, TreeMaxRegister};
-use ruo_core::reduction::CounterFromSnapshot;
+use ruo_core::reduction::SnapshotCounter;
 use ruo_core::snapshot::{AfekSnapshot, DoubleCollectSnapshot, PathCopySnapshot, SnapshotView};
 
 fn assert_send_sync<T: Send + Sync>() {}
@@ -23,7 +23,7 @@ fn counters_are_send_and_sync() {
     assert_send_sync::<FArrayCounter>();
     assert_send_sync::<AacCounter>();
     assert_send_sync::<FetchAddCounter>();
-    assert_send_sync::<CounterFromSnapshot<DoubleCollectSnapshot>>();
+    assert_send_sync::<SnapshotCounter>();
 }
 
 #[test]

@@ -182,7 +182,7 @@ fn snapshots_follow_the_spec() {
     for case in 0..128 {
         let n = 4;
         let dc = DoubleCollectSnapshot::new(n);
-        let afek = AfekSnapshot::new(n);
+        let afek = AfekSnapshot::new(n, 64);
         let pc = PathCopySnapshot::new(n, 64);
         let mut expected = vec![0u64; n];
         let ops = 1 + rng.gen_index(49);

@@ -10,7 +10,9 @@ use ruo_core::farray::{Max, SimFArray, Sum};
 use ruo_core::maxreg::sim::{
     SimAacMaxRegister, SimCasRetryMaxRegister, SimMaxRegister, SimTreeMaxRegister,
 };
-use ruo_core::snapshot::sim::{SimDoubleCollectSnapshot, SimSnapshot};
+use ruo_core::snapshot::sim::{
+    SimAfekSnapshot, SimDoubleCollectSnapshot, SimPathCopySnapshot, SimSnapshot,
+};
 use ruo_sim::{Machine, Memory, ProcessId};
 
 // Event by event, not `run_solo`: an oracle of the solo pins independent of its direct path.
@@ -159,6 +161,52 @@ fn double_collect_snapshot_costs_are_pinned() {
         assert_eq!(steps(&mut mem, ProcessId(0), s.update(ProcessId(0), 1)), 2);
         let sc = steps(&mut mem, ProcessId(0), s.scan(ProcessId(0)));
         assert_eq!(sc, 2 * n, "n={n}");
+    }
+}
+
+#[test]
+fn path_copy_snapshot_costs_are_pinned() {
+    for (n, depth) in [
+        (1usize, 0usize),
+        (2, 1),
+        (3, 2),
+        (4, 2),
+        (5, 3),
+        (8, 3),
+        (64, 6),
+    ] {
+        assert_eq!(depth, n.next_power_of_two().trailing_zeros() as usize);
+        let mut mem = Memory::new();
+        let s = SimPathCopySnapshot::new(&mut mem, n, 2);
+        // The ticket's read and CAS, the root read, a read and a write
+        // per level of the path, the leaf write and the root CAS. Leaf 0
+        // is a deepest leaf: every node gives its left child the larger
+        // half.
+        let update = steps(&mut mem, ProcessId(0), s.update(ProcessId(0), 1));
+        assert_eq!(update, 2 * depth + 5, "n={n}");
+        // One read pins the view, and 2N − 1 reads copy it out.
+        let scan = s.scan(ProcessId(0));
+        assert!(scan.enabled().is_some_and(|p| p.is_read()));
+        assert_eq!(
+            steps(&mut mem, ProcessId(0), scan),
+            1 + (2 * n - 1),
+            "n={n}"
+        );
+    }
+}
+
+#[test]
+fn afek_snapshot_costs_are_pinned() {
+    for n in [1usize, 2, 3, 8, 64] {
+        let mut mem = Memory::new();
+        let s = SimAfekSnapshot::new(&mut mem, n, 2);
+        // The embedded scan, the ticket's read and CAS, and N + 2 writes:
+        // the value, the view and the segment.
+        let update = steps(&mut mem, ProcessId(0), s.update(ProcessId(0), 1));
+        assert_eq!(update, 3 * n + 2 + n + 2, "n={n}");
+        // Two clean collects, then each record's value.
+        let scan = steps(&mut mem, ProcessId(0), s.scan(ProcessId(0)));
+        assert_eq!(scan, 3 * n, "n={n}");
     }
 }
 

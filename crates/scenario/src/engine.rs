@@ -28,7 +28,7 @@ use ruo_sim::spec::SeqSpec;
 use ruo_sim::stepcount::CountingMem;
 use ruo_sim::{
     EventLog, ExecOutcome, Executor, FaultPlan, History, Machine, Memory, OpDesc, OpOutput,
-    OpRecord, OpSpec, ProcessId, RandomScheduler, RoundRobin, Scheduler, SplitMix64, Word,
+    OpRecord, OpSpec, ProcessId, RandomScheduler, RoundRobin, Scheduler, SplitMix64,
     WorkloadBuilder,
 };
 
@@ -513,21 +513,10 @@ fn sim_op(obj: &SimObject, pid: ProcessId, is_read: bool, value: u64) -> OpSpec 
             }
         }
         SimObject::Snapshot(s) => {
+            let s = Arc::clone(s);
             if is_read {
-                let s1 = Arc::clone(s);
-                let s2 = Arc::clone(s);
-                OpSpec::vector(
-                    OpDesc::Scan,
-                    move || s1.scan(pid),
-                    move |token| {
-                        s2.take_scan_result(token)
-                            .into_iter()
-                            .map(|v| v as i64)
-                            .collect()
-                    },
-                )
+                OpSpec::value(OpDesc::Scan, move || s.scan(pid))
             } else {
-                let s = Arc::clone(s);
                 OpSpec::update(OpDesc::Update(value as i64), move || s.update(pid, value))
             }
         }
@@ -1006,9 +995,8 @@ impl std::fmt::Debug for ExploreParts {
 
 /// Builds the exploration scope a spec describes.
 ///
-/// Snapshot scopes are unsupported (scan results are vectors, which the
-/// explorer's single-word op results cannot carry), as are seed updates
-/// on counters (the counter spec always starts at zero).
+/// Seed updates are for max registers only: the counter and snapshot
+/// specs always start at zero.
 pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
     let entry = find(spec.family, &spec.impl_id)?;
     if !entry.has_sim() {
@@ -1030,25 +1018,18 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
     let espec = spec.explore.as_ref().ok_or_else(|| {
         EngineError::Unsupported("engine \"explore\" requires an explore section".into())
     })?;
-    if spec.family == Family::Snapshot {
-        return Err(EngineError::Unsupported(
-            "snapshot scopes cannot be explored: scans return vectors, \
-             and the explorer carries single-word results only"
-                .into(),
-        ));
-    }
     if espec.seed_update.is_some() && spec.family != Family::MaxReg {
         return Err(EngineError::Unsupported(
             "seed_update is only meaningful for max registers \
-             (the counter spec always starts at zero)"
+             (the counter and snapshot specs always start at zero)"
                 .into(),
         ));
     }
     // Build the object and run the seed write once, eagerly, so bad
     // capacities error here rather than panicking inside the search.
     // Each setup clones that memory and makes its machines from the
-    // shared object: every counter and max-register sim face keeps its
-    // state in `Memory` only (its fields are cell ids and shapes).
+    // shared object: every sim face keeps its state in `Memory` only
+    // (its fields are cell ids and shapes).
     let (mut seeded, obj) = build_sim_object(spec)?;
     let mut seed_events = EventLog::new();
     if let (Some(seed_v), SimObject::MaxReg(reg)) = (espec.seed_update, &obj) {
@@ -1056,7 +1037,7 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
             &mut seeded,
             &mut seed_events,
             ProcessId(0),
-            reg.write_max(ProcessId(0), seed_v),
+            &mut reg.write_max(ProcessId(0), seed_v),
         );
     }
     let scope = espec.ops.clone();
@@ -1070,7 +1051,8 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
                     (SimObject::MaxReg(r), OpKind::Read) => r.read_max(pid),
                     (SimObject::Counter(c), OpKind::Update) => c.increment(pid),
                     (SimObject::Counter(c), OpKind::Read) => c.read(pid),
-                    (SimObject::Snapshot(_), _) => unreachable!("rejected above"),
+                    (SimObject::Snapshot(s), OpKind::Update) => s.update(pid, op.value),
+                    (SimObject::Snapshot(s), OpKind::Read) => s.scan(pid),
                 }
             })
             .collect();
@@ -1086,7 +1068,8 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
                 (Family::MaxReg, OpKind::Read) => OpDesc::ReadMax,
                 (Family::Counter, OpKind::Update) => OpDesc::CounterIncrement,
                 (Family::Counter, OpKind::Read) => OpDesc::CounterRead,
-                (Family::Snapshot, _) => unreachable!("rejected above"),
+                (Family::Snapshot, OpKind::Update) => OpDesc::Update(op.value as i64),
+                (Family::Snapshot, OpKind::Read) => OpDesc::Scan,
             },
             returns_value: op.kind == OpKind::Read,
         })
@@ -1099,23 +1082,14 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
     })
 }
 
-/// Runs `machine` solo on behalf of `pid`, appending each of its events
-/// to `log`; returns `(result, steps)` like [`run_solo`](ruo_sim::run_solo).
-fn run_recorded(
-    mem: &mut Memory,
-    log: &mut EventLog,
-    pid: ProcessId,
-    mut machine: Machine,
-) -> (Word, usize) {
+/// Runs `machine` solo on behalf of `pid` to its end, appending each of
+/// its events to `log`.
+fn run_recorded(mem: &mut Memory, log: &mut EventLog, pid: ProcessId, machine: &mut Machine) {
     while let Some(prim) = machine.enabled() {
         let ev = mem.apply(pid, prim);
         log.push(ev);
         machine.feed(ev.resp);
     }
-    (
-        machine.result().expect("machine completed"),
-        machine.steps(),
-    )
 }
 
 /// Runs the scope's machines to completion sequentially (each op solo,
@@ -1142,9 +1116,9 @@ fn explore_canonical_trace(parts: &ExploreParts, spec: &ScenarioSpec) -> StepTra
             steps: seed_steps,
         });
     }
-    for (machine, op) in machines.into_iter().zip(&parts.ops) {
+    for (mut machine, op) in machines.into_iter().zip(&parts.ops) {
         let invoke = log.len();
-        let (result, steps) = run_recorded(&mut mem, &mut log, op.pid, machine);
+        run_recorded(&mut mem, &mut log, op.pid, &mut machine);
         let response = log.len().max(invoke + 1);
         history.push(OpRecord {
             pid: op.pid,
@@ -1152,11 +1126,11 @@ fn explore_canonical_trace(parts: &ExploreParts, spec: &ScenarioSpec) -> StepTra
             invoke,
             response: Some(response),
             output: Some(if op.returns_value {
-                OpOutput::Value(result)
+                machine.output().expect("machine completed")
             } else {
                 OpOutput::Unit
             }),
-            steps,
+            steps: machine.steps(),
         });
     }
     trace_execution(&log, &history)
@@ -1366,29 +1340,30 @@ mod tests {
     }
 
     #[test]
-    fn explore_engine_rejects_snapshot_scopes() {
-        let mut spec = ScenarioSpec::new(
-            "t",
-            Family::Snapshot,
-            "double_collect",
-            EngineKind::Explore,
-            2,
-        );
-        spec.explore = Some(ExploreSpec {
-            seed_update: None,
-            ops: vec![ScenarioOp {
-                pid: 0,
-                kind: OpKind::Update,
-                value: 1,
-            }],
-            max_schedules: 10,
-            prune: true,
-            max_crashes: 0,
-        });
-        assert!(matches!(
-            run_explore(&spec, false),
-            Err(EngineError::Unsupported(_))
-        ));
+    fn explore_engine_explores_snapshot_scopes() {
+        for entry in crate::registry::family_impls(Family::Snapshot) {
+            let mut spec =
+                ScenarioSpec::new("t", Family::Snapshot, entry.id, EngineKind::Explore, 2);
+            spec.capacity = entry.caps.bounded_capacity.then_some(2);
+            let op = |pid, kind, value| ScenarioOp { pid, kind, value };
+            spec.explore = Some(ExploreSpec {
+                seed_update: None,
+                ops: vec![op(0, OpKind::Update, 5), op(1, OpKind::Read, 0)],
+                max_schedules: 10_000,
+                prune: true,
+                max_crashes: 1,
+            });
+            let r = run_explore(&spec, false).unwrap_or_else(|e| panic!("{}: {e}", entry.id));
+            assert!(r.ok, "{}: {:?}", entry.id, r.notes);
+            assert_eq!(r.counter("truncated"), Some(0), "{}", entry.id);
+            assert!(r.counter("schedules").unwrap() > 1, "{}", entry.id);
+            // A seed update is for max registers only.
+            spec.explore.as_mut().unwrap().seed_update = Some(1);
+            assert!(matches!(
+                run_explore(&spec, false),
+                Err(EngineError::Unsupported(_))
+            ));
+        }
     }
 
     /// Serializes tests that run the real engine with tracing: the

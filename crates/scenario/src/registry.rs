@@ -32,8 +32,10 @@ use ruo_core::maxreg::{
     CasRetryMaxRegister, FArrayMaxRegister, LockMaxRegister, SimApproxMaxRegister, TreeMaxRegister,
     TreeSizeError,
 };
-use ruo_core::reduction::CounterFromSnapshot;
-use ruo_core::snapshot::sim::{SimDoubleCollectSnapshot, SimSnapshot};
+use ruo_core::reduction::SnapshotCounter;
+use ruo_core::snapshot::sim::{
+    SimAfekSnapshot, SimDoubleCollectSnapshot, SimPathCopySnapshot, SimSnapshot,
+};
 use ruo_core::snapshot::{AfekSnapshot, DoubleCollectSnapshot, PathCopySnapshot};
 use ruo_core::{Counter, MaxRegister, Snapshot};
 use ruo_sim::Memory;
@@ -117,8 +119,8 @@ pub struct Capabilities {
     /// Progress guarantee of the implementation's update/read pair.
     pub progress: ProgressClass,
     /// Whether construction takes a capacity bound (`M`-bounded AAC
-    /// registers, restricted-use counters, path-copy snapshots) that
-    /// operations must respect.
+    /// registers, restricted-use counters, path-copy and Afek snapshots)
+    /// that operations must respect.
     pub bounded_capacity: bool,
     /// Whether the W4 throughput bench includes this implementation.
     pub benched: bool,
@@ -136,8 +138,8 @@ pub struct BuildParams {
     pub n: usize,
     /// Capacity bound for bounded implementations: value bound for AAC
     /// max registers, increment bound for restricted-use counters,
-    /// update bound for path-copy snapshots. Ignored by unbounded
-    /// implementations.
+    /// update bound for path-copy and Afek snapshots. Ignored by
+    /// unbounded implementations.
     pub capacity: u64,
     /// Opt into the § 4.5 root-read fast path where supported.
     pub root_fast_path: bool,
@@ -659,33 +661,14 @@ fn build_registry() -> Vec<ImplEntry> {
                 benched: false,
                 accuracy: None,
             },
-            real_type: None,
+            real_type: Some("SnapshotCounter"),
             sim_type: Some("SimSnapshotCounter"),
-            real: None,
+            real: Some(|p| Ok(RealObject::Counter(Box::new(SnapshotCounter::new(p.n))))),
             sim: Some(|mem, p| {
                 Ok(SimObject::Counter(Arc::new(SimSnapshotCounter::new(
                     mem, p.n,
                 ))))
             }),
-        },
-        ImplEntry {
-            family: Family::Counter,
-            id: "from_snapshot",
-            display: "from double-collect snapshot",
-            caps: Capabilities {
-                progress: ProgressClass::ObstructionFree,
-                bounded_capacity: false,
-                benched: false,
-                accuracy: None,
-            },
-            real_type: Some("CounterFromSnapshot"),
-            sim_type: None,
-            real: Some(|p| {
-                Ok(RealObject::Counter(Box::new(CounterFromSnapshot::new(
-                    DoubleCollectSnapshot::new(p.n),
-                ))))
-            }),
-            sim: None,
         },
         // ---- snapshots ----
         ImplEntry {
@@ -722,13 +705,17 @@ fn build_registry() -> Vec<ImplEntry> {
                 accuracy: None,
             },
             real_type: Some("PathCopySnapshot"),
-            sim_type: None,
+            sim_type: Some("SimPathCopySnapshot"),
             real: Some(|p| {
                 Ok(RealObject::Snapshot(Box::new(PathCopySnapshot::new(
                     p.n, p.capacity,
                 ))))
             }),
-            sim: None,
+            sim: Some(|mem, p| {
+                Ok(SimObject::Snapshot(Arc::new(SimPathCopySnapshot::new(
+                    mem, p.n, p.capacity,
+                ))))
+            }),
         },
         ImplEntry {
             family: Family::Snapshot,
@@ -736,14 +723,22 @@ fn build_registry() -> Vec<ImplEntry> {
             display: "Afek et al.",
             caps: Capabilities {
                 progress: ProgressClass::WaitFree,
-                bounded_capacity: false,
+                bounded_capacity: true,
                 benched: true,
                 accuracy: None,
             },
             real_type: Some("AfekSnapshot"),
-            sim_type: None,
-            real: Some(|p| Ok(RealObject::Snapshot(Box::new(AfekSnapshot::new(p.n))))),
-            sim: None,
+            sim_type: Some("SimAfekSnapshot"),
+            real: Some(|p| {
+                Ok(RealObject::Snapshot(Box::new(AfekSnapshot::new(
+                    p.n, p.capacity,
+                ))))
+            }),
+            sim: Some(|mem, p| {
+                Ok(SimObject::Snapshot(Arc::new(SimAfekSnapshot::new(
+                    mem, p.n, p.capacity,
+                ))))
+            }),
         },
     ]
 }
@@ -819,7 +814,7 @@ mod tests {
 
     #[test]
     fn every_sim_face_builds_and_answers() {
-        use ruo_sim::run_solo;
+        use ruo_sim::{run_solo, run_solo_vector};
         for e in registry() {
             if !e.has_sim() {
                 continue;
@@ -841,14 +836,8 @@ mod tests {
                 }
                 SimObject::Snapshot(s) => {
                     run_solo(&mut mem, ProcessId(1), s.update(ProcessId(1), 7));
-                    let (token, _) = run_solo(&mut mem, ProcessId(0), s.scan(ProcessId(0)));
-                    assert_eq!(
-                        s.take_scan_result(token),
-                        vec![0, 7, 0],
-                        "{}/{}",
-                        e.family,
-                        e.id
-                    );
+                    let (cut, _) = run_solo_vector(&mut mem, ProcessId(0), s.scan(ProcessId(0)));
+                    assert_eq!(cut, vec![0, 7, 0], "{}/{}", e.family, e.id);
                 }
             }
         }

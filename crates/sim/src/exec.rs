@@ -4,18 +4,19 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use crate::fault::{FaultClock, FaultPlan};
-use crate::history::{History, OpDesc, OpOutput, OpRecord};
-use crate::{Event, EventLog, Machine, Memory, ProcessId, Scheduler, Word};
+use crate::history::{History, OpDesc, OpRecord};
+use crate::{Event, EventLog, Machine, Memory, ProcessId, Scheduler};
 
 type StartFn = Box<dyn FnOnce() -> Machine + Send>;
-type FinishFn = Box<dyn FnOnce(Word) -> OpOutput + Send>;
 
 /// One operation a process will perform: a description (for the history)
 /// plus a constructor for its step machine.
 pub struct OpSpec {
     desc: OpDesc,
     start: StartFn,
-    finish: FinishFn,
+    /// Whether the machine's [`output`](Machine::output) is the
+    /// operation's; an update's output is [`OpOutput::Unit`](crate::OpOutput::Unit).
+    returns_value: bool,
 }
 
 impl fmt::Debug for OpSpec {
@@ -25,42 +26,23 @@ impl fmt::Debug for OpSpec {
 }
 
 impl OpSpec {
-    /// An update-type operation (output is [`OpOutput::Unit`]).
+    /// An update-type operation (output is [`OpOutput::Unit`](crate::OpOutput::Unit)).
     pub fn update(desc: OpDesc, start: impl FnOnce() -> Machine + Send + 'static) -> Self {
         OpSpec {
             desc,
             start: Box::new(start),
-            finish: Box::new(|_| OpOutput::Unit),
+            returns_value: false,
         }
     }
 
-    /// A read-type operation whose machine result is the returned value.
+    /// A read-type operation: its output is the machine's, the result
+    /// as a value or a scan's vector ([`Machine::output`]).
     pub fn value(desc: OpDesc, start: impl FnOnce() -> Machine + Send + 'static) -> Self {
         OpSpec {
             desc,
             start: Box::new(start),
-            finish: Box::new(OpOutput::Value),
+            returns_value: true,
         }
-    }
-
-    /// A scan-type operation; `finish` maps the machine's word result
-    /// (typically an index into a side table owned by the object) to the
-    /// scanned vector.
-    pub fn vector(
-        desc: OpDesc,
-        start: impl FnOnce() -> Machine + Send + 'static,
-        finish: impl FnOnce(Word) -> Vec<Word> + Send + 'static,
-    ) -> Self {
-        OpSpec {
-            desc,
-            start: Box::new(start),
-            finish: Box::new(move |w| OpOutput::Vector(finish(w))),
-        }
-    }
-
-    /// The operation's description.
-    pub fn desc(&self) -> &OpDesc {
-        &self.desc
     }
 }
 
@@ -115,7 +97,7 @@ pub struct ExecOutcome {
 struct Running {
     machine: Machine,
     hist_idx: usize,
-    finish: Option<FinishFn>,
+    returns_value: bool,
 }
 
 struct ProcState {
@@ -299,7 +281,6 @@ impl Executor {
                 });
                 let hist_idx = history.len() - 1;
                 if machine.is_done() {
-                    let result = machine.result().expect("done machine has result");
                     let rec = &mut history.ops_mut()[hist_idx];
                     // Completion consumes a tick: a zero-step operation
                     // occupies [invoke, invoke + 1], never a zero-width
@@ -307,13 +288,13 @@ impl Executor {
                     // same-tick operations mutually precede each other
                     // and poison the checkers' precedence relation).
                     rec.response = Some(invoke + 1);
-                    rec.output = Some((spec.finish)(result));
+                    rec.output = Some(machine.history_output(spec.returns_value));
                     continue;
                 }
                 st.current = Some(Running {
                     machine,
                     hist_idx,
-                    finish: Some(spec.finish),
+                    returns_value: spec.returns_value,
                 });
             }
 
@@ -325,11 +306,9 @@ impl Executor {
             let finished = running.machine.feed(ev.resp);
             history.ops_mut()[running.hist_idx].steps = running.machine.steps();
             if finished {
-                let result = running.machine.result().expect("finished machine");
-                let finish = running.finish.take().expect("finish not yet used");
                 let rec = &mut history.ops_mut()[running.hist_idx];
                 rec.response = Some(mem.steps());
-                rec.output = Some(finish(result));
+                rec.output = Some(running.machine.history_output(running.returns_value));
                 st.current = None;
             }
         }
@@ -340,7 +319,7 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::history::OpDesc;
-    use crate::{access, Prim, RandomScheduler, RoundRobin, Solo};
+    use crate::{access, Prim, RandomScheduler, RoundRobin, Solo, Word};
 
     /// A CAS-loop counter increment on a single cell.
     async fn incr(o: crate::ObjId) -> Word {

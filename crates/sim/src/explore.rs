@@ -83,7 +83,7 @@
 //! lost-write bug is found automatically (see
 //! `tests/crash_exploration.rs` and EXPERIMENTS.md § W6).
 
-use crate::history::{History, OpOutput, OpRecord};
+use crate::history::{History, OpRecord};
 use crate::stepcount::OpCounts;
 use crate::{Event, Machine, Memory, OpDesc, Prim, ProcessId, Word};
 
@@ -99,8 +99,9 @@ pub struct ExploreOp {
     pub pid: ProcessId,
     /// What the operation is (recorded in histories).
     pub desc: OpDesc,
-    /// Whether the machine's result is the operation's output value
-    /// (reads) or meaningless (updates).
+    /// Whether the machine's [`output`](Machine::output) is the
+    /// operation's, a value or a scan's vector (reads), or meaningless
+    /// (updates).
     pub returns_value: bool,
 }
 
@@ -449,15 +450,7 @@ impl<'a> Explorer<'a> {
                 }
                 // A completed op's path holds its whole trail, so its
                 // machine is current.
-                let output = if op.returns_value {
-                    OpOutput::Value(
-                        self.machines[i]
-                            .result()
-                            .expect("complete schedule has results"),
-                    )
-                } else {
-                    OpOutput::Unit
-                };
+                let output = self.machines[i].history_output(op.returns_value);
                 let invoke = self.first_step[i].unwrap_or(self.base);
                 // Completion consumes a tick: a zero-step operation
                 // occupies the virtual interval [invoke, invoke + 1], so
@@ -683,7 +676,7 @@ mod tests {
     use super::*;
     use crate::lin::check_interval;
     use crate::spec::SeqSpec;
-    use crate::{access, ObjId};
+    use crate::{access, ObjId, OpOutput};
 
     /// A CAS-loop counter increment on `o`.
     async fn incr(o: ObjId) -> Word {

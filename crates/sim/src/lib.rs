@@ -77,7 +77,7 @@ pub use exec::{ExecOutcome, Executor, OpSpec, WorkloadBuilder};
 pub use fault::{Fault, FaultClock, FaultPlan};
 pub use history::{History, OpDesc, OpOutput, OpRecord, StripPendingError};
 pub use ids::{ObjId, ProcessId};
-pub use machine::{access, run_solo, Access, Machine};
+pub use machine::{access, run_solo, run_solo_vector, Access, Machine};
 pub use mem::Memory;
 pub use rng::SplitMix64;
 pub use sched::{RandomScheduler, RoundRobin, Scheduler, ScriptedScheduler, Solo};

@@ -39,7 +39,8 @@
 //!
 //! An operation of one access, such as a one-load read of a root, needs
 //! no body: [`Machine::single`] stores the primitive and a function of
-//! its response, and never allocates.
+//! its response, and never allocates. A scan's body returns a vector
+//! ([`Machine::vector`]), which the machine keeps as its output.
 //!
 //! A solo run has no scheduler to interleave anything, so [`run_solo`]
 //! does not suspend a body at every access. It applies the enabled
@@ -60,7 +61,7 @@ use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll, Waker};
 
-use crate::{Memory, Prim, ProcessId, Word};
+use crate::{Memory, OpOutput, Prim, ProcessId, Word};
 
 // Where an [`Access`] and the machine polling its body hand over the
 // event and its response. A body only runs inside a machine's poll, on
@@ -125,17 +126,21 @@ impl Future for Access {
     }
 }
 
-type Body = Pin<Box<dyn Future<Output = Word> + Send>>;
+type Body<T> = Pin<Box<dyn Future<Output = T> + Send>>;
 
 /// What the response of an operation's enabled access goes to.
 enum Rest {
     /// The body suspended on the access.
-    Body(Body),
+    Body(Body<Word>),
+    /// The vector body suspended on the access.
+    VectorBody(Body<Vec<Word>>),
     /// The map from the response to the result, for an operation of one
     /// access.
     Map(fn(Word) -> Word),
     /// Nothing: the operation has completed.
     Done,
+    /// The vector a completed vector body returned.
+    Vector(Box<[Word]>),
 }
 
 /// One operation instance (e.g. one `WriteMax(v)` by one process),
@@ -190,9 +195,21 @@ impl Machine {
     /// assert_eq!(run_solo(&mut mem, ProcessId(0), incr), (42, 2));
     /// ```
     pub fn new(body: impl Future<Output = Word> + Send + 'static) -> Self {
+        Machine::start(Rest::Body(Box::pin(body)))
+    }
+
+    /// The operation written as the `async` `body` that returns a
+    /// vector, such as a scan, stepped as [`Machine::new`]'s is. Its
+    /// result is `0`, and its [`output`](Machine::output) the vector.
+    pub fn vector(body: impl Future<Output = Vec<Word>> + Send + 'static) -> Self {
+        Machine::start(Rest::VectorBody(Box::pin(body)))
+    }
+
+    /// A machine for the body in `rest`, run up to its first access.
+    fn start(rest: Rest) -> Self {
         let mut machine = Machine {
             enabled: None,
-            rest: Rest::Body(Box::pin(body)),
+            rest,
             result: 0,
             steps: 0,
         };
@@ -210,10 +227,20 @@ impl Machine {
     /// polled in place: a step moves nothing but the primitive and the
     /// response.
     fn poll(&mut self) {
-        let Rest::Body(body) = &mut self.rest else {
-            unreachable!("only a body is polled");
+        let cx = &mut Context::from_waker(Waker::noop());
+        let ready = match &mut self.rest {
+            Rest::Body(body) => body.as_mut().poll(cx),
+            Rest::VectorBody(body) => match body.as_mut().poll(cx) {
+                Poll::Ready(vector) => {
+                    self.finish(0);
+                    self.rest = Rest::Vector(vector.into());
+                    return;
+                }
+                Poll::Pending => Poll::Pending,
+            },
+            _ => unreachable!("only a body is polled"),
         };
-        match body.as_mut().poll(&mut Context::from_waker(Waker::noop())) {
+        match ready {
             Poll::Ready(result) => self.finish(result),
             Poll::Pending => {
                 self.enabled = ISSUED.take();
@@ -277,6 +304,26 @@ impl Machine {
         self.enabled.is_none().then_some(self.result)
     }
 
+    /// What the completed operation returned, for a history: a vector
+    /// body's vector, otherwise the result as a value. `None` until it
+    /// completes.
+    pub fn output(&self) -> Option<OpOutput> {
+        match &self.rest {
+            Rest::Vector(vector) => Some(OpOutput::Vector(vector.to_vec())),
+            _ => self.result().map(OpOutput::Value),
+        }
+    }
+
+    /// The completed operation's history output: its
+    /// [`output`](Machine::output) for a read, `Unit` for an update.
+    pub(crate) fn history_output(&self, read: bool) -> OpOutput {
+        if read {
+            self.output().expect("a completed operation has an output")
+        } else {
+            OpOutput::Unit
+        }
+    }
+
     /// Number of shared-memory events this operation has taken.
     pub fn steps(&self) -> usize {
         self.steps
@@ -293,12 +340,12 @@ impl Machine {
         assert!(!self.is_done(), "feed called on a completed operation");
         self.steps += 1;
         match self.rest {
-            Rest::Body(_) => {
+            Rest::Body(_) | Rest::VectorBody(_) => {
                 ANSWER.set(Some(resp));
                 self.poll();
             }
             Rest::Map(map) => self.finish(map(resp)),
-            Rest::Done => unreachable!("an enabled access has a rest"),
+            Rest::Done | Rest::Vector(_) => unreachable!("an enabled access has a rest"),
         }
         self.is_done()
     }
@@ -338,7 +385,30 @@ pub fn run_solo(mem: &mut Memory, pid: ProcessId, machine: Machine) -> (Word, us
 
 /// [`run_solo`] of a body, or of a machine that is already done.
 #[inline(never)]
-fn run_body_solo(mem: &mut Memory, pid: ProcessId, mut machine: Machine) -> (Word, usize) {
+fn run_body_solo(mem: &mut Memory, pid: ProcessId, machine: Machine) -> (Word, usize) {
+    let machine = finish_solo(mem, pid, machine);
+    (
+        machine
+            .result()
+            .expect("a solo run completes its operation"),
+        machine.steps,
+    )
+}
+
+/// [`run_solo`] of a [`Machine::vector`] body: its vector and its step
+/// count. Panics as [`run_solo`] does, and on any other machine.
+pub fn run_solo_vector(mem: &mut Memory, pid: ProcessId, machine: Machine) -> (Vec<Word>, usize) {
+    let machine = finish_solo(mem, pid, machine);
+    let Rest::Vector(vector) = machine.rest else {
+        panic!("run_solo_vector runs a vector body");
+    };
+    (vector.into_vec(), machine.steps)
+}
+
+/// Runs a body solo to its end: the enabled access here, every later
+/// one applying itself to the lent `mem`.
+#[inline]
+fn finish_solo(mem: &mut Memory, pid: ProcessId, mut machine: Machine) -> Machine {
     if let Some(prim) = machine.enabled {
         let resp = mem.apply(pid, prim).resp;
         let before = mem.steps();
@@ -347,12 +417,7 @@ fn run_body_solo(mem: &mut Memory, pid: ProcessId, mut machine: Machine) -> (Wor
         drop(lent);
         machine.steps += mem.steps() - before;
     }
-    (
-        machine
-            .result()
-            .expect("a solo run completes its operation"),
-        machine.steps,
-    )
+    machine
 }
 
 /// A caller's memory lent to the thread's solo slot. Dropping it, also
@@ -536,6 +601,38 @@ mod tests {
                 (1, Prim::Read(o), 7),
             ]
         );
+    }
+
+    #[test]
+    fn vector_body_keeps_its_vector() {
+        let mut mem = Memory::new();
+        let cells: [ObjId; 3] = std::array::from_fn(|_| mem.alloc(0));
+        mem.apply(ProcessId(1), Prim::Write(cells[1], 8));
+        let collect = move || {
+            Machine::vector(async move {
+                let mut out = Vec::new();
+                for o in cells {
+                    out.push(read(o).await);
+                }
+                out
+            })
+        };
+        let mut m = collect();
+        assert_eq!(m.output(), None);
+        while let Some(prim) = m.enabled() {
+            m.feed(mem.apply(ProcessId(0), prim).resp);
+        }
+        assert_eq!((m.result(), m.steps()), (Some(0), 3));
+        assert_eq!(m.output(), Some(OpOutput::Vector(vec![0, 8, 0])));
+        assert_eq!(
+            run_solo_vector(&mut mem, ProcessId(0), collect()),
+            (vec![0, 8, 0], 3)
+        );
+        let read = Machine::single(Prim::Read(cells[1]), |w| w);
+        assert_eq!(run_solo(&mut mem, ProcessId(0), read).0, 8);
+        let mut read = Machine::single(Prim::Read(cells[1]), |w| w);
+        read.feed(8);
+        assert_eq!(read.output(), Some(OpOutput::Value(8)));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! * `AacMaxRegister::try_write_max` returns a typed error past the bound;
 //! * `AacCounter` panics on increment `max_increments + 1` (the internal
 //!   `WriteMax` would overflow) — shown via `catch_unwind`;
-//! * `PathCopySnapshot` enforces its update budget, because memory is
-//!   the resource its restriction protects;
+//! * `PathCopySnapshot` (like `AfekSnapshot`) enforces its update
+//!   budget, because the record arena sized at construction is the
+//!   resource its restriction protects;
 //! * the unbounded structures (Algorithm A, f-array counter) keep going.
 //!
 //! Run with `cargo run --example restricted_use`.

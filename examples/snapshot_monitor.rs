@@ -88,10 +88,15 @@ fn main() {
         "double-collect",
         Arc::new(DoubleCollectSnapshot::new(WORKERS)),
     );
-    run_with("afek (wait-free)", Arc::new(AfekSnapshot::new(WORKERS)));
+    // The restricted-use snapshots take their update bound up front.
+    let updates = EVENTS * WORKERS as u64;
+    run_with(
+        "afek (wait-free)",
+        Arc::new(AfekSnapshot::new(WORKERS, updates)),
+    );
     run_with(
         "path-copy",
-        Arc::new(PathCopySnapshot::new(WORKERS, EVENTS * WORKERS as u64 + 1)),
+        Arc::new(PathCopySnapshot::new(WORKERS, updates)),
     );
 
     // The non-solution: independent atomics can tear.

@@ -22,6 +22,8 @@
 //!   backoff, graceful degradation, and a post-run linearizability
 //!   audit.
 
+#![forbid(unsafe_code)]
+
 pub use ruo_core as core;
 pub use ruo_lowerbound as lowerbound;
 pub use ruo_metrics as metrics;

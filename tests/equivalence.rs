@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 use ruo::scenario::{registry, BuildParams, Family, ImplEntry, RealObject, SimObject};
 use ruo::sim::stepcount::{CountingMem, OpCounts};
-use ruo::sim::{run_solo, Memory, ProcessId, SplitMix64};
+use ruo::sim::{run_solo, run_solo_vector, Memory, OpOutput, ProcessId, SplitMix64, Word};
 
 use ruo::core::maxreg::sim::{SimMaxRegister, SimTreeMaxRegister};
 use ruo::core::maxreg::TreeMaxRegister;
@@ -202,8 +202,8 @@ fn all_snapshots_agree_on_random_sequential_streams() {
                 }
                 for (name, obj) in &faces.sim {
                     if let SimObject::Snapshot(s) = obj {
-                        let token = solo(&mut faces.mem, pid, s.scan(pid));
-                        assert_eq!(s.take_scan_result(token), expected, "{name}");
+                        let (cut, _) = run_solo_vector(&mut faces.mem, pid, s.scan(pid));
+                        assert_eq!(words(cut), expected, "{name}");
                     }
                 }
                 let view = pc.view();
@@ -269,7 +269,7 @@ const TWINS: [(Family, &str, &str); 2] = [
 
 /// Every other registry entry with two faces, in registry order: each
 /// runs one body on both.
-const DERIVED: [&str; 10] = [
+const DERIVED: [&str; 13] = [
     "maxreg/aac",
     "maxreg/aac_unbalanced",
     "maxreg/farray",
@@ -279,7 +279,10 @@ const DERIVED: [&str; 10] = [
     "counter/sharded",
     "counter/approx",
     "counter/aac",
+    "counter/snapshot",
     "snapshot/double_collect",
+    "snapshot/path_copy",
+    "snapshot/afek",
 ];
 
 /// One operation on a real face: its output (empty for updates) and the
@@ -330,13 +333,18 @@ fn sim_op(
         counts.add_event(&ev);
         machine.feed(ev.resp);
     }
-    let result = machine.result().expect("a solo run completes");
-    let out = match (obj, update) {
-        (_, true) => vec![],
-        (SimObject::Snapshot(s), false) => s.take_scan_result(result),
-        (_, false) => vec![result as u64],
+    let out = match machine.output().expect("a solo run completes") {
+        _ if update => vec![],
+        OpOutput::Vector(cut) => words(cut),
+        OpOutput::Value(result) => vec![result as u64],
+        OpOutput::Unit => unreachable!("a machine's output is a value or a vector"),
     };
     (out, counts)
+}
+
+/// A simulated scan's words as the real face's values.
+fn words(cut: Vec<Word>) -> Vec<u64> {
+    cut.into_iter().map(|w| w as u64).collect()
 }
 
 #[test]

@@ -385,20 +385,7 @@ fn double_collect_snapshot_survives_a_crash_at_every_update_point() {
                         );
                     }
                     let s = Arc::clone(&snap);
-                    let s2 = Arc::clone(&snap);
-                    w.op(
-                        pid,
-                        OpSpec::vector(
-                            OpDesc::Scan,
-                            move || s.scan(pid),
-                            move |token| {
-                                s2.take_scan_result(token)
-                                    .into_iter()
-                                    .map(|v| v as i64)
-                                    .collect()
-                            },
-                        ),
-                    );
+                    w.op(pid, OpSpec::value(OpDesc::Scan, move || s.scan(pid)));
                 }
                 let plan = FaultPlan::new().crash(ProcessId(crash_pid), k);
                 // Budget guards against scan livelock among the survivors;

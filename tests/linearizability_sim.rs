@@ -195,20 +195,7 @@ fn double_collect_snapshot_is_linearizable_under_random_schedules() {
                     );
                 } else {
                     let s = Arc::clone(&snap);
-                    let s2 = Arc::clone(&snap);
-                    w.op(
-                        pid,
-                        OpSpec::vector(
-                            OpDesc::Scan,
-                            move || s.scan(pid),
-                            move |token| {
-                                s2.take_scan_result(token)
-                                    .into_iter()
-                                    .map(|v| v as i64)
-                                    .collect()
-                            },
-                        ),
-                    );
+                    w.op(pid, OpSpec::value(OpDesc::Scan, move || s.scan(pid)));
                 }
             }
         }

@@ -390,7 +390,7 @@ fn double_collect_snapshot_threads_are_linearizable() {
 
 #[test]
 fn afek_snapshot_threads_are_linearizable() {
-    exercise_snapshot(&AfekSnapshot::new(3), "AfekSnapshot");
+    exercise_snapshot(&AfekSnapshot::new(3, 10_000), "AfekSnapshot");
 }
 
 #[test]

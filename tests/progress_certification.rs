@@ -120,19 +120,9 @@ fn starved_scans_fail_certification() {
         );
     }
     let s = Arc::clone(&snap);
-    let s2 = Arc::clone(&snap);
     w.op(
         ProcessId(1),
-        OpSpec::vector(
-            OpDesc::Scan,
-            move || s.scan(ProcessId(1)),
-            move |token| {
-                s2.take_scan_result(token)
-                    .into_iter()
-                    .map(|v| v as i64)
-                    .collect()
-            },
-        ),
+        OpSpec::value(OpDesc::Scan, move || s.scan(ProcessId(1))),
     );
     let outcome = Executor::with_step_budget(60).run(&mut mem, w, &mut RoundRobin::new());
     assert!(!outcome.all_done);

@@ -1,17 +1,18 @@
-//! Corollary 1's counter-from-snapshot reduction, exercised across all
-//! snapshot implementations under real concurrency — this is how the
-//! paper transports the counter lower bound to snapshots, so the
-//! adapter must be a correct counter over any correct snapshot.
+//! Corollary 1's counter-from-snapshot reduction under real concurrency:
+//! this is how the paper transports the counter lower bound to
+//! snapshots, so the counter that runs the double-collect snapshot's
+//! bodies must count exactly. The path-copying and Afek scans are
+//! checked directly in `linearizability_threads.rs`.
 
 use std::sync::Arc;
 
-use ruo::core::reduction::CounterFromSnapshot;
-use ruo::core::snapshot::{AfekSnapshot, DoubleCollectSnapshot, PathCopySnapshot};
-use ruo::core::{Counter, Snapshot};
+use ruo::core::reduction::SnapshotCounter;
+use ruo::core::Counter;
+use ruo::sim::stepcount::{CountingMem, OpCounts};
 use ruo::sim::ProcessId;
 
-fn hammer<S: Snapshot + 'static>(snap: S, threads: usize, per: u64) {
-    let counter = Arc::new(CounterFromSnapshot::new(snap));
+fn hammer(threads: usize, per: u64) {
+    let counter = Arc::new(SnapshotCounter::new(threads));
     std::thread::scope(|s| {
         for t in 0..threads {
             let counter = Arc::clone(&counter);
@@ -34,27 +35,29 @@ fn hammer<S: Snapshot + 'static>(snap: S, threads: usize, per: u64) {
 
 #[test]
 fn counter_from_double_collect_is_exact() {
-    hammer(DoubleCollectSnapshot::new(4), 4, 500);
-}
-
-#[test]
-fn counter_from_afek_is_exact() {
-    hammer(AfekSnapshot::new(4), 4, 300);
-}
-
-#[test]
-fn counter_from_path_copy_is_exact() {
-    hammer(PathCopySnapshot::new(4, 4 * 500 + 1), 4, 500);
+    hammer(4, 500);
 }
 
 #[test]
 fn reduction_uses_one_update_per_increment() {
-    // The paper's reduction: CounterIncrement = exactly one Update.
-    let snap = PathCopySnapshot::new(2, 100);
-    let counter = CounterFromSnapshot::new(snap);
+    // The paper's reduction: CounterIncrement = exactly one Update, a
+    // read and a write of the caller's own segment.
+    let counter = SnapshotCounter::new(2);
+    CountingMem::enable();
     for i in 1..=10u64 {
+        CountingMem::begin_op();
         counter.increment(ProcessId(0));
-        assert_eq!(counter.snapshot().updates(), i);
+        let steps = CountingMem::take_op_counts();
+        assert_eq!(
+            steps,
+            OpCounts {
+                reads: 1,
+                writes: 1,
+                ..OpCounts::new()
+            },
+            "increment {i}"
+        );
     }
+    CountingMem::disable();
     assert_eq!(counter.read(), 10);
 }

@@ -14,8 +14,8 @@ use std::thread;
 
 use ruo::scenario::{registry, BuildParams, Family, ImplEntry, SimObject};
 use ruo::sim::{
-    access, run_solo, EventLog, Executor, FaultPlan, Machine, Memory, OpDesc, OpSpec, Prim,
-    ProcessId, RoundRobin, SplitMix64, Word, WorkloadBuilder,
+    access, run_solo, run_solo_vector, EventLog, Executor, FaultPlan, Machine, Memory, OpDesc,
+    OpOutput, OpSpec, Prim, ProcessId, RoundRobin, SplitMix64, Word, WorkloadBuilder,
 };
 
 /// Streams per registry entry, and operations per stream.
@@ -43,12 +43,15 @@ fn op(obj: &SimObject, pid: ProcessId, update: bool, v: u64) -> Machine {
     }
 }
 
-/// What an operation returned: the scanned vector for a scan, otherwise
-/// the machine's result.
-fn output(obj: &SimObject, update: bool, result: Word) -> Vec<u64> {
-    match obj {
-        SimObject::Snapshot(s) if !update => s.take_scan_result(result),
-        _ => vec![result as u64],
+/// Runs `m` solo, through `run_solo_vector` for a scan: what it
+/// returned and its step count.
+fn solo(mem: &mut Memory, pid: ProcessId, m: Machine, scan: bool) -> (OpOutput, usize) {
+    if scan {
+        let (vector, steps) = run_solo_vector(mem, pid, m);
+        (OpOutput::Vector(vector), steps)
+    } else {
+        let (result, steps) = run_solo(mem, pid, m);
+        (OpOutput::Value(result), steps)
     }
 }
 
@@ -66,7 +69,7 @@ fn differential(entry: &ImplEntry, seed: u64) {
     };
     let name = format!("{}/{} seed {seed} ({p:?})", entry.family, entry.id);
     let mut solo_mem = Memory::new();
-    let solo = entry.build_sim(&mut solo_mem, &p).unwrap();
+    let solo_face = entry.build_sim(&mut solo_mem, &p).unwrap();
     let mut step_mem = Memory::new();
     let stepped = entry.build_sim(&mut step_mem, &p).unwrap();
     assert_eq!(solo_mem.snapshot(), step_mem.snapshot(), "{name}");
@@ -79,18 +82,15 @@ fn differential(entry: &ImplEntry, seed: u64) {
         } else {
             0
         };
-        let mut a = op(&solo, pid, update, v);
+        let mut a = op(&solo_face, pid, update, v);
         let mut b = op(&stepped, pid, update, v);
         step(&mut solo_mem, pid, &mut a, ahead);
         step(&mut step_mem, pid, &mut b, ahead);
-        let (result, steps) = run_solo(&mut solo_mem, pid, a);
+        let scan = matches!(solo_face, SimObject::Snapshot(_)) && !update;
+        let (output, steps) = solo(&mut solo_mem, pid, a, scan);
         step(&mut step_mem, pid, &mut b, usize::MAX);
-        let want = b.result().expect("stepped to completion");
-        assert_eq!(
-            output(&solo, update, result),
-            output(&stepped, update, want),
-            "{name} op {i}: result"
-        );
+        let want = b.output().expect("stepped to completion");
+        assert_eq!(output, want, "{name} op {i}: result");
         assert_eq!(steps, b.steps(), "{name} op {i}: steps");
         assert_eq!(
             solo_mem.snapshot(),
