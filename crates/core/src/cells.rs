@@ -12,10 +12,11 @@
 //! a [`Machine::single`](ruo_sim::Machine::single) of the load, which
 //! allocates nothing.
 //!
-//! A real table ([`Words`], [`Packed`], [`Bytes`]) holds plain atomics and is no
-//! [`Cells`] itself: an operation reaches it through a [`Real`] view,
-//! made when the operation starts, which reads the counting switch once
-//! ([`Tally::start`]) and counts every access of the operation into
+//! A real table ([`Words`], [`Blocks`], [`Packed`], [`Bytes`]) holds
+//! plain atomics and is no [`Cells`] itself: an operation reaches it
+//! through a [`Real`] view, made when the operation starts, which reads
+//! the counting switch once ([`Tally::start`]) and counts every access
+//! of the operation into
 //! [`CountingMem`](ruo_sim::stepcount::CountingMem)'s per-operation
 //! tally when the switch was on. So a loop over the cells loads the
 //! switch once, not once per cell: the sharded counter's 64-stripe
@@ -75,30 +76,53 @@ impl<C: Cells + ?Sized> Cells for &C {
     }
 }
 
-/// A real word table: each cell on its own cache-line pair.
+/// A real word table padded: each cell on its own cache-line pair. The
+/// flat single-writer arrays (the sharded counter's stripes, the
+/// double-collect segments) keep it, so no two writers share a line.
 pub type Words = [CachePadded<AtomicI64>];
+
+/// Words per entry of a [`Blocks`] table: one 64-byte line, which holds
+/// a height-3 block of a tree (7 nodes) and one spare word.
+pub const BLOCK: usize = 8;
+
+/// A real tree table blocked: each entry holds one height-3 block of a
+/// tree, its root, children and grandchildren, on the first line of its
+/// own cache-line pair. A block root sits at every depth divisible by 3
+/// and takes word 0 of an entry; below it the node at word `w` has its
+/// children at words `2w + 1` and `2w + 2`. Cell `c` is word `c % BLOCK`
+/// of entry `c / BLOCK`. A climb's root refresh, which reads a node and
+/// both its children and CASes the node, then touches one line where a
+/// padded table touches three.
+pub type Blocks = [CachePadded<[AtomicI64; BLOCK]>];
 
 /// A real word table packed: the snapshots' record arenas, which
 /// padding would spread over 128 bytes a word.
 pub type Packed = [AtomicI64];
 
-/// A word cell of a real table, padded or packed.
-pub trait WordCell {
-    /// The cell's atomic word.
-    fn word(&self) -> &AtomicI64;
+/// A real table of word cells: padded, blocked or packed.
+pub trait WordTable {
+    /// Cell `cell`'s atomic word.
+    fn word(&self, cell: usize) -> &AtomicI64;
 }
 
-impl WordCell for AtomicI64 {
+impl WordTable for Words {
     #[inline]
-    fn word(&self) -> &AtomicI64 {
-        self
+    fn word(&self, cell: usize) -> &AtomicI64 {
+        &self[cell]
     }
 }
 
-impl WordCell for CachePadded<AtomicI64> {
+impl WordTable for Blocks {
     #[inline]
-    fn word(&self) -> &AtomicI64 {
-        self
+    fn word(&self, cell: usize) -> &AtomicI64 {
+        &self[cell / BLOCK][cell % BLOCK]
+    }
+}
+
+impl WordTable for Packed {
+    #[inline]
+    fn word(&self, cell: usize) -> &AtomicI64 {
+        &self[cell]
     }
 }
 
@@ -126,20 +150,20 @@ impl<'a, T: ?Sized> Real<'a, T> {
     }
 }
 
-impl<W: WordCell> Real<'_, [W]> {
+impl<T: WordTable + ?Sized> Real<'_, T> {
     /// A counted load of `cell` with `order`: the one-load reads and the
     /// checks outside a body, whose orderings are their own.
     #[inline]
     pub fn load_with(&self, cell: usize, order: Ordering) -> Word {
         self.tally.read();
-        self.table[cell].word().load(order)
+        self.table.word(cell).load(order)
     }
 }
 
-/// Real word cells, padded or packed. Every access is `SeqCst` (a
+/// Real word cells, padded, blocked or packed. Every access is `SeqCst` (a
 /// failed CAS `Acquire`): the slot stores and sibling loads of a climb
 /// form the store-buffering pattern of DESIGN.md § Memory orderings.
-impl<W: WordCell> Cells for Real<'_, [W]> {
+impl<T: WordTable + ?Sized> Cells for Real<'_, T> {
     type Access = Ready<Word>;
 
     #[inline]
@@ -150,13 +174,13 @@ impl<W: WordCell> Cells for Real<'_, [W]> {
     #[inline]
     fn store(&self, cell: usize, value: Word) -> Ready<Word> {
         self.tally.write();
-        self.table[cell].word().store(value, Ordering::SeqCst);
+        self.table.word(cell).store(value, Ordering::SeqCst);
         ready(0)
     }
 
     #[inline]
     fn cas(&self, cell: usize, expected: Word, new: Word) -> Ready<Word> {
-        let r = self.table[cell].word().compare_exchange(
+        let r = self.table.word(cell).compare_exchange(
             expected,
             new,
             Ordering::SeqCst,
@@ -277,6 +301,14 @@ pub fn real_cells(len: usize, init: Word) -> Box<Words> {
         .collect()
 }
 
+/// `len` real word cells at `init`, blocked: `len` rounded up to whole
+/// entries of [`BLOCK`] words.
+pub fn real_blocks(len: usize, init: Word) -> Box<Blocks> {
+    (0..len.div_ceil(BLOCK))
+        .map(|_| CachePadded::new(std::array::from_fn(|_| AtomicI64::new(init))))
+        .collect()
+}
+
 /// `len` real one-byte cells at `0`.
 pub fn real_bytes(len: usize) -> Box<Bytes> {
     (0..len).map(|_| AtomicU8::new(0)).collect()
@@ -329,6 +361,21 @@ mod tests {
         assert_eq!(run(bytes.cas(0, 0, 1)), 0);
         assert_eq!(run(bytes.cas(0, 0, 2)), 1);
         assert_eq!(run(bytes.load(0)), 1);
+    }
+
+    #[test]
+    fn a_blocked_table_keeps_each_block_on_one_line() {
+        let table = real_blocks(2 * BLOCK + 1, 7);
+        assert_eq!(table.len(), 3, "whole entries");
+        assert_eq!(std::mem::size_of_val(&table[0]), 128);
+        let addr = |c: usize| table.word(c) as *const AtomicI64 as usize;
+        for c in 0..3 * BLOCK {
+            assert_eq!(addr(c) % 128, 8 * (c % BLOCK), "cell {c}");
+            assert_eq!(addr(c) / 64, addr(c - c % BLOCK) / 64, "cell {c}");
+        }
+        let cells = Real::new(&*table);
+        assert_eq!(run(cells.cas(9, 7, 8)), 7);
+        assert_eq!((run(cells.load(8)), run(cells.load(9))), (7, 8));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! Sharded (striped) counter: the opposite end of the tradeoff curve.
 //!
-//! One cache-padded stripe per process — exactly the f-array's leaf
-//! layer, *without* the internal sum tree. `CounterIncrement` is a
+//! One cache-padded stripe per process — the f-array's leaf layer,
+//! *without* the internal sum tree (and padded per stripe, where the
+//! f-array's blocked tree shares a line between a leaf and the nodes it
+//! climbs through). `CounterIncrement` is a
 //! single store into the caller's own stripe (`O(1)`, wait-free, no
 //! propagation, no CAS contention); `CounterRead` aggregates by summing
 //! every stripe (`O(N)`).

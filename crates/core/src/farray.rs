@@ -25,7 +25,11 @@
 //!
 //! Both faces climb a slice of one [`PathTable`], which holds every
 //! slot's leaf-to-root path in one allocation, so building an f-array
-//! takes the same five allocations at any `N`.
+//! takes the same five allocations at any `N`. The simulator face keeps
+//! node `i` in cell `i`; the real face keeps the tree in a blocked table
+//! ([`Blocks`]), each height-3 block on one line, so a climb's root
+//! refresh reads the root and both children and CASes the root in one
+//! line.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -34,8 +38,8 @@ use std::sync::Arc;
 
 use ruo_sim::{Machine, Memory, ObjId, Prim, ProcessId, Word};
 
-use crate::cells::{real_cells, run, Cells, Real, Words};
-use crate::shape::{PathNode, PathTable, TreeShape, NO_CHILD};
+use crate::cells::{real_blocks, run, Blocks, Cells, Real};
+use crate::shape::{PathNode, PathTable, Placement, TreeShape, NO_CHILD};
 
 /// An associative aggregation with an identity, under which per-slot
 /// updates drive every tree node **monotonically** (this is what makes
@@ -155,28 +159,22 @@ async fn merge<A: Aggregation, C: Cells + ?Sized>(
     new
 }
 
-/// The shape both faces share: the root cell, each slot's leaf cell and
-/// its leaf-to-root path.
+/// The tree placed for one face: each slot's leaf cell, and the paths
+/// with the root's cell.
 #[derive(Debug)]
 struct Layout {
-    root: usize,
     leaves: Vec<usize>,
     paths: PathTable,
-    cells: usize,
 }
 
 impl Layout {
-    fn complete(n: usize) -> Layout {
+    fn complete(n: usize, placement: Placement) -> Layout {
         assert!(n >= 1, "at least one slot required");
         let mut shape = TreeShape::with_capacity(2 * n - 1);
         let mut leaves = Vec::with_capacity(n);
         let root = shape.build_complete(n, &mut leaves);
-        Layout {
-            root,
-            paths: PathTable::new(&shape, leaves.iter().copied()),
-            leaves,
-            cells: shape.len(),
-        }
+        let paths = PathTable::new(&shape, root, placement, &mut leaves);
+        Layout { leaves, paths }
     }
 }
 
@@ -210,8 +208,8 @@ fn advance<A: Aggregation>(old: Word, new: Word) -> Word {
 /// ```
 pub struct FArray<A: Aggregation> {
     layout: Layout,
-    /// Padded cells: one cache-line pair per node (see [`crate::pad`]).
-    cells: Box<Words>,
+    /// Blocked cells: each height-3 block of the tree on one line.
+    cells: Box<Blocks>,
     _agg: PhantomData<A>,
 }
 
@@ -231,9 +229,9 @@ impl<A: Aggregation> FArray<A> {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
-        let layout = Layout::complete(n);
+        let layout = Layout::complete(n, Placement::Blocked);
         FArray {
-            cells: real_cells(layout.cells, A::identity()),
+            cells: real_blocks(layout.paths.cells(), A::identity()),
             layout,
             _agg: PhantomData,
         }
@@ -248,7 +246,7 @@ impl<A: Aggregation> FArray<A> {
     pub fn read(&self) -> Word {
         // Acquire: the read linearizes at this load; covering writes are
         // at-least-Release CASes and node values are monotone.
-        Real::new(&*self.cells).load_with(self.layout.root, Ordering::Acquire)
+        Real::new(&*self.cells).load_with(self.layout.paths.root(), Ordering::Acquire)
     }
 
     /// Reads `pid`'s own slot.
@@ -315,9 +313,9 @@ impl<A: Aggregation> SimFArray<A> {
     ///
     /// Panics if `n == 0`.
     pub fn new(mem: &mut Memory, n: usize) -> Self {
-        let layout = Layout::complete(n);
+        let layout = Layout::complete(n, Placement::Nodes);
         SimFArray {
-            cells: mem.alloc_n(layout.cells, A::identity()).into(),
+            cells: mem.alloc_n(layout.paths.cells(), A::identity()).into(),
             layout: Arc::new(layout),
             _agg: PhantomData,
         }
@@ -336,7 +334,7 @@ impl<A: Aggregation> SimFArray<A> {
     /// The root cell, for wrappers that post-process the raw aggregate
     /// word (e.g. decoding `-∞` sentinels).
     pub fn root_cell(&self) -> ObjId {
-        self.cells[self.layout.root]
+        self.cells[self.layout.paths.root()]
     }
 
     /// [`FArray::merge`] as a step machine: a merge the slot already

@@ -18,7 +18,7 @@ pub use super::cas_retry::SimCasRetryMaxRegister;
 pub use super::farray::SimFArrayMaxRegister;
 use crate::cells::Cells;
 use crate::farray::{child, Max};
-use crate::shape::{AlgorithmATree, NodeIdx, PathNode};
+use crate::shape::{AlgorithmATree, Leaf, PathNode};
 use crate::value::{from_word, to_word};
 
 /// A max register whose operations are simulator step machines.
@@ -134,13 +134,13 @@ async fn propagate(cells: &[ObjId], path: &[PathNode], cas_attempts: u8) {
 pub async fn write_leaf(
     cells: &[ObjId],
     tree: &AlgorithmATree,
-    leaf: NodeIdx,
+    leaf: Leaf,
     w: Word,
     help: bool,
     cas_attempts: u8,
 ) {
-    if w > cells.load(leaf).await {
-        cells.store(leaf, w).await;
+    if w > cells.load(leaf.cell).await {
+        cells.store(leaf.cell, w).await;
     } else if !help {
         return;
     }
@@ -297,7 +297,7 @@ mod tests {
         // without ever reading or writing the leaf.
         let mut mem = Memory::new();
         let reg = SimTreeMaxRegister::with_elimination(&mut mem, 4);
-        let leaf = reg.tree.leaf_for(0, 1);
+        let leaf = reg.tree.leaf_for(0, 1).cell;
         let parent = reg.tree.shape().ancestors(leaf)[0];
 
         // Plain machine for A (no fast path interference): drive it

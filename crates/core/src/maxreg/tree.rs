@@ -18,17 +18,20 @@
 //! `DESIGN.md` § Deviations), the root check observes a fully
 //! propagated covering write, so returning is linearizable. Leaf-to-root
 //! paths are precomputed in one allocation (a [`crate::shape::PathTable`])
-//! and each node sits on its own padded cache-line pair, keeping the
-//! contended propagation loop free of allocation and false sharing.
+//! and the tree is blocked ([`crate::cells::Blocks`]): each height-3
+//! block shares one cache line, so a level's refresh reads the node and
+//! both children and CASes the node in one line. No line gains a
+//! writer: every climb that writes a node of a block goes on through
+//! the block's root.
 
 use std::fmt;
 use std::sync::atomic::Ordering;
 
 use ruo_sim::ProcessId;
 
-use crate::cells::{real_cells, run, Cells, Real, Words};
+use crate::cells::{real_blocks, run, Blocks, Cells, Real};
 use crate::farray::{climb, Max};
-use crate::shape::{AlgorithmATree, PathNode};
+use crate::shape::{AlgorithmATree, PathNode, TreeLeaves};
 use crate::traits::MaxRegister;
 use crate::value::{from_word, to_word};
 
@@ -103,11 +106,10 @@ pub fn check_tree_size(n: usize) -> Result<(), TreeSizeError> {
 /// ```
 #[derive(Debug)]
 pub struct TreeMaxRegister {
-    tree: AlgorithmATree,
-    /// One padded cell per tree node: neighbouring nodes never share a
-    /// cache-line pair, so a CAS on one node does not invalidate its
-    /// arena neighbours under every other core (see [`crate::pad`]).
-    cells: Box<Words>,
+    /// The tree's leaves and paths in blocked cells.
+    tree: TreeLeaves,
+    /// Blocked cells: each height-3 block of the tree on one line.
+    cells: Box<Blocks>,
     /// Per-level elimination filter (opt-in via
     /// [`with_elimination`](TreeMaxRegister::with_elimination)): when the
     /// root check misses, scan the leaf-to-root path top-down and stop a
@@ -125,8 +127,8 @@ impl TreeMaxRegister {
     ///
     /// Panics if `n == 0`.
     pub fn new(n: usize) -> Self {
-        let tree = AlgorithmATree::new(n);
-        let cells = real_cells(tree.shape().len(), ruo_sim::NEG_INF);
+        let tree = AlgorithmATree::blocked(n);
+        let cells = real_blocks(tree.cells(), ruo_sim::NEG_INF);
         TreeMaxRegister {
             tree,
             cells,
@@ -176,25 +178,13 @@ impl TreeMaxRegister {
     pub fn n(&self) -> usize {
         self.tree.n()
     }
-
-    /// The static tree layout (exposed for layout inspection and the
-    /// Figure 4 regeneration binary).
-    pub fn tree(&self) -> &AlgorithmATree {
-        &self.tree
-    }
-
-    /// The paper's `Propagate(n)` over the precomputed leaf-to-root
-    /// path.
-    fn propagate(&self, cells: &Real<'_, Words>, leaf: usize) {
-        propagate_path(cells, self.tree.path_for(leaf));
-    }
 }
 
 /// `Propagate` over an explicit (suffix of a) bottom-up path — the
 /// whole path for a normal write, or only the levels above a dominating
 /// node for the elimination filter. This is the f-array's double-CAS
 /// climb under `max`, whose identity is `-∞`.
-fn propagate_path(cells: &Real<'_, Words>, path: &[PathNode]) {
+fn propagate_path(cells: &Real<'_, Blocks>, path: &[PathNode]) {
     run(climb::<Max, _>(cells, path));
 }
 
@@ -216,6 +206,7 @@ impl MaxRegister for TreeMaxRegister {
             return;
         }
         let leaf = self.tree.leaf_for(pid.index(), v);
+        let path = self.tree.path_for(leaf);
         // Per-level elimination filter (opt-in): scan our own path
         // top-down, skipping the root (just checked). A path node
         // holding ≥ v witnesses a covering write that propagated at
@@ -223,21 +214,18 @@ impl MaxRegister for TreeMaxRegister {
         // it re-establishes root ≥ v and we can return without ever
         // touching the leaf. The scan reads at most depth(leaf) extra
         // cells when it misses.
-        if self.elimination {
-            let path = self.tree.path_for(leaf);
-            if path.len() > 1 {
-                for j in (0..path.len() - 1).rev() {
-                    if w <= cells.load_with(path[j].node as usize, Ordering::Acquire) {
-                        propagate_path(&cells, &path[j + 1..]);
-                        return;
-                    }
+        if self.elimination && path.len() > 1 {
+            for j in (0..path.len() - 1).rev() {
+                if w <= cells.load_with(path[j].node as usize, Ordering::Acquire) {
+                    propagate_path(&cells, &path[j + 1..]);
+                    return;
                 }
             }
         }
         // Relaxed is enough here: for a TR (single-writer) leaf this
         // reads our own last store, and for a TL leaf the branch below
         // never returns early, so nothing is concluded from the value.
-        let old = cells.load_with(leaf, Ordering::Relaxed);
+        let old = cells.load_with(leaf.cell, Ordering::Relaxed);
         if w <= old {
             // The paper's pseudo-code returns here unconditionally, but
             // that is unsound for shared TL value-leaves: the process
@@ -249,7 +237,7 @@ impl MaxRegister for TreeMaxRegister {
             // own earlier (completed, hence fully propagated) write
             // already covers us and returning is safe.
             if (v as u128) < self.n() as u128 {
-                self.propagate(&cells, leaf);
+                propagate_path(&cells, path);
             }
             return;
         }
@@ -257,11 +245,11 @@ impl MaxRegister for TreeMaxRegister {
         // process-leaves are single-writer. Either way a plain store of a
         // strictly larger value is safe. SeqCst, as every view store is:
         // the store must be ordered before the sibling reads in
-        // `propagate` (both ours and helpers'); Release would allow the
+        // `propagate_path` (both ours and helpers'); Release would allow the
         // store-buffering reordering that loses the write (DESIGN.md
         // § Memory orderings).
-        run(cells.store(leaf, w));
-        self.propagate(&cells, leaf);
+        run(cells.store(leaf.cell, w));
+        propagate_path(&cells, path);
     }
 
     fn read_max(&self) -> u64 {
@@ -277,6 +265,7 @@ impl MaxRegister for TreeMaxRegister {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cells::WordTable;
     use std::sync::Arc;
 
     #[test]
@@ -393,9 +382,9 @@ mod tests {
         // Plant a larger stalled value on the first ancestor of process
         // 1's TR leaf path (as if its writer crashed mid-propagate).
         let leaf = reg.tree.leaf_for(1, 9);
-        let first = reg.tree.path_for(leaf)[0].node as usize;
-        let planted = to_word(9).max(reg.cells[first].load(Ordering::SeqCst));
-        reg.cells[first].store(planted, Ordering::SeqCst);
+        let first = reg.cells.word(reg.tree.path_for(leaf)[0].node as usize);
+        let planted = to_word(9).max(first.load(Ordering::SeqCst));
+        first.store(planted, Ordering::SeqCst);
         assert_eq!(reg.read_max(), 7, "root must still lag");
         // A dominated write (8 ≤ 9) by the same process scans its path,
         // hits the planted node, and climbs only the levels above it.

@@ -1,12 +1,20 @@
 //! Cache-line padding for contended atomic cells.
 //!
-//! The CAS-propagation structures in this crate (Algorithm A's tree,
-//! the f-array, the counters) store many small atomic cells in one
-//! contiguous arena. Without padding, eight `AtomicI64` tree nodes
-//! share a 64-byte cache line, so every CAS on one node invalidates the
-//! line under seven unrelated nodes in every other core's cache —
-//! classic false sharing, and (as the f-array engineering literature
-//! notes) the dominant constant factor of these algorithms in practice.
+//! The structures in this crate store many small atomic cells in one
+//! contiguous table. Packed, eight `AtomicI64`s share a 64-byte cache
+//! line, so a write to one cell invalidates the line under seven
+//! unrelated ones in every other core's cache: false sharing, and (as
+//! the f-array engineering literature notes) the dominant constant
+//! factor of these algorithms in practice.
+//!
+//! How a table is padded depends on who writes it. A flat array of
+//! single-writer cells (the sharded counter's stripes, the
+//! double-collect segments) pads every cell to its own pair
+//! ([`cells::Words`](crate::cells::Words)), so no two writers share a
+//! line. A tree is blocked by subtree instead
+//! ([`cells::Blocks`](crate::cells::Blocks)): each height-3 block,
+//! whose writers all climb on through its root, shares one line of a
+//! padded entry, so a climb's level reads and CASes one line.
 //!
 //! [`CachePadded<T>`] aligns and pads `T` to its own 128-byte block.
 //! 128 rather than 64 because adjacent-line prefetchers on recent Intel

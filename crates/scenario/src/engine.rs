@@ -396,6 +396,41 @@ fn sim_value_bound(spec: &ScenarioSpec, entry: &ImplEntry) -> u64 {
     }
 }
 
+/// Rejects an explicit capacity too small for what `engine` can issue
+/// to a bounded face, whose run would otherwise panic inside a machine
+/// body instead of ending in a verdict. A bounded counter or snapshot
+/// takes at most `capacity` updates, so the capacity must cover
+/// `updates`, the most the engine can issue. A bounded max register
+/// takes values below its capacity, so the capacity must exceed
+/// `largest`, the largest value the engine can write.
+fn check_capacity(
+    spec: &ScenarioSpec,
+    entry: &ImplEntry,
+    engine: EngineKind,
+    updates: u64,
+    largest: u64,
+) -> Result<(), EngineError> {
+    let cap = match spec.capacity {
+        Some(cap) if entry.caps.bounded_capacity => cap,
+        _ => return Ok(()),
+    };
+    let short = match spec.family {
+        Family::MaxReg => (largest >= cap).then(|| format!("write the value {largest}")),
+        Family::Counter | Family::Snapshot => {
+            (updates > cap).then(|| format!("issue {updates} updates"))
+        }
+    };
+    match short {
+        Some(what) => Err(EngineError::Unsupported(format!(
+            "capacity {cap} of {}/{} is too small: the {} engine can {what}",
+            spec.family.name(),
+            spec.impl_id,
+            engine.name()
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// Rejects accuracy factors the implementation cannot honor: `k > 1`
 /// on an exact face would make the relaxed checkers certify behaviour
 /// the implementation never promised, so only entries advertising an
@@ -464,6 +499,8 @@ pub fn sim_workload(
     let entry = find(spec.family, &spec.impl_id)?;
     let bound = sim_value_bound(spec, entry);
     let n = spec.n;
+    let updates = (n as u64).saturating_mul(spec.ops_per_process as u64);
+    check_capacity(spec, entry, EngineKind::Sim, updates, bound)?;
     let mut rng = SplitMix64::new(spec.seed ^ run_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let mut w = WorkloadBuilder::new(n);
     for p in 0..n {
@@ -1025,6 +1062,20 @@ pub fn explore_parts(spec: &ScenarioSpec) -> Result<ExploreParts, EngineError> {
                 .into(),
         ));
     }
+    let updates = espec.ops.iter().filter(|op| op.kind == OpKind::Update);
+    let largest = updates
+        .clone()
+        .map(|op| op.value)
+        .chain(espec.seed_update)
+        .max();
+    let count = updates.count() as u64 + u64::from(espec.seed_update.is_some());
+    check_capacity(
+        spec,
+        entry,
+        EngineKind::Explore,
+        count,
+        largest.unwrap_or(0),
+    )?;
     // Build the object and run the seed write once, eagerly, so bad
     // capacities error here rather than panicking inside the search.
     // Each setup clones that memory and makes its machines from the
@@ -1364,6 +1415,56 @@ mod tests {
                 Err(EngineError::Unsupported(_))
             ));
         }
+    }
+
+    /// The checked-in scenario `file` on `impl_id` with `capacity`.
+    fn switched(file: &str, impl_id: &str, capacity: u64) -> ScenarioSpec {
+        let path = format!("{}/../../scenarios/{file}", env!("CARGO_MANIFEST_DIR"));
+        let text = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        let mut spec = ScenarioSpec::parse(&text).unwrap();
+        spec.impl_id = impl_id.into();
+        spec.capacity = Some(capacity);
+        spec
+    }
+
+    /// `spec` is rejected before any run, with both numbers named.
+    fn assert_too_small(spec: &ScenarioSpec, capacity: u64, need: &str) {
+        match run(spec, true) {
+            Err(EngineError::Unsupported(msg)) => assert!(
+                msg.contains(&format!("capacity {capacity} ")) && msg.contains(need),
+                "{msg}"
+            ),
+            other => panic!("expected a capacity error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_capacity_below_afeks_updates_is_an_error() {
+        // The W6 double-collect soak: 3 processes × 4 ops.
+        let spec = switched("w6_soak_snapshot_double_collect.json", "afek", 2);
+        assert_too_small(&spec, 2, "12 updates");
+        let spec = switched("w6_soak_snapshot_double_collect.json", "afek", 12);
+        assert!(run(&spec, true).unwrap().ok, "room for every update runs");
+    }
+
+    #[test]
+    fn a_capacity_below_the_aac_counters_updates_is_an_error() {
+        // The W6 f-array counter soak: 4 processes × 8 ops.
+        let spec = switched("w6_soak_counter_farray.json", "aac", 3);
+        assert_too_small(&spec, 3, "32 updates");
+        let spec = switched("w6_soak_counter_farray.json", "aac", 32);
+        assert!(run(&spec, true).unwrap().ok, "room for every update runs");
+    }
+
+    #[test]
+    fn an_explored_value_at_an_aac_registers_capacity_is_an_error() {
+        let mut spec = switched("aac_crash_explore.json", "aac", 8);
+        spec.explore.as_mut().unwrap().ops[0].value = 8;
+        assert_too_small(&spec, 8, "the value 8");
+        let explore = spec.explore.as_mut().unwrap();
+        explore.ops[0].value = 5;
+        explore.seed_update = Some(9);
+        assert_too_small(&spec, 8, "the value 9");
     }
 
     /// Serializes tests that run the real engine with tracing: the
