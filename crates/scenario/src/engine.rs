@@ -908,6 +908,8 @@ pub fn run_real(spec: &ScenarioSpec, quick: bool) -> Result<ScenarioReport, Engi
     }
     validate_accuracy(spec, entry)?;
     let p = real_params(spec, quick);
+    let updates = p.ops * p.threads as u64;
+    check_capacity(spec, entry, EngineKind::Real, updates, p.value_bound - 1)?;
     let params = BuildParams {
         n: p.threads,
         capacity: real_capacity(spec, &p),
@@ -1454,6 +1456,18 @@ mod tests {
         assert_too_small(&spec, 3, "32 updates");
         let spec = switched("w6_soak_counter_farray.json", "aac", 32);
         assert!(run(&spec, true).unwrap().ok, "room for every update runs");
+    }
+
+    #[test]
+    fn a_capacity_below_what_real_threads_issue_is_an_error() {
+        // The W8 sharded run, quick: 8 threads × 1,000 ops.
+        let spec = switched("w8_sharded_real.json", "aac", 3);
+        assert_too_small(&spec, 3, "8000 updates");
+        // The W4 tree run: writers draw values below 4,096.
+        let spec = switched("w4_throughput_maxreg_tree.json", "aac", 4095);
+        assert_too_small(&spec, 4095, "the value 4095");
+        let spec = switched("w4_throughput_maxreg_tree.json", "aac", 4096);
+        assert!(run(&spec, true).unwrap().ok, "room for every value runs");
     }
 
     #[test]

@@ -329,7 +329,8 @@ pub struct ScenarioSpec {
     pub n: usize,
     /// Capacity for bounded implementations (AAC value bound, counter
     /// increment bound, path-copy update bound). `None` lets the engine
-    /// derive one from the workload.
+    /// derive one from the workload; one too small for what the engine
+    /// issues is an [`EngineError::Unsupported`](crate::EngineError::Unsupported).
     pub capacity: Option<u64>,
     /// Base seed for workload generation and fault plans.
     pub seed: u64,
